@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ParameterError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field
-from .kernel import CoefficientFields, GoverningFields
-from .frames import FrameGrid, SurfaceTriple
+from .kernel import CoefficientFields, GoverningFields, coefficients_from_governing
+from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
 from .sweep import sweep_grid
 
 __all__ = [
@@ -42,10 +42,17 @@ __all__ = [
     "backlund_governing",
     "apply_backlund",
     "bianchi_darboux",
+    "transform_diagnostics",
+    "bianchi_darboux_identities",
+    "finite_governing",
 ]
 
 #: nodes with |omega|, |nu| or |M| below this are flagged singular
 EPS_SING = 1e-8
+
+#: RK4 steps per grid interval of the Lax sweeps; they sharpen constraint
+#: conservation without changing the O(h^2) interpolation accuracy
+LAX_SUBSTEPS = 4
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,8 @@ class LaxFields:
     nu: ScalarField
     bigM: ScalarField
     singular: np.ndarray = dc_field(repr=False)
-    constraint_drift: float = 0.0
-    path_independence: float = 0.0
+    constraint_drift: float
+    path_independence: float
 
     @property
     def n_singular(self) -> int:
@@ -91,11 +98,7 @@ class PrimedUpdate:
     Abar2: np.ndarray
     H: np.ndarray
     K: np.ndarray
-    mask: np.ndarray = dc_field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.mask is None:
-            object.__setattr__(self, "mask", np.zeros(self.grid.shape, dtype=bool))
+    mask: np.ndarray = dc_field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,7 @@ class BacklundResult:
     primed_coefficients: CoefficientFields
     raw_update: PrimedUpdate
     r_primed: Vec3Field
-    branch_invalid: np.ndarray = dc_field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.branch_invalid is None:
-            object.__setattr__(
-                self, "branch_invalid", np.zeros(self.lax.grid.shape, dtype=bool)
-            )
+    branch_invalid: np.ndarray = dc_field(repr=False)
 
 
 def admissible_initial(
@@ -179,20 +176,50 @@ def _matvec(L, w):
     return np.einsum("...ij,...j->...i", L, w)
 
 
+def _lax_fields(
+    grid: Grid2D, m: float, qn: float,
+    lam: np.ndarray, mu: np.ndarray, om: np.ndarray, ph: np.ndarray, ch: np.ndarray,
+    path_err: float,
+) -> LaxFields:
+    """nu, M, the singular mask and the quadric drift of a Lax solution.
+
+    The drift is taken relative to the quadric's magnitude at the origin
+    node, where the solution holds its initial vector.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = ch - qn * ph * ph / (2.0 * om)
+    bigM = m * om * nu
+    singular = (
+        ~np.isfinite(om)
+        | ~np.isfinite(nu)
+        | (np.abs(om) < EPS_SING)
+        | (np.abs(nu) < EPS_SING)
+        | (np.abs(bigM) < EPS_SING)
+    )
+    # division-free form of lambda^2 + mu^2 + omega^2 - 2 m omega nu
+    quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
+    q0 = abs(2.0 * m * om[0, 0] * ch[0, 0] - m * qn * ph[0, 0] ** 2)
+    scale = q0 if q0 > 0 else 1.0
+    drift = float(np.max(np.abs(quad))) / scale
+    f = lambda v: ScalarField(grid, v)
+    return LaxFields(
+        grid, m, qn, f(lam), f(mu), f(om), f(ph), f(ch), f(nu), f(bigM),
+        singular, drift, path_err,
+    )
+
+
 def integrate_lax(
     c: CoefficientFields,
     qn: float,
     m: float,
     init: np.ndarray,
-    substeps: int = 4,
 ) -> LaxFields:
     """Integrate the 5-component linear system from ``init`` at the origin node.
 
     The background coefficients must come from a valid membrane O surface for
     the two sweep orders to agree; ``path_independence`` records the actual
     discrepancy (it blows up on an incompatible background, a useful negative
-    control).  ``substeps`` > 1 sharpens constraint conservation without
-    changing the O(h^2) interpolation accuracy.
+    control).
     """
     if m == 0.0:
         raise ParameterError("the Backlund parameter m must be nonzero")
@@ -207,32 +234,12 @@ def integrate_lax(
     def deriv_y(cv, w):
         return _matvec(_lax_matrix_y(cv, m, qn), w)
 
-    out = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, init, substeps=substeps)
-    alt = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, init, order="yx", substeps=substeps)
+    out = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, init, substeps=LAX_SUBSTEPS)
+    alt = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, init, order="yx",
+                     substeps=LAX_SUBSTEPS)
     with np.errstate(invalid="ignore"):
         path_err = float(np.nanmax(np.abs(out - alt)))
-
-    lam, mu, om, ph, ch = (out[:, :, k] for k in range(5))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = ch - qn * ph * ph / (2.0 * om)
-    bigM = m * om * nu
-    singular = (
-        ~np.isfinite(om)
-        | ~np.isfinite(nu)
-        | (np.abs(om) < EPS_SING)
-        | (np.abs(nu) < EPS_SING)
-        | (np.abs(bigM) < EPS_SING)
-    )
-    # division-free form of lambda^2 + mu^2 + omega^2 - 2 m omega nu
-    quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
-    q0 = abs(2.0 * m * init[2] * init[4] - m * qn * init[3] ** 2)
-    scale = q0 if q0 > 0 else 1.0
-    drift = float(np.max(np.abs(quad))) / scale
-    f = lambda v: ScalarField(c.grid, v)
-    return LaxFields(
-        c.grid, m, qn, f(lam), f(mu), f(om), f(ph), f(ch), f(nu), f(bigM),
-        singular, drift, path_err,
-    )
+    return _lax_fields(c.grid, m, qn, *(out[:, :, k] for k in range(5)), path_err)
 
 
 def _nanwhere(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -326,37 +333,39 @@ def backlund_governing(
     return primed, invalid
 
 
+def _transform(
+    g: GoverningFields, c: CoefficientFields, lx: LaxFields, name: str
+) -> BacklundResult:
+    """Primed fields, raw update and transformed surface of a Lax solution."""
+    if lx.singular.all():
+        raise SingularGridError(f"{name} undefined on every node")
+    primed, invalid = backlund_governing(g, lx)
+    raw = backlund_coefficients(c, lx, g.qn)
+    f = integrate_frame(c, np.eye(3))
+    triple, _ = reconstruct_surfaces(f, c)
+    r_p = backlund_surface(triple, f, lx)
+    primed_coeffs = coefficients_from_governing(primed)
+    return BacklundResult(lx, primed, primed_coeffs, raw, r_p, invalid)
+
+
 def apply_backlund(
     g: GoverningFields,
     m: float,
     lambda0: float,
     omega0: float,
     phi0: float,
-    frame0: np.ndarray | None = None,
-    substeps: int = 4,
 ) -> BacklundResult:
     """One full Backlund application from an admissible initial vector.
 
     Builds coefficients, integrates the Lax system, and assembles the primed
-    governing fields, the raw coefficient update, and the transformed surface.
+    governing fields, the raw coefficient update, and the transformed surface
+    (the frame starts from the identity at the origin node).
     Raises SingularGridError when every node is singular.
     """
-    from .kernel import coefficients_from_governing
-    from .frames import integrate_frame, reconstruct_surfaces
-
     c = coefficients_from_governing(g)
     init = admissible_initial(m, g.qn, lambda0, omega0, phi0)
-    lx = integrate_lax(c, g.qn, m, init, substeps=substeps)
-    if lx.singular.all():
-        raise SingularGridError("Backlund transformation undefined on every node")
-    primed, invalid = backlund_governing(g, lx)
-    raw = backlund_coefficients(c, lx, g.qn)
-    frame0 = np.eye(3) if frame0 is None else frame0
-    f = integrate_frame(c, frame0)
-    triple, _ = reconstruct_surfaces(f, c)
-    r_p = backlund_surface(triple, f, lx)
-    primed_coeffs = coefficients_from_governing(primed)
-    return BacklundResult(lx, primed, primed_coeffs, raw, r_p, invalid)
+    lx = integrate_lax(c, g.qn, m, init)
+    return _transform(g, c, lx, "Backlund transformation")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +410,6 @@ def bianchi_darboux(
     lambda0: float = 0.0,
     omega0: float = 1.0,
     branch: int = 1,
-    substeps: int = 4,
 ) -> BacklundResult:
     """Classical Bianchi-Darboux transformation of a cmc background.
 
@@ -414,8 +422,6 @@ def bianchi_darboux(
 
     The result satisfies e^xi' = h' = 1 and e^alpha' = -(phi/sigma) e^-alpha.
     """
-    from .kernel import coefficients_from_governing
-
     if g.kind != "first":
         raise ParameterError("Bianchi-Darboux requires a 1st-kind (cmc) background")
     if np.max(np.abs(g.xi.values)) > 0.0 or np.max(np.abs(g.h.values - 1.0)) > 0.0:
@@ -452,32 +458,98 @@ def bianchi_darboux(
         return _matvec(_bd_matrix_y(cv, mbar), w)
 
     init = np.array([lambda0, 0.0, omega0, phi0, phi0 - 2.0 * omega0])
-    out = sweep_grid(g.grid, coeffs, deriv_x, deriv_y, init, substeps=substeps)
-    lam, mu, om, ph, sig = (out[:, :, k] for k in range(5))
-    ch = qn * ph
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = ch - qn * ph * ph / (2.0 * om)
-    bigM = m * om * nu
-    singular = (
-        ~np.isfinite(om) | ~np.isfinite(nu)
-        | (np.abs(om) < EPS_SING) | (np.abs(nu) < EPS_SING) | (np.abs(bigM) < EPS_SING)
-    )
-    quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
-    scale = abs(2.0 * m * omega0 * qn * phi0 - m * qn * phi0 * phi0)
-    drift = float(np.max(np.abs(quad))) / (scale if scale > 0 else 1.0)
-    f = lambda v: ScalarField(g.grid, v)
-    lx = LaxFields(
-        g.grid, m, qn, f(lam), f(mu), f(om), f(ph), f(ch), f(nu), f(bigM),
-        singular, drift, 0.0,
-    )
-    if lx.singular.all():
-        raise SingularGridError("Bianchi-Darboux transformation undefined on every node")
-    primed, invalid = backlund_governing(g, lx)
-    raw = backlund_coefficients(c, lx, qn)
-    from .frames import integrate_frame, reconstruct_surfaces
+    out = sweep_grid(g.grid, coeffs, deriv_x, deriv_y, init, substeps=LAX_SUBSTEPS)
+    lam, mu, om, ph = (out[:, :, k] for k in range(4))
+    lx = _lax_fields(g.grid, m, qn, lam, mu, om, ph, qn * ph, 0.0)
+    return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
-    fgrid = integrate_frame(c, np.eye(3))
-    triple, _ = reconstruct_surfaces(fgrid, c)
-    r_p = backlund_surface(triple, fgrid, lx)
-    primed_coeffs = coefficients_from_governing(primed)
-    return BacklundResult(lx, primed, primed_coeffs, raw, r_p, invalid)
+
+# ---------------------------------------------------------------------------
+# diagnostics of a transform and preparation of its field file
+# ---------------------------------------------------------------------------
+
+
+def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
+    """Lax drift, singular/invalid node counts and the theorem-form cross-check.
+
+    ``theorem_vs_raw_max_dev`` compares the coefficients (A1, A2, Ho, Ko)
+    that the kind's closed forms give for the primed governing fields with
+    the raw reflection update, over the nodes valid for both.  Raises
+    SingularGridError when no such node is left.
+    """
+    gp = res.primed_governing
+    raw = res.raw_update
+    ok = ~(res.branch_invalid | raw.mask)
+    if not ok.any():
+        raise SingularGridError("no valid nodes after the Backlund transformation")
+    al_p, h_p = gp.alpha.values, gp.h.values
+    ex_p = np.exp(gp.xi.values)
+    if gp.kind == "first":
+        thm = (
+            np.cosh(al_p) + h_p * np.sinh(al_p),
+            -(np.sinh(al_p) + h_p * np.cosh(al_p)),
+            ex_p * np.sinh(al_p),
+            -ex_p * np.cosh(al_p),
+        )
+    else:
+        thm = (
+            np.cos(al_p) + h_p * np.sin(al_p),
+            np.sin(al_p) - h_p * np.cos(al_p),
+            ex_p * np.sin(al_p),
+            -ex_p * np.cos(al_p),
+        )
+    raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
+    return {
+        "constraint_drift": res.lax.constraint_drift,
+        "lax_path_independence": res.lax.path_independence,
+        "singular_nodes": int(res.lax.n_singular),
+        "branch_invalid_nodes": int(res.branch_invalid.sum()),
+        "theorem_vs_raw_max_dev": max(
+            float(np.nanmax(np.abs(t - r)[ok])) for t, r in zip(thm, raws)
+        ),
+    }
+
+
+def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[str, float]:
+    """Max deviations from e^xi' = 1, h' = 1 and e^alpha' = -(phi/sigma) e^-alpha.
+
+    ``g`` is the background of the Bianchi-Darboux result ``res``; nodes
+    that are branch-invalid or singular are skipped.
+    """
+    gp = res.primed_governing
+    ok = ~(res.branch_invalid | res.lax.singular)
+    phi = res.lax.phi.values
+    sigma = phi - 2.0 * res.lax.omega.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_alpha_dev = np.exp(gp.alpha.values) + (phi / sigma) * np.exp(-g.alpha.values)
+    return {
+        "e_xi_prime_max_dev": float(np.nanmax(np.abs(np.exp(gp.xi.values) - 1.0)[ok])),
+        "h_prime_max_dev": float(np.nanmax(np.abs(gp.h.values - 1.0)[ok])),
+        "e_alpha_prime_identity_max_dev": float(np.nanmax(np.abs(e_alpha_dev)[ok])),
+    }
+
+
+def finite_governing(gp: GoverningFields) -> tuple[GoverningFields, list[int]]:
+    """Zero-fill NaN sentinels for serialization; returns (fields, flagged indices).
+
+    The field-file format requires finite payloads, so branch-invalid nodes
+    are zero-filled and their x-fastest flat indices returned for the header.
+    """
+    bad = ~(
+        np.isfinite(gp.alpha.values)
+        & np.isfinite(gp.xi.values)
+        & np.isfinite(gp.h.values)
+    )
+    if not bad.any():
+        return gp, []
+    if bad.all():
+        raise SingularGridError("every node of the primed fields is undefined")
+    flat = np.argwhere(bad.ravel(order="F")).ravel()
+    clean = GoverningFields(
+        kind=gp.kind,
+        qn=gp.qn,
+        alpha=ScalarField(gp.grid, np.where(bad, 0.0, gp.alpha.values)),
+        xi=ScalarField(gp.grid, np.where(bad, 0.0, gp.xi.values)),
+        h=ScalarField(gp.grid, np.where(bad, 0.0, gp.h.values)),
+    )
+    return clean, [int(k) for k in flat]

@@ -30,9 +30,19 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+#: exit status of each error class; the first entry that matches wins
+_EXIT_CODES = (
+    (ParameterError, EXIT_USAGE),
+    (FieldFormatError, EXIT_VALIDATION),
+    (SingularGridError, EXIT_NUMERICAL),
+    (MosurfError, EXIT_VALIDATION),
+    (OSError, EXIT_VALIDATION),
+)
+
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the CLI contract says 1.
+    """argparse exits with status 2 on usage errors; the CLI contract says 1,
+    so parse errors are raised as ParameterError.
 
     The negative-number matcher is widened so values like ``-3:3:-3:3``
     (domains) and ``-0.2`` (parameters) are not mistaken for option flags.
@@ -44,11 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    """Usage error carrying the message (mapped to exit status 1)."""
+        raise ParameterError(message)
 
 
 def _parse_domain(text: str) -> tuple[float, float, float, float]:
@@ -136,35 +142,22 @@ def _cmd_seed(args) -> int:
     spec = SeedSpec(args.family, grid, qn=args.qn,
                     alpha0=args.alpha0, v=args.v, a=args.a, c1=args.c1)
     g = generate_seed(spec)
-    seed_header = {"family": args.family, "qn": args.qn,
-                   "domain": [x0, x1, y0, y1],
-                   "alpha0": args.alpha0, "v": args.v, "a": args.a, "c1": args.c1}
-    write_field_file(args.out, g, seed=seed_header)
+    write_field_file(args.out, g, seed=spec.header())
     print(f"seed family={args.family} kind={g.kind} qn={g.qn} "
           f"grid={grid.nx}x{grid.ny} domain=[{x0},{x1}]x[{y0},{y1}] -> {args.out}")
     return EXIT_OK
 
 
-def _reseed(seed: dict, nx: int, ny: int):
-    from .fields import Grid2D
-    from .seeds import SeedSpec, generate_seed
-
-    x0, x1, y0, y1 = seed["domain"]
-    grid = Grid2D.from_domain(x0, x1, y0, y1, nx, ny)
-    spec = SeedSpec(seed["family"], grid, qn=seed["qn"], alpha0=seed.get("alpha0", 1.0),
-                    v=seed.get("v", 0.0), a=seed.get("a", 0.5), c1=seed.get("c1", 0.0))
-    return generate_seed(spec)
-
-
 def _cmd_verify(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_report_file
+    from .seeds import SeedSpec, generate_seed
     from .verify import ALGEBRAIC_EQUATIONS, convergence_orders, verify_governing
 
     g, seed = read_field_file(args.fieldfile)
     report = verify_governing(g)
     orders = None
     if args.refine > 0:
-        if seed is None or "family" not in seed:
+        if seed is None:
             raise FieldFormatError(
                 f"{args.fieldfile}: --refine requires a seed header to regenerate fields"
             )
@@ -172,7 +165,8 @@ def _cmd_verify(args) -> int:
         nx, ny = g.grid.nx, g.grid.ny
         for _ in range(args.refine):
             nx, ny = 2 * nx - 1, 2 * ny - 1
-            reports.append(verify_governing(_reseed(seed, nx, ny)))
+            spec = SeedSpec.from_header(seed, nx, ny)
+            reports.append(verify_governing(generate_seed(spec)))
         orders = convergence_orders(reports)
     print(f"verify kind={g.kind} qn={g.qn} grid={g.grid.nx}x{g.grid.ny}")
     for name, s in report.entries.items():
@@ -259,7 +253,13 @@ def _cmd_stress(args) -> int:
 
 
 def _cmd_backlund(args) -> int:
-    from .backlund import apply_backlund, bianchi_darboux
+    from .backlund import (
+        apply_backlund,
+        bianchi_darboux,
+        bianchi_darboux_identities,
+        finite_governing,
+        transform_diagnostics,
+    )
     from .fileio import read_field_file, report_to_dict, write_field_file, write_report_file
     from .verify import verify_governing
 
@@ -271,59 +271,20 @@ def _cmd_backlund(args) -> int:
     if args.bianchi_darboux:
         mbar = args.m * g.qn / 2.0
         res = bianchi_darboux(g, mbar, lambda0=lam0, omega0=om0)
-        ex_p = np.exp(res.primed_governing.xi.values)
-        h_p = res.primed_governing.h.values
-        ok = ~(res.branch_invalid | res.lax.singular)
-        sigma = res.lax.phi.values - 2.0 * res.lax.omega.values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_alpha_dev = np.exp(res.primed_governing.alpha.values) + (
-                res.lax.phi.values / sigma
-            ) * np.exp(-g.alpha.values)
-        diag["mbar"] = mbar
-        diag["e_xi_prime_max_dev"] = float(np.nanmax(np.abs(ex_p - 1.0)[ok]))
-        diag["h_prime_max_dev"] = float(np.nanmax(np.abs(h_p - 1.0)[ok]))
-        diag["e_alpha_prime_identity_max_dev"] = float(np.nanmax(np.abs(e_alpha_dev)[ok]))
     else:
         res = apply_backlund(g, args.m, lam0, om0, ph0)
-
-    # theorem-form vs raw-update cross-check at valid nodes
+    checks = transform_diagnostics(res)  # raises when no node is valid
+    if args.bianchi_darboux:
+        diag.update(mbar=mbar, **bianchi_darboux_identities(g, res))
+    diag.update(checks)
     gp = res.primed_governing
-    raw = res.raw_update
-    ok = ~(res.branch_invalid | raw.mask)
-    if not ok.any():
-        raise SingularGridError("no valid nodes after the Backlund transformation")
-    al_p, xi_p, h_p = gp.alpha.values, gp.xi.values, gp.h.values
-    ex_p = np.exp(xi_p)
-    if g.kind == "first":
-        thm = (
-            np.cosh(al_p) + h_p * np.sinh(al_p),
-            -(np.sinh(al_p) + h_p * np.cosh(al_p)),
-            ex_p * np.sinh(al_p),
-            -ex_p * np.cosh(al_p),
-        )
-    else:
-        thm = (
-            np.cos(al_p) + h_p * np.sin(al_p),
-            np.sin(al_p) - h_p * np.cos(al_p),
-            ex_p * np.sin(al_p),
-            -ex_p * np.cos(al_p),
-        )
-    raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
-    cross = max(float(np.nanmax(np.abs(t - r)[ok])) for t, r in zip(thm, raws))
-    diag.update(
-        constraint_drift=res.lax.constraint_drift,
-        lax_path_independence=res.lax.path_independence,
-        singular_nodes=int(res.lax.n_singular),
-        branch_invalid_nodes=int(res.branch_invalid.sum()),
-        theorem_vs_raw_max_dev=cross,
-    )
-    primed_file, flagged_idx = _finite_governing(gp)
+    primed_file, flagged_idx = finite_governing(gp)
     seed_header = {"flagged": flagged_idx} if flagged_idx else None
     write_field_file(args.out, primed_file, seed=seed_header)
     report = verify_governing(gp)
-    print(f"backlund kind={g.kind} m={args.m} drift={res.lax.constraint_drift:.3e} "
-          f"singular={res.lax.n_singular} invalid={int(res.branch_invalid.sum())} "
-          f"theorem_vs_raw={cross:.3e} -> {args.out}")
+    print(f"backlund kind={g.kind} m={args.m} drift={checks['constraint_drift']:.3e} "
+          f"singular={checks['singular_nodes']} invalid={checks['branch_invalid_nodes']} "
+          f"theorem_vs_raw={checks['theorem_vs_raw_max_dev']:.3e} -> {args.out}")
     for name, s in report.entries.items():
         print(f"  primed {name:18s} linf={s.linf:.6e} excluded={s.excluded}")
     if args.report:
@@ -331,66 +292,20 @@ def _cmd_backlund(args) -> int:
     return EXIT_OK
 
 
-def _finite_governing(gp):
-    """Zero-fill NaN sentinels for serialization; returns (fields, flagged indices).
-
-    The field-file format requires finite payloads, so branch-invalid nodes
-    are zero-filled and their x-fastest flat indices recorded in the header.
-    """
-    from .fields import ScalarField
-    from .kernel import GoverningFields
-
-    bad = ~(
-        np.isfinite(gp.alpha.values)
-        & np.isfinite(gp.xi.values)
-        & np.isfinite(gp.h.values)
-    )
-    if not bad.any():
-        return gp, []
-    if bad.all():
-        raise SingularGridError("every node of the primed fields is undefined")
-    flat = np.argwhere(bad.ravel(order="F")).ravel()
-    clean = GoverningFields(
-        kind=gp.kind,
-        qn=gp.qn,
-        alpha=ScalarField(gp.grid, np.where(bad, 0.0, gp.alpha.values)),
-        xi=ScalarField(gp.grid, np.where(bad, 0.0, gp.xi.values)),
-        h=ScalarField(gp.grid, np.where(bad, 0.0, gp.h.values)),
-    )
-    return clean, [int(k) for k in flat]
-
-
 def _cmd_omega(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_report_file
-    from .kernel import coefficients_from_governing, orthogonality_residual, residual_stats
-    from .omega import membrane_quad, omega_general_residual, omega_ratios
+    from .kernel import coefficients_from_governing
+    from .omega import omega_ratios
 
     g, _ = read_field_file(args.fieldfile)
-    c = coefficients_from_governing(g)
-    report = omega_ratios(c, g)
-    quad = membrane_quad(c, g.qn)
-    general = omega_general_residual(quad)
-    report.entries["omega-general"] = residual_stats(general, g.grid)
-    kernel_res = orthogonality_residual(c, g.qn)
-    both = np.isfinite(general) & np.isfinite(kernel_res)
-    bit_equal = bool(
-        np.array_equal(general[both], kernel_res[both])
-        and np.array_equal(np.isfinite(general), np.isfinite(kernel_res))
-    )
+    report = omega_ratios(coefficients_from_governing(g), g)
     umbilic = int(report.entries["omega-1"].excluded)
-    diag = {
-        "membrane_vs_appendix_bit_equal": bit_equal,
-        "membrane_vs_appendix_max_diff": float(
-            np.max(np.abs(general[both] - kernel_res[both])) if both.any() else 0.0
-        ),
-        "umbilic_flagged": umbilic,
-    }
-    print(f"omega kind={g.kind} grid={g.grid.nx}x{g.grid.ny} "
-          f"bit_equal={bit_equal} umbilic_flagged={umbilic}")
+    print(f"omega kind={g.kind} grid={g.grid.nx}x{g.grid.ny} umbilic_flagged={umbilic}")
     for name, s in report.entries.items():
         print(f"  {name:16s} linf={s.linf:.6e} l2={s.l2:.6e} excluded={s.excluded}")
     if args.report:
-        write_report_file(args.report, report_to_dict(report, g.kind, g.qn, diagnostics=diag))
+        doc = report_to_dict(report, g.kind, g.qn, diagnostics={"umbilic_flagged": umbilic})
+        write_report_file(args.report, doc)
     return EXIT_OK
 
 
@@ -409,24 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit2 as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"mosurf: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParameterError as exc:
-        print(f"mosurf: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FieldFormatError as exc:
-        print(f"mosurf: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SingularGridError as exc:
-        print(f"mosurf: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MosurfError as exc:
-        print(f"mosurf: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"mosurf: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

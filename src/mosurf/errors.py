@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: parameter/usage problems -> 1,
-file validation problems -> 2, numerical failures -> 3.
+The CLI maps these onto exit codes through its table ``cli._EXIT_CODES``:
+parameter/usage problems -> 1, file validation problems -> 2, numerical
+failures -> 3.
 """
 
 

@@ -18,9 +18,11 @@ import numpy as np
 from .errors import FieldFormatError
 from .fields import Grid2D, ScalarField, Vec3Field
 from .kernel import GoverningFields, ResidualReport
+from .verify import REGISTRY_VERSION
 
 __all__ = [
     "FORMAT_VERSION",
+    "REPORT_VERSION",
     "write_field_file",
     "read_field_file",
     "write_report_file",
@@ -29,7 +31,10 @@ __all__ = [
     "write_table",
 ]
 
+#: version of the field-file format
 FORMAT_VERSION = 1
+#: version of the report schema (2: omega reports lost the 4-vector entries)
+REPORT_VERSION = 2
 
 FIELD_NAMES = ("alpha", "xi", "h")
 
@@ -114,6 +119,16 @@ def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
         raise FieldFormatError(f"{path}: cannot parse field file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "mosurf-fields":
         raise FieldFormatError(f"{path}: not a mosurf field file")
+    try:
+        return _parse_fields(doc, path)
+    except FieldFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # non-numeric entries, and ParameterError from GoverningFields (bad kind, qn = 0)
+        raise FieldFormatError(f"{path}: invalid field file: {exc}") from exc
+
+
+def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
     if int(_require(doc, "version", path)) != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported format version {doc['version']!r}")
     kind = _require(doc, "kind", path)
@@ -129,8 +144,7 @@ def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
     payload = _require(doc, "fields", path)
     fields = {}
     for name in FIELD_NAMES:
-        raw = _require(payload, name, path)
-        arr = np.asarray(raw, dtype=float)
+        arr = np.asarray(_require(payload, name, path), dtype=float)
         if arr.shape != (grid.n_nodes,):
             raise FieldFormatError(
                 f"{path}: field {name!r} has {arr.size} values, expected {grid.n_nodes}"
@@ -155,8 +169,8 @@ def report_to_dict(
 ) -> dict:
     doc: dict[str, Any] = {
         "format": "mosurf-report",
-        "version": FORMAT_VERSION,
-        "registry_version": 1,
+        "version": REPORT_VERSION,
+        "registry_version": REGISTRY_VERSION,
         "grid": _grid_header(report.grid),
     }
     if kind is not None:

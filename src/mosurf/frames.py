@@ -27,7 +27,6 @@ __all__ = [
     "SurfaceTriple",
     "integrate_frame",
     "path_independence_error",
-    "zero_curvature_residual",
     "reconstruct_surfaces",
     "orthonormality_drift",
     "mesh_curvatures",
@@ -132,7 +131,6 @@ def integrate_frame(
     c: CoefficientFields,
     phi0: np.ndarray,
     order: str = "xy",
-    substeps: int = 1,
     reorthonormalize: bool = False,
 ) -> FrameGrid:
     """Integrate the frame system from ``phi0`` at the origin node.
@@ -146,7 +144,7 @@ def integrate_frame(
     phi0 = _check_rotation(phi0)
     frames = sweep_grid(
         c.grid, _frame_coeffs(c), _frame_deriv_x, _frame_deriv_y, phi0,
-        order=order, substeps=substeps,
+        order=order,
         project=_polar_project if reorthonormalize else None,
     )
     return FrameGrid(c.grid, frames)
@@ -159,62 +157,36 @@ def orthonormality_drift(f: FrameGrid) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def path_independence_error(
-    c: CoefficientFields, phi0: np.ndarray, substeps: int = 1
-) -> float:
+def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     """Max Frobenius distance between x-then-y and y-then-x frame sweeps.
 
     Zero (up to integration error) exactly when the coefficients satisfy the
     Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
     of broken compatibility.
     """
-    fa = integrate_frame(c, phi0, order="xy", substeps=substeps)
-    fb = integrate_frame(c, phi0, order="yx", substeps=substeps)
+    fa = integrate_frame(c, phi0, order="xy")
+    fb = integrate_frame(c, phi0, order="yx")
     diff = fa.frames - fb.frames
     return float(np.sqrt((diff * diff).sum(axis=(2, 3))).max())
 
 
-def zero_curvature_residual(c: CoefficientFields) -> ScalarField:
-    """Pointwise algebraic compatibility residual of the frame connection.
-
-    Max-abs of the independent entries of U_y - V_x + VU - UV, which vanish
-    exactly on the Mainardi-Codazzi and Gauss equations.
-    """
-    from .fields import diff_x, diff_y
-
-    p, q = c.p.values, c.q.values
-    Ho, Ko = c.Ho.values, c.Ko.values
-    e_gauss = diff_y(p, c.grid) + diff_x(q, c.grid) + Ho * Ko
-    e_h = diff_y(Ho, c.grid) - p * Ko
-    e_k = diff_x(Ko, c.grid) - q * Ho
-    res = np.maximum(np.abs(e_gauss), np.maximum(np.abs(e_h), np.abs(e_k)))
-    return ScalarField(c.grid, res)
-
-
 def reconstruct_surfaces(
-    f: FrameGrid,
-    c: CoefficientFields,
-    origins: np.ndarray | None = None,
-    substeps: int = 1,
+    f: FrameGrid, c: CoefficientFields
 ) -> tuple[SurfaceTriple, float]:
     """Integrate R_x = X Hvec, R_y = Y Kvec jointly with the frame.
 
-    ``origins`` holds the three base points (N0, r0, rbar0) as rows; N0
-    defaults to the frame normal at the origin node and r0 = rbar0 = 0.
-    Returns the triple and the max distance between the re-integrated Gauss
-    map and the normal column of ``f`` (a cross-implementation check).
+    The base points at the origin node are N0 = the frame normal there and
+    r0 = rbar0 = 0.  Returns the triple and the max distance between the
+    re-integrated Gauss map and the normal column of ``f`` (a
+    cross-implementation check).
     NaN dual coefficients (flagged stress nodes) poison the rbar sheet
     downstream of the flagged node, which is reported honestly.
     """
     if f.grid != c.grid:
         raise ParameterError("frame grid and coefficient grid differ")
     phi0 = f.frames[0, 0]
-    if origins is None:
-        origins = np.zeros((3, 3))
-        origins[0] = phi0[:, 2]
-    origins = np.asarray(origins, dtype=float)
-    if origins.shape != (3, 3):
-        raise ParameterError(f"origins must be three 3-vectors, got shape {origins.shape}")
+    origins = np.zeros((3, 3))
+    origins[0] = phi0[:, 2]
 
     coeffs = _frame_coeffs(c)
     coeffs.update(
@@ -240,7 +212,7 @@ def reconstruct_surfaces(
         return np.concatenate([_frame_deriv_y(cv, Phi), dR], axis=-1)
 
     state0 = np.concatenate([phi0, origins.T], axis=1)  # 3 x 6
-    out = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, state0, substeps=substeps)
+    out = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, state0)
     N = out[:, :, :, 3]
     r = out[:, :, :, 4]
     rbar = out[:, :, :, 5]

@@ -11,7 +11,9 @@ constant normal load qn.  This module maps them to
 and evaluates every equation of the theory as a residual field:
 the governing system, the Mainardi-Codazzi/net/Gauss relations, the
 membrane equilibrium equations, the first integrals with their quadric
-constraint, and the three-vector orthogonality relation.
+constraint, and the orthogonality relation Abar1 Ko + Ho Abar2 = qn A1 A2,
+which is the membrane form of the Omega-surface 4-vector condition (the
+curvature-ratio Omega identities are in :mod:`mosurf.omega`).
 
 Flagged-node policy: nodes where a division guard trips (vanishing
 denominators at curvature-line degeneracies) are set to NaN and excluded
@@ -112,11 +114,7 @@ class StressFields:
     grid: Grid2D
     T1: ScalarField
     T2: ScalarField
-    flagged: np.ndarray = dc_field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.flagged is None:
-            object.__setattr__(self, "flagged", np.zeros(self.grid.shape, dtype=bool))
+    flagged: np.ndarray = dc_field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -158,10 +156,10 @@ class ResidualReport:
 REPORT_MARGIN = 3
 
 
-def residual_stats(values: np.ndarray, grid: Grid2D, margin: int = REPORT_MARGIN) -> ResidualStats:
+def residual_stats(values: np.ndarray, grid: Grid2D) -> ResidualStats:
     """Masked norms over the interior sub-grid; NaN sentinels excluded and counted."""
-    mx = min(margin, (grid.nx - 1) // 2)
-    my = min(margin, (grid.ny - 1) // 2)
+    mx = min(REPORT_MARGIN, (grid.nx - 1) // 2)
+    my = min(REPORT_MARGIN, (grid.ny - 1) // 2)
     core = values[mx : grid.nx - mx, my : grid.ny - my]
     finite = np.isfinite(core)
     excluded = int(core.size - finite.sum())
@@ -417,27 +415,17 @@ def first_integral_check(c: CoefficientFields, kind: str, qn: float) -> Residual
     return report
 
 
-def _membrane_quad_arrays(c: CoefficientFields, qn: float) -> tuple[np.ndarray, ...]:
-    """The 4-vector specialization (H1, H2, H3, Hc, K1, K2, K3, Kc) of membrane data.
+def orthogonality_residual(c: CoefficientFields, qn: float) -> np.ndarray:
+    """Residual of Abar1 Ko + Ho Abar2 - qn A1 A2 (pure pointwise algebra).
 
-    (H1, K1) = (A1, A2), (H2, K2) = -(qn/2)(A1, A2), (H3, K3) = (Abar1, Abar2).
-    Shared by orthogonality_check and the omega module so the two residuals
-    are computed through one code path (bit-identical results).
+    Evaluated as the 4-vector form H1 K2 + H2 K1 + H3 Kc + K3 Hc of the
+    membrane data (H1, K1) = (A1, A2), (H2, K2) = -(qn/2)(A1, A2),
+    (H3, K3) = (Abar1, Abar2), (Hc, Kc) = (Ho, Ko), in that term order.
     """
     A1, A2 = c.A1.values, c.A2.values
+    Ho, Ko = c.Ho.values, c.Ko.values
     half = -0.5 * qn
-    return (A1, half * A1, c.Abar1.values, c.Ho.values,
-            A2, half * A2, c.Abar2.values, c.Ko.values)
-
-
-def omega4_dot(H1, H2, H3, Hc, K1, K2, K3, Kc) -> np.ndarray:
-    """H1 K2 + H2 K1 + H3 Kc + K3 Hc -- the 4-vector orthogonality form."""
-    return H1 * K2 + H2 * K1 + H3 * Kc + K3 * Hc
-
-
-def orthogonality_residual(c: CoefficientFields, qn: float) -> np.ndarray:
-    """Residual of Abar1 Ko + Ho Abar2 - qn A1 A2 (pure pointwise algebra)."""
-    return omega4_dot(*_membrane_quad_arrays(c, qn))
+    return A1 * (half * A2) + (half * A1) * A2 + c.Abar1.values * Ko + c.Abar2.values * Ho
 
 
 def orthogonality_check(c: CoefficientFields, qn: float) -> ResidualReport:

@@ -1,90 +1,36 @@
 """Checks that membrane O surfaces sit inside Demoulin's Omega-surface class.
 
-Two independent verifications:
+With kappa1 = -Ho/A1, kappa2 = -Ko/A2 the curvature-ratio identities
 
-* the curvature-ratio identities: with kappa1 = -Ho/A1, kappa2 = -Ko/A2,
+    R1 = (kappa1)_x / (kappa1 - kappa2) * A1/A2,
+    R2 = (kappa2)_y / (kappa1 - kappa2) * A2/A1,
 
-      R1 = (kappa1)_x / (kappa1 - kappa2) * A1/A2,
-      R2 = (kappa2)_y / (kappa1 - kappa2) * A2/A1,
+equal (-alpha_x, +alpha_y) for the 1st kind and (+alpha_x, +alpha_y) for
+the 2nd, so the Omega equation (R1)_y + eps^2 (R2)_x = 0 holds with
+eps^2 = +1 resp. -1 (no complex arithmetic needed).
 
-  equal (-alpha_x, +alpha_y) for the 1st kind and (+alpha_x, +alpha_y) for
-  the 2nd, so the Omega equation (R1)_y + eps^2 (R2)_x = 0 holds with
-  eps^2 = +1 resp. -1 (no complex arithmetic needed);
-
-* the 4-vector orthogonality form H1 K2 + H2 K1 + H3 Kc + K3 Hc, whose
-  membrane specialization (H1, K1) = (A1, A2), (H2, K2) = -(qn/2)(A1, A2),
-  (H3, K3) = (Abar1, Abar2) reduces to Abar1 Ko + Ho Abar2 - qn A1 A2 and is
-  computed through the same code path as the kernel orthogonality check, so
-  the two residual fields are bit-identical.
+The 4-vector orthogonality form H1 K2 + H2 K1 + H3 Kc + K3 Hc reduces on
+membrane data to Abar1 Ko + Ho Abar2 - qn A1 A2; that residual is the
+``orthogonality`` entry of the kernel (:func:`kernel.orthogonality_residual`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import ScalarField, diff_x, diff_y
-from .kernel import (
-    CoefficientFields,
-    GoverningFields,
-    ResidualReport,
-    _membrane_quad_arrays,
-    omega4_dot,
-    principal_curvatures,
-)
+from .fields import diff_x, diff_y
+from .kernel import CoefficientFields, GoverningFields, ResidualReport, principal_curvatures
 
-__all__ = ["OmegaQuad", "membrane_quad", "omega_ratios", "omega_general_check"]
+__all__ = ["omega_ratios"]
 
 #: relative umbilic guard: |kappa1 - kappa2| below this times max |kappa|
 EPS_UMBILIC = 1e-6
 
 
-@dataclass(frozen=True)
-class OmegaQuad:
-    """The 4-vectors (H1, H2, H3, Hcirc) and (K1, K2, K3, Kcirc) on a grid."""
-
-    H1: ScalarField
-    H2: ScalarField
-    H3: ScalarField
-    Hcirc: ScalarField
-    K1: ScalarField
-    K2: ScalarField
-    K3: ScalarField
-    Kcirc: ScalarField
-
-    @property
-    def grid(self):
-        return self.H1.grid
-
-
-def membrane_quad(c: CoefficientFields, qn: float) -> OmegaQuad:
-    """Membrane specialization of the 4-vector data."""
-    arrays = _membrane_quad_arrays(c, qn)
-    f = lambda v: ScalarField(c.grid, v)
-    return OmegaQuad(*map(f, arrays))
-
-
-def omega_general_residual(q: OmegaQuad) -> np.ndarray:
-    """Residual field of the 4-vector orthogonality form."""
-    return omega4_dot(
-        q.H1.values, q.H2.values, q.H3.values, q.Hcirc.values,
-        q.K1.values, q.K2.values, q.K3.values, q.Kcirc.values,
-    )
-
-
-def omega_general_check(q: OmegaQuad) -> ResidualReport:
-    report = ResidualReport(q.grid)
-    report.add("omega-general", omega_general_residual(q))
-    return report
-
-
-def omega_ratio_fields(
-    c: CoefficientFields, g: GoverningFields, eps_umbilic: float = EPS_UMBILIC
-) -> dict[str, np.ndarray]:
+def omega_ratio_fields(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarray]:
     """Raw residual arrays of the curvature-ratio identities.
 
-    Umbilic nodes (|kappa1 - kappa2| below ``eps_umbilic`` relative to the
+    Umbilic nodes (|kappa1 - kappa2| below ``EPS_UMBILIC`` relative to the
     curvature scale) are NaN; membrane O surfaces of either kind are
     umbilic-free wherever the coefficients are finite, so this guard only
     trips on degenerate data.
@@ -94,7 +40,7 @@ def omega_ratio_fields(
     dk = k1 - k2
     with np.errstate(invalid="ignore"):
         scale = np.nanmax(np.abs(np.stack([k1, k2])))
-    umbilic = ~np.isfinite(dk) | (np.abs(dk) < eps_umbilic * max(scale, 1e-300))
+    umbilic = ~np.isfinite(dk) | (np.abs(dk) < EPS_UMBILIC * max(scale, 1e-300))
     dk = np.where(umbilic, np.nan, dk)
     A1, A2 = c.A1.values, c.A2.values
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -114,11 +60,9 @@ def omega_ratio_fields(
     return {"omega-1": res1, "omega-2": res2, "omega-combined": combined}
 
 
-def omega_ratios(
-    c: CoefficientFields, g: GoverningFields, eps_umbilic: float = EPS_UMBILIC
-) -> ResidualReport:
+def omega_ratios(c: CoefficientFields, g: GoverningFields) -> ResidualReport:
     """Residual report for the Omega-surface Corollary identities."""
     report = ResidualReport(c.grid)
-    for name, values in omega_ratio_fields(c, g, eps_umbilic).items():
+    for name, values in omega_ratio_fields(c, g).items():
         report.add(name, values)
     return report

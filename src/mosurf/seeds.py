@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeedError, ParameterError
+from .errors import DegenerateSeedError, FieldFormatError, ParameterError
 from .fields import Grid2D, ScalarField
 from .kernel import GoverningFields
 
@@ -64,6 +64,30 @@ class SeedSpec:
     @property
     def kind(self) -> str:
         return FAMILY_KINDS[self.family]
+
+    def header(self) -> dict:
+        """The field-file ``seed`` entry; :meth:`from_header` reads it back."""
+        g = self.grid
+        return {"family": self.family, "qn": self.qn,
+                "domain": [g.x0, float(g.xs[-1]), g.y0, float(g.ys[-1])],
+                "alpha0": self.alpha0, "v": self.v, "a": self.a, "c1": self.c1}
+
+    @classmethod
+    def from_header(cls, header: dict, nx: int, ny: int) -> "SeedSpec":
+        """The seed of a field-file ``seed`` entry on an nx x ny grid of its domain.
+
+        The header is file content, so a missing, non-numeric or invalid
+        entry raises FieldFormatError.
+        """
+        try:
+            x0, x1, y0, y1 = (float(v) for v in header["domain"])
+            grid = Grid2D.from_domain(x0, x1, y0, y1, nx, ny)
+            params = {k: float(header[k]) for k in ("qn", "alpha0", "v", "a", "c1")}
+            return cls(header["family"], grid, **params)
+        except KeyError as exc:
+            raise FieldFormatError(f"seed header has no {exc} entry") from exc
+        except (TypeError, ValueError) as exc:
+            raise FieldFormatError(f"bad seed header: {exc}") from exc
 
 
 def sinh_gordon_profile(

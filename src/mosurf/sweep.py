@@ -50,6 +50,33 @@ def _rk4_interval(
     return state
 
 
+def _sweep_xy(
+    out: np.ndarray,
+    coeffs: Coeffs,
+    hx: float,
+    hy: float,
+    deriv_x: Deriv,
+    deriv_y: Deriv,
+    substeps: int,
+    fix: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Fill ``out`` from ``out[0, 0]``: along the first axis on index 0 of the
+    second, then along the second axis for every first index at once."""
+    n0, n1 = out.shape[:2]
+    state = out[0, 0]
+    for i in range(n0 - 1):
+        c0 = {k: v[i, 0] for k, v in coeffs.items()}
+        c1 = {k: v[i + 1, 0] for k, v in coeffs.items()}
+        state = fix(_rk4_interval(state, hx, deriv_x, c0, c1, substeps))
+        out[i + 1, 0] = state
+    batch = out[:, 0].copy()
+    for j in range(n1 - 1):
+        c0 = {k: v[:, j] for k, v in coeffs.items()}
+        c1 = {k: v[:, j + 1] for k, v in coeffs.items()}
+        batch = fix(_rk4_interval(batch, hy, deriv_y, c0, c1, substeps))
+        out[:, j + 1] = batch
+
+
 def sweep_grid(
     grid: Grid2D,
     coeffs: Coeffs,
@@ -67,40 +94,18 @@ def sweep_grid(
     the seed line and 1-d arrays on the batched pass).  ``project``, when
     given, is applied to the state after every grid interval (e.g. polar
     re-orthonormalization for rotation-valued states).  Returns an array of
-    shape ``(nx, ny) + state0.shape``.
+    shape ``(nx, ny) + state0.shape``.  The "yx" order is the "xy" pass run
+    on the transposed grid.
     """
     if order not in ("xy", "yx"):
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
-    nx, ny = grid.shape
     state0 = np.asarray(state0, dtype=float)
-    out = np.empty((nx, ny) + state0.shape)
+    out = np.empty(grid.shape + state0.shape)
     out[0, 0] = state0
     fix = project if project is not None else (lambda s: s)
-
     if order == "xy":
-        state = state0
-        for i in range(nx - 1):
-            c0 = {k: v[i, 0] for k, v in coeffs.items()}
-            c1 = {k: v[i + 1, 0] for k, v in coeffs.items()}
-            state = fix(_rk4_interval(state, grid.dx, deriv_x, c0, c1, substeps))
-            out[i + 1, 0] = state
-        batch = out[:, 0].copy()
-        for j in range(ny - 1):
-            c0 = {k: v[:, j] for k, v in coeffs.items()}
-            c1 = {k: v[:, j + 1] for k, v in coeffs.items()}
-            batch = fix(_rk4_interval(batch, grid.dy, deriv_y, c0, c1, substeps))
-            out[:, j + 1] = batch
+        _sweep_xy(out, coeffs, grid.dx, grid.dy, deriv_x, deriv_y, substeps, fix)
     else:
-        state = state0
-        for j in range(ny - 1):
-            c0 = {k: v[0, j] for k, v in coeffs.items()}
-            c1 = {k: v[0, j + 1] for k, v in coeffs.items()}
-            state = fix(_rk4_interval(state, grid.dy, deriv_y, c0, c1, substeps))
-            out[0, j + 1] = state
-        batch = out[0, :].copy()
-        for i in range(nx - 1):
-            c0 = {k: v[i, :] for k, v in coeffs.items()}
-            c1 = {k: v[i + 1, :] for k, v in coeffs.items()}
-            batch = fix(_rk4_interval(batch, grid.dx, deriv_x, c0, c1, substeps))
-            out[i + 1, :] = batch
+        _sweep_xy(out.swapaxes(0, 1), {k: v.T for k, v in coeffs.items()},
+                  grid.dy, grid.dx, deriv_y, deriv_x, substeps, fix)
     return out

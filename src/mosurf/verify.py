@@ -92,12 +92,14 @@ def verify_governing(g: GoverningFields) -> ResidualReport:
     return report
 
 
-def convergence_orders(
-    reports: list[ResidualReport], floor: float = 1e-12
-) -> dict[str, float | None]:
+#: residual norms at or below this are treated as exact (no error term)
+EXACT_FLOOR = 1e-12
+
+
+def convergence_orders(reports: list[ResidualReport]) -> dict[str, float | None]:
     """Measured L-infinity order between consecutive grid-halved reports.
 
-    Entries whose residuals sit at or below ``floor`` on the finest grid are
+    Entries whose residuals sit at or below ``EXACT_FLOOR`` on either grid are
     exact identities (reported as None: there is no error term to measure).
     With more than two reports the last pair is used.
     """
@@ -108,7 +110,7 @@ def convergence_orders(
     for name in fine.entries:
         a = coarse[name].linf
         b = fine[name].linf
-        if b <= floor or a <= floor:
+        if b <= EXACT_FLOOR or a <= EXACT_FLOOR:
             orders[name] = None
         else:
             orders[name] = float(np.log2(a / b))

@@ -167,14 +167,46 @@ def test_cli_verify_refine_orders(tmp_path):
     assert doc["orders"]["orthogonality"] is None  # exact identity
 
 
-def test_cli_verify_corrupted_payload_exit_code(tmp_path):
+def _set_payload(doc, value):
+    doc["fields"]["alpha"][3] = value
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: _set_payload(doc, float("nan")),
+    lambda doc: _set_payload(doc, "x"),
+    lambda doc: doc.update(kind="third"),
+    lambda doc: doc.update(qn=0),
+    lambda doc: doc.update(qn="one"),
+    lambda doc: doc.update(version="one"),
+], ids=["nan-payload", "text-payload", "kind-third", "qn-zero", "qn-text", "version-text"])
+def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     out = tmp_path / "f.json"
     run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
          "--nx", "11", "--ny", "11", "-o", str(out)])
     doc = json.loads(out.read_text())
-    doc["fields"]["alpha"][3] = float("nan")
+    corrupt(doc)
     out.write_text(json.dumps(doc))
     assert run(["verify", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mosurf: error:")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda seed: seed.pop("domain"),
+    lambda seed: seed.pop("alpha0"),
+    lambda seed: seed.update(qn="one"),
+    lambda seed: seed.update(domain=[0, 1, 0]),
+    lambda seed: seed.update(family="sphere"),
+], ids=["no-domain", "no-alpha0", "qn-text", "short-domain", "unknown-family"])
+def test_cli_verify_refine_bad_seed_header_exit_code(tmp_path, capsys, corrupt):
+    out = tmp_path / "f.json"
+    run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
+         "--nx", "11", "--ny", "11", "-o", str(out)])
+    doc = json.loads(out.read_text())
+    corrupt(doc["seed"])
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 0
+    assert run(["verify", str(out), "--refine", "1"]) == 2
+    assert capsys.readouterr().err.startswith("mosurf: error:")
 
 
 def test_cli_reconstruct_outputs(tmp_path):
@@ -277,7 +309,6 @@ def test_cli_omega_report(tmp_path):
          "--nx", "51", "--ny", "51", "-o", str(src)])
     assert run(["omega", str(src), "--report", str(rep)]) == 0
     doc = json.loads(rep.read_text())
-    assert doc["diagnostics"]["membrane_vs_appendix_bit_equal"] is True
     assert doc["diagnostics"]["umbilic_flagged"] == 0
 
 

@@ -11,9 +11,12 @@ from mosurf.frames import (
     orthonormality_drift,
     path_independence_error,
     reconstruct_surfaces,
-    zero_curvature_residual,
 )
-from mosurf.kernel import CoefficientFields, coefficients_from_governing
+from mosurf.kernel import (
+    CoefficientFields,
+    coefficients_from_governing,
+    gauss_codazzi_residual_fields,
+)
 from mosurf.seeds import SeedSpec, generate_seed
 
 I3 = np.eye(3)
@@ -88,14 +91,21 @@ def test_path_independence_order_and_negative_control():
     assert path_independence_error(bad, I3) / errs[1] > 50.0
 
 
+def zero_curvature_residual(c):
+    """Max-abs of the independent entries of U_y - V_x + VU - UV: the
+    Mainardi-Codazzi and Gauss entries of the kernel registry."""
+    res = gauss_codazzi_residual_fields(c)
+    return np.maximum.reduce([np.abs(res[k]) for k in ("gauss", "codazzi-H", "codazzi-K")])
+
+
 def test_zero_curvature_residual_detects_corruption():
     _, c = cmc_coefficients(n=201)
-    ok = zero_curvature_residual(c).values
+    ok = zero_curvature_residual(c)
     bad_c = CoefficientFields(
         c.grid, c.A1, c.A2, ScalarField(c.grid, 1.01 * c.Ho.values), c.Ko,
         c.Abar1, c.Abar2, c.p, c.q,
     )
-    bad = zero_curvature_residual(bad_c).values
+    bad = zero_curvature_residual(bad_c)
     core = (slice(3, -3), slice(3, -3))
     # the corrupted residual is O(1) in h while the valid one is O(h^2)
     assert np.max(np.abs(bad[core])) > 50 * np.max(np.abs(ok[core]))

@@ -1,22 +1,10 @@
-"""Omega-surface condition tests: Corollary ratios and the 4-vector form."""
+"""Omega-surface condition tests: the Corollary curvature-ratio identities."""
 
 import numpy as np
-import pytest
 
 from mosurf.fields import Grid2D, ScalarField
-from mosurf.kernel import (
-    coefficients_from_governing,
-    GoverningFields,
-    orthogonality_residual,
-)
-from mosurf.omega import (
-    OmegaQuad,
-    membrane_quad,
-    omega_general_check,
-    omega_general_residual,
-    omega_ratio_fields,
-    omega_ratios,
-)
+from mosurf.kernel import GoverningFields, coefficients_from_governing
+from mosurf.omega import omega_ratio_fields, omega_ratios
 from mosurf.seeds import SeedSpec, generate_seed
 
 
@@ -81,42 +69,3 @@ def test_umbilic_nodes_are_flagged():
     rep = omega_ratios(c, g)
     assert rep["omega-1"].excluded == 25  # whole 5x5 reporting core
     assert rep["omega-1"].linf == 0.0
-
-
-def test_membrane_quad_matches_orthogonality_bit_for_bit():
-    for family, dom, kw in (
-        ("cmc", (0, 2, 0, 2), dict(alpha0=1.0)),
-        ("pseudospherical", (0.7, 1.3, -0.5, 0.5), dict(v=0.3)),
-        ("liouville", (-1, 1, -1, 1), dict(a=0.5, c1=-0.2)),
-    ):
-        g = seed(family, dom, n=51, **kw)
-        c = coefficients_from_governing(g)
-        general = omega_general_residual(membrane_quad(c, g.qn))
-        kernel_form = orthogonality_residual(c, g.qn)
-        assert np.array_equal(general, kernel_form), family
-
-
-def test_omega_general_zero_quad():
-    grid = Grid2D.from_domain(0, 1, 0, 1, 7, 7)
-    zero = ScalarField.zeros(grid)
-    quad = OmegaQuad(*([zero] * 8))
-    rep = omega_general_check(quad)
-    assert rep["omega-general"].linf == 0.0
-
-
-def test_omega_general_linear_in_h3():
-    g = seed("cmc", (0, 1, 0, 1), n=21, alpha0=0.7)
-    c = coefficients_from_governing(g)
-    quad = membrane_quad(c, g.qn)
-    base = omega_general_residual(quad)
-    bumped = quad.H3.values.copy()
-    delta = 0.25
-    bumped[10, 10] += delta
-    quad2 = OmegaQuad(
-        quad.H1, quad.H2, ScalarField(quad.grid, bumped), quad.Hcirc,
-        quad.K1, quad.K2, quad.K3, quad.Kcirc,
-    )
-    diff = omega_general_residual(quad2) - base
-    assert diff[10, 10] == pytest.approx(delta * quad.Kcirc.values[10, 10], rel=1e-13)
-    diff[10, 10] = 0.0
-    assert np.all(diff == 0.0)
