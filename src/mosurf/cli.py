@@ -2,7 +2,8 @@
 
 Subcommands: seed | verify | reconstruct | stress | backlund | omega.
 Exit codes: 0 success, 1 usage error, 2 file validation/parse error,
-3 numerical failure (all nodes singular, non-finite output, empty mesh).
+3 numerical failure (all nodes singular, non-finite output, empty mesh),
+4 failed gate (``verify`` printed FAIL for an algebraic residual).
 
 The only environment variable honored is MOSURF_THREADS, which caps the
 numpy/BLAS thread pools; it must be read before numpy is imported, hence the
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_GATE = 4
 
 #: exit status of each error class; the first entry that matches wins
 _EXIT_CODES = (
@@ -169,22 +171,29 @@ def _cmd_verify(args) -> int:
             reports.append(verify_governing(generate_seed(spec)))
         orders = convergence_orders(reports)
     print(f"verify kind={g.kind} qn={g.qn} grid={g.grid.nx}x{g.grid.ny}")
+    failed = [name for name, s in report.entries.items()
+              if name in ALGEBRAIC_EQUATIONS and not s.linf < args.tol]
     for name, s in report.entries.items():
         line = f"  {name:18s} linf={s.linf:.6e} l2={s.l2:.6e} excluded={s.excluded}"
         if name in ALGEBRAIC_EQUATIONS:
-            line += "  " + ("PASS" if s.linf < args.tol else f"FAIL(tol={args.tol:g})")
+            line += "  " + (f"FAIL(tol={args.tol:g})" if name in failed else "PASS")
         if orders is not None:
             o = orders.get(name)
             line += "  order=exact" if o is None else f"  order={o:.2f}"
         print(line)
     if args.report:
         write_report_file(args.report, report_to_dict(report, g.kind, g.qn, orders=orders))
+    if failed:
+        print(f"mosurf: error: {len(failed)} algebraic residuals at or above --tol {args.tol:g}",
+              file=sys.stderr)
+        return EXIT_GATE
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_obj, write_report_file, write_table
-    from .frames import integrate_frame, mesh_curvatures, orthonormality_drift, path_independence_error, reconstruct_surfaces
+    from .frames import (integrate_frame, orthonormality_drift, path_independence_error,
+                         reconstruct_surfaces, surface_diagnostics)
     from .kernel import ResidualReport, coefficients_from_governing, stresses
 
     g, _ = read_field_file(args.fieldfile)
@@ -197,8 +206,6 @@ def _cmd_reconstruct(args) -> int:
     triple, gauss_dev = reconstruct_surfaces(f, c)
     drift = orthonormality_drift(f)
     pie = path_independence_error(c, np.eye(3))
-    meanH, gaussK = mesh_curvatures(triple.r)
-    n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
 
     faces = write_obj(f"{args.out}_r.obj", triple.r, valid=~c.flagged)
     write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=~c.flagged)
@@ -216,19 +223,14 @@ def _cmd_reconstruct(args) -> int:
             "T1": s.T1.values, "T2": s.T2.values,
         },
     )
-    with np.errstate(invalid="ignore"):
-        diag = {
-            "orthonormality_drift": drift,
-            "path_independence_error": pie,
-            "gauss_map_consistency": gauss_dev,
-            "normal_unit_max_dev": float(np.nanmax(np.abs(n_norm - 1.0))),
-            "mean_curvature_mean": float(np.nanmean(meanH.values)),
-            "mean_curvature_min": float(np.nanmin(meanH.values)),
-            "mean_curvature_max": float(np.nanmax(meanH.values)),
-            "gauss_curvature_mean": float(np.nanmean(gaussK.values)),
-            "flagged_nodes": int(c.n_flagged),
-            "faces_written": faces,
-        }
+    diag = {
+        "orthonormality_drift": drift,
+        "path_independence_error": pie,
+        "gauss_map_consistency": gauss_dev,
+        **surface_diagnostics(triple),
+        "flagged_nodes": int(c.n_flagged),
+        "faces_written": faces,
+    }
     print(f"reconstruct grid={g.grid.nx}x{g.grid.ny} faces={faces} "
           f"drift={drift:.3e} path_independence={pie:.3e} "
           f"mean_curvature={diag['mean_curvature_mean']:.6f}")

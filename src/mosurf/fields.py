@@ -151,9 +151,6 @@ class Vec3Field:
             )
         object.__setattr__(self, "values", _freeze(v.copy()))
 
-    def component(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[:, :, k])
-
 
 def _diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order derivative along ``axis``: central interior, one-sided boundary.

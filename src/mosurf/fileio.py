@@ -1,15 +1,17 @@
 """Field/report file serialization, mesh and table export.
 
-Field and report files are JSON with every float written with 17 significant
-digits, which round-trips IEEE doubles exactly; payload arrays are row-major
-in x-fastest order.  Meshes use the plain-text Wavefront OBJ polygon format
-(two triangles per grid cell, cells touching flagged nodes skipped); tables
-are comma-separated with one node per line.
+Field and report files are JSON written by :func:`json.dumps`; every float is
+its shortest ``repr`` that round-trips, so field files read back bit for bit
+(integral floats appear as ``1.0``).  Payload arrays are row-major in
+x-fastest order.  Meshes use the plain-text Wavefront OBJ polygon format (two
+triangles per grid cell, cells touching flagged nodes skipped); tables are
+comma-separated with one node per line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -39,38 +41,28 @@ REPORT_VERSION = 2
 FIELD_NAMES = ("alpha", "xi", "h")
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        raise FieldFormatError(f"cannot serialize non-finite value {x!r}")
-    return format(float(x), ".17g")
+def _plain(value: Any) -> Any:
+    """``json.dumps`` hook for the numpy types that are not float subclasses."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(value: Any, indent: int = 0) -> str:
-    """Minimal JSON writer with fixed 17-significant-digit floats."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        return "[" + ", ".join(_emit(v, indent) for v in seq) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(float(value))
-    if value is None:
-        return "null"
-    return json.dumps(value)
+def dump_json(value: Any, path: str | Path, indent: int | None = None) -> None:
+    """Write ``value`` as JSON, compact unless ``indent`` is given.
 
-
-def dump_json(value: Any, path: str | Path) -> None:
-    Path(path).write_text(_emit(value) + "\n")
+    The text is built before the file is opened, so a non-finite value raises
+    FieldFormatError and leaves no partial file behind.
+    """
+    separators = (",", ": ") if indent else (",", ":")
+    try:
+        text = json.dumps(value, allow_nan=False, default=_plain,
+                          indent=indent, separators=separators)
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: cannot serialize a non-finite value ({exc})") from exc
+    Path(path).write_text(text + "\n")
 
 
 def _grid_header(grid: Grid2D) -> dict:
@@ -189,45 +181,33 @@ def report_to_dict(
 
 
 def write_report_file(path: str | Path, doc: dict) -> None:
-    dump_json(doc, path)
+    dump_json(doc, path, indent=2)
 
 
 def write_obj(path: str | Path, points: Vec3Field, valid: np.ndarray | None = None) -> int:
     """Triangulated OBJ export; returns the number of faces written.
 
-    Vertices are emitted for valid nodes only; each grid cell whose four
-    corners are valid contributes two triangles.
+    Vertices are emitted for valid nodes only, in x-fastest order; each grid
+    cell whose four corners are valid contributes two triangles.
     """
     v = points.values
-    nx, ny = points.grid.shape
-    if valid is None:
-        valid = np.isfinite(v).all(axis=2)
-    else:
-        valid = valid & np.isfinite(v).all(axis=2)
-    index = np.zeros((nx, ny), dtype=int)
-    lines = ["# mosurf surface mesh"]
-    count = 0
-    for j in range(ny):
-        for i in range(nx):
-            if valid[i, j]:
-                count += 1
-                index[i, j] = count  # OBJ indices are 1-based
-                lines.append(f"v {_fmt(v[i, j, 0])} {_fmt(v[i, j, 1])} {_fmt(v[i, j, 2])}")
-    faces = 0
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            if valid[i, j] and valid[i + 1, j] and valid[i, j + 1] and valid[i + 1, j + 1]:
-                a, b = index[i, j], index[i + 1, j]
-                c, d = index[i + 1, j + 1], index[i, j + 1]
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
-                faces += 2
-    Path(path).write_text("\n".join(lines) + "\n")
-    return faces
+    ok = np.isfinite(v).all(axis=2)
+    if valid is not None:
+        ok &= valid
+    index = np.cumsum(_flat(ok)).reshape(ok.shape, order="F")  # 1-based at valid nodes
+    cell = _flat(ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:])
+    a, b, c, d = (_flat(corner)[cell] for corner in
+                  (index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]))
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    with open(path, "w") as fh:
+        fh.write("# mosurf surface mesh\n")
+        fh.writelines("v %r %r %r\n" % tuple(p) for p in v.transpose(1, 0, 2)[ok.T].tolist())
+        fh.writelines("f %d %d %d\n" % tuple(t) for t in triangles.tolist())
+    return len(triangles)
 
 
 def write_table(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray]) -> None:
-    """CSV export, one node per line in x-fastest order; NaN cells are blank.
+    """CSV export, one node per line in x-fastest order; non-finite cells are blank.
 
     Vector-valued columns (nx, ny, 3) expand into ``name_x/_y/_z``.
     """
@@ -240,13 +220,8 @@ def write_table(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray]) 
                 flat[f"{name}_{suffix}"] = _flat(arr[:, :, k])
         else:
             raise FieldFormatError(f"column {name!r} has unsupported shape {arr.shape}")
-    names = list(flat)
-    rows = [",".join(names)]
-    n = grid.n_nodes
-    for k in range(n):
-        cells = []
-        for name in names:
-            x = flat[name][k]
-            cells.append(_fmt(x) if np.isfinite(x) else "")
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n")
+    table = np.stack(list(flat.values()), axis=1)
+    with open(path, "w") as fh:
+        fh.write(",".join(flat) + "\n")
+        for row in table:  # row by row: the whole table as Python floats is large
+            fh.write(",".join([repr(x) if math.isfinite(x) else "" for x in row.tolist()]) + "\n")

@@ -7,8 +7,8 @@ The orthonormal frame Phi = (X, Y, N) (columns) satisfies
 
 and the point matrix R = (N, r, rbar) satisfies R_x = X Hvec, R_y = Y Kvec
 with Hvec = (Ho, A1, Abar1), Kvec = (Ko, A2, Abar2).  Both are integrated
-with the two-pass RK4 sweep; no re-orthonormalization is applied by default,
-so orthonormality drift is a genuine accuracy diagnostic.
+with the two-pass RK4 sweep; no re-orthonormalization is applied, so
+orthonormality drift is a genuine accuracy diagnostic.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "reconstruct_surfaces",
     "orthonormality_drift",
     "mesh_curvatures",
+    "surface_diagnostics",
 ]
 
 #: orthonormality tolerance for user-supplied initial frames
@@ -48,10 +49,6 @@ class FrameGrid:
             raise ParameterError(
                 f"frame array shape {self.frames.shape} does not match grid {self.grid.shape}"
             )
-
-    def column(self, k: int) -> Vec3Field:
-        """k = 0, 1, 2 for X, Y, N."""
-        return Vec3Field(self.grid, self.frames[:, :, :, k])
 
 
 @dataclass(frozen=True)
@@ -117,35 +114,16 @@ def _frame_deriv_y(cv, Phi):
     return Phi @ _skew_y(cv["q"], cv["Ko"])
 
 
-def _polar_project(state: np.ndarray) -> np.ndarray:
-    """Nearest rotation to each 3x3 block (polar decomposition via SVD)."""
-    u, _, vt = np.linalg.svd(state)
-    r = u @ vt
-    det = np.linalg.det(r)
-    flip = np.ones(np.shape(det) + (3,))
-    flip[..., 2] = np.sign(det)
-    return (u * flip[..., None, :]) @ vt
-
-
-def integrate_frame(
-    c: CoefficientFields,
-    phi0: np.ndarray,
-    order: str = "xy",
-    reorthonormalize: bool = False,
-) -> FrameGrid:
+def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -> FrameGrid:
     """Integrate the frame system from ``phi0`` at the origin node.
 
     The canonical pass is x along the first row, then y up all columns.
-    By default no re-orthonormalization is applied, so the reported drift is
-    a genuine accuracy diagnostic; ``reorthonormalize=True`` projects the
-    frame onto the nearest rotation after every grid interval, for long
-    integrations where drift accumulation matters more than diagnosing it.
+    No re-orthonormalization is applied, so the reported drift is a genuine
+    accuracy diagnostic.
     """
     phi0 = _check_rotation(phi0)
     frames = sweep_grid(
-        c.grid, _frame_coeffs(c), _frame_deriv_x, _frame_deriv_y, phi0,
-        order=order,
-        project=_polar_project if reorthonormalize else None,
+        c.grid, _frame_coeffs(c), _frame_deriv_x, _frame_deriv_y, phi0, order=order
     )
     return FrameGrid(c.grid, frames)
 
@@ -266,3 +244,18 @@ def mesh_curvatures(
     meanH[1:-1, 1:-1] = mH
     gaussK[1:-1, 1:-1] = gK
     return ScalarField(grid, meanH), ScalarField(grid, gaussK)
+
+
+def surface_diagnostics(triple: SurfaceTriple) -> dict[str, float]:
+    """Worst deviation of |N| from 1 and the mean/Gauss curvature statistics
+    of r over the nodes where :func:`mesh_curvatures` is defined."""
+    meanH, gaussK = mesh_curvatures(triple.r)
+    n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
+    with np.errstate(invalid="ignore"):
+        return {
+            "normal_unit_max_dev": float(np.nanmax(np.abs(n_norm - 1.0))),
+            "mean_curvature_mean": float(np.nanmean(meanH.values)),
+            "mean_curvature_min": float(np.nanmin(meanH.values)),
+            "mean_curvature_max": float(np.nanmax(meanH.values)),
+            "gauss_curvature_mean": float(np.nanmean(gaussK.values)),
+        }

@@ -58,7 +58,6 @@ def _sweep_xy(
     deriv_x: Deriv,
     deriv_y: Deriv,
     substeps: int,
-    fix: Callable[[np.ndarray], np.ndarray],
 ) -> None:
     """Fill ``out`` from ``out[0, 0]``: along the first axis on index 0 of the
     second, then along the second axis for every first index at once."""
@@ -67,13 +66,13 @@ def _sweep_xy(
     for i in range(n0 - 1):
         c0 = {k: v[i, 0] for k, v in coeffs.items()}
         c1 = {k: v[i + 1, 0] for k, v in coeffs.items()}
-        state = fix(_rk4_interval(state, hx, deriv_x, c0, c1, substeps))
+        state = _rk4_interval(state, hx, deriv_x, c0, c1, substeps)
         out[i + 1, 0] = state
     batch = out[:, 0].copy()
     for j in range(n1 - 1):
         c0 = {k: v[:, j] for k, v in coeffs.items()}
         c1 = {k: v[:, j + 1] for k, v in coeffs.items()}
-        batch = fix(_rk4_interval(batch, hy, deriv_y, c0, c1, substeps))
+        batch = _rk4_interval(batch, hy, deriv_y, c0, c1, substeps)
         out[:, j + 1] = batch
 
 
@@ -85,15 +84,12 @@ def sweep_grid(
     state0: np.ndarray,
     order: str = "xy",
     substeps: int = 1,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Integrate a state over every grid node starting from the origin node.
 
     ``coeffs`` maps names to (nx, ny) node arrays.  ``deriv_x(c, s)`` must
     broadcast over a leading batch axis (coefficient entries are scalars on
-    the seed line and 1-d arrays on the batched pass).  ``project``, when
-    given, is applied to the state after every grid interval (e.g. polar
-    re-orthonormalization for rotation-valued states).  Returns an array of
+    the seed line and 1-d arrays on the batched pass).  Returns an array of
     shape ``(nx, ny) + state0.shape``.  The "yx" order is the "xy" pass run
     on the transposed grid.
     """
@@ -102,10 +98,9 @@ def sweep_grid(
     state0 = np.asarray(state0, dtype=float)
     out = np.empty(grid.shape + state0.shape)
     out[0, 0] = state0
-    fix = project if project is not None else (lambda s: s)
     if order == "xy":
-        _sweep_xy(out, coeffs, grid.dx, grid.dy, deriv_x, deriv_y, substeps, fix)
+        _sweep_xy(out, coeffs, grid.dx, grid.dy, deriv_x, deriv_y, substeps)
     else:
         _sweep_xy(out.swapaxes(0, 1), {k: v.T for k, v in coeffs.items()},
-                  grid.dy, grid.dx, deriv_y, deriv_x, substeps, fix)
+                  grid.dy, grid.dx, deriv_y, deriv_x, substeps)
     return out

@@ -9,13 +9,14 @@ from mosurf.cli import main
 from mosurf.errors import FieldFormatError
 from mosurf.fields import Grid2D, ScalarField
 from mosurf.fileio import (
-    _fmt,
     read_field_file,
+    report_to_dict,
     write_field_file,
     write_obj,
+    write_report_file,
     write_table,
 )
-from mosurf.kernel import GoverningFields
+from mosurf.kernel import GoverningFields, ResidualReport
 from mosurf.fields import Vec3Field
 from mosurf.verify import CORE_EQUATIONS, EXTENDED_EQUATIONS
 
@@ -27,15 +28,52 @@ def random_governing(seed=0, kind="second", n=9):
     return GoverningFields(kind=kind, qn=1.5, alpha=f(), xi=f(), h=f())
 
 
-def test_float_format_round_trips():
+def test_float_format_round_trips(tmp_path):
     rng = np.random.default_rng(1)
     samples = np.concatenate([
         rng.standard_normal(200),
         10.0 ** rng.uniform(-300, 300, 200),
         [0.0, 1.0, -1.0, np.pi, 2.0 / 3.0, 1e-308],
     ])
-    for x in samples:
-        assert float(_fmt(float(x))) == float(x)
+    grid = Grid2D.from_domain(0, 1, 0, 1, 29, 14)  # 406 nodes, one per sample
+    s = samples.reshape(grid.shape, order="F")
+    field = lambda a: ScalarField(grid, a)
+    g = GoverningFields(kind="first", qn=1.0, alpha=field(s), xi=field(-s), h=field(s[::-1]))
+    write_field_file(tmp_path / "f.json", g)
+    g2, _ = read_field_file(tmp_path / "f.json")
+    for name in ("alpha", "xi", "h"):  # bit for bit, so -0.0 keeps its sign
+        assert getattr(g2, name).values.tobytes() == getattr(g, name).values.tobytes()
+
+    holes = s.copy()
+    holes[3, 5] = np.nan
+    write_table(tmp_path / "t.csv", grid, {"s": holes, "v": np.stack([s, -s, s], axis=2)})
+    rows = [ln.split(",") for ln in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    assert rows[3 + 5 * 29][0] == ""
+    rows[3 + 5 * 29][0] = "nan"
+    cells = np.array(rows, dtype=float)
+    assert np.array_equal(cells[:, 1], samples) and np.array_equal(cells[:, 2], -samples)
+    assert np.array_equal(cells[:, 0], holes.ravel(order="F"), equal_nan=True)
+
+    pts = np.stack([s, -s, s[::-1]], axis=2)
+    assert write_obj(tmp_path / "m.obj", Vec3Field(grid, pts)) == 2 * 28 * 13
+    lines = (tmp_path / "m.obj").read_text().splitlines()
+    verts = np.array([ln.split()[1:] for ln in lines if ln.startswith("v ")], dtype=float)
+    assert np.array_equal(verts, pts.transpose(1, 0, 2).reshape(-1, 3))
+
+
+def test_report_numpy_values_and_nan(tmp_path):
+    grid = Grid2D.from_domain(0, 1, 0, 1, 3, 3)
+    path = tmp_path / "rep.json"
+    diag = {"count": np.int64(3), "curve": np.array([0.5, 2.0]), "dev": np.float64(1e-300)}
+    write_report_file(path, report_to_dict(ResidualReport(grid), diagnostics=diag))
+    assert json.loads(path.read_text())["diagnostics"] == {
+        "count": 3, "curve": [0.5, 2.0], "dev": 1e-300}
+    # a non-finite value is rejected before the file is opened
+    bad = tmp_path / "bad.json"
+    doc = report_to_dict(ResidualReport(grid), diagnostics={"dev": float("nan")})
+    with pytest.raises(FieldFormatError):
+        write_report_file(bad, doc)
+    assert not bad.exists()
 
 
 def test_field_file_round_trip_is_bit_exact(tmp_path):
@@ -310,6 +348,31 @@ def test_cli_omega_report(tmp_path):
     assert run(["omega", str(src), "--report", str(rep)]) == 0
     doc = json.loads(rep.read_text())
     assert doc["diagnostics"]["umbilic_flagged"] == 0
+
+
+def test_cli_verify_failed_gate_exits_4(tmp_path, capsys):
+    out = tmp_path / "cmc.json"
+    rep = tmp_path / "rep.json"
+    run(["seed", "--family", "cmc", "--domain", "0:2:0:2",
+         "--nx", "51", "--ny", "51", "-o", str(out)])
+    assert run(["verify", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert run(["verify", str(out), "--tol", "0", "--report", str(rep)]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL(tol=0)" in captured.out
+    assert captured.err.startswith("mosurf: error:")
+    assert json.loads(rep.read_text())["format"] == "mosurf-report"
+
+
+@pytest.mark.parametrize("grid_flags", [
+    ["--domain", "0:1:0:1", "--nx", "2"],
+    ["--domain", "1:0:0:1"],
+], ids=["nx-2", "empty-domain"])
+def test_cli_bad_grid_flag_is_usage_error(tmp_path, capsys, grid_flags):
+    out = tmp_path / "x.json"
+    assert run(["seed", "--family", "cmc", *grid_flags, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("mosurf: error:")
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path):

@@ -67,15 +67,6 @@ def test_drift_reduces_at_fourth_order():
     assert drifts[0] / drifts[1] > 10.0
 
 
-def test_reorthonormalization_flag():
-    _, c = cmc_coefficients(n=51)
-    free = integrate_frame(c, I3)
-    fixed = integrate_frame(c, I3, reorthonormalize=True)
-    assert orthonormality_drift(fixed) < 1e-13
-    # projection is a small correction,ulp-scale relative to the free drift
-    assert np.max(np.abs(fixed.frames - free.frames)) < 10 * orthonormality_drift(free)
-
-
 def test_path_independence_order_and_negative_control():
     errs = []
     for n in (101, 201):
