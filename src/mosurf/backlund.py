@@ -22,6 +22,7 @@ residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -131,49 +132,30 @@ def admissible_initial(
     return np.array([lambda0, 0.0, omega0, phi0, chi0])
 
 
-def _lax_coeffs(c: CoefficientFields) -> dict[str, np.ndarray]:
-    return {
-        "p": c.p.values,
-        "q": c.q.values,
-        "Ho": c.Ho.values,
-        "Ko": c.Ko.values,
-        "A1": c.A1.values,
-        "A2": c.A2.values,
-        "Abar1": c.Abar1.values,
-        "Abar2": c.Abar2.values,
-    }
-
-
-def _lax_matrix_x(cv, m, qn):
-    shape = np.shape(cv["p"]) + (5, 5)
-    L = np.zeros(shape)
-    L[..., 0, 1] = -cv["p"]
-    L[..., 0, 2] = m * cv["Abar1"] - cv["Ho"]
-    L[..., 0, 3] = -m * qn * cv["A1"]
-    L[..., 0, 4] = m * cv["Ho"]
-    L[..., 1, 0] = cv["p"]
-    L[..., 2, 0] = cv["Ho"]
-    L[..., 3, 0] = cv["A1"]
-    L[..., 4, 0] = cv["Abar1"]
+def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn):
+    L = np.zeros(np.shape(p) + (5, 5))
+    L[..., 0, 1] = -p
+    L[..., 0, 2] = m * Abar1 - Ho
+    L[..., 0, 3] = -m * qn * A1
+    L[..., 0, 4] = m * Ho
+    L[..., 1, 0] = p
+    L[..., 2, 0] = Ho
+    L[..., 3, 0] = A1
+    L[..., 4, 0] = Abar1
     return L
 
 
-def _lax_matrix_y(cv, m, qn):
-    shape = np.shape(cv["q"]) + (5, 5)
-    L = np.zeros(shape)
-    L[..., 0, 1] = cv["q"]
-    L[..., 1, 0] = -cv["q"]
-    L[..., 1, 2] = m * cv["Abar2"] - cv["Ko"]
-    L[..., 1, 3] = -m * qn * cv["A2"]
-    L[..., 1, 4] = m * cv["Ko"]
-    L[..., 2, 1] = cv["Ko"]
-    L[..., 3, 1] = cv["A2"]
-    L[..., 4, 1] = cv["Abar2"]
+def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn):
+    L = np.zeros(np.shape(q) + (5, 5))
+    L[..., 0, 1] = q
+    L[..., 1, 0] = -q
+    L[..., 1, 2] = m * Abar2 - Ko
+    L[..., 1, 3] = -m * qn * A2
+    L[..., 1, 4] = m * Ko
+    L[..., 2, 1] = Ko
+    L[..., 3, 1] = A2
+    L[..., 4, 1] = Abar2
     return L
-
-
-def _matvec(L, w):
-    return np.einsum("...ij,...j->...i", L, w)
 
 
 def _lax_fields(
@@ -226,17 +208,11 @@ def integrate_lax(
     init = np.asarray(init, dtype=float)
     if init.shape != (5,):
         raise ParameterError(f"init must be a 5-vector, got shape {init.shape}")
-    coeffs = _lax_coeffs(c)
-
-    def deriv_x(cv, w):
-        return _matvec(_lax_matrix_x(cv, m, qn), w)
-
-    def deriv_y(cv, w):
-        return _matvec(_lax_matrix_y(cv, m, qn), w)
-
-    out = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, init, substeps=LAX_SUBSTEPS)
-    alt = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, init, order="yx",
-                     substeps=LAX_SUBSTEPS)
+    cx = (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values)
+    cy = (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values)
+    gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
+    out = sweep_grid(c.grid, cx, gx, cy, gy, init, substeps=LAX_SUBSTEPS)
+    alt = sweep_grid(c.grid, cx, gx, cy, gy, init, order="yx", substeps=LAX_SUBSTEPS)
     with np.errstate(invalid="ignore"):
         path_err = float(np.nanmax(np.abs(out - alt)))
     return _lax_fields(c.grid, m, qn, *(out[:, :, k] for k in range(5)), path_err)
@@ -373,34 +349,29 @@ def apply_backlund(
 # ---------------------------------------------------------------------------
 
 
-def _bd_matrix_x(cv, mbar):
-    # coefficient arrays are pre-evaluated at the nodes (ea = e^alpha,
-    # eia = e^-alpha) so stage interpolation acts on the same linear data as
-    # the general Lax sweep; the reduced flow is then its exact linear image
-    shape = np.shape(cv["ea"]) + (5, 5)
-    B = np.zeros(shape)
-    B[..., 0, 1] = -cv["p"]
-    B[..., 0, 2] = -cv["Ho"]
-    B[..., 0, 3] = -mbar * cv["eia"]
-    B[..., 0, 4] = -mbar * cv["ea"]
-    B[..., 1, 0] = cv["p"]
-    B[..., 2, 0] = cv["Ho"]
-    B[..., 3, 0] = cv["ea"]
-    B[..., 4, 0] = cv["eia"]
+def _bd_matrix_x(p, Ho, ea, eia, *, mbar):
+    B = np.zeros(np.shape(p) + (5, 5))
+    B[..., 0, 1] = -p
+    B[..., 0, 2] = -Ho
+    B[..., 0, 3] = -mbar * eia
+    B[..., 0, 4] = -mbar * ea
+    B[..., 1, 0] = p
+    B[..., 2, 0] = Ho
+    B[..., 3, 0] = ea
+    B[..., 4, 0] = eia
     return B
 
 
-def _bd_matrix_y(cv, mbar):
-    shape = np.shape(cv["ea"]) + (5, 5)
-    B = np.zeros(shape)
-    B[..., 0, 1] = cv["q"]
-    B[..., 1, 0] = -cv["q"]
-    B[..., 1, 2] = -cv["Ko"]
-    B[..., 1, 3] = mbar * cv["eia"]
-    B[..., 1, 4] = -mbar * cv["ea"]
-    B[..., 2, 1] = cv["Ko"]
-    B[..., 3, 1] = cv["ea"]
-    B[..., 4, 1] = -cv["eia"]
+def _bd_matrix_y(q, Ko, ea, eia, *, mbar):
+    B = np.zeros(np.shape(q) + (5, 5))
+    B[..., 0, 1] = q
+    B[..., 1, 0] = -q
+    B[..., 1, 2] = -Ko
+    B[..., 1, 3] = mbar * eia
+    B[..., 1, 4] = -mbar * ea
+    B[..., 2, 1] = Ko
+    B[..., 3, 1] = ea
+    B[..., 4, 1] = -eia
     return B
 
 
@@ -442,23 +413,15 @@ def bianchi_darboux(
 
     c = coefficients_from_governing(g)
     Ho, Ko = c.Ho.values, c.Ko.values
-    coeffs = {
-        "p": c.p.values,
-        "q": c.q.values,
-        "Ho": Ho,
-        "Ko": Ko,
-        "ea": Ko + Ho,   # e^alpha  = cosh + sinh
-        "eia": Ko - Ho,  # e^-alpha = cosh - sinh
-    }
-
-    def deriv_x(cv, w):
-        return _matvec(_bd_matrix_x(cv, mbar), w)
-
-    def deriv_y(cv, w):
-        return _matvec(_bd_matrix_y(cv, mbar), w)
-
+    # e^alpha and e^-alpha are pre-evaluated at the nodes so stage
+    # interpolation acts on the same linear data as the general Lax sweep;
+    # the reduced flow is then its exact linear image
+    ea = Ko + Ho   # e^alpha  = cosh + sinh
+    eia = Ko - Ho  # e^-alpha = cosh - sinh
     init = np.array([lambda0, 0.0, omega0, phi0, phi0 - 2.0 * omega0])
-    out = sweep_grid(g.grid, coeffs, deriv_x, deriv_y, init, substeps=LAX_SUBSTEPS)
+    gx, gy = partial(_bd_matrix_x, mbar=mbar), partial(_bd_matrix_y, mbar=mbar)
+    out = sweep_grid(g.grid, (c.p.values, Ho, ea, eia), gx, (c.q.values, Ko, ea, eia), gy,
+                     init, substeps=LAX_SUBSTEPS)
     lam, mu, om, ph = (out[:, :, k] for k in range(4))
     lx = _lax_fields(g.grid, m, qn, lam, mu, om, ph, qn * ph, 0.0)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")

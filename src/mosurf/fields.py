@@ -79,10 +79,6 @@ class Grid2D:
         """Node coordinate arrays ``(X, Y)`` of shape ``(nx, ny)``."""
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
-    def refined(self) -> "Grid2D":
-        """Same domain with both spacings halved (nx -> 2 nx - 1)."""
-        return Grid2D(2 * self.nx - 1, 2 * self.ny - 1, self.x0, self.y0, self.dx / 2, self.dy / 2)
-
     @property
     def hmax(self) -> float:
         return max(self.dx, self.dy)
@@ -124,16 +120,6 @@ class ScalarField:
     def like(self, values: np.ndarray) -> "ScalarField":
         """New field on the same grid."""
         return ScalarField(self.grid, values)
-
-    def assert_finite(self, name: str = "field") -> "ScalarField":
-        bad = ~np.isfinite(self.values)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            flat = j * self.grid.nx + i  # x-fastest flat index
-            raise FieldFormatError(
-                f"non-finite value in {name!r} at node (i={i}, j={j}), flat index {flat}"
-            )
-        return self
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,13 @@ def _skew_y(q, Ko):
     return V
 
 
+def _with_triple(U, row, vec):
+    """[U | e_row vec]: Phi' = Phi U and R' = (column ``row`` of Phi) vec."""
+    G = np.concatenate([U, np.zeros(U.shape)], axis=-1)
+    G[..., row, 3:] = np.stack(vec, axis=-1)
+    return G
+
+
 def _check_rotation(phi0: np.ndarray) -> np.ndarray:
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (3, 3):
@@ -97,23 +104,6 @@ def _check_rotation(phi0: np.ndarray) -> np.ndarray:
     return phi0
 
 
-def _frame_coeffs(c: CoefficientFields) -> dict[str, np.ndarray]:
-    return {
-        "p": c.p.values,
-        "q": c.q.values,
-        "Ho": c.Ho.values,
-        "Ko": c.Ko.values,
-    }
-
-
-def _frame_deriv_x(cv, Phi):
-    return Phi @ _skew_x(cv["p"], cv["Ho"])
-
-
-def _frame_deriv_y(cv, Phi):
-    return Phi @ _skew_y(cv["q"], cv["Ko"])
-
-
 def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -> FrameGrid:
     """Integrate the frame system from ``phi0`` at the origin node.
 
@@ -122,9 +112,8 @@ def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -
     accuracy diagnostic.
     """
     phi0 = _check_rotation(phi0)
-    frames = sweep_grid(
-        c.grid, _frame_coeffs(c), _frame_deriv_x, _frame_deriv_y, phi0, order=order
-    )
+    frames = sweep_grid(c.grid, (c.p.values, c.Ho.values), _skew_x,
+                        (c.q.values, c.Ko.values), _skew_y, phi0, order=order)
     return FrameGrid(c.grid, frames)
 
 
@@ -158,39 +147,21 @@ def reconstruct_surfaces(
     re-integrated Gauss map and the normal column of ``f`` (a
     cross-implementation check).
     NaN dual coefficients (flagged stress nodes) poison the rbar sheet
-    downstream of the flagged node, which is reported honestly.
+    downstream of the flagged node, which is reported honestly; the frame,
+    N and r stay finite, since the generator's triple columns never feed back.
     """
     if f.grid != c.grid:
         raise ParameterError("frame grid and coefficient grid differ")
     phi0 = f.frames[0, 0]
-    origins = np.zeros((3, 3))
-    origins[0] = phi0[:, 2]
-
-    coeffs = _frame_coeffs(c)
-    coeffs.update(
-        A1=c.A1.values, A2=c.A2.values, Abar1=c.Abar1.values, Abar2=c.Abar2.values
+    state0 = np.hstack([phi0, phi0[:, 2:], np.zeros((3, 2))])  # (Phi | N, r, rbar)
+    out = sweep_grid(
+        c.grid,
+        (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values),
+        lambda p, Ho, A1, Ab1: _with_triple(_skew_x(p, Ho), 0, (Ho, A1, Ab1)),
+        (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values),
+        lambda q, Ko, A2, Ab2: _with_triple(_skew_y(q, Ko), 1, (Ko, A2, Ab2)),
+        state0,
     )
-
-    def deriv_x(cv, state):
-        Phi = state[..., :3]
-        X = Phi[..., :, 0]
-        Hvec = np.stack(
-            [np.broadcast_to(cv[k], X.shape[:-1]) for k in ("Ho", "A1", "Abar1")], axis=-1
-        )
-        dR = X[..., :, None] * Hvec[..., None, :]
-        return np.concatenate([_frame_deriv_x(cv, Phi), dR], axis=-1)
-
-    def deriv_y(cv, state):
-        Phi = state[..., :3]
-        Y = Phi[..., :, 1]
-        Kvec = np.stack(
-            [np.broadcast_to(cv[k], Y.shape[:-1]) for k in ("Ko", "A2", "Abar2")], axis=-1
-        )
-        dR = Y[..., :, None] * Kvec[..., None, :]
-        return np.concatenate([_frame_deriv_y(cv, Phi), dR], axis=-1)
-
-    state0 = np.concatenate([phi0, origins.T], axis=1)  # 3 x 6
-    out = sweep_grid(c.grid, coeffs, deriv_x, deriv_y, state0)
     N = out[:, :, :, 3]
     r = out[:, :, :, 4]
     rbar = out[:, :, :, 5]

@@ -133,6 +133,11 @@ class ResidualReport:
     grid: Grid2D
     entries: dict[str, ResidualStats] = dc_field(default_factory=dict)
 
+    @classmethod
+    def from_fields(cls, grid: Grid2D, fields: dict[str, np.ndarray]) -> "ResidualReport":
+        """Report with one entry per named residual array, in ``fields`` order."""
+        return cls(grid, {name: residual_stats(v, grid) for name, v in fields.items()})
+
     def add(self, name: str, values: np.ndarray) -> None:
         self.entries[name] = residual_stats(values, self.grid)
 
@@ -142,9 +147,6 @@ class ResidualReport:
 
     def __getitem__(self, name: str) -> ResidualStats:
         return self.entries[name]
-
-    def max_linf(self) -> float:
-        return max((s.linf for s in self.entries.values()), default=0.0)
 
 
 #: boundary band excluded from reported residual norms.  One-sided stencil
@@ -322,10 +324,7 @@ def governing_residual_fields(g: GoverningFields) -> dict[str, np.ndarray]:
 
 def governing_residuals(g: GoverningFields) -> ResidualReport:
     """Residual report for the governing system of the field's kind."""
-    report = ResidualReport(g.grid)
-    for name, values in governing_residual_fields(g).items():
-        report.add(name, values)
-    return report
+    return ResidualReport.from_fields(g.grid, governing_residual_fields(g))
 
 
 def gauss_codazzi_residual_fields(c: CoefficientFields) -> dict[str, np.ndarray]:
@@ -347,10 +346,7 @@ def gauss_codazzi_residual_fields(c: CoefficientFields) -> dict[str, np.ndarray]
 
 
 def gauss_codazzi_residuals(c: CoefficientFields) -> ResidualReport:
-    report = ResidualReport(c.grid)
-    for name, values in gauss_codazzi_residual_fields(c).items():
-        report.add(name, values)
-    return report
+    return ResidualReport.from_fields(c.grid, gauss_codazzi_residual_fields(c))
 
 
 def equilibrium_residual_fields(
@@ -378,10 +374,7 @@ def equilibrium_residual_fields(
 
 
 def equilibrium_residuals(c: CoefficientFields, s: StressFields, qn: float) -> ResidualReport:
-    report = ResidualReport(c.grid)
-    for name, values in equilibrium_residual_fields(c, s, qn).items():
-        report.add(name, values)
-    return report
+    return ResidualReport.from_fields(c.grid, equilibrium_residual_fields(c, s, qn))
 
 
 def first_integral_fields(
@@ -409,10 +402,7 @@ def first_integral_fields(
 
 
 def first_integral_check(c: CoefficientFields, kind: str, qn: float) -> ResidualReport:
-    report = ResidualReport(c.grid)
-    for name, values in first_integral_fields(c, kind, qn).items():
-        report.add(name, values)
-    return report
+    return ResidualReport.from_fields(c.grid, first_integral_fields(c, kind, qn))
 
 
 def orthogonality_residual(c: CoefficientFields, qn: float) -> np.ndarray:
@@ -429,6 +419,4 @@ def orthogonality_residual(c: CoefficientFields, qn: float) -> np.ndarray:
 
 
 def orthogonality_check(c: CoefficientFields, qn: float) -> ResidualReport:
-    report = ResidualReport(c.grid)
-    report.add("orthogonality", orthogonality_residual(c, qn))
-    return report
+    return ResidualReport.from_fields(c.grid, {"orthogonality": orthogonality_residual(c, qn)})

@@ -62,7 +62,4 @@ def omega_ratio_fields(c: CoefficientFields, g: GoverningFields) -> dict[str, np
 
 def omega_ratios(c: CoefficientFields, g: GoverningFields) -> ResidualReport:
     """Residual report for the Omega-surface Corollary identities."""
-    report = ResidualReport(c.grid)
-    for name, values in omega_ratio_fields(c, g).items():
-        report.add(name, values)
-    return report
+    return ResidualReport.from_fields(c.grid, omega_ratio_fields(c, g))

@@ -80,16 +80,8 @@ def verify_governing(g: GoverningFields) -> ResidualReport:
     report.merge(equilibrium_residuals(c, s, g.qn))
     report.merge(first_integral_check(c, g.kind, g.qn))
     report.merge(orthogonality_check(c, g.qn))
-    report.merge(omega_ratios(c, g))
-    # keep a stable key order matching the registry
-    ordered = {}
-    for name in CORE_EQUATIONS + EXTENDED_EQUATIONS:
-        if name in report.entries:
-            ordered[name] = report.entries[name]
-    extra = {k: v for k, v in report.entries.items() if k not in ordered}
-    ordered.update(extra)
-    report.entries = ordered
-    return report
+    # the merge order is the registry order, then "omega-combined"
+    return report.merge(omega_ratios(c, g))
 
 
 #: residual norms at or below this are treated as exact (no error term)

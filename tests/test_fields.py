@@ -18,17 +18,12 @@ def test_grid_validation():
         Grid2D.from_domain(1.0, 1.0, 0.0, 1.0, 5, 5)
 
 
-def test_grid_from_domain_and_refined():
+def test_grid_from_domain():
     g = Grid2D.from_domain(0.0, 2.0, -1.0, 1.0, 201, 101)
     assert g.dx == pytest.approx(0.01)
     assert g.dy == pytest.approx(0.02)
     assert g.xs[-1] == pytest.approx(2.0)
     assert g.ys[0] == -1.0
-    r = g.refined()
-    assert (r.nx, r.ny) == (401, 201)
-    assert r.dx == pytest.approx(g.dx / 2)
-    # same domain endpoints
-    assert r.xs[-1] == pytest.approx(2.0)
 
 
 def test_field_shape_checks():
@@ -112,11 +107,3 @@ def test_norms_examples():
     linf, l2 = norms(ScalarField.constant(g2, 1.0))
     assert linf == 1.0
     assert l2 == pytest.approx(np.sqrt(121 * 0.01), abs=1e-12)  # = 1.1
-
-
-def test_assert_finite_reports_location():
-    g = Grid2D(5, 4)
-    v = np.zeros(g.shape)
-    v[3, 2] = np.nan
-    with pytest.raises(FieldFormatError, match=r"i=3, j=2"):
-        ScalarField(g, v).assert_finite("alpha")

@@ -111,6 +111,26 @@ def test_reconstruction_gauss_map_and_unit_normal():
     assert np.max(np.abs(norms - 1.0)) < 1e-6
 
 
+def test_reconstruction_confines_nan_dual_coefficients_to_rbar():
+    # Liouville with c1 = 0 is stress-flagged on its whole x = 0 column, so
+    # Abar1, Abar2 are NaN there while the frame coefficients stay finite
+    grid = Grid2D.from_domain(-1, 1, -1, 1, 41, 41)
+    g = generate_seed(SeedSpec("liouville", grid, a=0.353553, c1=0.0))
+    c = coefficients_from_governing(g)
+    assert np.array_equal(np.flatnonzero(c.flagged.any(axis=1)), [20])
+    assert c.flagged[20].all()
+    f = integrate_frame(c, I3)
+    triple, _ = reconstruct_surfaces(f, c)
+    for v in (f.frames, triple.N.values, triple.r.values):
+        assert np.isfinite(v).all()
+    # the xy sweep carries the NaN from the flagged column up every later column
+    downstream = np.zeros(grid.shape, dtype=bool)
+    downstream[20:] = True
+    rbar = triple.rbar.values
+    assert np.isnan(rbar[downstream]).all()
+    assert np.isfinite(rbar[~downstream]).all()
+
+
 def test_reconstruction_tangent_structure():
     # r_x = A1 X and r_y = A2 Y within C h^2 on the interior
     _, c = cmc_coefficients(n=101)

@@ -24,6 +24,7 @@ from mosurf.kernel import (
     stresses,
 )
 from mosurf.seeds import SeedSpec, generate_seed
+from mosurf.verify import CORE_EQUATIONS, EXTENDED_EQUATIONS, verify_governing
 
 
 def make_governing(kind, grid, alpha, xi, h, qn=1.0):
@@ -284,7 +285,14 @@ def test_report_merge_and_lookup():
     r1.merge(r2)
     assert set(r1.entries) == {"a", "b"}
     assert r1["b"].linf == 2.0
-    assert r1.max_linf() == 2.0
+
+
+@pytest.mark.parametrize("family, kw", [("cmc", dict(alpha0=1.0)),
+                                        ("pseudospherical", dict(v=0.3))])
+def test_verify_report_keeps_registry_order(family, kw):
+    grid = Grid2D.from_domain(0.7, 1.3, -0.5, 0.5, 21, 21)
+    report = verify_governing(generate_seed(SeedSpec(family, grid, **kw)))
+    assert list(report.entries) == [*CORE_EQUATIONS, *EXTENDED_EQUATIONS, "omega-combined"]
 
 
 def test_stress_guard_flags_vanishing_denominator():
