@@ -5,8 +5,8 @@ residual verification of every equation of the theory, Gauss-Weingarten
 frame reconstruction of the Combescure triple (N, r, rbar), and the
 Lax-pair-based Backlund transformation with kind-preservation checks.
 
-Submodules are imported lazily so the CLI can configure threading
-environment variables before numpy loads.
+Submodules are imported lazily, on first attribute access, so importing the
+package stays cheap and each CLI command loads only the modules it uses.
 """
 
 from importlib import import_module

@@ -14,9 +14,9 @@ truncation.  The transformation itself is pointwise algebra:
 
 with the coefficient update Hvec' = Hvec - (H/M) Mvec, Kvec' = Kvec - (K/M) Mvec,
 Mvec = (omega, phi, chi), M = m omega nu.  The new governing fields
-(xi', alpha', h') follow from the kind-specific closed forms and satisfy the
-same governing system (kind preservation), which the tests verify as
-residuals.
+(xi', alpha', h') follow from closed forms written with the kind's sign
+eps (:data:`kernel.EPS`) and satisfy the same governing system (kind
+preservation), which the tests verify as residuals.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field
-from .kernel import CoefficientFields, GoverningFields, coefficients_from_governing
+from .kernel import EPS, CoefficientFields, GoverningFields, coefficients_from_governing
 from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
 from .sweep import sweep_grid
 
@@ -63,7 +63,8 @@ class LaxFields:
     ``singular`` marks nodes where omega, nu or M = m omega nu fall below
     ``EPS_SING`` (the transformation is undefined there).
     ``constraint_drift`` is max |lambda^2+mu^2+omega^2 - 2 m omega nu| over
-    the grid relative to its initial magnitude; ``path_independence`` the max
+    the finite nodes relative to its initial magnitude (non-finite nodes are
+    counted in ``singular``); ``path_independence`` the max
     node-wise sup distance between the two sweep orders.
     """
 
@@ -182,7 +183,7 @@ def _lax_fields(
     quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
     q0 = abs(2.0 * m * om[0, 0] * ch[0, 0] - m * qn * ph[0, 0] ** 2)
     scale = q0 if q0 > 0 else 1.0
-    drift = float(np.max(np.abs(quad))) / scale
+    drift = float(np.max(np.abs(quad), where=np.isfinite(quad), initial=0.0)) / scale
     f = lambda v: ScalarField(grid, v)
     return LaxFields(
         grid, m, qn, f(lam), f(mu), f(om), f(ph), f(ch), f(nu), f(bigM),
@@ -273,31 +274,28 @@ def backlund_governing(
 ) -> tuple[GoverningFields, np.ndarray]:
     """Primed (xi', alpha', h') of the same kind, plus the invalid-node mask.
 
-    1st kind: e^xi' = (qn/2)(omega/nu) e^-xi (1 - t^2),
-    alpha' = -alpha + log((1-t)/(1+t)), h' = t + (phi/omega) e^xi',
-    defined only where |t| < 1 and the e^xi' argument is positive.
-    2nd kind: e^xi' = (qn/2)(omega/nu) e^-xi (1 + t^2),
-    alpha' = alpha - 2 arctan(t), h' = -t + (phi/omega) e^xi'.
-    Both use t = h - (phi/omega) e^xi.  Invalid nodes become NaN.
+    With t = h - (phi/omega) e^xi and the kind's sign eps:
+    e^xi' = (qn/2)(omega/nu) e^-xi (1 - eps t^2), h' = eps t + (phi/omega) e^xi',
+    and alpha' = -alpha + log((1-t)/(1+t)) for the 1st kind, which also needs
+    |t| < 1, or alpha' = alpha - 2 arctan(t) for the 2nd.  Nodes where the
+    e^xi' argument is not positive are invalid too; invalid nodes become NaN.
     """
     qn = g.qn
+    eps = EPS[g.kind]
     al, xi, h = g.alpha.values, g.xi.values, g.h.values
     om, ph, nu = lx.omega.values, lx.phi.values, lx.nu.values
     with np.errstate(divide="ignore", invalid="ignore"):
         t = h - (ph / om) * np.exp(xi)
+        ex_p = 0.5 * qn * (om / nu) * np.exp(-xi) * (1.0 - eps * t * t)
+        invalid = lx.singular | ~np.isfinite(t) | ~(ex_p > 0.0)
         if g.kind == "first":
-            ex_p = 0.5 * qn * (om / nu) * np.exp(-xi) * (1.0 - t * t)
-            invalid = lx.singular | ~np.isfinite(t) | (np.abs(t) >= 1.0) | ~(ex_p > 0.0)
+            invalid |= np.abs(t) >= 1.0
             ratio = (1.0 - t) / (1.0 + t)
-            xi_p = np.log(_nanwhere(invalid, ex_p))
             al_p = -al + np.log(np.where(invalid | ~(ratio > 0), np.nan, ratio))
-            h_p = t + (ph / om) * np.exp(xi_p)
         else:
-            ex_p = 0.5 * qn * (om / nu) * np.exp(-xi) * (1.0 + t * t)
-            invalid = lx.singular | ~np.isfinite(t) | ~(ex_p > 0.0)
-            xi_p = np.log(_nanwhere(invalid, ex_p))
             al_p = al - 2.0 * np.arctan(_nanwhere(invalid, t))
-            h_p = -t + (ph / om) * np.exp(xi_p)
+        xi_p = np.log(_nanwhere(invalid, ex_p))
+        h_p = eps * t + (ph / om) * np.exp(xi_p)
     grid = g.grid
     primed = GoverningFields(
         kind=g.kind,
@@ -435,32 +433,18 @@ def bianchi_darboux(
 def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     """Lax drift, singular/invalid node counts and the theorem-form cross-check.
 
-    ``theorem_vs_raw_max_dev`` compares the coefficients (A1, A2, Ho, Ko)
-    that the kind's closed forms give for the primed governing fields with
-    the raw reflection update, over the nodes valid for both.  Raises
-    SingularGridError when no such node is left.
+    ``theorem_vs_raw_max_dev`` compares the raw reflection update with the
+    theorem's coefficients (A1, -eps A2, Ho, -eps Ko) of the primed governing
+    fields, over the nodes valid for both.  Raises SingularGridError when no
+    such node is left.
     """
-    gp = res.primed_governing
     raw = res.raw_update
     ok = ~(res.branch_invalid | raw.mask)
     if not ok.any():
         raise SingularGridError("no valid nodes after the Backlund transformation")
-    al_p, h_p = gp.alpha.values, gp.h.values
-    ex_p = np.exp(gp.xi.values)
-    if gp.kind == "first":
-        thm = (
-            np.cosh(al_p) + h_p * np.sinh(al_p),
-            -(np.sinh(al_p) + h_p * np.cosh(al_p)),
-            ex_p * np.sinh(al_p),
-            -ex_p * np.cosh(al_p),
-        )
-    else:
-        thm = (
-            np.cos(al_p) + h_p * np.sin(al_p),
-            np.sin(al_p) - h_p * np.cos(al_p),
-            ex_p * np.sin(al_p),
-            -ex_p * np.cos(al_p),
-        )
+    cp = res.primed_coefficients
+    eps = EPS[res.primed_governing.kind]
+    thm = (cp.A1.values, -eps * cp.A2.values, cp.Ho.values, -eps * cp.Ko.values)
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
     return {
         "constraint_drift": res.lax.constraint_drift,

@@ -5,22 +5,15 @@ Exit codes: 0 success, 1 usage error, 2 file validation/parse error,
 3 numerical failure (all nodes singular, non-finite output, empty mesh),
 4 failed gate (``verify`` printed FAIL for an algebraic residual).
 
-The only environment variable honored is MOSURF_THREADS, which caps the
-numpy/BLAS thread pools; it must be read before numpy is imported, hence the
-deferred imports below.
+Each subcommand imports the library modules it uses inside its handler, so a
+command does not pay the start-up cost of modules it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-
-_THREADS = os.environ.get("MOSURF_THREADS")
-if _THREADS:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _THREADS)
 
 import numpy as np
 

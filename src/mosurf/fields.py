@@ -27,7 +27,6 @@ __all__ = [
     "Vec3Field",
     "partial_x",
     "partial_y",
-    "norms",
 ]
 
 
@@ -170,15 +169,3 @@ def diff_x(values: np.ndarray, grid: Grid2D) -> np.ndarray:
 def diff_y(values: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Array-level d/dy for internal use."""
     return _diff(values, grid.dy, axis=1)
-
-
-def norms(f: ScalarField) -> tuple[float, float]:
-    """``(linf, l2)`` with ``l2 = sqrt(sum f_ij^2 dx dy)``.
-
-    Summation order is fixed (per x-row, then across rows) so results are
-    reproducible across runs.
-    """
-    v = f.values
-    linf = float(np.max(np.abs(v))) if v.size else 0.0
-    l2 = float(np.sqrt((v * v).sum(axis=0).sum() * f.grid.dx * f.grid.dy))
-    return linf, l2

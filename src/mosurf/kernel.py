@@ -1,7 +1,11 @@
 """Coefficients, stresses and pointwise equation residuals for both kinds.
 
 The unknowns are the governing triple (alpha, xi, h) together with the
-constant normal load qn.  This module maps them to
+constant normal load qn.  The two kinds differ only by a sign eps = +1
+(1st kind) or -1 (2nd kind), held in ``EPS``: with (S, C) = (sinh, cosh)
+resp. (sin, cos) of alpha, S' = C, C' = eps S and C^2 - eps S^2 = 1, and
+every formula below is written once in terms of (S, C, eps).  This module
+maps them to
 
 * first/third fundamental form coefficients A1, A2, Ho, Ko,
 * stress resultants T1, T2 and the Combescure dual coefficients
@@ -47,15 +51,18 @@ __all__ = [
     "principal_curvatures",
 ]
 
-KINDS = ("first", "second")
+#: the sign eps of each kind: (S, C) = (sinh, cosh) for +1, (sin, cos) for -1
+EPS = {"first": 1.0, "second": -1.0}
 
 #: absolute guard on denominators; fields in this problem class are O(1)
 EPS_DIV = 1e-12
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
+def _check_kind(kind: str) -> float:
+    """The sign eps of ``kind``; ParameterError for an unknown kind."""
+    if kind not in EPS:
         raise ParameterError(f"kind must be 'first' or 'second', got {kind!r}")
+    return EPS[kind]
 
 
 @dataclass(frozen=True)
@@ -138,9 +145,6 @@ class ResidualReport:
         """Report with one entry per named residual array, in ``fields`` order."""
         return cls(grid, {name: residual_stats(v, grid) for name, v in fields.items()})
 
-    def add(self, name: str, values: np.ndarray) -> None:
-        self.entries[name] = residual_stats(values, self.grid)
-
     def merge(self, other: "ResidualReport") -> "ResidualReport":
         self.entries.update(other.entries)
         return self
@@ -173,11 +177,14 @@ def residual_stats(values: np.ndarray, grid: Grid2D) -> ResidualStats:
     return ResidualStats(linf, l2, excluded)
 
 
-def _sc(kind: str, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, C) pair: (sinh, cosh) for the 1st kind, (sin, cos) for the 2nd."""
+def _sc(kind: str, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(S, C, eps): (sinh, cosh, +1) for the 1st kind, (sin, cos, -1) for the 2nd.
+
+    S' = C, C' = eps S and C^2 - eps S^2 = 1.
+    """
     if kind == "first":
-        return np.sinh(alpha), np.cosh(alpha)
-    return np.sin(alpha), np.cos(alpha)
+        return np.sinh(alpha), np.cosh(alpha), EPS[kind]
+    return np.sin(alpha), np.cos(alpha), EPS[kind]
 
 
 def _stress_arrays(
@@ -188,15 +195,11 @@ def _stress_arrays(
     xi = g.xi.values
     h = g.h.values
     qn = g.qn
-    S, C = _sc(g.kind, al)
-    if g.kind == "first":
-        num1 = 2.0 * h * S + (1.0 + h * h) * C
-        num2 = 2.0 * h * C + (1.0 + h * h) * S
-    else:
-        num1 = 2.0 * h * S + (1.0 - h * h) * C
-        num2 = 2.0 * h * C - (1.0 - h * h) * S
-    den1 = S + h * C if g.kind == "first" else S - h * C  # = A2
-    den2 = C + h * S  # = A1, both kinds
+    S, C, eps = _sc(g.kind, al)
+    num1 = 2.0 * h * S + (1.0 + eps * h * h) * C
+    num2 = 2.0 * h * C + (eps + h * h) * S
+    den1 = S + eps * h * C  # = A2
+    den2 = C + h * S  # = A1
     bad = (np.abs(den1) < EPS_DIV) | (np.abs(den2) < EPS_DIV)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the parenthesized ratio keeps T1 = T2 = qn bit-exact on the cmc family
@@ -216,9 +219,9 @@ def stresses(g: GoverningFields) -> StressFields:
 def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     """All coefficient fields implied by (alpha, xi, h, qn).
 
-    p and q use the closed forms from the governing structure
-    (1st kind: p = alpha_y + xi_y tanh(alpha), q = alpha_x + xi_x coth(alpha);
-    2nd kind: p = -(alpha_y + xi_y tan(alpha)), q = alpha_x - xi_x cot(alpha))
+    p and q use the closed forms from the governing structure,
+    p = eps (alpha_y + xi_y S/C) and q = alpha_x + eps xi_x C/S
+    (S/C is evaluated as tanh(alpha) for the 1st kind),
     rather than discrete ratios like (A1)_y / A2; the discrete ratios are kept
     as residual checks in :func:`gauss_codazzi_residuals` so the two routes
     stay independent.
@@ -227,25 +230,18 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     al = g.alpha.values
     xi = g.xi.values
     h = g.h.values
-    S, C = _sc(g.kind, al)
+    S, C, eps = _sc(g.kind, al)
     ex = np.exp(xi)
     al_x, al_y = diff_x(al, grid), diff_y(al, grid)
     xi_x, xi_y = diff_x(xi, grid), diff_y(xi, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if g.kind == "first":
-            A1 = C + h * S
-            A2 = S + h * C
-            Ho = ex * S
-            Ko = ex * C
-            p = al_y + xi_y * np.tanh(al)
-            q = al_x + xi_x * (C / S)
-        else:
-            A1 = C + h * S
-            A2 = S - h * C
-            Ho = ex * S
-            Ko = -ex * C
-            p = -(al_y + xi_y * (S / C))
-            q = al_x - xi_x * (C / S)
+        A1 = C + h * S
+        A2 = S + eps * h * C
+        Ho = ex * S
+        Ko = eps * ex * C
+        # tanh(alpha) rather than S/C for the 1st kind: they differ in the last bits
+        p = eps * (al_y + xi_y * (np.tanh(al) if g.kind == "first" else S / C))
+        q = al_x + eps * xi_x * (C / S)
     T1, T2, bad = _stress_arrays(g)
     Abar1 = T2 * A1
     Abar2 = T1 * A2
@@ -264,13 +260,9 @@ def second_fundamental_form(g: GoverningFields) -> tuple[ScalarField, ScalarFiel
     al = g.alpha.values
     ex = np.exp(g.xi.values)
     h = g.h.values
-    S, C = _sc(g.kind, al)
-    if g.kind == "first":
-        b11 = -ex * S * (C + h * S)
-        b22 = -ex * C * (S + h * C)
-    else:
-        b11 = -ex * S * (C + h * S)
-        b22 = -ex * C * (h * C - S)
+    S, C, eps = _sc(g.kind, al)
+    b11 = -ex * S * (C + h * S)
+    b22 = -ex * C * (eps * S + h * C)
     return ScalarField(g.grid, b11), ScalarField(g.grid, b22)
 
 
@@ -298,26 +290,18 @@ def governing_residual_fields(g: GoverningFields) -> dict[str, np.ndarray]:
     al = g.alpha.values
     xi = g.xi.values
     h = g.h.values
-    S, C = _sc(g.kind, al)
+    S, C, eps = _sc(g.kind, al)
     al_x, al_y = diff_x(al, grid), diff_y(al, grid)
     xi_x, xi_y = diff_x(xi, grid), diff_y(xi, grid)
     h_x, h_y = diff_x(h, grid), diff_y(h, grid)
     xi_xy = diff_y(diff_x(xi, grid), grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if g.kind == "first":
-            res_hx = h_x - (h + C / S) * xi_x
-            res_hy = h_y - (h + S / C) * xi_y
-            res_xi = xi_xy - xi_x * xi_y - (C / S) * al_y * xi_x - (S / C) * al_x * xi_y
-            Px = al_x + xi_x * (C / S)
-            Py = al_y + xi_y * (S / C)
-            res_al = diff_x(Px, grid) + diff_y(Py, grid) + np.exp(2.0 * xi) * S * C
-        else:
-            res_hx = h_x - (h + C / S) * xi_x
-            res_hy = h_y - (h - S / C) * xi_y
-            res_xi = xi_xy - xi_x * xi_y - (C / S) * al_y * xi_x + (S / C) * al_x * xi_y
-            Px = -al_x + xi_x * (C / S)
-            Py = al_y + xi_y * (S / C)
-            res_al = diff_x(Px, grid) + diff_y(Py, grid) + np.exp(2.0 * xi) * S * C
+        res_hx = h_x - (h + C / S) * xi_x
+        res_hy = h_y - (h + eps * (S / C)) * xi_y
+        res_xi = xi_xy - xi_x * xi_y - (C / S) * al_y * xi_x - eps * (S / C) * al_x * xi_y
+        Px = eps * al_x + xi_x * (C / S)
+        Py = al_y + xi_y * (S / C)
+        res_al = diff_x(Px, grid) + diff_y(Py, grid) + np.exp(2.0 * xi) * S * C
     res_h = np.maximum(np.abs(res_hx), np.abs(res_hy))
     return {"governing-1": res_h, "governing-2": res_xi, "governing-3": res_al}
 
@@ -380,24 +364,19 @@ def equilibrium_residuals(c: CoefficientFields, s: StressFields, qn: float) -> R
 def first_integral_fields(
     c: CoefficientFields, kind: str, qn: float
 ) -> dict[str, np.ndarray]:
-    """First integrals normalized to (qn, -/+ qn) and the quadric constraint.
+    """First integrals normalized to (-qn, eps qn) and the quadric constraint.
 
-    1st kind: 2 Abar1 Ho - qn A1^2 = -qn, 2 Abar2 Ko - qn A2^2 = +qn and
-    Ko^2 - Ho^2 = (Ho A2 - Ko A1)^2;  2nd kind: both integrals equal -qn and
-    Ko^2 + Ho^2 = (Ho A2 - Ko A1)^2.  All three are derivative-free algebra.
+    2 Abar1 Ho - qn A1^2 = -qn, 2 Abar2 Ko - qn A2^2 = eps qn and
+    Ko^2 - eps Ho^2 = (Ho A2 - Ko A1)^2.  All three are derivative-free algebra.
     """
-    _check_kind(kind)
+    eps = _check_kind(kind)
     A1, A2 = c.A1.values, c.A2.values
     Ho, Ko = c.Ho.values, c.Ko.values
     Ab1, Ab2 = c.Abar1.values, c.Abar2.values
     fi1 = 2.0 * Ab1 * Ho - qn * A1 * A1 + qn
     cross = Ho * A2 - Ko * A1
-    if kind == "first":
-        fi2 = 2.0 * Ab2 * Ko - qn * A2 * A2 - qn
-        constraint = Ko * Ko - Ho * Ho - cross * cross
-    else:
-        fi2 = 2.0 * Ab2 * Ko - qn * A2 * A2 + qn
-        constraint = Ko * Ko + Ho * Ho - cross * cross
+    fi2 = 2.0 * Ab2 * Ko - qn * A2 * A2 - eps * qn
+    constraint = Ko * Ko - eps * Ho * Ho - cross * cross
     return {"first-integral-1": fi1, "first-integral-2": fi2, "constraint": constraint}
 
 

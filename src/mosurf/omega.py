@@ -5,9 +5,10 @@ With kappa1 = -Ho/A1, kappa2 = -Ko/A2 the curvature-ratio identities
     R1 = (kappa1)_x / (kappa1 - kappa2) * A1/A2,
     R2 = (kappa2)_y / (kappa1 - kappa2) * A2/A1,
 
-equal (-alpha_x, +alpha_y) for the 1st kind and (+alpha_x, +alpha_y) for
-the 2nd, so the Omega equation (R1)_y + eps^2 (R2)_x = 0 holds with
-eps^2 = +1 resp. -1 (no complex arithmetic needed).
+equal (-eps alpha_x, alpha_y), with the kind's sign eps = +1 (1st kind) or
+-1 (2nd kind) of :data:`kernel.EPS`.  So the Omega equation
+(R1)_y + eps^2 (R2)_x = 0 holds with Demoulin's eps^2 equal to that sign,
+and no complex arithmetic is needed.
 
 The 4-vector orthogonality form H1 K2 + H2 K1 + H3 Kc + K3 Hc reduces on
 membrane data to Abar1 Ko + Ho Abar2 - qn A1 A2; that residual is the
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import diff_x, diff_y
-from .kernel import CoefficientFields, GoverningFields, ResidualReport, principal_curvatures
+from .kernel import EPS, CoefficientFields, GoverningFields, ResidualReport, principal_curvatures
 
 __all__ = ["omega_ratios"]
 
@@ -48,16 +49,9 @@ def omega_ratio_fields(c: CoefficientFields, g: GoverningFields) -> dict[str, np
         R2 = diff_y(k2, grid) / dk * (A2 / A1)
     al_x = diff_x(g.alpha.values, grid)
     al_y = diff_y(g.alpha.values, grid)
-    if g.kind == "first":
-        res1 = R1 + al_x
-        res2 = R2 - al_y
-        eps2 = 1.0
-    else:
-        res1 = R1 - al_x
-        res2 = R2 - al_y
-        eps2 = -1.0
-    combined = diff_y(R1, grid) + eps2 * diff_x(R2, grid)
-    return {"omega-1": res1, "omega-2": res2, "omega-combined": combined}
+    eps = EPS[g.kind]
+    combined = diff_y(R1, grid) + eps * diff_x(R2, grid)
+    return {"omega-1": R1 + eps * al_x, "omega-2": R2 - al_y, "omega-combined": combined}
 
 
 def omega_ratios(c: CoefficientFields, g: GoverningFields) -> ResidualReport:

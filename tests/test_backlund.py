@@ -10,6 +10,7 @@ from mosurf.backlund import (
     backlund_surface,
     bianchi_darboux,
     integrate_lax,
+    transform_diagnostics,
 )
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D
@@ -177,6 +178,8 @@ def test_theorem_form_matches_raw_update(seed_fn, params):
     A1t, A2t, Hot, Kot = theorem_coefficients(res.primed_governing)
     for thm, rawv in zip((A1t, A2t, Hot, Kot), (raw.A1, raw.A2, raw.Ho, raw.Ko)):
         assert np.max(np.abs(thm - rawv)) < 1e-8
+    # the library's cross-check, built from the primed coefficients and eps
+    assert transform_diagnostics(res)["theorem_vs_raw_max_dev"] < 1e-8
 
 
 @pytest.mark.parametrize(

@@ -340,6 +340,22 @@ def test_cli_backlund_bianchi_darboux_report(tmp_path):
     assert d["e_alpha_prime_identity_max_dev"] < 1e-6
 
 
+def test_cli_backlund_second_kind_with_singular_lax_nodes(tmp_path):
+    # the README kink seed has Lax nodes made non-finite by stress-flagged
+    # coefficients; the drift is taken over the finite nodes, so the report
+    # is still written
+    src = tmp_path / "kink.json"
+    rep = tmp_path / "rep.json"
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3",
+                "--domain", "-3:3:-3:3", "--nx", "31", "--ny", "31", "-o", str(src)]) == 0
+    code = run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1",
+                "-o", str(tmp_path / "p.json"), "--report", str(rep)])
+    assert code == 0
+    d = json.loads(rep.read_text())["diagnostics"]
+    assert d["singular_nodes"] > 0
+    assert np.isfinite(d["constraint_drift"]) and d["constraint_drift"] < 1e-6
+
+
 def test_cli_omega_report(tmp_path):
     src = tmp_path / "cmc.json"
     rep = tmp_path / "rep.json"

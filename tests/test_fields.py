@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mosurf.errors import FieldFormatError, GridError
-from mosurf.fields import Grid2D, ScalarField, Vec3Field, norms, partial_x, partial_y
+from mosurf.fields import Grid2D, ScalarField, Vec3Field, partial_x, partial_y
 
 
 def test_grid_validation():
@@ -94,16 +94,3 @@ def test_derivative_linearity():
     lhs = partial_x(combo).values
     rhs = a * partial_x(f).values + b * partial_x(h).values
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
-
-
-def test_norms_examples():
-    g = Grid2D(5, 5)
-    assert norms(ScalarField.zeros(g)) == (0.0, 0.0)
-    one_hot = np.zeros(g.shape)
-    one_hot[2, 3] = 2.0
-    linf, l2 = norms(ScalarField(g, one_hot))
-    assert linf == 2.0 and l2 == pytest.approx(2.0)
-    g2 = Grid2D.from_domain(0, 1, 0, 1, 11, 11)
-    linf, l2 = norms(ScalarField.constant(g2, 1.0))
-    assert linf == 1.0
-    assert l2 == pytest.approx(np.sqrt(121 * 0.01), abs=1e-12)  # = 1.1

@@ -278,10 +278,8 @@ def test_residual_stats_margin_and_nan_exclusion():
 
 def test_report_merge_and_lookup():
     grid = GRID
-    r1 = ResidualReport(grid)
-    r1.add("a", np.zeros(grid.shape))
-    r2 = ResidualReport(grid)
-    r2.add("b", np.full(grid.shape, 2.0))
+    r1 = ResidualReport.from_fields(grid, {"a": np.zeros(grid.shape)})
+    r2 = ResidualReport.from_fields(grid, {"b": np.full(grid.shape, 2.0)})
     r1.merge(r2)
     assert set(r1.entries) == {"a", "b"}
     assert r1["b"].linf == 2.0

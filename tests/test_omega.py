@@ -31,6 +31,9 @@ def test_pseudospherical_ratio_residuals_converge():
         rep = omega_ratios(coefficients_from_governing(g), g)
         linfs.append(max(rep["omega-1"].linf, rep["omega-2"].linf))
         assert rep["omega-combined"].excluded == 0
+        # (R1)_y - (R2)_x = 0; the 1st kind's + sign would leave an O(1)
+        # residual (0.33 at 101^2) instead of the O(h^2) discretization error
+        assert rep["omega-combined"].linf < 10 * g.grid.hmax**2
     assert 1.8 <= np.log2(linfs[0] / linfs[1]) <= 2.2
 
 
