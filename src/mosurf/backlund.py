@@ -21,6 +21,7 @@ preservation), which the tests verify as residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -38,6 +39,7 @@ __all__ = [
     "BacklundResult",
     "admissible_initial",
     "integrate_lax",
+    "lax_substeps",
     "backlund_surface",
     "backlund_coefficients",
     "backlund_governing",
@@ -51,8 +53,15 @@ __all__ = [
 #: nodes with |omega|, |nu| or |M| below this are flagged singular
 EPS_SING = 1e-8
 
-#: RK4 steps per grid interval of the Lax sweeps; they sharpen constraint
-#: conservation without changing the O(h^2) interpolation accuracy
+#: target RK4 step length of the Lax sweeps (see :func:`lax_substeps`).
+#: RK4 breaks the Lax quadric only at O(step^4), so steps this short keep
+#: the constraint drift far below any gate; the O(h^2) interpolation
+#: accuracy does not depend on the step
+LAX_STEP = 0.01
+
+#: most RK4 steps per grid interval of the Lax sweeps; grids with
+#: max(dx, dy) > 3 LAX_STEP take this many, so no grid does more work than
+#: with a fixed 4
 LAX_SUBSTEPS = 4
 
 
@@ -64,8 +73,10 @@ class LaxFields:
     ``EPS_SING`` (the transformation is undefined there).
     ``constraint_drift`` is max |lambda^2+mu^2+omega^2 - 2 m omega nu| over
     the finite nodes relative to its initial magnitude (non-finite nodes are
-    counted in ``singular``); ``path_independence`` the max
-    node-wise sup distance between the two sweep orders.
+    counted in ``singular``); it measures the RK4 truncation of sweeps that
+    take :func:`lax_substeps` steps per interval.  ``path_independence`` is
+    the max node-wise sup distance between the two sweep orders, or None
+    when only one order was swept (Bianchi-Darboux).
     """
 
     grid: Grid2D
@@ -80,7 +91,7 @@ class LaxFields:
     bigM: ScalarField
     singular: np.ndarray = dc_field(repr=False)
     constraint_drift: float
-    path_independence: float
+    path_independence: float | None
 
     @property
     def n_singular(self) -> int:
@@ -133,6 +144,15 @@ def admissible_initial(
     return np.array([lambda0, 0.0, omega0, phi0, chi0])
 
 
+def lax_substeps(grid: Grid2D) -> int:
+    """RK4 steps per grid interval of a Lax sweep on ``grid``.
+
+    Enough steps that none is longer than ``LAX_STEP``, at most
+    ``LAX_SUBSTEPS``: min(LAX_SUBSTEPS, ceil(max(dx, dy) / LAX_STEP)).
+    """
+    return min(LAX_SUBSTEPS, math.ceil(grid.hmax / LAX_STEP))
+
+
 def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn):
     L = np.zeros(np.shape(p) + (5, 5))
     L[..., 0, 1] = -p
@@ -162,7 +182,7 @@ def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn):
 def _lax_fields(
     grid: Grid2D, m: float, qn: float,
     lam: np.ndarray, mu: np.ndarray, om: np.ndarray, ph: np.ndarray, ch: np.ndarray,
-    path_err: float,
+    path_err: float | None,
 ) -> LaxFields:
     """nu, M, the singular mask and the quadric drift of a Lax solution.
 
@@ -212,8 +232,9 @@ def integrate_lax(
     cx = (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values)
     cy = (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values)
     gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
-    out = sweep_grid(c.grid, cx, gx, cy, gy, init, substeps=LAX_SUBSTEPS)
-    alt = sweep_grid(c.grid, cx, gx, cy, gy, init, order="yx", substeps=LAX_SUBSTEPS)
+    steps = lax_substeps(c.grid)
+    out = sweep_grid(c.grid, cx, gx, cy, gy, init, substeps=steps)
+    alt = sweep_grid(c.grid, cx, gx, cy, gy, init, order="yx", substeps=steps)
     with np.errstate(invalid="ignore"):
         path_err = float(np.nanmax(np.abs(out - alt)))
     return _lax_fields(c.grid, m, qn, *(out[:, :, k] for k in range(5)), path_err)
@@ -419,9 +440,9 @@ def bianchi_darboux(
     init = np.array([lambda0, 0.0, omega0, phi0, phi0 - 2.0 * omega0])
     gx, gy = partial(_bd_matrix_x, mbar=mbar), partial(_bd_matrix_y, mbar=mbar)
     out = sweep_grid(g.grid, (c.p.values, Ho, ea, eia), gx, (c.q.values, Ko, ea, eia), gy,
-                     init, substeps=LAX_SUBSTEPS)
+                     init, substeps=lax_substeps(g.grid))
     lam, mu, om, ph = (out[:, :, k] for k in range(4))
-    lx = _lax_fields(g.grid, m, qn, lam, mu, om, ph, qn * ph, 0.0)
+    lx = _lax_fields(g.grid, m, qn, lam, mu, om, ph, qn * ph, None)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
 
@@ -433,6 +454,8 @@ def bianchi_darboux(
 def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     """Lax drift, singular/invalid node counts and the theorem-form cross-check.
 
+    ``lax_path_independence`` is omitted when the Lax solution was swept in
+    one order only (Bianchi-Darboux).
     ``theorem_vs_raw_max_dev`` compares the raw reflection update with the
     theorem's coefficients (A1, -eps A2, Ho, -eps Ko) of the primed governing
     fields, over the nodes valid for both.  Raises SingularGridError when no
@@ -446,7 +469,7 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     eps = EPS[res.primed_governing.kind]
     thm = (cp.A1.values, -eps * cp.A2.values, cp.Ho.values, -eps * cp.Ko.values)
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
-    return {
+    out = {
         "constraint_drift": res.lax.constraint_drift,
         "lax_path_independence": res.lax.path_independence,
         "singular_nodes": int(res.lax.n_singular),
@@ -455,6 +478,7 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
             float(np.nanmax(np.abs(t - r)[ok])) for t, r in zip(thm, raws)
         ),
     }
+    return {k: v for k, v in out.items() if v is not None}
 
 
 def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[str, float]:

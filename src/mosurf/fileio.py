@@ -115,8 +115,9 @@ def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
         return _parse_fields(doc, path)
     except FieldFormatError:
         raise
-    except (TypeError, ValueError) as exc:
-        # non-numeric entries, and ParameterError from GoverningFields (bad kind, qn = 0)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # non-numeric entries, integers beyond the float range, and
+        # ParameterError from GoverningFields (bad kind, qn = 0)
         raise FieldFormatError(f"{path}: invalid field file: {exc}") from exc
 
 

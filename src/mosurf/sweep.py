@@ -14,8 +14,9 @@ is used for path-independence diagnostics.  Coefficient values at RK4 stage
 points are linear interpolants between the two bracketing nodes, which caps
 the overall accuracy at O(h^2) while the RK4 truncation itself (the only term
 breaking quadratic invariants such as frame orthonormality or the Lax
-quadric) stays at O(h^4) globally and can be pushed down further with
-substeps.
+quadric) stays at O(s^4) globally in the step length s = h / substeps.
+Substeps shrink that drift only; the Lax sweeps choose them by a step-length
+rule (``backlund.lax_substeps``).
 """
 
 from __future__ import annotations
@@ -32,24 +33,33 @@ Builder = Callable[..., np.ndarray]
 
 
 def _march(
-    state: np.ndarray,
+    state0: np.ndarray,
     h: float,
     gen: Builder,
     nodes: Iterator[np.ndarray],
-    rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rule: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     substeps: int,
 ) -> Iterator[np.ndarray]:
     """RK4 march along a line of nodes.
 
     ``nodes`` yields each node's (K, ...) coefficient stack in turn; the state
-    at every node after the first is yielded.  Each stage generator is built
-    once: k2 and k3 share the midpoint, and a step starts with the generator
-    the previous step ended with.
+    at every node after the first is yielded.  The march owns one copy of
+    ``state0`` and advances it in place, so the yielded array is overwritten
+    by the next step.  Each stage generator is built once: k2 and k3 share the
+    midpoint, and a step starts with the generator the previous step ended
+    with.  The stages are written into buffers allocated once per march, with
+    the operations and their order of the textbook form
+    ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hs = h / substeps
+    state = np.array(state0, dtype=float)
+    k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
 
     def at(c0, c1, theta):
         return gen(*(c1 if theta >= 1.0 else (1.0 - theta) * c0 + theta * c1))
+
+    def stage(k, scale):  # state + scale k, in the scratch buffer
+        return np.add(state, np.multiply(k, scale, out=arg), out=arg)
 
     c0 = next(nodes)
     ga = gen(*c0)
@@ -57,11 +67,16 @@ def _march(
         for s in range(substeps):
             gm = at(c0, c1, (s + 0.5) / substeps)
             gb = at(c0, c1, (s + 1.0) / substeps)
-            k1 = rule(ga, state)
-            k2 = rule(gm, state + 0.5 * hs * k1)
-            k3 = rule(gm, state + 0.5 * hs * k2)
-            k4 = rule(gb, state + hs * k3)
-            state = state + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rule(ga, state, k1)
+            rule(gm, stage(k1, 0.5 * hs), k2)
+            rule(gm, stage(k2, 0.5 * hs), k3)
+            rule(gb, stage(k3, hs), k4)
+            np.multiply(k2, 2.0, out=acc)
+            acc += k1
+            acc += np.multiply(k3, 2.0, out=arg)
+            acc += k4
+            acc *= hs / 6.0
+            state += acc
             ga = gb
         c0 = c1
         yield state
@@ -86,9 +101,9 @@ def sweep_grid(
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
     state0 = np.asarray(state0, dtype=float)
     if state0.ndim == 1:
-        rule = lambda G, w: np.einsum("...ij,...j->...i", G, w)
+        rule = lambda G, w, out: np.einsum("...ij,...j->...i", G, w, out=out)
     else:
-        rule = lambda G, S: S[..., : G.shape[-2]] @ G
+        rule = lambda G, S, out: np.matmul(S[..., : G.shape[-2]], G, out=out)
     out = np.empty(grid.shape + state0.shape)
     fill, hx, hy = out, grid.dx, grid.dy
     if order == "yx":  # the "xy" pass on the transposed grid
@@ -101,6 +116,6 @@ def sweep_grid(
         fill[i, 0] = state
     # one (K, n) stack per column, so no whole-grid copy of the coefficients
     columns = (np.stack([v[:, j] for v in coeffs_y]) for j in range(fill.shape[1]))
-    for j, batch in enumerate(_march(fill[:, 0].copy(), hy, gen_y, columns, rule, substeps), 1):
+    for j, batch in enumerate(_march(fill[:, 0], hy, gen_y, columns, rule, substeps), 1):
         fill[:, j] = batch
     return out

@@ -10,6 +10,7 @@ from mosurf.backlund import (
     backlund_surface,
     bianchi_darboux,
     integrate_lax,
+    lax_substeps,
     transform_diagnostics,
 )
 from mosurf.errors import ParameterError
@@ -77,6 +78,46 @@ def test_constraint_drift_is_tiny():
     c = coefficients_from_governing(g)
     lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 0.5))
     assert lx.constraint_drift < 1e-8
+
+
+@pytest.mark.parametrize("domain, n, steps", [
+    ((0, 1, 0, 1), 17, 4),     # benchmark warm-up
+    ((-3, 3, -3, 3), 31, 4),   # CI kink
+    ((0, 2, 0, 2), 51, 4),     # README goldens
+    ((0, 1, 0, 1), 41, 3),
+    ((-3, 3, -3, 3), 201, 3),  # README kink
+    ((0, 2, 0, 2), 201, 1),    # README session
+    ((0, 1, 0, 1), 301, 1),    # benchmark transforms
+])
+def test_lax_step_rule(domain, n, steps):
+    assert lax_substeps(Grid2D.from_domain(*domain, n, n)) == steps
+
+
+def test_one_step_drift_is_rk4_truncation():
+    # one RK4 step per interval on both grids: above round-off the drift
+    # falls like step^4, at least 10x per halving of h
+    drift = {}
+    for n in (201, 401):
+        g = generate_seed(SeedSpec("cmc", Grid2D.from_domain(0, 2, 0, 2, n, n), alpha0=1.0))
+        assert lax_substeps(g.grid) == 1
+        c = coefficients_from_governing(g)
+        lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
+        drift[n] = lx.constraint_drift
+    assert drift[201] > 1e-13
+    assert drift[201] / drift[401] >= 10.0
+
+
+def test_integrate_lax_leaves_init_unchanged():
+    g = cmc(n=21)
+    c = coefficients_from_governing(g)
+    init = admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7)
+    before = init.copy()
+    first = integrate_lax(c, g.qn, 1.0, init)
+    second = integrate_lax(c, g.qn, 1.0, init)
+    assert np.array_equal(init, before)
+    for name in ("lam", "mu", "omega", "phi", "chi"):
+        a, b = getattr(first, name).values, getattr(second, name).values
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_lax_path_independence_order():
@@ -230,6 +271,9 @@ def test_bianchi_darboux_identities():
     bd = bianchi_darboux(g, mbar=1.0)
     ok = ~(bd.branch_invalid | bd.lax.singular)
     assert ok.all()
+    # one sweep order only: nothing measures path independence
+    assert bd.lax.path_independence is None
+    assert "lax_path_independence" not in transform_diagnostics(bd)
     ex_p = np.exp(bd.primed_governing.xi.values)
     assert np.max(np.abs(ex_p - 1.0)) < 1e-6
     assert np.max(np.abs(bd.primed_governing.h.values - 1.0)) < 1e-6

@@ -1,0 +1,81 @@
+"""Fuzz the CLI with field files that have one corrupted payload node.
+
+A valid 5x5 field file gets one node of one field replaced by an arbitrary
+JSON value; every file command then runs on it.  Whatever the value, a
+command must end in a documented exit code, with exactly one
+``mosurf: error:`` line on stderr when it fails, and never with an escaping
+exception (which the console script would print as a traceback).
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mosurf.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from mosurf.fileio import FIELD_NAMES
+
+DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_GATE}
+
+SEEDS = {
+    "cmc": ["--family", "cmc", "--alpha0", "1.0", "--domain", "0:2:0:2"],
+    "kink": ["--family", "pseudospherical", "--v", "0.3", "--domain", "0.8:1.2:-0.3:0.3"],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=4,
+)
+
+
+def run(argv):
+    """(exit code, stderr) of one in-process CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, flags in SEEDS.items():
+        path = d / f"{name}.json"
+        code, err = run(["seed", *flags, "--nx", "5", "--ny", "5", "-o", str(path)])
+        assert code == EXIT_OK, err
+    return d
+
+
+def commands(f, d):
+    return (
+        ["verify", f, "--report", f"{d}/v.json"],
+        ["verify", f, "--refine", "1", "--report", f"{d}/vr.json"],
+        ["reconstruct", f, "-o", f"{d}/mesh", "--report", f"{d}/rec.json"],
+        ["stress", f, "-o", f"{d}/stress.csv"],
+        ["omega", f, "--report", f"{d}/omega.json"],
+        ["backlund", f, "--m", "1.0", "--init", "0,1,1.7", "-o", f"{d}/p.json",
+         "--report", f"{d}/bk.json"],
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.sampled_from(sorted(SEEDS)), field=st.sampled_from(FIELD_NAMES),
+       node=st.integers(0, 24), value=json_values)
+@example(seed="cmc", field="alpha", node=12, value=10**400)  # overflows a float
+@example(seed="kink", field="h", node=0, value=1e300)
+@example(seed="cmc", field="xi", node=24, value="1.5")
+def test_corrupted_node_gives_documented_exit(workdir, seed, field, node, value):
+    doc = json.loads((workdir / f"{seed}.json").read_text())
+    doc["fields"][field][node] = value
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in commands(str(bad), workdir):
+        code, err = run(argv)
+        assert code in DOCUMENTED, (argv, code, err)
+        errors = [line for line in err.splitlines() if line.startswith("mosurf: error:")]
+        assert len(errors) == (0 if code == EXIT_OK else 1), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)

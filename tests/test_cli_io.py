@@ -216,7 +216,10 @@ def _set_payload(doc, value):
     lambda doc: doc.update(qn=0),
     lambda doc: doc.update(qn="one"),
     lambda doc: doc.update(version="one"),
-], ids=["nan-payload", "text-payload", "kind-third", "qn-zero", "qn-text", "version-text"])
+    lambda doc: _set_payload(doc, 10**400),
+    lambda doc: doc["grid"].update(nx=float("inf")),
+], ids=["nan-payload", "text-payload", "kind-third", "qn-zero", "qn-text", "version-text",
+        "huge-int-payload", "nx-infinite"])
 def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     out = tmp_path / "f.json"
     run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
@@ -335,6 +338,8 @@ def test_cli_backlund_bianchi_darboux_report(tmp_path):
                 "-o", str(tmp_path / "bd.json"), "--report", str(rep)])
     assert code == 0
     d = json.loads(rep.read_text())["diagnostics"]
+    assert d["constraint_drift"] < 1e-6
+    assert "lax_path_independence" not in d
     assert d["e_xi_prime_max_dev"] < 1e-6
     assert d["h_prime_max_dev"] < 1e-6
     assert d["e_alpha_prime_identity_max_dev"] < 1e-6

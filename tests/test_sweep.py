@@ -37,6 +37,35 @@ def test_scalar_generators_give_exponential(order):
     assert np.log2(errs[11] / errs[21]) > 3.8  # RK4: fourth order
 
 
+def rotation_generator(a):
+    """2x2 generator of d(state) = a J state, J the quarter turn."""
+    a = np.asarray(a)
+    G = np.zeros(a.shape + (2, 2))
+    G[..., 0, 1] = -a
+    G[..., 1, 0] = a
+    return G
+
+
+@pytest.mark.parametrize("order", ["xy", "yx"])
+@pytest.mark.parametrize("state0", [
+    np.array([1.0, -0.5]),
+    np.array([[1.0, -0.5], [0.25, 2.0], [-1.5, 0.0]]),
+], ids=["vector", "matrix"])
+def test_sweep_leaves_state0_unchanged(state0, order):
+    # the stages advance the march's own copy in place; the caller's array
+    # must not be written, so a second call gives the same bits
+    grid = Grid2D.from_domain(0, 1, 0, 1, 9, 7)
+    X, Y = grid.meshgrid()
+    before = state0.copy()
+    runs = [sweep_grid(grid, (A + C * X,), rotation_generator, (B + D * Y,),
+                       rotation_generator, state0, order=order, substeps=2)
+            for _ in range(2)]
+    assert np.array_equal(state0, before)
+    assert runs[0].tobytes() == runs[1].tobytes()
+    assert np.array_equal(runs[0][0, 0], before)
+    assert not np.array_equal(runs[0][-1, -1], before)
+
+
 def test_sweep_rejects_unknown_order():
     with pytest.raises(ValueError):
         exp_sweep(5, np.ones(1), "zz")
