@@ -17,6 +17,9 @@ Mvec = (omega, phi, chi), M = m omega nu.  The new governing fields
 (xi', alpha', h') follow from closed forms written with the kind's sign
 eps (:data:`kernel.EPS`) and satisfy the same governing system (kind
 preservation), which the tests verify as residuals.
+
+The classical Bianchi-Darboux transformation of a cmc background sweeps the
+same Lax system on its reduction chi = qn phi, which is measured, not assumed.
 """
 
 from __future__ import annotations
@@ -179,16 +182,25 @@ def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn):
     return L
 
 
+def _sweep_lax(
+    c: CoefficientFields, qn: float, m: float, init: np.ndarray, order: str = "xy"
+) -> np.ndarray:
+    """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node."""
+    cx = (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values)
+    cy = (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values)
+    gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
+    return sweep_grid(c.grid, cx, gx, cy, gy, init, order=order, substeps=lax_substeps(c.grid))
+
+
 def _lax_fields(
-    grid: Grid2D, m: float, qn: float,
-    lam: np.ndarray, mu: np.ndarray, om: np.ndarray, ph: np.ndarray, ch: np.ndarray,
-    path_err: float | None,
+    grid: Grid2D, m: float, qn: float, w: np.ndarray, path_err: float | None
 ) -> LaxFields:
-    """nu, M, the singular mask and the quadric drift of a Lax solution.
+    """nu, M, the singular mask and the quadric drift of a Lax solution ``w``.
 
     The drift is taken relative to the quadric's magnitude at the origin
     node, where the solution holds its initial vector.
     """
+    lam, mu, om, ph, ch = (w[:, :, k] for k in range(5))
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = ch - qn * ph * ph / (2.0 * om)
     bigM = m * om * nu
@@ -229,15 +241,11 @@ def integrate_lax(
     init = np.asarray(init, dtype=float)
     if init.shape != (5,):
         raise ParameterError(f"init must be a 5-vector, got shape {init.shape}")
-    cx = (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values)
-    cy = (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values)
-    gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
-    steps = lax_substeps(c.grid)
-    out = sweep_grid(c.grid, cx, gx, cy, gy, init, substeps=steps)
-    alt = sweep_grid(c.grid, cx, gx, cy, gy, init, order="yx", substeps=steps)
+    out = _sweep_lax(c, qn, m, init)
+    alt = _sweep_lax(c, qn, m, init, order="yx")
     with np.errstate(invalid="ignore"):
         path_err = float(np.nanmax(np.abs(out - alt)))
-    return _lax_fields(c.grid, m, qn, *(out[:, :, k] for k in range(5)), path_err)
+    return _lax_fields(c.grid, m, qn, out, path_err)
 
 
 def _nanwhere(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -368,32 +376,6 @@ def apply_backlund(
 # ---------------------------------------------------------------------------
 
 
-def _bd_matrix_x(p, Ho, ea, eia, *, mbar):
-    B = np.zeros(np.shape(p) + (5, 5))
-    B[..., 0, 1] = -p
-    B[..., 0, 2] = -Ho
-    B[..., 0, 3] = -mbar * eia
-    B[..., 0, 4] = -mbar * ea
-    B[..., 1, 0] = p
-    B[..., 2, 0] = Ho
-    B[..., 3, 0] = ea
-    B[..., 4, 0] = eia
-    return B
-
-
-def _bd_matrix_y(q, Ko, ea, eia, *, mbar):
-    B = np.zeros(np.shape(q) + (5, 5))
-    B[..., 0, 1] = q
-    B[..., 1, 0] = -q
-    B[..., 1, 2] = -Ko
-    B[..., 1, 3] = mbar * eia
-    B[..., 1, 4] = -mbar * ea
-    B[..., 2, 1] = Ko
-    B[..., 3, 1] = ea
-    B[..., 4, 1] = -eia
-    return B
-
-
 def bianchi_darboux(
     g: GoverningFields,
     mbar: float,
@@ -403,14 +385,16 @@ def bianchi_darboux(
 ) -> BacklundResult:
     """Classical Bianchi-Darboux transformation of a cmc background.
 
-    Integrates the reduced system in (lambda, mu, omega, phi, sigma) with
-    sigma = phi - 2 omega and mbar = m qn / 2; the relation chi = qn phi is
-    preserved by the flow, so the reduced trajectory matches the general Lax
-    system started from the corresponding admissible vector.  phi0 is solved
-    from the constraint (quadratic; ``branch`` picks the root); the
-    discriminant must be nonnegative, which bounds mbar from below.
+    The Backlund transformation with m = 2 mbar / qn on the reduction
+    chi = qn phi, which the Lax flow preserves.  phi0 is solved from the
+    quadric constraint with chi0 = qn phi0 (quadratic; ``branch`` picks the
+    root); the discriminant must be nonnegative, which bounds mbar from
+    below.  The Lax system is swept in the xy order only, from
+    :func:`admissible_initial`, whose chi0 then equals qn phi0;
+    :func:`bianchi_darboux_identities` measures max |chi - qn phi|.
 
-    The result satisfies e^xi' = h' = 1 and e^alpha' = -(phi/sigma) e^-alpha.
+    The result satisfies e^xi' = h' = 1 and e^alpha' = -(phi/sigma) e^-alpha
+    with sigma = phi - 2 omega.
     """
     if g.kind != "first":
         raise ParameterError("Bianchi-Darboux requires a 1st-kind (cmc) background")
@@ -431,18 +415,8 @@ def bianchi_darboux(
     phi0 = omega0 + (1 if branch >= 0 else -1) * np.sqrt(disc)
 
     c = coefficients_from_governing(g)
-    Ho, Ko = c.Ho.values, c.Ko.values
-    # e^alpha and e^-alpha are pre-evaluated at the nodes so stage
-    # interpolation acts on the same linear data as the general Lax sweep;
-    # the reduced flow is then its exact linear image
-    ea = Ko + Ho   # e^alpha  = cosh + sinh
-    eia = Ko - Ho  # e^-alpha = cosh - sinh
-    init = np.array([lambda0, 0.0, omega0, phi0, phi0 - 2.0 * omega0])
-    gx, gy = partial(_bd_matrix_x, mbar=mbar), partial(_bd_matrix_y, mbar=mbar)
-    out = sweep_grid(g.grid, (c.p.values, Ho, ea, eia), gx, (c.q.values, Ko, ea, eia), gy,
-                     init, substeps=lax_substeps(g.grid))
-    lam, mu, om, ph = (out[:, :, k] for k in range(4))
-    lx = _lax_fields(g.grid, m, qn, lam, mu, om, ph, qn * ph, None)
+    init = admissible_initial(m, qn, lambda0, omega0, phi0)
+    lx = _lax_fields(g.grid, m, qn, _sweep_lax(c, qn, m, init), None)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
 
@@ -482,7 +456,8 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
 
 
 def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[str, float]:
-    """Max deviations from e^xi' = 1, h' = 1 and e^alpha' = -(phi/sigma) e^-alpha.
+    """Max deviations from e^xi' = 1, h' = 1, e^alpha' = -(phi/sigma) e^-alpha
+    and the reduction chi = qn phi.
 
     ``g`` is the background of the Bianchi-Darboux result ``res``; nodes
     that are branch-invalid or singular are skipped.
@@ -493,10 +468,12 @@ def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[
     sigma = phi - 2.0 * res.lax.omega.values
     with np.errstate(divide="ignore", invalid="ignore"):
         e_alpha_dev = np.exp(gp.alpha.values) + (phi / sigma) * np.exp(-g.alpha.values)
+    chi_dev = res.lax.chi.values - res.lax.qn * phi
     return {
         "e_xi_prime_max_dev": float(np.nanmax(np.abs(np.exp(gp.xi.values) - 1.0)[ok])),
         "h_prime_max_dev": float(np.nanmax(np.abs(gp.h.values - 1.0)[ok])),
         "e_alpha_prime_identity_max_dev": float(np.nanmax(np.abs(e_alpha_dev)[ok])),
+        "chi_minus_qn_phi_max_dev": float(np.nanmax(np.abs(chi_dev)[ok])),
     }
 
 

@@ -116,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_back.add_argument("--m", type=float, default=1.0, help="spectral parameter (nonzero)")
     p_back.add_argument("--init", default="0,1,1.7", help="lambda0,omega0,phi0")
     p_back.add_argument("--bianchi-darboux", action="store_true",
-                        help="use the reduced cmc system with mbar = m*qn/2")
+                        help="classical Bianchi-Darboux transformation of a cmc seed "
+                             "with mbar = m*qn/2; phi0 is solved from the Lax "
+                             "constraint, so the phi0 of --init is ignored")
     p_back.add_argument("-o", "--out", required=True, help="primed field file path")
     p_back.add_argument("--report", help="write a JSON report here")
 
@@ -262,13 +264,15 @@ def _cmd_backlund(args) -> int:
         raise ParameterError("--m must be nonzero")
     lam0, om0, ph0 = _parse_init(args.init)
     g, _ = read_field_file(args.fieldfile)
-    diag: dict[str, object] = {"m": args.m, "init": [lam0, om0, ph0]}
     if args.bianchi_darboux:
         mbar = args.m * g.qn / 2.0
         res = bianchi_darboux(g, mbar, lambda0=lam0, omega0=om0)
     else:
         res = apply_backlund(g, args.m, lam0, om0, ph0)
     checks = transform_diagnostics(res)  # raises when no node is valid
+    # the initial vector as swept: Bianchi-Darboux solves its own phi0
+    init = [v.values[0, 0] for v in (res.lax.lam, res.lax.omega, res.lax.phi)]
+    diag: dict[str, object] = {"m": args.m, "init": init}
     if args.bianchi_darboux:
         diag.update(mbar=mbar, **bianchi_darboux_identities(g, res))
     diag.update(checks)

@@ -40,6 +40,10 @@ REPORT_VERSION = 2
 
 FIELD_NAMES = ("alpha", "xi", "h")
 
+#: JSON types a payload entry may have; numpy alone would also read strings
+#: that spell a number and booleans.  Integers stay: older files wrote 0 and 1
+_NUMBER_TYPES = {float, int}
+
 
 def _plain(value: Any) -> Any:
     """``json.dumps`` hook for the numpy types that are not float subclasses."""
@@ -102,8 +106,8 @@ def _require(doc: dict, key: str, path: str) -> Any:
 
 
 def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
-    """Parse and validate a field file; non-finite payload entries are
-    rejected with the offending field name and flat index."""
+    """Parse and validate a field file; payload entries that are not finite
+    JSON numbers are rejected with the offending field name and flat index."""
     path = str(path)
     try:
         doc = json.loads(Path(path).read_text())
@@ -137,7 +141,13 @@ def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
     payload = _require(doc, "fields", path)
     fields = {}
     for name in FIELD_NAMES:
-        arr = np.asarray(_require(payload, name, path), dtype=float)
+        raw = _require(payload, name, path)
+        if isinstance(raw, list) and not set(map(type, raw)) <= _NUMBER_TYPES:
+            idx = next(k for k, v in enumerate(raw) if type(v) not in _NUMBER_TYPES)
+            raise FieldFormatError(
+                f"{path}: non-numeric value {raw[idx]!r} in field {name!r} at flat index {idx}"
+            )
+        arr = np.asarray(raw, dtype=float)
         if arr.shape != (grid.n_nodes,):
             raise FieldFormatError(
                 f"{path}: field {name!r} has {arr.size} values, expected {grid.n_nodes}"

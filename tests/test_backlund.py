@@ -1,5 +1,7 @@
 """Lax-pair integration and Backlund transformation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from mosurf.backlund import (
     backlund_governing,
     backlund_surface,
     bianchi_darboux,
+    bianchi_darboux_identities,
     integrate_lax,
     lax_substeps,
     transform_diagnostics,
 )
 from mosurf.errors import ParameterError
-from mosurf.fields import Grid2D
+from mosurf.fields import Grid2D, ScalarField
 from mosurf.frames import integrate_frame, mesh_curvatures, reconstruct_surfaces
 from mosurf.kernel import coefficients_from_governing, governing_residuals
 from mosurf.seeds import SeedSpec, generate_seed
@@ -283,22 +286,19 @@ def test_bianchi_darboux_identities():
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
-def test_bianchi_darboux_matches_general_lax():
-    g = cmc(n=101)
-    qn = g.qn
-    mbar = 1.0
-    m = 2.0 * mbar / qn
-    bd = bianchi_darboux(g, mbar=mbar)
-    phi0 = 1.0 + np.sqrt(1.0 - 1.0 / (2.0 * mbar))
-    init = admissible_initial(m, qn, 0.0, 1.0, phi0)
-    assert init[4] == pytest.approx(qn * phi0, rel=1e-14)  # chi0 = qn phi0
-    lx = integrate_lax(coefficients_from_governing(g), qn, m, init)
-    for reduced, general in (
-        (bd.lax.lam, lx.lam), (bd.lax.mu, lx.mu), (bd.lax.omega, lx.omega),
-        (bd.lax.phi, lx.phi),
-    ):
-        assert np.max(np.abs(reduced.values - general.values)) < 1e-8
-    assert np.max(np.abs(lx.chi.values - qn * bd.lax.phi.values)) < 1e-8
+@pytest.mark.parametrize("qn", [0.7, 2.0])
+def test_bianchi_darboux_chi_identity_is_measured(qn):
+    # the general Lax sweep keeps chi = qn phi to round-off, and the report
+    # sees a departure from it at a single node
+    grid = Grid2D.from_domain(*CMC_DOMAIN, 101, 101)
+    g = generate_seed(SeedSpec("cmc", grid, qn=qn, alpha0=1.0))
+    bd = bianchi_darboux(g, mbar=1.0)
+    assert bianchi_darboux_identities(g, bd)["chi_minus_qn_phi_max_dev"] < 1e-12
+    chi = bd.lax.chi.values.copy()
+    chi[40, 60] += 1e-6
+    shifted = replace(bd, lax=replace(bd.lax, chi=ScalarField(grid, chi)))
+    dev = bianchi_darboux_identities(g, shifted)["chi_minus_qn_phi_max_dev"]
+    assert dev == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_bianchi_darboux_output_is_cmc():

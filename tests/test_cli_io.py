@@ -99,6 +99,19 @@ def test_field_file_rejects_nan_payload(tmp_path):
         read_field_file(path)
 
 
+@pytest.mark.parametrize("value", ["1.5", True, False])
+def test_field_file_rejects_non_number_payload(tmp_path, value):
+    # numpy alone would read "1.5" as 1.5 and true as 1.0
+    g = random_governing()
+    path = tmp_path / "f.json"
+    write_field_file(path, g)
+    doc = json.loads(path.read_text())
+    doc["fields"]["xi"][7] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FieldFormatError, match=r"'xi' at flat index 7"):
+        read_field_file(path)
+
+
 def test_field_file_rejects_malformed(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -218,8 +231,12 @@ def _set_payload(doc, value):
     lambda doc: doc.update(version="one"),
     lambda doc: _set_payload(doc, 10**400),
     lambda doc: doc["grid"].update(nx=float("inf")),
+    lambda doc: _set_payload(doc, "1.5"),
+    lambda doc: _set_payload(doc, True),
+    lambda doc: _set_payload(doc, False),
 ], ids=["nan-payload", "text-payload", "kind-third", "qn-zero", "qn-text", "version-text",
-        "huge-int-payload", "nx-infinite"])
+        "huge-int-payload", "nx-infinite", "number-text-payload", "true-payload",
+        "false-payload"])
 def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     out = tmp_path / "f.json"
     run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
@@ -227,8 +244,10 @@ def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     doc = json.loads(out.read_text())
     corrupt(doc)
     out.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run(["verify", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("mosurf: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("mosurf: error:") and err.count("mosurf: error:") == 1
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -343,6 +362,10 @@ def test_cli_backlund_bianchi_darboux_report(tmp_path):
     assert d["e_xi_prime_max_dev"] < 1e-6
     assert d["h_prime_max_dev"] < 1e-6
     assert d["e_alpha_prime_identity_max_dev"] < 1e-6
+    assert d["chi_minus_qn_phi_max_dev"] < 1e-10
+    # phi0 is solved from the constraint, not read from --init:
+    # phi0^2 - 2 phi0 + 1/(2 mbar) = 0 with mbar = m qn / 2 = 1
+    assert d["init"] == [0.0, 1.0, 1.0 + np.sqrt(0.5)]
 
 
 def test_cli_backlund_second_kind_with_singular_lax_nodes(tmp_path):
