@@ -153,7 +153,7 @@ def lax_substeps(grid: Grid2D) -> int:
     Enough steps that none is longer than ``LAX_STEP``, at most
     ``LAX_SUBSTEPS``: min(LAX_SUBSTEPS, ceil(max(dx, dy) / LAX_STEP)).
     """
-    return min(LAX_SUBSTEPS, math.ceil(grid.hmax / LAX_STEP))
+    return math.ceil(min(grid.hmax / LAX_STEP, LAX_SUBSTEPS))  # hmax / LAX_STEP may be inf
 
 
 def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn):

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import FieldFormatError
+from .errors import FieldFormatError, GridError
 from .fields import Grid2D, ScalarField, Vec3Field
 from .kernel import GoverningFields, ResidualReport
 from .verify import REGISTRY_VERSION
@@ -106,12 +106,19 @@ def _require(doc: dict, key: str, path: str) -> Any:
 
 
 def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
-    """Parse and validate a field file; payload entries that are not finite
-    JSON numbers are rejected with the offending field name and flat index."""
+    """Parse and validate a field file.
+
+    ``qn`` and the grid origin and spacings must be finite JSON numbers,
+    ``version``, ``nx`` and ``ny`` JSON integers; payload entries that are not
+    finite JSON numbers are rejected with the offending field name and flat
+    index.
+    """
     path = str(path)
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, text that is not UTF-8 and
+        # integers too long to convert
         raise FieldFormatError(f"{path}: cannot parse field file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "mosurf-fields":
         raise FieldFormatError(f"{path}: not a mosurf field file")
@@ -125,18 +132,42 @@ def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
         raise FieldFormatError(f"{path}: invalid field file: {exc}") from exc
 
 
+def _number(value: Any, what: str, path: str) -> float:
+    """A header entry that must be a finite JSON number (int or float)."""
+    if type(value) not in _NUMBER_TYPES:
+        raise FieldFormatError(f"{path}: {what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise FieldFormatError(f"{path}: {what} must be finite, got {value!r}")
+    return x
+
+
+def _integer(value: Any, what: str, path: str) -> int:
+    """A header entry that must be a JSON integer."""
+    if type(value) is not int:
+        raise FieldFormatError(f"{path}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
-    if int(_require(doc, "version", path)) != FORMAT_VERSION:
+    if _integer(_require(doc, "version", path), "version", path) != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported format version {doc['version']!r}")
     kind = _require(doc, "kind", path)
-    qn = float(_require(doc, "qn", path))
+    qn = _number(_require(doc, "qn", path), "qn", path)
     gh = _require(doc, "grid", path)
+    if not isinstance(gh, dict):
+        raise FieldFormatError(f"{path}: bad grid header: {gh!r}")
     try:
         grid = Grid2D(
-            int(gh["nx"]), int(gh["ny"]),
-            float(gh["x0"]), float(gh["y0"]), float(gh["dx"]), float(gh["dy"]),
+            *(_integer(gh[k], f"grid {k}", path) for k in ("nx", "ny")),
+            *(_number(gh[k], f"grid {k}", path) for k in ("x0", "y0", "dx", "dy")),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise FieldFormatError(f"{path}: bad grid header: missing {exc}") from exc
+    except GridError as exc:
         raise FieldFormatError(f"{path}: bad grid header: {exc}") from exc
     payload = _require(doc, "fields", path)
     fields = {}

@@ -86,10 +86,29 @@ def _skew_y(q, Ko):
     return V
 
 
-def _with_triple(U, row, vec):
-    """[U | e_row vec]: Phi' = Phi U and R' = (column ``row`` of Phi) vec."""
-    G = np.concatenate([U, np.zeros(U.shape)], axis=-1)
-    G[..., row, 3:] = np.stack(vec, axis=-1)
+def _with_triple_x(p, Ho, A1, Abar1):
+    """[U | e_0 (Ho, A1, Abar1)]: Phi' = Phi U and R' = X Hvec."""
+    G = np.zeros(np.shape(p) + (3, 6))
+    G[..., 0, 1] = p
+    G[..., 1, 0] = -p
+    G[..., 0, 2] = Ho
+    G[..., 2, 0] = -Ho
+    G[..., 0, 3] = Ho
+    G[..., 0, 4] = A1
+    G[..., 0, 5] = Abar1
+    return G
+
+
+def _with_triple_y(q, Ko, A2, Abar2):
+    """[V | e_1 (Ko, A2, Abar2)]: Phi' = Phi V and R' = Y Kvec."""
+    G = np.zeros(np.shape(q) + (3, 6))
+    G[..., 0, 1] = -q
+    G[..., 1, 0] = q
+    G[..., 1, 2] = Ko
+    G[..., 2, 1] = -Ko
+    G[..., 1, 3] = Ko
+    G[..., 1, 4] = A2
+    G[..., 1, 5] = Abar2
     return G
 
 
@@ -118,10 +137,20 @@ def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -
 
 
 def orthonormality_drift(f: FrameGrid) -> float:
-    """Max over nodes of the max-abs entry of Phi^T Phi - I."""
-    gram = np.einsum("ijka,ijkb->ijab", f.frames, f.frames)
-    gram -= np.eye(3)
-    return float(np.max(np.abs(gram)))
+    """Max over nodes of the max-abs entry of Phi^T Phi - I; NaN if a frame is.
+
+    Only the six distinct Gram entries are formed, each summed over the rows
+    in order, which is the arithmetic of ``einsum("ka,kb->ab")``.
+    """
+    F = f.frames
+
+    def gram(a, b):
+        return (F[..., 0, a] * F[..., 0, b] + F[..., 1, a] * F[..., 1, b]
+                + F[..., 2, a] * F[..., 2, b])
+
+    devs = [np.max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
+    devs += [np.max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return float(np.max(devs))
 
 
 def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
@@ -134,7 +163,8 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     fa = integrate_frame(c, phi0, order="xy")
     fb = integrate_frame(c, phi0, order="yx")
     diff = fa.frames - fb.frames
-    return float(np.sqrt((diff * diff).sum(axis=(2, 3))).max())
+    diff *= diff  # squared in place: one grid-sized temporary, not two
+    return float(np.sqrt(diff.sum(axis=(2, 3))).max())
 
 
 def reconstruct_surfaces(
@@ -156,10 +186,8 @@ def reconstruct_surfaces(
     state0 = np.hstack([phi0, phi0[:, 2:], np.zeros((3, 2))])  # (Phi | N, r, rbar)
     out = sweep_grid(
         c.grid,
-        (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values),
-        lambda p, Ho, A1, Ab1: _with_triple(_skew_x(p, Ho), 0, (Ho, A1, Ab1)),
-        (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values),
-        lambda q, Ko, A2, Ab2: _with_triple(_skew_y(q, Ko), 1, (Ko, A2, Ab2)),
+        (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values), _with_triple_x,
+        (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values), _with_triple_y,
         state0,
     )
     N = out[:, :, :, 3]

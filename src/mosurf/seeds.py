@@ -76,17 +76,19 @@ class SeedSpec:
     def from_header(cls, header: dict, nx: int, ny: int) -> "SeedSpec":
         """The seed of a field-file ``seed`` entry on an nx x ny grid of its domain.
 
-        The header is file content, so a missing, non-numeric or invalid
-        entry raises FieldFormatError.
+        The header is file content, so a missing, non-numeric, non-finite or
+        invalid entry raises FieldFormatError.
         """
         try:
             x0, x1, y0, y1 = (float(v) for v in header["domain"])
-            grid = Grid2D.from_domain(x0, x1, y0, y1, nx, ny)
             params = {k: float(header[k]) for k in ("qn", "alpha0", "v", "a", "c1")}
+            if not np.isfinite([x0, x1, y0, y1, *params.values()]).all():
+                raise ValueError("non-finite domain or parameter")
+            grid = Grid2D.from_domain(x0, x1, y0, y1, nx, ny)
             return cls(header["family"], grid, **params)
         except KeyError as exc:
             raise FieldFormatError(f"seed header has no {exc} entry") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FieldFormatError(f"bad seed header: {exc}") from exc
 
 

@@ -1,8 +1,10 @@
-"""Fuzz the CLI with field files that have one corrupted payload node.
+"""Fuzz the CLI with field files that have one corrupted payload node or
+header entry.
 
-A valid 5x5 field file gets one node of one field replaced by an arbitrary
-JSON value; every file command then runs on it.  Whatever the value, a
-command must end in a documented exit code, with exactly one
+A valid 5x5 field file gets one node of one field, or one header entry,
+replaced by an arbitrary JSON value (NaN and +-Infinity included, which
+``json`` reads and writes); every file command then runs on it.  Whatever the
+value, a command must end in a documented exit code, with exactly one
 ``mosurf: error:`` line on stderr when it fails, and never with an escaping
 exception (which the console script would print as a traceback).
 """
@@ -10,6 +12,7 @@ exception (which the console script would print as a traceback).
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -71,11 +74,70 @@ def commands(f, d):
 def test_corrupted_node_gives_documented_exit(workdir, seed, field, node, value):
     doc = json.loads((workdir / f"{seed}.json").read_text())
     doc["fields"][field][node] = value
+    run_all(workdir, doc)
+
+
+def run_all(workdir, doc):
+    """Run every file command on ``doc``; the exit codes in command order."""
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(doc))
+    codes = []
     for argv in commands(str(bad), workdir):
         code, err = run(argv)
         assert code in DOCUMENTED, (argv, code, err)
         errors = [line for line in err.splitlines() if line.startswith("mosurf: error:")]
         assert len(errors) == (0 if code == EXIT_OK else 1), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        codes.append(code)
+    return codes
+
+
+HEADER_ENTRIES = ("qn", "kind", "version", "grid.nx", "grid.ny", "grid.x0", "grid.y0",
+                  "grid.dx", "grid.dy", "seed")
+
+
+def finite_number(value):
+    """A JSON number (not a boolean) that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def header_rejects(entry, value):
+    """Whether the field-file header rules reject ``value`` at ``entry``."""
+    if entry == "version":
+        return not (type(value) is int and value == 1)
+    if entry == "qn":
+        return not (finite_number(value) and value != 0)
+    if entry == "kind":
+        return value not in ("first", "second")
+    if entry in ("grid.nx", "grid.ny"):  # any other size mismatches the 5x5 payload
+        return not (type(value) is int and value == 5)
+    if entry in ("grid.dx", "grid.dy"):
+        return not (finite_number(value) and value > 0)
+    if entry in ("grid.x0", "grid.y0"):
+        return not finite_number(value)
+    return False  # seed: only verify --refine reads it
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.sampled_from(sorted(SEEDS)), entry=st.sampled_from(HEADER_ENTRIES),
+       value=json_values)
+@example(seed="cmc", entry="qn", value=math.nan)
+@example(seed="cmc", entry="qn", value=True)
+@example(seed="cmc", entry="grid.dx", value=math.inf)
+@example(seed="kink", entry="grid.y0", value=-math.inf)
+@example(seed="cmc", entry="grid.dx", value=1e307)  # finite, but dx / step overflows
+@example(seed="cmc", entry="grid.nx", value=5.5)
+@example(seed="cmc", entry="grid.nx", value="5")
+@example(seed="cmc", entry="grid.ny", value=5.0)
+@example(seed="cmc", entry="version", value="1")
+@example(seed="cmc", entry="seed", value=math.nan)
+def test_corrupted_header_gives_documented_exit(workdir, seed, entry, value):
+    doc = json.loads((workdir / f"{seed}.json").read_text())
+    *parents, key = entry.split(".")
+    (doc[parents[0]] if parents else doc)[key] = value
+    codes = run_all(workdir, doc)
+    if header_rejects(entry, value):
+        assert codes == [EXIT_VALIDATION] * len(codes), (entry, value, codes)

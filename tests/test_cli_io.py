@@ -112,6 +112,51 @@ def test_field_file_rejects_non_number_payload(tmp_path, value):
         read_field_file(path)
 
 
+@pytest.mark.parametrize("entry,value,message", [
+    ("qn", float("nan"), "qn must be finite"),
+    ("qn", 10**400, "qn must be finite"),
+    ("qn", True, "qn must be a number"),
+    ("grid.dx", float("inf"), "grid dx must be finite"),
+    ("grid.x0", "0", "grid x0 must be a number"),
+    ("grid.nx", 9.5, "grid nx must be an integer"),
+    ("grid.ny", "11", "grid ny must be an integer"),
+    ("version", "1", "version must be an integer"),
+    ("version", 1.0, "version must be an integer"),
+])
+def test_field_file_rejects_bad_header_entry(tmp_path, entry, value, message):
+    # json reads NaN and Infinity; float() and int() would take the rest
+    path = tmp_path / "f.json"
+    write_field_file(path, random_governing())
+    doc = json.loads(path.read_text())
+    *parents, key = entry.split(".")
+    (doc[parents[0]] if parents else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FieldFormatError, match=message):
+        read_field_file(path)
+
+
+def test_field_file_accepts_integer_header_numbers(tmp_path):
+    # older files may write integral floats as integers
+    path = tmp_path / "f.json"
+    g = random_governing()
+    write_field_file(path, g)
+    doc = json.loads(path.read_text())
+    doc["qn"], doc["grid"]["y0"] = 2, 1
+    path.write_text(json.dumps(doc))
+    g2, _ = read_field_file(path)
+    assert g2.qn == 2.0 and g2.grid.y0 == 1.0 and g2.grid.x0 == g.grid.x0
+
+
+def test_field_file_rejects_unparsable_text(tmp_path):
+    # neither is a JSONDecodeError: a ValueError on integers too long to
+    # convert and on bytes that are not UTF-8, a RecursionError on deep nesting
+    p = tmp_path / "bad.json"
+    for data in (b'{"qn": ' + b"9" * 5000 + b"}", b"\xff\xfe", b"[" * 100000):
+        p.write_bytes(data)
+        with pytest.raises(FieldFormatError, match="cannot parse"):
+            read_field_file(p)
+
+
 def test_field_file_rejects_malformed(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -256,7 +301,11 @@ def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     lambda seed: seed.update(qn="one"),
     lambda seed: seed.update(domain=[0, 1, 0]),
     lambda seed: seed.update(family="sphere"),
-], ids=["no-domain", "no-alpha0", "qn-text", "short-domain", "unknown-family"])
+    lambda seed: seed["domain"].__setitem__(1, 10**400),  # float() overflows
+    lambda seed: seed["domain"].__setitem__(1, float("inf")),
+    lambda seed: seed.update(alpha0=float("nan")),
+], ids=["no-domain", "no-alpha0", "qn-text", "short-domain", "unknown-family",
+        "huge-int-domain", "infinite-domain", "nan-alpha0"])
 def test_cli_verify_refine_bad_seed_header_exit_code(tmp_path, capsys, corrupt):
     out = tmp_path / "f.json"
     run(["seed", "--family", "cmc", "--domain", "0:1:0:1",

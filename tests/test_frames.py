@@ -6,6 +6,7 @@ import pytest
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, ScalarField, Vec3Field
 from mosurf.frames import (
+    FrameGrid,
     integrate_frame,
     mesh_curvatures,
     orthonormality_drift,
@@ -56,6 +57,37 @@ def test_cmc_frame_drift_and_determinant():
     assert orthonormality_drift(f) < 1e-6
     dets = np.linalg.det(f.frames.reshape(-1, 3, 3))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
+
+
+def einsum_drift(frames):
+    """The Gram-matrix formula orthonormality_drift used before it formed
+    only the six distinct entries."""
+    gram = np.einsum("ijka,ijkb->ijab", frames, frames)
+    gram -= np.eye(3)
+    return float(np.max(np.abs(gram)))
+
+
+def test_drift_matches_einsum_gram_and_keeps_nan():
+    _, c = cmc_coefficients(n=51)
+    frames = integrate_frame(c, I3).frames.copy()
+    rng = np.random.default_rng(7)
+    frames += 1e-3 * rng.standard_normal(frames.shape)
+    f = FrameGrid(c.grid, frames)
+    drift = orthonormality_drift(f)
+    assert drift > 1e-3
+    assert np.float64(drift).tobytes() == np.float64(einsum_drift(frames)).tobytes()
+    # the worst entry on the diagonal (Gram[1, 1] ~ 9), then off it (Gram[0, 2] ~ 0.71)
+    on = frames.copy()
+    on[30, 40, :, 1] *= 3.0
+    off = frames.copy()
+    off[30, 40, :, 2] = (off[30, 40, :, 0] + off[30, 40, :, 2]) / np.sqrt(2.0)
+    for bad, low in ((on, 7.0), (off, 0.7)):
+        assert orthonormality_drift(FrameGrid(c.grid, bad)) == einsum_drift(bad) > low
+    # one NaN node makes the drift NaN, wherever it sits in the max
+    for node in ((0, 0), (25, 17), (-1, -1)):
+        g = frames.copy()
+        g[node][2, 1] = np.nan
+        assert np.isnan(orthonormality_drift(FrameGrid(c.grid, g)))
 
 
 def test_drift_reduces_at_fourth_order():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mosurf.fields import Grid2D
-from mosurf.sweep import sweep_grid
+from mosurf.sweep import BLOCK, sweep_grid
 
 # d/dx = a(x) = A + C x and d/dy = b(y) = B + D y; linear interpolation of
 # the node coefficients is exact for them, so the sweep is plain RK4
@@ -69,3 +69,149 @@ def test_sweep_leaves_state0_unchanged(state0, order):
 def test_sweep_rejects_unknown_order():
     with pytest.raises(ValueError):
         exp_sweep(5, np.ones(1), "zz")
+
+
+# -- the block build keeps the per-interval arithmetic bit for bit ----------
+
+def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
+    """Frozen copy of the per-interval march that built two generators per
+    RK4 step; ``sweep_grid`` must reproduce its every bit."""
+
+    def march(state0, h, gen, nodes, rule):
+        hs = h / substeps
+        state = np.array(state0, dtype=float)
+        k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
+
+        def at(c0, c1, theta):
+            return gen(*(c1 if theta >= 1.0 else (1.0 - theta) * c0 + theta * c1))
+
+        def stage(k, scale):
+            return np.add(state, np.multiply(k, scale, out=arg), out=arg)
+
+        c0 = next(nodes)
+        ga = gen(*c0)
+        for c1 in nodes:
+            for s in range(substeps):
+                gm = at(c0, c1, (s + 0.5) / substeps)
+                gb = at(c0, c1, (s + 1.0) / substeps)
+                rule(ga, state, k1)
+                rule(gm, stage(k1, 0.5 * hs), k2)
+                rule(gm, stage(k2, 0.5 * hs), k3)
+                rule(gb, stage(k3, hs), k4)
+                np.multiply(k2, 2.0, out=acc)
+                acc += k1
+                acc += np.multiply(k3, 2.0, out=arg)
+                acc += k4
+                acc *= hs / 6.0
+                state += acc
+                ga = gb
+            c0 = c1
+            yield state
+
+    state0 = np.asarray(state0, dtype=float)
+    if state0.ndim == 1:
+        rule = lambda G, w, out: np.einsum("...ij,...j->...i", G, w, out=out)
+    else:
+        rule = lambda G, S, out: np.matmul(S[..., : G.shape[-2]], G, out=out)
+    out = np.empty(grid.shape + state0.shape)
+    fill, hx, hy = out, grid.dx, grid.dy
+    if order == "yx":
+        fill, hx, hy = out.swapaxes(0, 1), grid.dy, grid.dx
+        coeffs_x, gen_x, coeffs_y, gen_y = (
+            tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
+    fill[0, 0] = state0
+    row = np.stack([v[:, 0] for v in coeffs_x], axis=-1)
+    for i, state in enumerate(march(state0, hx, gen_x, iter(row), rule), 1):
+        fill[i, 0] = state
+    columns = (np.stack([v[:, j] for v in coeffs_y]) for j in range(fill.shape[1]))
+    for j, batch in enumerate(march(fill[:, 0], hy, gen_y, columns, rule), 1):
+        fill[:, j] = batch
+    return out
+
+
+def lax_like_x(p, Ho, A1, Abar1, m=0.8, qn=1.3):
+    """The 5x5 Lax generator pattern along x (vector state)."""
+    L = np.zeros(np.shape(p) + (5, 5))
+    L[..., 0, 1] = -p
+    L[..., 0, 2] = m * Abar1 - Ho
+    L[..., 0, 3] = -m * qn * A1
+    L[..., 0, 4] = m * Ho
+    L[..., 1, 0] = p
+    L[..., 2, 0] = Ho
+    L[..., 3, 0] = A1
+    L[..., 4, 0] = Abar1
+    return L
+
+
+def triple_like_y(q, Ko, A2, Abar2):
+    """A 3x6 generator (frame plus surface triple, matrix state)."""
+    G = np.zeros(np.shape(q) + (3, 6))
+    G[..., 0, 1] = -q
+    G[..., 1, 0] = q
+    G[..., 1, 2] = Ko
+    G[..., 2, 1] = -Ko
+    G[..., 1, 3] = Ko
+    G[..., 1, 4] = A2
+    G[..., 1, 5] = Abar2
+    return G
+
+
+def random_coefficients(grid, nan_node=None):
+    rng = np.random.default_rng(grid.nx * 1000 + grid.ny)
+    cs = [rng.uniform(-2.0, 2.0, grid.shape) for _ in range(8)]
+    if nan_node is not None:
+        cs[3][nan_node] = np.nan  # an Abar coefficient, as at a stress-flagged node
+        cs[7][nan_node] = np.nan
+    return tuple(cs[:4]), tuple(cs[4:])
+
+
+STATES = {
+    "vector": (np.array([0.3, -0.1, 1.0, 1.7, 0.9]), lax_like_x, lax_like_x),
+    "matrix": (np.hstack([np.eye(3), np.eye(3)[:, 2:], np.zeros((3, 2))]),
+               triple_like_y, triple_like_y),
+}
+# lines of 2 intervals, one block, one block and one or two intervals,
+# two blocks and one interval
+LINES = [3, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 2]
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("order", ["xy", "yx"])
+@pytest.mark.parametrize("n", LINES)
+def test_block_sweep_matches_per_interval_reference(kind, order, n):
+    state0, gen_x, gen_y = STATES[kind]
+    for shape in ((n, 4), (5, n)):
+        grid = Grid2D.from_domain(0, 1, 0, 1, *shape)
+        cx, cy = random_coefficients(grid)
+        for substeps in (1, 2, 3, 4):
+            got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+            want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (shape, substeps)
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("order", ["xy", "yx"])
+def test_block_sweep_spreads_nan_like_reference(kind, order):
+    # a NaN coefficient poisons the same nodes and components as before
+    state0, gen_x, gen_y = STATES[kind]
+    grid = Grid2D.from_domain(0, 1, 0, 1, BLOCK + 3, 9)
+    cx, cy = random_coefficients(grid, nan_node=(BLOCK - 1, 4))
+    got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=2)
+    want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, 2)
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_sweep_capped_by_block_floats(monkeypatch):
+    # wide lines take shorter blocks; the arithmetic stays the same
+    import mosurf.sweep
+
+    state0, gen_x, gen_y = STATES["vector"]
+    grid = Grid2D.from_domain(0, 1, 0, 1, 11, 2 * BLOCK + 2)
+    cx, cy = random_coefficients(grid)
+    want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, "xy", 2)
+    for floats in (1, 2 * 2 * 11 * 25 * 3):  # blocks of 1 and 3 intervals
+        monkeypatch.setattr(mosurf.sweep, "BLOCK_FLOATS", floats)
+        got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order="xy", substeps=2)
+        assert got.tobytes() == want.tobytes()
