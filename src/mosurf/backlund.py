@@ -157,28 +157,28 @@ def lax_substeps(grid: Grid2D) -> int:
 
 
 def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn):
-    L = np.zeros(np.shape(p) + (5, 5))
-    L[..., 0, 1] = -p
-    L[..., 0, 2] = m * Abar1 - Ho
-    L[..., 0, 3] = -m * qn * A1
-    L[..., 0, 4] = m * Ho
-    L[..., 1, 0] = p
-    L[..., 2, 0] = Ho
-    L[..., 3, 0] = A1
-    L[..., 4, 0] = Abar1
+    L = np.zeros((5, 5) + np.shape(p))
+    L[0, 1] = -p
+    L[0, 2] = m * Abar1 - Ho
+    L[0, 3] = -m * qn * A1
+    L[0, 4] = m * Ho
+    L[1, 0] = p
+    L[2, 0] = Ho
+    L[3, 0] = A1
+    L[4, 0] = Abar1
     return L
 
 
 def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn):
-    L = np.zeros(np.shape(q) + (5, 5))
-    L[..., 0, 1] = q
-    L[..., 1, 0] = -q
-    L[..., 1, 2] = m * Abar2 - Ko
-    L[..., 1, 3] = -m * qn * A2
-    L[..., 1, 4] = m * Ko
-    L[..., 2, 1] = Ko
-    L[..., 3, 1] = A2
-    L[..., 4, 1] = Abar2
+    L = np.zeros((5, 5) + np.shape(q))
+    L[0, 1] = q
+    L[1, 0] = -q
+    L[1, 2] = m * Abar2 - Ko
+    L[1, 3] = -m * qn * A2
+    L[1, 4] = m * Ko
+    L[2, 1] = Ko
+    L[3, 1] = A2
+    L[4, 1] = Abar2
     return L
 
 

@@ -16,7 +16,7 @@ class ParameterError(MosurfError, ValueError):
 
 
 class GridError(ParameterError):
-    """Grid too small for the stencils, or non-positive spacing."""
+    """Grid too small for the stencils, or a non-positive or absurd spacing."""
 
 
 class DegenerateSeedError(ParameterError):

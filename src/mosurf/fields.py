@@ -48,6 +48,15 @@ class Grid2D:
             )
         if not (self.dx > 0.0 and self.dy > 0.0):
             raise GridError(f"grid spacings must be positive: dx={self.dx}, dy={self.dy}")
+        # the second-difference stencils weigh by 1/h^2; a spacing whose
+        # weight overflows (h = 1e-300) or vanishes (h = 1e307) is absurd
+        with np.errstate(over="ignore", divide="ignore"):
+            weights = 1.0 / np.square([float(self.dx), float(self.dy)])
+        if not (np.isfinite(weights).all() and (weights > 0.0).all()):
+            raise GridError(
+                f"grid spacings out of range (1/h^2 must be finite and nonzero): "
+                f"dx={self.dx}, dy={self.dy}"
+            )
 
     @classmethod
     def from_domain(

@@ -65,50 +65,48 @@ class SurfaceTriple:
 
 
 def _skew_x(p, Ho):
-    """U(p, Ho); leading axes broadcast."""
-    shape = np.shape(p) + (3, 3)
-    U = np.zeros(shape)
-    U[..., 0, 1] = p
-    U[..., 1, 0] = -p
-    U[..., 0, 2] = Ho
-    U[..., 2, 0] = -Ho
+    """U(p, Ho), component-first: shape (3, 3) + p.shape."""
+    U = np.zeros((3, 3) + np.shape(p))
+    U[0, 1] = p
+    U[1, 0] = -p
+    U[0, 2] = Ho
+    U[2, 0] = -Ho
     return U
 
 
 def _skew_y(q, Ko):
     """V(q, Ko)."""
-    shape = np.shape(q) + (3, 3)
-    V = np.zeros(shape)
-    V[..., 0, 1] = -q
-    V[..., 1, 0] = q
-    V[..., 1, 2] = Ko
-    V[..., 2, 1] = -Ko
+    V = np.zeros((3, 3) + np.shape(q))
+    V[0, 1] = -q
+    V[1, 0] = q
+    V[1, 2] = Ko
+    V[2, 1] = -Ko
     return V
 
 
 def _with_triple_x(p, Ho, A1, Abar1):
     """[U | e_0 (Ho, A1, Abar1)]: Phi' = Phi U and R' = X Hvec."""
-    G = np.zeros(np.shape(p) + (3, 6))
-    G[..., 0, 1] = p
-    G[..., 1, 0] = -p
-    G[..., 0, 2] = Ho
-    G[..., 2, 0] = -Ho
-    G[..., 0, 3] = Ho
-    G[..., 0, 4] = A1
-    G[..., 0, 5] = Abar1
+    G = np.zeros((3, 6) + np.shape(p))
+    G[0, 1] = p
+    G[1, 0] = -p
+    G[0, 2] = Ho
+    G[2, 0] = -Ho
+    G[0, 3] = Ho
+    G[0, 4] = A1
+    G[0, 5] = Abar1
     return G
 
 
 def _with_triple_y(q, Ko, A2, Abar2):
     """[V | e_1 (Ko, A2, Abar2)]: Phi' = Phi V and R' = Y Kvec."""
-    G = np.zeros(np.shape(q) + (3, 6))
-    G[..., 0, 1] = -q
-    G[..., 1, 0] = q
-    G[..., 1, 2] = Ko
-    G[..., 2, 1] = -Ko
-    G[..., 1, 3] = Ko
-    G[..., 1, 4] = A2
-    G[..., 1, 5] = Abar2
+    G = np.zeros((3, 6) + np.shape(q))
+    G[0, 1] = -q
+    G[1, 0] = q
+    G[1, 2] = Ko
+    G[2, 1] = -Ko
+    G[1, 3] = Ko
+    G[1, 4] = A2
+    G[1, 5] = Abar2
     return G
 
 
@@ -160,10 +158,9 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
     of broken compatibility.
     """
-    fa = integrate_frame(c, phi0, order="xy")
-    fb = integrate_frame(c, phi0, order="yx")
-    diff = fa.frames - fb.frames
-    diff *= diff  # squared in place: one grid-sized temporary, not two
+    diff = integrate_frame(c, phi0, order="xy").frames
+    diff -= integrate_frame(c, phi0, order="yx").frames  # in place: two frame grids, not three
+    diff *= diff
     return float(np.sqrt(diff.sum(axis=(2, 3))).max())
 
 
@@ -190,13 +187,12 @@ def reconstruct_surfaces(
         (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values), _with_triple_y,
         state0,
     )
-    N = out[:, :, :, 3]
-    r = out[:, :, :, 4]
-    rbar = out[:, :, :, 5]
+    # the fields take contiguous copies of the triple columns; the sweep
+    # output, with its second copy of the frame, is dropped before the check
+    triple = SurfaceTriple(*(Vec3Field(c.grid, out[:, :, :, k]) for k in (3, 4, 5)))
+    del out
+    N = triple.N.values
     gauss_dev = float(np.sqrt(((N - f.frames[:, :, :, 2]) ** 2).sum(axis=2)).max())
-    triple = SurfaceTriple(
-        Vec3Field(c.grid, N), Vec3Field(c.grid, r), Vec3Field(c.grid, rbar)
-    )
     return triple, gauss_dev
 
 
@@ -213,28 +209,39 @@ def mesh_curvatures(
     crossing a cuspidal edge) pass a larger ``eps`` to also exclude the
     surrounding nodes whose stencils lose accuracy.
     """
-    v = r.values
     grid = r.grid
     dx, dy = grid.dx, grid.dy
     meanH = np.full(grid.shape, np.nan)
     gaussK = np.full(grid.shape, np.nan)
 
-    rx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx)
-    ry = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy)
-    rxx = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2
-    ryy = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dy**2
-    rxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * dx * dy)
+    def total(terms):  # (t0 + t1) + t2, numpy's order for a sum over a length-3 axis
+        terms = iter(terms)
+        acc = next(terms)
+        for t in terms:
+            acc += t
+        return acc
 
-    E = (rx * rx).sum(axis=2)
-    F = (rx * ry).sum(axis=2)
-    G = (ry * ry).sum(axis=2)
-    cross = np.cross(rx, ry)
+    # one contiguous (nx, ny) array per component; every derivative is a
+    # per-component temporary, dropped once it is summed in
+    xyz = [np.ascontiguousarray(r.values[:, :, k]) for k in range(3)]
+    rx = [(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx) for v in xyz]
+    ry = [(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy) for v in xyz]
+    E = total(a * a for a in rx)
+    F = total(a * b for a, b in zip(rx, ry))
+    G = total(b * b for b in ry)
     det = E * G - F * F
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = cross / np.sqrt(det)[:, :, None]
-        L = (rxx * n).sum(axis=2)
-        M = (rxy * n).sum(axis=2)
-        Nf = (ryy * n).sum(axis=2)
+        root = np.sqrt(det)
+        n = [(rx[1] * ry[2] - rx[2] * ry[1]) / root,  # np.cross(rx, ry) / root
+             (rx[2] * ry[0] - rx[0] * ry[2]) / root,
+             (rx[0] * ry[1] - rx[1] * ry[0]) / root]
+        del rx, ry, root
+        L = total((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2 * nk
+                  for v, nk in zip(xyz, n))
+        M = total((v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * dx * dy) * nk
+                  for v, nk in zip(xyz, n))
+        Nf = total((v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dy**2 * nk
+                   for v, nk in zip(xyz, n))
         mH = (G * L - 2 * F * M + E * Nf) / (2 * det)
         gK = (L * Nf - M * M) / det
     bad = ~(det > eps)

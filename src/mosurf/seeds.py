@@ -106,19 +106,21 @@ def sinh_gordon_profile(
     a[0], b[0] = alpha0, 0.0
     h = dx / substeps
 
-    def rhs(state):
-        av, bv = state
-        return np.array([bv, -np.sinh(av) * np.cosh(av)])
+    # RK4 on Python floats; np.sinh/np.cosh rather than math's, which differ
+    # from numpy's in the last bit on many inputs and would move every cmc seed
+    def rhs(av, bv):
+        return bv, -float(np.sinh(av)) * float(np.cosh(av))
 
-    state = np.array([alpha0, 0.0])
+    av, bv = float(alpha0), 0.0
     for i in range(1, nx):
         for _ in range(substeps):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a[i], b[i] = state
+            k1a, k1b = rhs(av, bv)
+            k2a, k2b = rhs(av + 0.5 * h * k1a, bv + 0.5 * h * k1b)
+            k3a, k3b = rhs(av + 0.5 * h * k2a, bv + 0.5 * h * k2b)
+            k4a, k4b = rhs(av + h * k3a, bv + h * k3b)
+            av = av + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            bv = bv + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        a[i], b[i] = av, bv
     return a, b
 
 

@@ -2,11 +2,20 @@
 
 Every integrated system is linear in its state.  Along x it moves by the
 generator ``gen_x(*coeffs_x)``, along y by ``gen_y(*coeffs_y)``: the
-coefficient tuples hold the (nx, ny) node arrays each direction uses, and a
-builder broadcasts over leading axes and returns shape ``(..., n, d)``.  A
-vector state ``w`` (d,) moves as ``G w``; a matrix state ``S`` (r, d) moves
-as ``S[:, :n] G``, which reads only its first n columns, so a NaN that enters
-the other columns never feeds back into them.
+coefficient tuples hold the (nx, ny) node arrays each direction uses.
+
+Layout.  The sweep keeps its states component-major: m lines marched at once
+hold ``state.shape + (m,)``, with the lines on the last, contiguous axis
+(m = 1 along the first row, nx up the columns).  A builder takes coefficient
+arrays of any shape and returns the dense generator component-first, shape
+``(n, d) + coeff_shape``, written as contiguous slabs ``G[i, j] = ...``.  A
+vector state ``w`` (d,) moves as ``G w`` (``einsum("ij...,j...->i...")``);
+a matrix state ``S`` (r, d) moves as ``S[:, :n] G``
+(``einsum("aj...,jk...->ak...")``), which reads only its first n columns, so
+a NaN that enters the other columns never feeds back into them.  The
+generators stay dense, so a NaN coefficient spreads through 0 * NaN exactly
+as through a dense matrix product.  The output is node-major, ``(nx, ny) +
+state.shape``; each column is moved into it as it is marched.
 
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
@@ -21,12 +30,14 @@ rule (``backlund.lax_substeps``).
 The RK4 steps along a line are serial, but their generators are not: a march
 builds the stage generators of a block of B intervals (``BLOCK``, or fewer on
 wide grids, see ``BLOCK_FLOATS``) with one builder call per stage point, from
-one stack of the block's node coefficients, and the serial loop indexes into
-them.  A block holds 2 * substeps * B * m generators of shape (n, d), m the
-number of lines marched at once (1 along the first row, nx up the columns).
-Each generator entry is computed by the same elementwise operations as one
-interval at a time would, so the swept values do not depend on B, bit for
-bit.
+one stack of the block's node coefficients, and the serial loop takes the
+interval's slice ``G[:, :, i]``.  A block holds 2 * substeps * B * m
+generators of shape (n, d).  Each generator entry is computed by the same
+elementwise operations as one interval at a time would, and every block has
+at least two intervals, so the swept values do not depend on B, bit for bit:
+a one-interval block would hand ``einsum`` a contiguous (n, d, 1) generator
+on the first row, which it contracts with a SIMD dot product instead of the
+sequential sum it runs on every strided slice.
 """
 
 from __future__ import annotations
@@ -43,8 +54,9 @@ Builder = Callable[..., np.ndarray]
 
 #: intervals per block of stage generators built in one builder call each; a
 #: block is cut shorter where its generators would hold more than BLOCK_FLOATS
-#: floats (2 MB, one core's L2 cache on the 2-core Xeon it was tuned on, where
-#: 32-interval blocks of 601-wide Lax sweeps ran ~10% slower than 8-interval ones)
+#: floats (2 MB, one core's L2 cache on the 2-core Xeon it was tuned on; the
+#: cap was re-measured on the component-major layout and still pays: without
+#: it 301-wide Lax sweeps ran ~10% slower), but never below two intervals
 BLOCK = 32
 BLOCK_FLOATS = 1 << 18
 
@@ -57,20 +69,21 @@ def _march(
     rule: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     substeps: int,
 ) -> Iterator[np.ndarray]:
-    """RK4 march along a line of nodes.
+    """RK4 march of m lines at once.
 
-    ``line`` holds the coefficient arrays with the node index first; the state
-    at every node after the first is yielded.  The march owns one copy of
-    ``state0`` and advances it in place, so the yielded array is overwritten
-    by the next step.  Each stage generator is built once: k2 and k3 share the
-    midpoint, and a step starts with the generator the previous step ended
-    with.  A block of intervals takes one (K, B + 1, ...) coefficient stack
-    and one builder call per stage point.  The stages are written into
-    buffers allocated once per march, with the operations and their order of
-    the textbook form ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
+    ``state0`` is component-major, ``state.shape + (m,)``, and ``line`` holds
+    the (L, m) coefficient arrays of the L nodes of every line; the state at
+    every node after the first is yielded.  The march owns one C-ordered copy
+    of ``state0`` and advances it in place, so the yielded array is
+    overwritten by the next step.  Each stage generator is built once: k2 and
+    k3 share the midpoint, and a step starts with the generator the previous
+    step ended with.  A block of intervals takes one (K, B + 1, m)
+    coefficient stack and one builder call per stage point.  The stages are
+    written into buffers allocated once per march, with the operations and
+    their order of the textbook form ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hs = h / substeps
-    state = np.array(state0, dtype=float)
+    state = np.array(state0, dtype=float, order="C")
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
     mids = [(s + 0.5) / substeps for s in range(substeps)]
     ends = [(s + 1.0) / substeps for s in range(substeps)]
@@ -82,15 +95,19 @@ def _march(
         return np.add(state, np.multiply(k, scale, out=arg), out=arg)
 
     ga = gen(*(v[0] for v in line))
-    block = max(1, min(BLOCK, BLOCK_FLOATS // (2 * substeps * ga.size)))
-    for a in range(0, len(line[0]) - 1, block):
-        cb = np.stack([v[a:a + block + 1] for v in line])
+    intervals = len(line[0]) - 1
+    block = max(2, min(BLOCK, BLOCK_FLOATS // (2 * substeps * ga.size)))
+    starts = list(range(0, intervals, block))
+    if len(starts) > 1 and intervals - starts[-1] == 1:
+        starts.pop()  # no one-interval block (see the module docstring)
+    for a, b in zip(starts, starts[1:] + [intervals]):
+        cb = np.stack([v[a:b + 1] for v in line])
         c0, c1 = cb[:, :-1], cb[:, 1:]
         gms = [at(c0, c1, t) for t in mids]
         gbs = [at(c0, c1, t) for t in ends]
         for i in range(c1.shape[1]):
             for s in range(substeps):
-                gm, gb = gms[s][i], gbs[s][i]
+                gm, gb = gms[s][:, :, i], gbs[s][:, :, i]
                 rule(ga, state, k1)
                 rule(gm, stage(k1, 0.5 * hs), k2)
                 rule(gm, stage(k2, 0.5 * hs), k3)
@@ -124,9 +141,10 @@ def sweep_grid(
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
     state0 = np.asarray(state0, dtype=float)
     if state0.ndim == 1:
-        rule = lambda G, w, out: np.einsum("...ij,...j->...i", G, w, out=out)
+        rule = lambda G, w, out: np.einsum("ij...,j...->i...", G, w, out=out)
     else:
-        rule = lambda G, S, out: np.matmul(S[..., : G.shape[-2]], G, out=out)
+        rule = lambda G, S, out: np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G,
+                                           out=out)
     out = np.empty(grid.shape + state0.shape)
     fill, hx, hy = out, grid.dx, grid.dy
     if order == "yx":  # the "xy" pass on the transposed grid
@@ -134,12 +152,14 @@ def sweep_grid(
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
     fill[0, 0] = state0
-    row = tuple(v[:, 0] for v in coeffs_x)
-    for i, state in enumerate(_march(state0, hx, gen_x, row, rule, substeps), 1):
-        fill[i, 0] = state
+    # the first row is one line (m = 1)
+    row = tuple(v[:, :1] for v in coeffs_x)
+    for i, state in enumerate(_march(state0[..., None], hx, gen_x, row, rule, substeps), 1):
+        fill[i, 0] = state[..., 0]
     # every column at once (the line runs along y, the batch along x); only
     # one block of the coefficients is stacked at a time, never the whole grid
     columns = tuple(v.T for v in coeffs_y)
-    for j, batch in enumerate(_march(fill[:, 0], hy, gen_y, columns, rule, substeps), 1):
-        fill[:, j] = batch
+    cols = np.moveaxis(fill, 0, -1)  # cols[j] is column j, component-major
+    for j, batch in enumerate(_march(cols[0], hy, gen_y, columns, rule, substeps), 1):
+        cols[j] = batch
     return out

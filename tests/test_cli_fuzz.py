@@ -104,6 +104,16 @@ def finite_number(value):
         return False
 
 
+def spacing_ok(value):
+    """A positive finite spacing h whose stencil weight 1/h^2 is finite and nonzero."""
+    if not (finite_number(value) and value > 0):
+        return False
+    h = float(value)
+    if h * h == 0.0:  # underflows: 1/h^2 is infinite
+        return False
+    return 0.0 < 1.0 / (h * h) < math.inf
+
+
 def header_rejects(entry, value):
     """Whether the field-file header rules reject ``value`` at ``entry``."""
     if entry == "version":
@@ -115,7 +125,7 @@ def header_rejects(entry, value):
     if entry in ("grid.nx", "grid.ny"):  # any other size mismatches the 5x5 payload
         return not (type(value) is int and value == 5)
     if entry in ("grid.dx", "grid.dy"):
-        return not (finite_number(value) and value > 0)
+        return not spacing_ok(value)
     if entry in ("grid.x0", "grid.y0"):
         return not finite_number(value)
     return False  # seed: only verify --refine reads it
@@ -128,7 +138,9 @@ def header_rejects(entry, value):
 @example(seed="cmc", entry="qn", value=True)
 @example(seed="cmc", entry="grid.dx", value=math.inf)
 @example(seed="kink", entry="grid.y0", value=-math.inf)
-@example(seed="cmc", entry="grid.dx", value=1e307)  # finite, but dx / step overflows
+@example(seed="cmc", entry="grid.dx", value=1e307)  # finite, but 1/dx^2 underflows to 0
+@example(seed="cmc", entry="grid.dx", value=1e-300)  # finite, but 1/dx^2 overflows
+@example(seed="kink", entry="grid.dy", value=1e307)
 @example(seed="cmc", entry="grid.nx", value=5.5)
 @example(seed="cmc", entry="grid.nx", value="5")
 @example(seed="cmc", entry="grid.ny", value=5.0)

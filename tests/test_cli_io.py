@@ -117,6 +117,8 @@ def test_field_file_rejects_non_number_payload(tmp_path, value):
     ("qn", 10**400, "qn must be finite"),
     ("qn", True, "qn must be a number"),
     ("grid.dx", float("inf"), "grid dx must be finite"),
+    ("grid.dx", 1e-300, "grid spacings out of range"),
+    ("grid.dy", 1e307, "grid spacings out of range"),
     ("grid.x0", "0", "grid x0 must be a number"),
     ("grid.nx", 9.5, "grid nx must be an integer"),
     ("grid.ny", "11", "grid ny must be an integer"),
@@ -460,7 +462,9 @@ def test_cli_verify_failed_gate_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("grid_flags", [
     ["--domain", "0:1:0:1", "--nx", "2"],
     ["--domain", "1:0:0:1"],
-], ids=["nx-2", "empty-domain"])
+    ["--domain", "0:1e-298:0:1"],  # dx ~ 1e-300: 1/dx^2 overflows
+    ["--domain", "0:1:0:1e308"],  # dy ~ 1e306: 1/dy^2 underflows to 0
+], ids=["nx-2", "empty-domain", "tiny-spacing", "huge-spacing"])
 def test_cli_bad_grid_flag_is_usage_error(tmp_path, capsys, grid_flags):
     out = tmp_path / "x.json"
     assert run(["seed", "--family", "cmc", *grid_flags, "-o", str(out)]) == 1

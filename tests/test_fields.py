@@ -16,6 +16,15 @@ def test_grid_validation():
         Grid2D(10, 10, dx=0.0)
     with pytest.raises(GridError):
         Grid2D.from_domain(1.0, 1.0, 0.0, 1.0, 5, 5)
+    # the stencil weight 1/h^2 must be finite and nonzero
+    for h in (1e-300, 1e307):
+        with pytest.raises(GridError, match="out of range"):
+            Grid2D(10, 10, dx=h)
+        with pytest.raises(GridError, match="out of range"):
+            Grid2D(10, 10, dy=h)
+    with pytest.raises(GridError):
+        Grid2D.from_domain(0.0, 1e308, 0.0, 1.0, 5, 5)
+    assert Grid2D(10, 10, dx=1e-150, dy=1e150).dx == 1e-150
 
 
 def test_grid_from_domain():

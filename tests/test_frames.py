@@ -252,6 +252,72 @@ def test_mesh_curvatures_flags_degenerate_metric():
     assert np.isnan(meanH.values).all()
 
 
+def stacked_curvatures(r, eps=1e-10):
+    """Frozen copy of ``mesh_curvatures`` on (nx, ny, 3) stacks, with sums and
+    a cross product over the trailing axis; the per-component version must
+    reproduce its every bit."""
+    v = r.values
+    grid = r.grid
+    dx, dy = grid.dx, grid.dy
+    meanH = np.full(grid.shape, np.nan)
+    gaussK = np.full(grid.shape, np.nan)
+    rx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx)
+    ry = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy)
+    rxx = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2
+    ryy = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dy**2
+    rxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * dx * dy)
+    E = (rx * rx).sum(axis=2)
+    F = (rx * ry).sum(axis=2)
+    G = (ry * ry).sum(axis=2)
+    cross = np.cross(rx, ry)
+    det = E * G - F * F
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n = cross / np.sqrt(det)[:, :, None]
+        L = (rxx * n).sum(axis=2)
+        M = (rxy * n).sum(axis=2)
+        Nf = (ryy * n).sum(axis=2)
+        mH = (G * L - 2 * F * M + E * Nf) / (2 * det)
+        gK = (L * Nf - M * M) / det
+    bad = ~(det > eps)
+    meanH[1:-1, 1:-1] = np.where(bad, np.nan, mH)
+    gaussK[1:-1, 1:-1] = np.where(bad, np.nan, gK)
+    return meanH, gaussK
+
+
+def curvature_meshes():
+    """A cmc mesh, one with NaN and overflowing nodes, one with degenerate
+    metric (E G - F^2 <= eps) at interior nodes."""
+    _, c = cmc_coefficients(n=51)
+    r = reconstruct_surfaces(integrate_frame(c, I3), c)[0].r
+    v = r.values.copy()
+    bad = v.copy()
+    bad[10, 10, 1] = np.nan
+    bad[20, 30] = 1e200
+    bad[40, 5, 2] = np.inf
+    flat = v.copy()
+    flat[12:15, 20] = v[12, 20]  # repeated points: r_x = 0 at (13, 20)
+    flat[30, 30] = flat[31, 30]
+    return {"cmc": r, "nan": Vec3Field(r.grid, bad), "degenerate": Vec3Field(r.grid, flat)}
+
+
+@pytest.mark.parametrize("name", ["cmc", "nan", "degenerate"])
+@pytest.mark.parametrize("eps", [1e-10, 0.02])
+def test_mesh_curvatures_match_stacked_formulas_bit_for_bit(name, eps):
+    r = curvature_meshes()[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        meanH, gaussK = mesh_curvatures(r, eps)
+        want = stacked_curvatures(r, eps)
+    assert meanH.values.tobytes() == want[0].tobytes()
+    assert gaussK.values.tobytes() == want[1].tobytes()
+    inner = np.isnan(meanH.values[1:-1, 1:-1])
+    if name == "cmc":
+        assert not inner.any()
+    else:
+        assert inner.any() and not inner.all()
+    if name == "degenerate":  # the repeated points give det <= eps, not NaN
+        assert np.isnan(meanH.values[13, 20])
+
+
 def test_cmc_reconstruction_mean_curvature():
     _, c = cmc_coefficients(n=101)
     f = integrate_frame(c, I3)

@@ -26,6 +26,41 @@ def test_cmc_profile_energy_conservation():
     assert np.max(np.abs(energy - np.sinh(1.0) ** 2)) < 1e-8
 
 
+def array_profile(alpha0, x0, dx, nx, substeps=4):
+    """Frozen copy of the profile integrator that ran its RK4 on 2-element
+    arrays; ``sinh_gordon_profile`` must reproduce its every bit."""
+    a = np.empty(nx)
+    b = np.empty(nx)
+    a[0], b[0] = alpha0, 0.0
+    h = dx / substeps
+
+    def rhs(state):
+        av, bv = state
+        return np.array([bv, -np.sinh(av) * np.cosh(av)])
+
+    state = np.array([alpha0, 0.0])
+    for i in range(1, nx):
+        for _ in range(substeps):
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * h * k1)
+            k3 = rhs(state + 0.5 * h * k2)
+            k4 = rhs(state + h * k3)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a[i], b[i] = state
+    return a, b
+
+
+@pytest.mark.parametrize("nx", [3, 51, 201, 601])
+@pytest.mark.parametrize("alpha0", [1.0, 0.37, -1.6])
+def test_profile_matches_array_integrator_bit_for_bit(nx, alpha0):
+    dx = 2.0 / (nx - 1)
+    for substeps in (1, 2, 4, 7):
+        got = sinh_gordon_profile(alpha0, 0.0, dx, nx, substeps)
+        want = array_profile(alpha0, 0.0, dx, nx, substeps)
+        assert got[0].tobytes() == want[0].tobytes(), substeps
+        assert got[1].tobytes() == want[1].tobytes(), substeps
+
+
 def test_cmc_seed_structure():
     spec = SeedSpec("cmc", grid((0, 2, 0, 2)), qn=1.5, alpha0=1.0)
     g = generate_seed(spec)

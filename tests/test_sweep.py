@@ -12,8 +12,8 @@ A, B, C, D = 0.7, -1.3, 0.9, 0.6
 
 
 def scalar_generator(k):
-    """1x1 generator of d(state) = k state."""
-    return np.asarray(k)[..., None, None]
+    """1x1 generator of d(state) = k state, component-first."""
+    return np.asarray(k)[None, None]
 
 
 def exp_sweep(n, state0, order):
@@ -40,9 +40,9 @@ def test_scalar_generators_give_exponential(order):
 def rotation_generator(a):
     """2x2 generator of d(state) = a J state, J the quarter turn."""
     a = np.asarray(a)
-    G = np.zeros(a.shape + (2, 2))
-    G[..., 0, 1] = -a
-    G[..., 1, 0] = a
+    G = np.zeros((2, 2) + a.shape)
+    G[0, 1] = -a
+    G[1, 0] = a
     return G
 
 
@@ -73,17 +73,32 @@ def test_sweep_rejects_unknown_order():
 
 # -- the block build keeps the per-interval arithmetic bit for bit ----------
 
-def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
-    """Frozen copy of the per-interval march that built two generators per
-    RK4 step; ``sweep_grid`` must reproduce its every bit."""
+def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps,
+                       rules, layout):
+    """Two-pass RK4 sweep that builds the generators of one RK4 step at a time.
+
+    ``rules`` maps the state's ndim to its product rule and ``layout`` is
+    "component" (state shape + (m,), batch axis last) or "node" ((m,) +
+    state shape, batch axis first); the row march has no batch axis in the
+    node layout.  In the component layout a step's midpoint and end
+    generators come from one builder call over both points, so, as in the
+    sweep's blocks, every generator after a line's first is a strided slice.
+    """
 
     def march(state0, h, gen, nodes, rule):
         hs = h / substeps
-        state = np.array(state0, dtype=float)
+        state = np.array(state0, dtype=float, order="C")
         k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
 
-        def at(c0, c1, theta):
-            return gen(*(c1 if theta >= 1.0 else (1.0 - theta) * c0 + theta * c1))
+        def point(c0, c1, theta):
+            return c1 if theta >= 1.0 else (1.0 - theta) * c0 + theta * c1
+
+        def pair(c0, c1, s):
+            cm, cb = point(c0, c1, (s + 0.5) / substeps), point(c0, c1, (s + 1.0) / substeps)
+            if layout == "node":
+                return gen(*cm), gen(*cb)
+            g = gen(*np.stack([cm, cb], axis=1))
+            return g[:, :, 0], g[:, :, 1]
 
         def stage(k, scale):
             return np.add(state, np.multiply(k, scale, out=arg), out=arg)
@@ -92,8 +107,7 @@ def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, subst
         ga = gen(*c0)
         for c1 in nodes:
             for s in range(substeps):
-                gm = at(c0, c1, (s + 0.5) / substeps)
-                gb = at(c0, c1, (s + 1.0) / substeps)
+                gm, gb = pair(c0, c1, s)
                 rule(ga, state, k1)
                 rule(gm, stage(k1, 0.5 * hs), k2)
                 rule(gm, stage(k2, 0.5 * hs), k3)
@@ -109,10 +123,7 @@ def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, subst
             yield state
 
     state0 = np.asarray(state0, dtype=float)
-    if state0.ndim == 1:
-        rule = lambda G, w, out: np.einsum("...ij,...j->...i", G, w, out=out)
-    else:
-        rule = lambda G, S, out: np.matmul(S[..., : G.shape[-2]], G, out=out)
+    rule = rules[state0.ndim]
     out = np.empty(grid.shape + state0.shape)
     fill, hx, hy = out, grid.dx, grid.dy
     if order == "yx":
@@ -120,39 +131,75 @@ def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, subst
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
     fill[0, 0] = state0
-    row = np.stack([v[:, 0] for v in coeffs_x], axis=-1)
-    for i, state in enumerate(march(state0, hx, gen_x, iter(row), rule), 1):
-        fill[i, 0] = state
     columns = (np.stack([v[:, j] for v in coeffs_y]) for j in range(fill.shape[1]))
-    for j, batch in enumerate(march(fill[:, 0], hy, gen_y, columns, rule), 1):
-        fill[:, j] = batch
+    if layout == "component":
+        row = (np.stack([v[i, :1] for v in coeffs_x]) for i in range(fill.shape[0]))
+        for i, state in enumerate(march(state0[..., None], hx, gen_x, row, rule), 1):
+            fill[i, 0] = state[..., 0]
+        cols = np.moveaxis(fill, 0, -1)
+        for j, batch in enumerate(march(cols[0], hy, gen_y, columns, rule), 1):
+            cols[j] = batch
+    else:
+        row = np.stack([v[:, 0] for v in coeffs_x], axis=-1)
+        for i, state in enumerate(march(state0, hx, gen_x, iter(row), rule), 1):
+            fill[i, 0] = state
+        for j, batch in enumerate(march(fill[:, 0], hy, gen_y, columns, rule), 1):
+            fill[:, j] = batch
     return out
+
+
+def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
+    """Frozen per-interval march on the component-first contract: dense
+    (n, d) + batch generators, ``einsum`` products over the leading axes.
+    ``sweep_grid`` must reproduce its every bit."""
+    rules = {
+        1: lambda G, w, out: np.einsum("ij...,j...->i...", G, w, out=out),
+        2: lambda G, S, out: np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G,
+                                       out=out),
+    }
+    return per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order,
+                              substeps, rules, "component")
+
+
+def node_major_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
+    """The node-major contract the sweep had before: generators (..., n, d),
+    states with the batch axis first, ``matmul`` for matrix states."""
+
+    def node_major(gen):  # contiguous, as the old builders wrote them
+        return lambda *c: np.ascontiguousarray(np.moveaxis(gen(*c), (0, 1), (-2, -1)))
+
+    rules = {
+        1: lambda G, w, out: np.einsum("...ij,...j->...i", G, w, out=out),
+        2: lambda G, S, out: np.matmul(S[..., : G.shape[-2]], G, out=out),
+    }
+    return per_interval_sweep(grid, coeffs_x, node_major(gen_x), coeffs_y, node_major(gen_y),
+                              state0, order, substeps, rules, "node")
 
 
 def lax_like_x(p, Ho, A1, Abar1, m=0.8, qn=1.3):
     """The 5x5 Lax generator pattern along x (vector state)."""
-    L = np.zeros(np.shape(p) + (5, 5))
-    L[..., 0, 1] = -p
-    L[..., 0, 2] = m * Abar1 - Ho
-    L[..., 0, 3] = -m * qn * A1
-    L[..., 0, 4] = m * Ho
-    L[..., 1, 0] = p
-    L[..., 2, 0] = Ho
-    L[..., 3, 0] = A1
-    L[..., 4, 0] = Abar1
+    L = np.zeros((5, 5) + np.shape(p))
+    L[0, 1] = -p
+    L[0, 2] = m * Abar1 - Ho
+    L[0, 3] = -m * qn * A1
+    L[0, 4] = m * Ho
+    L[1, 0] = p
+    L[2, 0] = Ho
+    L[3, 0] = A1
+    L[4, 0] = Abar1
     return L
 
 
 def triple_like_y(q, Ko, A2, Abar2):
     """A 3x6 generator (frame plus surface triple, matrix state)."""
-    G = np.zeros(np.shape(q) + (3, 6))
-    G[..., 0, 1] = -q
-    G[..., 1, 0] = q
-    G[..., 1, 2] = Ko
-    G[..., 2, 1] = -Ko
-    G[..., 1, 3] = Ko
-    G[..., 1, 4] = A2
-    G[..., 1, 5] = Abar2
+    G = np.zeros((3, 6) + np.shape(q))
+    G[0, 1] = -q
+    G[1, 0] = q
+    G[1, 2] = Ko
+    G[2, 1] = -Ko
+    G[1, 3] = Ko
+    G[1, 4] = A2
+    G[1, 5] = Abar2
     return G
 
 
@@ -204,14 +251,39 @@ def test_block_sweep_spreads_nan_like_reference(kind, order):
 
 
 def test_block_sweep_capped_by_block_floats(monkeypatch):
-    # wide lines take shorter blocks; the arithmetic stays the same
+    # wide lines take shorter blocks, never shorter than two intervals (a
+    # one-interval tail joins the block before it); the arithmetic stays the same
     import mosurf.sweep
 
     state0, gen_x, gen_y = STATES["vector"]
     grid = Grid2D.from_domain(0, 1, 0, 1, 11, 2 * BLOCK + 2)
     cx, cy = random_coefficients(grid)
     want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, "xy", 2)
-    for floats in (1, 2 * 2 * 11 * 25 * 3):  # blocks of 1 and 3 intervals
+    for floats in (1, 2 * 2 * 11 * 25 * 3):  # column blocks of 2 and 3 intervals
         monkeypatch.setattr(mosurf.sweep, "BLOCK_FLOATS", floats)
         got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order="xy", substeps=2)
         assert got.tobytes() == want.tobytes()
+
+
+# -- the component-major products agree with the node-major ones ------------
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("order", ["xy", "yx"])
+@pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+def test_sweep_matches_node_major_products(kind, order, substeps):
+    # einsum over the leading axes rounds differently from the node-major
+    # einsum/matmul (BLAS), but only in the last bits, and it spreads a NaN
+    # coefficient to the same nodes and components
+    state0, gen_x, gen_y = STATES[kind]
+    for shape, nan_node in (((BLOCK + 3, 9), None), ((7, BLOCK + 2), (3, BLOCK - 1))):
+        grid = Grid2D.from_domain(0, 1, 0, 1, *shape)
+        cx, cy = random_coefficients(grid, nan_node)
+        got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+        want = node_major_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert nan.any() == (nan_node is not None) and not nan.all()
+        assert np.isfinite(want[~nan]).all()
+        # relative to the largest entry: single entries can cancel to ~1e-4
+        err = np.max(np.abs(got[~nan] - want[~nan])) / np.max(np.abs(want[~nan]))
+        assert err <= 1e-13, (shape, err)
