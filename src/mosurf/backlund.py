@@ -16,7 +16,9 @@ with the coefficient update Hvec' = Hvec - (H/M) Mvec, Kvec' = Kvec - (K/M) Mvec
 Mvec = (omega, phi, chi), M = m omega nu.  The new governing fields
 (xi', alpha', h') follow from closed forms written with the kind's sign
 eps (:data:`kernel.EPS`) and satisfy the same governing system (kind
-preservation), which the tests verify as residuals.
+preservation), which the tests verify as residuals.  Primed fields are NaN
+where the transform is undefined; field files keep those nodes as flagged
+ones, so a primed file is valid input to a second transform.
 
 The classical Bianchi-Darboux transformation of a cmc background sweeps the
 same Lax system on its reduction chi = qn phi, which is measured, not assumed.
@@ -50,7 +52,6 @@ __all__ = [
     "bianchi_darboux",
     "transform_diagnostics",
     "bianchi_darboux_identities",
-    "finite_governing",
 ]
 
 #: nodes with |omega|, |nu| or |M| below this are flagged singular
@@ -112,8 +113,6 @@ class PrimedUpdate:
     Ko: np.ndarray
     A2: np.ndarray
     Abar2: np.ndarray
-    H: np.ndarray
-    K: np.ndarray
     mask: np.ndarray = dc_field(repr=False)
 
 
@@ -294,7 +293,7 @@ def backlund_coefficients(
         c.grid,
         Ho=Ho - rH * om, A1=A1 - rH * ph, Abar1=Ab1 - rH * ch,
         Ko=Ko - rK * om, A2=A2 - rK * ph, Abar2=Ab2 - rK * ch,
-        H=H, K=K, mask=mask,
+        mask=mask,
     )
 
 
@@ -421,7 +420,7 @@ def bianchi_darboux(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics of a transform and preparation of its field file
+# diagnostics of a transform
 # ---------------------------------------------------------------------------
 
 
@@ -475,29 +474,3 @@ def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[
         "e_alpha_prime_identity_max_dev": float(np.nanmax(np.abs(e_alpha_dev)[ok])),
         "chi_minus_qn_phi_max_dev": float(np.nanmax(np.abs(chi_dev)[ok])),
     }
-
-
-def finite_governing(gp: GoverningFields) -> tuple[GoverningFields, list[int]]:
-    """Zero-fill NaN sentinels for serialization; returns (fields, flagged indices).
-
-    The field-file format requires finite payloads, so branch-invalid nodes
-    are zero-filled and their x-fastest flat indices returned for the header.
-    """
-    bad = ~(
-        np.isfinite(gp.alpha.values)
-        & np.isfinite(gp.xi.values)
-        & np.isfinite(gp.h.values)
-    )
-    if not bad.any():
-        return gp, []
-    if bad.all():
-        raise SingularGridError("every node of the primed fields is undefined")
-    flat = np.argwhere(bad.ravel(order="F")).ravel()
-    clean = GoverningFields(
-        kind=gp.kind,
-        qn=gp.qn,
-        alpha=ScalarField(gp.grid, np.where(bad, 0.0, gp.alpha.values)),
-        xi=ScalarField(gp.grid, np.where(bad, 0.0, gp.xi.values)),
-        h=ScalarField(gp.grid, np.where(bad, 0.0, gp.h.values)),
-    )
-    return clean, [int(k) for k in flat]

@@ -254,7 +254,6 @@ def _cmd_backlund(args) -> int:
         apply_backlund,
         bianchi_darboux,
         bianchi_darboux_identities,
-        finite_governing,
         transform_diagnostics,
     )
     from .fileio import read_field_file, report_to_dict, write_field_file, write_report_file
@@ -276,11 +275,8 @@ def _cmd_backlund(args) -> int:
     if args.bianchi_darboux:
         diag.update(mbar=mbar, **bianchi_darboux_identities(g, res))
     diag.update(checks)
-    gp = res.primed_governing
-    primed_file, flagged_idx = finite_governing(gp)
-    seed_header = {"flagged": flagged_idx} if flagged_idx else None
-    write_field_file(args.out, primed_file, seed=seed_header)
-    report = verify_governing(gp)
+    write_field_file(args.out, res.primed_governing)
+    report = verify_governing(res.primed_governing)
     print(f"backlund kind={g.kind} m={args.m} drift={checks['constraint_drift']:.3e} "
           f"singular={checks['singular_nodes']} invalid={checks['branch_invalid_nodes']} "
           f"theorem_vs_raw={checks['theorem_vs_raw_max_dev']:.3e} -> {args.out}")

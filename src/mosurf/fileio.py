@@ -3,9 +3,11 @@
 Field and report files are JSON written by :func:`json.dumps`; every float is
 its shortest ``repr`` that round-trips, so field files read back bit for bit
 (integral floats appear as ``1.0``).  Payload arrays are row-major in
-x-fastest order.  Meshes use the plain-text Wavefront OBJ polygon format (two
-triangles per grid cell, cells touching flagged nodes skipped); tables are
-comma-separated with one node per line.
+x-fastest order.  Flagged nodes (NaN in any field) are written as zeros and
+listed by flat index under a top-level ``flagged`` key, and read back as NaN.
+Meshes use the plain-text Wavefront OBJ polygon format (two triangles per grid
+cell, cells touching flagged nodes skipped); tables are comma-separated with
+one node per line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import FieldFormatError, GridError
+from .errors import FieldFormatError, GridError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field
 from .kernel import GoverningFields, ResidualReport
 from .verify import REGISTRY_VERSION
@@ -85,15 +87,23 @@ def write_field_file(
     path: str | Path, g: GoverningFields, seed: dict | None = None
 ) -> None:
     """Serialize a governing triple; ``seed`` (family + parameters) is kept in
-    the header so refinement studies can regenerate the fields on finer grids."""
+    the header so refinement studies can regenerate the fields on finer grids.
+    Raises SingularGridError when every node is flagged (non-finite)."""
+    fields = {name: _flat(getattr(g, name).values) for name in FIELD_NAMES}
+    bad = ~np.logical_and.reduce([np.isfinite(v) for v in fields.values()])
     doc: dict[str, Any] = {
         "format": "mosurf-fields",
         "version": FORMAT_VERSION,
         "kind": g.kind,
         "qn": g.qn,
         "grid": _grid_header(g.grid),
-        "fields": {name: _flat(getattr(g, name).values) for name in FIELD_NAMES},
+        "fields": fields,
     }
+    if bad.any():
+        if bad.all():
+            raise SingularGridError(f"{path}: every node has a non-finite field value")
+        doc["fields"] = {name: np.where(bad, 0.0, v) for name, v in fields.items()}
+        doc["flagged"] = np.flatnonzero(bad)
     if seed is not None:
         doc["seed"] = seed
     dump_json(doc, path)
@@ -111,7 +121,8 @@ def read_field_file(path: str | Path) -> tuple[GoverningFields, dict | None]:
     ``qn`` and the grid origin and spacings must be finite JSON numbers,
     ``version``, ``nx`` and ``ny`` JSON integers; payload entries that are not
     finite JSON numbers are rejected with the offending field name and flat
-    index.
+    index.  The nodes listed under ``flagged`` (or ``seed.flagged``, where
+    older versions wrote it) become NaN in every field.
     """
     path = str(path)
     try:
@@ -152,6 +163,18 @@ def _integer(value: Any, what: str, path: str) -> int:
     return value
 
 
+def _flagged(doc: dict, n_nodes: int, path: str) -> np.ndarray:
+    """Flat indices under ``flagged``, or ``seed.flagged`` in older files."""
+    seed = doc.get("seed")
+    flagged = doc.get("flagged", seed.get("flagged", []) if isinstance(seed, dict) else [])
+    if not (isinstance(flagged, list)
+            and all(type(k) is int and 0 <= k < n_nodes for k in flagged)
+            and len(set(flagged)) < n_nodes):
+        raise FieldFormatError(f"{path}: flagged must list node indices in [0, {n_nodes}) "
+                               f"and leave a node unflagged")
+    return np.array(flagged, dtype=np.intp)
+
+
 def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
     if _integer(_require(doc, "version", path), "version", path) != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported format version {doc['version']!r}")
@@ -169,6 +192,7 @@ def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
         raise FieldFormatError(f"{path}: bad grid header: missing {exc}") from exc
     except GridError as exc:
         raise FieldFormatError(f"{path}: bad grid header: {exc}") from exc
+    flagged = _flagged(doc, grid.n_nodes, path)
     payload = _require(doc, "fields", path)
     fields = {}
     for name in FIELD_NAMES:
@@ -189,6 +213,7 @@ def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
             raise FieldFormatError(
                 f"{path}: non-finite value in field {name!r} at flat index {idx}"
             )
+        arr[flagged] = np.nan
         fields[name] = ScalarField(grid, arr.reshape(grid.shape, order="F"))
     g = GoverningFields(kind=kind, qn=qn, alpha=fields["alpha"], xi=fields["xi"], h=fields["h"])
     return g, doc.get("seed")

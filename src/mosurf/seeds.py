@@ -206,5 +206,10 @@ _GENERATORS = {
 
 
 def generate_seed(spec: SeedSpec) -> GoverningFields:
-    """Dispatch on the seed family."""
-    return _GENERATORS[spec.family](spec)
+    """Dispatch on the seed family; a non-finite seed raises DegenerateSeedError."""
+    g = _GENERATORS[spec.family](spec)
+    # min and max carry any NaN or infinity, without a full-grid mask
+    extremes = [r(f.values) for f in (g.alpha, g.xi, g.h) for r in (np.min, np.max)]
+    if not np.isfinite(extremes).all():
+        raise DegenerateSeedError(f"the {spec.family} seed has non-finite values on this grid")
+    return g

@@ -1,5 +1,5 @@
 """Fuzz the CLI with field files that have one corrupted payload node or
-header entry.
+header entry (the flagged-node list included).
 
 A valid 5x5 field file gets one node of one field, or one header entry,
 replaced by an arbitrary JSON value (NaN and +-Infinity included, which
@@ -93,7 +93,7 @@ def run_all(workdir, doc):
 
 
 HEADER_ENTRIES = ("qn", "kind", "version", "grid.nx", "grid.ny", "grid.x0", "grid.y0",
-                  "grid.dx", "grid.dy", "seed")
+                  "grid.dx", "grid.dy", "seed", "flagged", "seed.flagged")
 
 
 def finite_number(value):
@@ -128,6 +128,9 @@ def header_rejects(entry, value):
         return not spacing_ok(value)
     if entry in ("grid.x0", "grid.y0"):
         return not finite_number(value)
+    if entry in ("flagged", "seed.flagged"):  # seed.flagged: where older files kept it
+        indices = isinstance(value, list) and all(type(k) is int and 0 <= k < 25 for k in value)
+        return not (indices and len(set(value)) < 25)
     return False  # seed: only verify --refine reads it
 
 
@@ -146,6 +149,17 @@ def header_rejects(entry, value):
 @example(seed="cmc", entry="grid.ny", value=5.0)
 @example(seed="cmc", entry="version", value="1")
 @example(seed="cmc", entry="seed", value=math.nan)
+@example(seed="cmc", entry="flagged", value=[12])
+@example(seed="kink", entry="flagged", value=[3, 3, 0])
+@example(seed="cmc", entry="flagged", value=list(range(24)))
+@example(seed="cmc", entry="flagged", value=list(range(25)))  # every node
+@example(seed="cmc", entry="flagged", value=[True])
+@example(seed="cmc", entry="flagged", value=[25])
+@example(seed="kink", entry="flagged", value=[-1])
+@example(seed="cmc", entry="flagged", value=[4.0])
+@example(seed="cmc", entry="flagged", value=None)
+@example(seed="kink", entry="seed.flagged", value=[7])
+@example(seed="cmc", entry="seed.flagged", value=[10**400])
 def test_corrupted_header_gives_documented_exit(workdir, seed, entry, value):
     doc = json.loads((workdir / f"{seed}.json").read_text())
     *parents, key = entry.split(".")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mosurf.cli import main
-from mosurf.errors import FieldFormatError
+from mosurf.errors import FieldFormatError, SingularGridError
 from mosurf.fields import Grid2D, ScalarField
 from mosurf.fileio import (
     read_field_file,
@@ -97,6 +97,11 @@ def test_field_file_rejects_nan_payload(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FieldFormatError, match=r"'xi' at flat index 7"):
         read_field_file(path)
+    # a flagged node's placeholder must be a finite number too
+    doc["flagged"] = [7]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FieldFormatError, match=r"'xi' at flat index 7"):
+        read_field_file(path)
 
 
 @pytest.mark.parametrize("value", ["1.5", True, False])
@@ -167,6 +172,82 @@ def test_field_file_rejects_malformed(tmp_path):
     p.write_text(json.dumps({"format": "other"}))
     with pytest.raises(FieldFormatError):
         read_field_file(p)
+
+
+def with_nan(g, field, mask):
+    """``g`` with NaN in one field at ``mask``."""
+    values = {name: getattr(g, name).values for name in ("alpha", "xi", "h")}
+    values[field] = np.where(mask, np.nan, values[field])
+    grid = g.grid
+    return GoverningFields(kind=g.kind, qn=g.qn,
+                           **{k: ScalarField(grid, v) for k, v in values.items()})
+
+
+@pytest.mark.parametrize("where", ["node", "column", "all-but-one"])
+def test_field_file_flagged_nodes_round_trip(tmp_path, where):
+    g = random_governing()
+    mask = np.zeros(g.grid.shape, dtype=bool)
+    if where == "node":
+        mask[4, 7] = True
+    elif where == "column":  # every node at one x, strided in the x-fastest payload
+        mask[3, :] = True
+    else:
+        mask[:] = True
+        mask[2, 5] = False
+    gn = with_nan(with_nan(g, "xi", mask), "h", mask & (np.arange(g.grid.ny) % 2 == 0))
+    path = tmp_path / "f.json"
+    write_field_file(path, gn)
+    doc = json.loads(path.read_text())
+    assert doc["flagged"] == np.flatnonzero(mask.ravel(order="F")).tolist()
+    assert all(doc["fields"]["alpha"][k] == 0.0 for k in doc["flagged"])
+    g2, _ = read_field_file(path)
+    for name in ("alpha", "xi", "h"):  # a NaN in any field flags the node in all three
+        got = getattr(g2, name).values
+        assert np.array_equal(np.isnan(got), mask), name
+        assert got[~mask].tobytes() == getattr(g, name).values[~mask].tobytes(), name
+
+
+def test_field_file_every_node_nonfinite_is_numerical_failure(tmp_path):
+    g = random_governing()
+    path = tmp_path / "f.json"
+    with pytest.raises(SingularGridError, match="every node"):
+        write_field_file(path, with_nan(g, "alpha", np.ones(g.grid.shape, dtype=bool)))
+    assert not path.exists()
+
+
+def test_field_file_reads_legacy_seed_flagged(tmp_path):
+    # files of older versions listed flagged nodes under the seed entry
+    g = random_governing()
+    mask = np.zeros(g.grid.shape, dtype=bool)
+    mask[1, 2] = mask[8, 10] = True
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    write_field_file(new, with_nan(g, "alpha", mask))
+    doc = json.loads(new.read_text())
+    doc["seed"] = {"flagged": doc.pop("flagged")}
+    old.write_text(json.dumps(doc))
+    g_new, _ = read_field_file(new)
+    g_old, _ = read_field_file(old)
+    for name in ("alpha", "xi", "h"):
+        assert np.array_equal(getattr(g_old, name).values, getattr(g_new, name).values,
+                              equal_nan=True)
+        assert np.array_equal(np.isnan(getattr(g_old, name).values), mask)
+
+
+@pytest.mark.parametrize("flagged", [{"0": 1}, [True], [3.0], [-1], [99], list(range(99)) + [0]],
+                         ids=["not-a-list", "boolean", "float", "negative", "past-end", "every"])
+def test_field_file_rejects_bad_flagged(tmp_path, flagged):
+    message = r"flagged must list node indices in \[0, 99\) and leave a node unflagged"
+    path = tmp_path / "f.json"
+    write_field_file(path, random_governing())  # 9 x 11 nodes
+    doc = json.loads(path.read_text())
+    doc["flagged"] = flagged
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FieldFormatError, match=message):
+        read_field_file(path)
+    doc["seed"] = {"flagged": doc.pop("flagged")}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FieldFormatError, match=message):
+        read_field_file(path)
 
 
 def test_obj_writer_structure(tmp_path):
@@ -435,6 +516,34 @@ def test_cli_backlund_second_kind_with_singular_lax_nodes(tmp_path):
     assert np.isfinite(d["constraint_drift"]) and d["constraint_drift"] < 1e-6
 
 
+def test_cli_primed_file_round_trips_and_chains(tmp_path):
+    # the primed kink has branch-invalid nodes; the file lists them, so verify
+    # on the file reproduces the in-memory primed report and a second
+    # transform reads them as NaN rather than as zeros
+    from mosurf.backlund import apply_backlund
+    from mosurf.verify import verify_governing
+
+    src, primed = tmp_path / "kink.json", tmp_path / "p.json"
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3",
+                "--domain", "-3:3:-3:3", "--nx", "51", "--ny", "51", "-o", str(src)]) == 0
+    assert run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
+    g, _ = read_field_file(src)
+    res = apply_backlund(g, 0.3, 0.0, 1.0, 0.1)
+    want = report_to_dict(verify_governing(res.primed_governing))["equations"]
+    doc = json.loads(primed.read_text())
+    assert doc["flagged"] and "seed" not in doc
+    rep = tmp_path / "v.json"
+    assert run(["verify", str(primed), "--report", str(rep)]) in (0, 4)  # 4: failed gate
+    got = json.loads(rep.read_text())["equations"]
+    assert got == want
+    assert want["governing-1"]["excluded"] == 350
+
+    bk = tmp_path / "bk.json"
+    assert run(["backlund", str(primed), "--m", "0.3", "--init", "0,1,0.1",
+                "-o", str(tmp_path / "pp.json"), "--report", str(bk)]) == 0
+    assert np.isfinite(json.loads(bk.read_text())["diagnostics"]["constraint_drift"])
+
+
 def test_cli_omega_report(tmp_path):
     src = tmp_path / "cmc.json"
     rep = tmp_path / "rep.json"
@@ -472,12 +581,20 @@ def test_cli_bad_grid_flag_is_usage_error(tmp_path, capsys, grid_flags):
     assert not out.exists()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert run(["backlund", "nofile.json", "--m", "0", "-o", "x.json"]) == 1
     assert run(["verify", str(tmp_path / "missing.json")]) == 2
     assert run(["seed", "--family", "cmc", "--domain", "bad", "-o", "x.json"]) == 1
     assert run(["seed", "--family", "cmc", "--qn", "0", "--domain", "0:1:0:1",
                 "-o", str(tmp_path / "x.json")]) == 1
+    capsys.readouterr()
+    # a step of 2.5 makes the cmc profile diverge: the seed has non-finite values
+    out = tmp_path / "big.json"
+    assert run(["seed", "--family", "cmc", "--alpha0", "3", "--domain", "0:40:0:1",
+                "--nx", "5", "--ny", "5", "-o", str(out)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("mosurf: error:")]
+    assert len(errors) == 1 and "cmc" in errors[0]
+    assert not out.exists()
 
 
 def test_cli_usage_error_is_exit_1():
