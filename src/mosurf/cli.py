@@ -163,7 +163,12 @@ def _cmd_verify(args) -> int:
         for _ in range(args.refine):
             nx, ny = 2 * nx - 1, 2 * ny - 1
             spec = SeedSpec.from_header(seed, nx, ny)
-            reports.append(verify_governing(generate_seed(spec)))
+            # the header is file content: a seed it cannot give is a bad file
+            try:
+                fine = generate_seed(spec)
+            except ParameterError as exc:
+                raise FieldFormatError(f"{args.fieldfile}: bad seed header: {exc}") from exc
+            reports.append(verify_governing(fine))
         orders = convergence_orders(reports)
     print(f"verify kind={g.kind} qn={g.qn} grid={g.grid.nx}x{g.grid.ny}")
     failed = [name for name, s in report.entries.items()
@@ -289,11 +294,11 @@ def _cmd_backlund(args) -> int:
 
 def _cmd_omega(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_report_file
-    from .kernel import coefficients_from_governing
+    from .kernel import ResidualReport, coefficients_from_governing
     from .omega import omega_ratios
 
     g, _ = read_field_file(args.fieldfile)
-    report = omega_ratios(coefficients_from_governing(g), g)
+    report = ResidualReport.from_fields(g.grid, omega_ratios(coefficients_from_governing(g), g))
     umbilic = int(report.entries["omega-1"].excluded)
     print(f"omega kind={g.kind} grid={g.grid.nx}x{g.grid.ny} umbilic_flagged={umbilic}")
     for name, s in report.entries.items():

@@ -12,12 +12,13 @@ maps them to
   Abar1 = T2 A1, Abar2 = T1 A2,
 * net rotation coefficients p, q,
 
-and evaluates every equation of the theory as a residual field:
-the governing system, the Mainardi-Codazzi/net/Gauss relations, the
-membrane equilibrium equations, the first integrals with their quadric
-constraint, and the orthogonality relation Abar1 Ko + Ho Abar2 = qn A1 A2,
-which is the membrane form of the Omega-surface 4-vector condition (the
-curvature-ratio Omega identities are in :mod:`mosurf.omega`).
+and evaluates every equation of the theory, one function per family that
+returns its residual arrays by registry name: the governing system, the
+Mainardi-Codazzi/net/Gauss relations, the membrane equilibrium equations,
+the first integrals with their quadric constraint, and the orthogonality
+relation Abar1 Ko + Ho Abar2 = qn A1 A2, the membrane form of the
+Omega-surface 4-vector condition (the curvature-ratio Omega identities are
+in :mod:`mosurf.omega`).  :func:`residual_stats` reduces an array to norms.
 
 Flagged-node policy: nodes where a division guard trips (vanishing
 denominators at curvature-line degeneracies) are set to NaN and excluded
@@ -39,6 +40,7 @@ __all__ = [
     "StressFields",
     "ResidualStats",
     "ResidualReport",
+    "residual_stats",
     "coefficients_from_governing",
     "stresses",
     "second_fundamental_form",
@@ -47,7 +49,6 @@ __all__ = [
     "equilibrium_residuals",
     "first_integral_check",
     "orthogonality_check",
-    "orthogonality_residual",
     "principal_curvatures",
 ]
 
@@ -144,10 +145,6 @@ class ResidualReport:
     def from_fields(cls, grid: Grid2D, fields: dict[str, np.ndarray]) -> "ResidualReport":
         """Report with one entry per named residual array, in ``fields`` order."""
         return cls(grid, {name: residual_stats(v, grid) for name, v in fields.items()})
-
-    def merge(self, other: "ResidualReport") -> "ResidualReport":
-        self.entries.update(other.entries)
-        return self
 
     def __getitem__(self, name: str) -> ResidualStats:
         return self.entries[name]
@@ -279,8 +276,8 @@ def principal_curvatures(c: CoefficientFields) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def governing_residual_fields(g: GoverningFields) -> dict[str, np.ndarray]:
-    """Raw residual arrays of the three governing equations.
+def governing_residuals(g: GoverningFields) -> dict[str, np.ndarray]:
+    """Residual arrays of the three governing equations of the field's kind.
 
     ``governing-1`` combines the two first-order h equations as a pointwise
     max of absolute residuals; ``governing-2`` is the xi cross-derivative
@@ -306,12 +303,7 @@ def governing_residual_fields(g: GoverningFields) -> dict[str, np.ndarray]:
     return {"governing-1": res_h, "governing-2": res_xi, "governing-3": res_al}
 
 
-def governing_residuals(g: GoverningFields) -> ResidualReport:
-    """Residual report for the governing system of the field's kind."""
-    return ResidualReport.from_fields(g.grid, governing_residual_fields(g))
-
-
-def gauss_codazzi_residual_fields(c: CoefficientFields) -> dict[str, np.ndarray]:
+def gauss_codazzi_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:
     """Mainardi-Codazzi, net and Gauss equation residual arrays."""
     grid = c.grid
     A1, A2 = c.A1.values, c.A2.values
@@ -329,11 +321,7 @@ def gauss_codazzi_residual_fields(c: CoefficientFields) -> dict[str, np.ndarray]
     }
 
 
-def gauss_codazzi_residuals(c: CoefficientFields) -> ResidualReport:
-    return ResidualReport.from_fields(c.grid, gauss_codazzi_residual_fields(c))
-
-
-def equilibrium_residual_fields(
+def equilibrium_residuals(
     c: CoefficientFields, s: StressFields, qn: float
 ) -> dict[str, np.ndarray]:
     """In-plane and out-of-plane equilibrium residual arrays.
@@ -357,13 +345,7 @@ def equilibrium_residual_fields(
     return {"equilibrium-1": res1, "equilibrium-2": res2, "equilibrium-3": res3}
 
 
-def equilibrium_residuals(c: CoefficientFields, s: StressFields, qn: float) -> ResidualReport:
-    return ResidualReport.from_fields(c.grid, equilibrium_residual_fields(c, s, qn))
-
-
-def first_integral_fields(
-    c: CoefficientFields, kind: str, qn: float
-) -> dict[str, np.ndarray]:
+def first_integral_check(c: CoefficientFields, kind: str, qn: float) -> dict[str, np.ndarray]:
     """First integrals normalized to (-qn, eps qn) and the quadric constraint.
 
     2 Abar1 Ho - qn A1^2 = -qn, 2 Abar2 Ko - qn A2^2 = eps qn and
@@ -380,11 +362,7 @@ def first_integral_fields(
     return {"first-integral-1": fi1, "first-integral-2": fi2, "constraint": constraint}
 
 
-def first_integral_check(c: CoefficientFields, kind: str, qn: float) -> ResidualReport:
-    return ResidualReport.from_fields(c.grid, first_integral_fields(c, kind, qn))
-
-
-def orthogonality_residual(c: CoefficientFields, qn: float) -> np.ndarray:
+def orthogonality_check(c: CoefficientFields, qn: float) -> dict[str, np.ndarray]:
     """Residual of Abar1 Ko + Ho Abar2 - qn A1 A2 (pure pointwise algebra).
 
     Evaluated as the 4-vector form H1 K2 + H2 K1 + H3 Kc + K3 Hc of the
@@ -394,8 +372,5 @@ def orthogonality_residual(c: CoefficientFields, qn: float) -> np.ndarray:
     A1, A2 = c.A1.values, c.A2.values
     Ho, Ko = c.Ho.values, c.Ko.values
     half = -0.5 * qn
-    return A1 * (half * A2) + (half * A1) * A2 + c.Abar1.values * Ko + c.Abar2.values * Ho
-
-
-def orthogonality_check(c: CoefficientFields, qn: float) -> ResidualReport:
-    return ResidualReport.from_fields(c.grid, {"orthogonality": orthogonality_residual(c, qn)})
+    res = A1 * (half * A2) + (half * A1) * A2 + c.Abar1.values * Ko + c.Abar2.values * Ho
+    return {"orthogonality": res}

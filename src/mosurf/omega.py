@@ -12,7 +12,7 @@ and no complex arithmetic is needed.
 
 The 4-vector orthogonality form H1 K2 + H2 K1 + H3 Kc + K3 Hc reduces on
 membrane data to Abar1 Ko + Ho Abar2 - qn A1 A2; that residual is the
-``orthogonality`` entry of the kernel (:func:`kernel.orthogonality_residual`).
+``orthogonality`` entry of the kernel (:func:`kernel.orthogonality_check`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import diff_x, diff_y
-from .kernel import EPS, CoefficientFields, GoverningFields, ResidualReport, principal_curvatures
+from .kernel import EPS, CoefficientFields, GoverningFields, principal_curvatures
 
 __all__ = ["omega_ratios"]
 
@@ -28,8 +28,8 @@ __all__ = ["omega_ratios"]
 EPS_UMBILIC = 1e-6
 
 
-def omega_ratio_fields(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarray]:
-    """Raw residual arrays of the curvature-ratio identities.
+def omega_ratios(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarray]:
+    """Residual arrays of the Omega-surface Corollary identities.
 
     Umbilic nodes (|kappa1 - kappa2| below ``EPS_UMBILIC`` relative to the
     curvature scale) are NaN; membrane O surfaces of either kind are
@@ -53,7 +53,3 @@ def omega_ratio_fields(c: CoefficientFields, g: GoverningFields) -> dict[str, np
     combined = diff_y(R1, grid) + eps * diff_x(R2, grid)
     return {"omega-1": R1 + eps * al_x, "omega-2": R2 - al_y, "omega-combined": combined}
 
-
-def omega_ratios(c: CoefficientFields, g: GoverningFields) -> ResidualReport:
-    """Residual report for the Omega-surface Corollary identities."""
-    return ResidualReport.from_fields(c.grid, omega_ratio_fields(c, g))

@@ -26,14 +26,14 @@ from .kernel import GoverningFields
 __all__ = [
     "SeedSpec",
     "FAMILY_KINDS",
-    "seed_cmc",
-    "seed_pseudospherical",
-    "seed_liouville",
     "generate_seed",
     "sinh_gordon_profile",
 ]
 
 FAMILY_KINDS = {"cmc": "first", "pseudospherical": "second", "liouville": "second"}
+
+#: RK4 steps of the cmc profile per grid interval (step dx/4)
+PROFILE_SUBSTEPS = 4
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,17 @@ class SeedSpec:
             raise FieldFormatError(f"bad seed header: {exc}") from exc
 
 
-def sinh_gordon_profile(
-    alpha0: float, x0: float, dx: float, nx: int, substeps: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node values ``(a, a')`` of ``a'' = -sinh(a) cosh(a)``, ``a(x0) = alpha0``, ``a'(x0) = 0``.
+def sinh_gordon_profile(alpha0: float, dx: float, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node values ``(a, a')`` of ``a'' = -sinh(a) cosh(a)``, ``a = alpha0``, ``a' = 0`` at node 0.
 
-    Classical RK4 with ``substeps`` steps per grid interval (step <= dx/4 by
-    default), so the ODE error is far below the finite-difference residual
-    tolerances used elsewhere. Conserves ``a'^2 + sinh^2 a`` to ~1e-12.
+    Classical RK4 with ``PROFILE_SUBSTEPS`` steps per grid interval, so the
+    ODE error is far below the finite-difference residual tolerances used
+    elsewhere. Conserves ``a'^2 + sinh^2 a`` to ~1e-12.
     """
     a = np.empty(nx)
     b = np.empty(nx)
     a[0], b[0] = alpha0, 0.0
-    h = dx / substeps
+    h = dx / PROFILE_SUBSTEPS
 
     # RK4 on Python floats; np.sinh/np.cosh rather than math's, which differ
     # from numpy's in the last bit on many inputs and would move every cmc seed
@@ -113,7 +111,7 @@ def sinh_gordon_profile(
 
     av, bv = float(alpha0), 0.0
     for i in range(1, nx):
-        for _ in range(substeps):
+        for _ in range(PROFILE_SUBSTEPS):
             k1a, k1b = rhs(av, bv)
             k2a, k2b = rhs(av + 0.5 * h * k1a, bv + 0.5 * h * k1b)
             k3a, k3b = rhs(av + 0.5 * h * k2a, bv + 0.5 * h * k2b)
@@ -124,19 +122,17 @@ def sinh_gordon_profile(
     return a, b
 
 
-def seed_cmc(spec: SeedSpec) -> GoverningFields:
+def _seed_cmc(spec: SeedSpec) -> GoverningFields:
     """Constant-mean-curvature seed of the 1st kind (xi = 0, h = 1).
 
     The stresses are isotropic and homogeneous, T1 = T2 = qn.
     """
-    if spec.family != "cmc":
-        raise ParameterError(f"seed_cmc called with family {spec.family!r}")
     if spec.alpha0 == 0.0:
         raise DegenerateSeedError(
             "alpha0 = 0 gives a flat degenerate seed (vanishing third fundamental form)"
         )
     g = spec.grid
-    profile, _ = sinh_gordon_profile(spec.alpha0, g.x0, g.dx, g.nx)
+    profile, _ = sinh_gordon_profile(spec.alpha0, g.dx, g.nx)
     alpha = np.repeat(profile[:, None], g.ny, axis=1)
     return GoverningFields(
         kind="first",
@@ -147,13 +143,11 @@ def seed_cmc(spec: SeedSpec) -> GoverningFields:
     )
 
 
-def seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
+def _seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
     """Sine-Gordon kink seed of the 2nd kind (xi = 0, h = 0).
 
     beta = 2 alpha is the Lorentz-boosted kink of ``beta_xx - beta_yy = sin beta``.
     """
-    if spec.family != "pseudospherical":
-        raise ParameterError(f"seed_pseudospherical called with family {spec.family!r}")
     if not abs(spec.v) < 1.0:
         raise ParameterError(f"kink velocity must satisfy |v| < 1, got {spec.v}")
     g = spec.grid
@@ -170,7 +164,7 @@ def seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
     )
 
 
-def seed_liouville(spec: SeedSpec) -> GoverningFields:
+def _seed_liouville(spec: SeedSpec) -> GoverningFields:
     """Separated Liouville seed of the 2nd kind (alpha = pi/4).
 
     ``u = exp(-xi) = a (x^2 + y^2) + 1/(8a)`` and
@@ -178,8 +172,6 @@ def seed_liouville(spec: SeedSpec) -> GoverningFields:
     With c1 = 0 the column x = 0 has h = 1, where the stress T1 is singular;
     a small negative c1 (> -1/(4a)) keeps the whole grid regular.
     """
-    if spec.family != "liouville":
-        raise ParameterError(f"seed_liouville called with family {spec.family!r}")
     if not spec.a > 0.0:
         raise ParameterError(f"liouville coefficient a must be positive, got {spec.a}")
     g = spec.grid
@@ -199,9 +191,9 @@ def seed_liouville(spec: SeedSpec) -> GoverningFields:
 
 
 _GENERATORS = {
-    "cmc": seed_cmc,
-    "pseudospherical": seed_pseudospherical,
-    "liouville": seed_liouville,
+    "cmc": _seed_cmc,
+    "pseudospherical": _seed_pseudospherical,
+    "liouville": _seed_liouville,
 }
 
 

@@ -20,6 +20,7 @@ from .kernel import (
     gauss_codazzi_residuals,
     governing_residuals,
     orthogonality_check,
+    residual_stats,
     stresses,
 )
 from .omega import omega_ratios
@@ -72,16 +73,25 @@ ALGEBRAIC_EQUATIONS = (
 
 
 def verify_governing(g: GoverningFields) -> ResidualReport:
-    """Evaluate all 19 registry residuals for one governing triple."""
+    """All 19 registry residuals of one governing triple, then ``omega-combined``.
+
+    Each family is reduced to norms before the next one runs, which bounds
+    the peak memory by one family's residual arrays.
+    """
     c = coefficients_from_governing(g)
     s = stresses(g)
-    report = governing_residuals(g)
-    report.merge(gauss_codazzi_residuals(c))
-    report.merge(equilibrium_residuals(c, s, g.qn))
-    report.merge(first_integral_check(c, g.kind, g.qn))
-    report.merge(orthogonality_check(c, g.qn))
-    # the merge order is the registry order, then "omega-combined"
-    return report.merge(omega_ratios(c, g))
+    families = (
+        lambda: governing_residuals(g),
+        lambda: gauss_codazzi_residuals(c),
+        lambda: equilibrium_residuals(c, s, g.qn),
+        lambda: first_integral_check(c, g.kind, g.qn),
+        lambda: orthogonality_check(c, g.qn),
+        lambda: omega_ratios(c, g),
+    )
+    report = ResidualReport(g.grid)
+    for family in families:
+        report.entries.update((name, residual_stats(v, g.grid)) for name, v in family().items())
+    return report
 
 
 #: residual norms at or below this are treated as exact (no error term)

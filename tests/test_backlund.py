@@ -19,7 +19,7 @@ from mosurf.backlund import (
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, ScalarField
 from mosurf.frames import integrate_frame, mesh_curvatures, reconstruct_surfaces
-from mosurf.kernel import coefficients_from_governing, governing_residuals
+from mosurf.kernel import ResidualReport, coefficients_from_governing, governing_residuals
 from mosurf.seeds import SeedSpec, generate_seed
 
 I3 = np.eye(3)
@@ -254,7 +254,8 @@ def test_kind_preservation_residual_order(seed_fn, params):
     linfs = []
     for n in (101, 201):
         res = apply_backlund(seed_fn(n=n), **params)
-        rep = governing_residuals(res.primed_governing)
+        rep = ResidualReport.from_fields(res.primed_governing.grid,
+                                         governing_residuals(res.primed_governing))
         linfs.append(max(s.linf for s in rep.entries.values()))
     assert 1.8 <= np.log2(linfs[0] / linfs[1]) <= 2.2
 
@@ -306,7 +307,7 @@ def test_bianchi_darboux_output_is_cmc():
     # mesh keeps mean curvature -1/2
     g = cmc(n=101)
     bd = bianchi_darboux(g, mbar=1.0)
-    rep = governing_residuals(bd.primed_governing)
+    rep = ResidualReport.from_fields(g.grid, governing_residuals(bd.primed_governing))
     assert rep["governing-1"].linf < 1e-10
     assert rep["governing-2"].linf < 1e-10
     assert rep["governing-3"].linf < 100 * g.grid.hmax**2

@@ -387,8 +387,10 @@ def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     lambda seed: seed["domain"].__setitem__(1, 10**400),  # float() overflows
     lambda seed: seed["domain"].__setitem__(1, float("inf")),
     lambda seed: seed.update(alpha0=float("nan")),
+    lambda seed: seed.update(alpha0=0.0),  # parses, but gives no seed
+    lambda seed: seed.update(family="pseudospherical", v=1.5),
 ], ids=["no-domain", "no-alpha0", "qn-text", "short-domain", "unknown-family",
-        "huge-int-domain", "infinite-domain", "nan-alpha0"])
+        "huge-int-domain", "infinite-domain", "nan-alpha0", "alpha0-zero", "kink-v"])
 def test_cli_verify_refine_bad_seed_header_exit_code(tmp_path, capsys, corrupt):
     out = tmp_path / "f.json"
     run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
@@ -398,7 +400,8 @@ def test_cli_verify_refine_bad_seed_header_exit_code(tmp_path, capsys, corrupt):
     out.write_text(json.dumps(doc))
     assert run(["verify", str(out)]) == 0
     assert run(["verify", str(out), "--refine", "1"]) == 2
-    assert capsys.readouterr().err.startswith("mosurf: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("mosurf: error:") and err.count("mosurf: error:") == 1
 
 
 def test_cli_reconstruct_outputs(tmp_path):
@@ -545,13 +548,25 @@ def test_cli_primed_file_round_trips_and_chains(tmp_path):
 
 
 def test_cli_omega_report(tmp_path):
-    src = tmp_path / "cmc.json"
-    rep = tmp_path / "rep.json"
-    run(["seed", "--family", "cmc", "--domain", "0:2:0:2",
-         "--nx", "51", "--ny", "51", "-o", str(src)])
-    assert run(["omega", str(src), "--report", str(rep)]) == 0
-    doc = json.loads(rep.read_text())
-    assert doc["diagnostics"]["umbilic_flagged"] == 0
+    # omega and verify each build their own report from omega_ratios; their
+    # omega entries agree on a cmc file and on a kink file
+    for flags in (["--family", "cmc", "--domain", "0:2:0:2"],
+                  ["--family", "pseudospherical", "--v", "0.3", "--domain", "-3:3:-3:3"]):
+        src = tmp_path / "f.json"
+        rep = tmp_path / "rep.json"
+        vrep = tmp_path / "vrep.json"
+        run(["seed", *flags, "--nx", "51", "--ny", "51", "-o", str(src)])
+        assert run(["omega", str(src), "--report", str(rep)]) == 0
+        assert run(["verify", str(src), "--report", str(vrep)]) == 0
+        doc = json.loads(rep.read_text())
+        omega = doc["equations"]
+        verify = json.loads(vrep.read_text())["equations"]
+        assert list(omega) == ["omega-1", "omega-2", "omega-combined"]
+        assert omega == {name: verify[name] for name in omega}, flags
+        assert omega["omega-1"]["linf"] > 0.0
+        assert doc["diagnostics"]["umbilic_flagged"] == omega["omega-1"]["excluded"]
+        if flags[1] == "cmc":
+            assert doc["diagnostics"]["umbilic_flagged"] == 0
 
 
 def test_cli_verify_failed_gate_exits_4(tmp_path, capsys):

@@ -16,7 +16,7 @@ from mosurf.frames import (
 from mosurf.kernel import (
     CoefficientFields,
     coefficients_from_governing,
-    gauss_codazzi_residual_fields,
+    gauss_codazzi_residuals,
 )
 from mosurf.seeds import SeedSpec, generate_seed
 
@@ -117,7 +117,7 @@ def test_path_independence_order_and_negative_control():
 def zero_curvature_residual(c):
     """Max-abs of the independent entries of U_y - V_x + VU - UV: the
     Mainardi-Codazzi and Gauss entries of the kernel registry."""
-    res = gauss_codazzi_residual_fields(c)
+    res = gauss_codazzi_residuals(c)
     return np.maximum.reduce([np.abs(res[k]) for k in ("gauss", "codazzi-H", "codazzi-K")])
 
 

@@ -12,12 +12,9 @@ from mosurf.kernel import (
     coefficients_from_governing,
     equilibrium_residuals,
     first_integral_check,
-    first_integral_fields,
-    gauss_codazzi_residual_fields,
     gauss_codazzi_residuals,
     governing_residuals,
     orthogonality_check,
-    orthogonality_residual,
     principal_curvatures,
     residual_stats,
     second_fundamental_form,
@@ -149,7 +146,7 @@ def test_curvatures_match_second_form():
 
 def test_cmc_governing_residuals():
     g = cmc_seed(n=201)
-    rep = governing_residuals(g)
+    rep = ResidualReport.from_fields(g.grid, governing_residuals(g))
     assert rep["governing-1"].linf == 0.0  # h and xi are exactly constant
     assert rep["governing-2"].linf == 0.0
     assert rep["governing-3"].linf < 1e-3
@@ -159,7 +156,7 @@ def test_gauss_codazzi_flat_plane_limit():
     one = ScalarField.constant(GRID, 1.0)
     zero = ScalarField.zeros(GRID)
     c = CoefficientFields(GRID, one, one, zero, zero, one, one, zero, zero)
-    fields = gauss_codazzi_residual_fields(c)
+    fields = gauss_codazzi_residuals(c)
     for name, values in fields.items():
         assert np.all(values == 0.0), name
 
@@ -169,7 +166,7 @@ def test_gauss_codazzi_dual_residual_scales_with_qn():
     # qn times the metric net residual on the cmc family (Abar = qn A)
     g = cmc_seed(n=51, qn=2.0)
     c = coefficients_from_governing(g)
-    fields = gauss_codazzi_residual_fields(c)
+    fields = gauss_codazzi_residuals(c)
     assert np.array_equal(fields["net-Abar2"], 2.0 * fields["net-A2"])
     assert np.array_equal(fields["net-Abar1"], 2.0 * fields["net-A1"])
 
@@ -178,7 +175,7 @@ def test_equilibrium_cmc_exact():
     g = cmc_seed(n=101)
     c = coefficients_from_governing(g)
     s = stresses(g)
-    rep = equilibrium_residuals(c, s, g.qn)
+    rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, s, g.qn))
     assert rep["equilibrium-1"].linf == 0.0
     assert rep["equilibrium-2"].linf == 0.0
     assert rep["equilibrium-3"].linf < 1e-12
@@ -192,7 +189,7 @@ def test_equilibrium_pseudospherical_converges():
         )
         c = coefficients_from_governing(g)
         s = stresses(g)
-        rep = equilibrium_residuals(c, s, g.qn)
+        rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, s, g.qn))
         linfs.append(max(rep["equilibrium-1"].linf, rep["equilibrium-2"].linf))
     assert linfs[1] < 50 * (0.005) ** 2
     assert 1.8 <= np.log2(linfs[0] / linfs[1]) <= 2.2
@@ -214,7 +211,7 @@ def test_first_integral_constraint_is_algebraic_identity():
         sign = -1.0 if kind == "first" else 1.0
         cross = c.Ho.values * c.A2.values - c.Ko.values * c.A1.values
         assert np.allclose(cross, sign * np.exp(g.xi.values), rtol=1e-13)
-        res = first_integral_fields(c, kind, g.qn)
+        res = first_integral_check(c, kind, g.qn)
         assert np.max(np.abs(res["constraint"])) < 1e-12
 
 
@@ -225,7 +222,7 @@ def test_first_integrals_on_cmc():
     # 2 Abar1 Ho - qn A1^2 = -qn exactly on this family
     lhs = 2.0 * c.Abar1.values * c.Ho.values - qn * c.A1.values**2
     assert np.allclose(lhs, -qn, rtol=1e-13)
-    rep = first_integral_check(c, "first", qn)
+    rep = ResidualReport.from_fields(g.grid, first_integral_check(c, "first", qn))
     assert rep["first-integral-1"].linf < 1e-12
     assert rep["first-integral-2"].linf < 1e-12
 
@@ -240,20 +237,20 @@ def test_first_integral_second_kind_point():
 def test_orthogonality_identities():
     g = cmc_seed(n=51)
     c = coefficients_from_governing(g)
-    rep = orthogonality_check(c, g.qn)
+    rep = ResidualReport.from_fields(g.grid, orthogonality_check(c, g.qn))
     assert rep["orthogonality"].linf < 1e-12
 
 
 def test_orthogonality_linear_in_abar1():
     g = cmc_seed(n=21, dom=(0, 1, 0, 1))
     c = coefficients_from_governing(g)
-    base = orthogonality_residual(c, g.qn)
+    base = orthogonality_check(c, g.qn)["orthogonality"]
     delta = 0.125
     bumped = c.Abar1.values.copy()
     bumped[10, 10] += delta
     c2 = CoefficientFields(c.grid, c.A1, c.A2, c.Ho, c.Ko,
                            ScalarField(c.grid, bumped), c.Abar2, c.p, c.q)
-    diff = orthogonality_residual(c2, g.qn) - base
+    diff = orthogonality_check(c2, g.qn)["orthogonality"] - base
     assert diff[10, 10] == pytest.approx(delta * c.Ko.values[10, 10], rel=1e-12)
     diff[10, 10] = 0.0
     assert np.all(diff == 0.0)
@@ -274,15 +271,6 @@ def test_residual_stats_margin_and_nan_exclusion():
     st3 = residual_stats(np.full(grid.shape, np.nan), grid)
     assert st3.linf == 0.0 and st3.l2 == 0.0
     assert st3.excluded == 25  # 5x5 core
-
-
-def test_report_merge_and_lookup():
-    grid = GRID
-    r1 = ResidualReport.from_fields(grid, {"a": np.zeros(grid.shape)})
-    r2 = ResidualReport.from_fields(grid, {"b": np.full(grid.shape, 2.0)})
-    r1.merge(r2)
-    assert set(r1.entries) == {"a", "b"}
-    assert r1["b"].linf == 2.0
 
 
 @pytest.mark.parametrize("family, kw", [("cmc", dict(alpha0=1.0)),

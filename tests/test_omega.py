@@ -3,8 +3,8 @@
 import numpy as np
 
 from mosurf.fields import Grid2D, ScalarField
-from mosurf.kernel import GoverningFields, coefficients_from_governing
-from mosurf.omega import omega_ratio_fields, omega_ratios
+from mosurf.kernel import GoverningFields, ResidualReport, coefficients_from_governing
+from mosurf.omega import omega_ratios
 from mosurf.seeds import SeedSpec, generate_seed
 
 
@@ -16,7 +16,7 @@ def test_cmc_ratio_residuals_converge():
     linfs = []
     for n in (101, 201):
         g = seed("cmc", (0, 2, 0, 2), n=n, alpha0=1.0)
-        rep = omega_ratios(coefficients_from_governing(g), g)
+        rep = ResidualReport.from_fields(g.grid, omega_ratios(coefficients_from_governing(g), g))
         linfs.append(rep["omega-1"].linf)
         # alpha independent of y: the second ratio identity is exact
         assert rep["omega-2"].linf == 0.0
@@ -28,7 +28,7 @@ def test_pseudospherical_ratio_residuals_converge():
     linfs = []
     for n in (101, 201):
         g = seed("pseudospherical", (0.7, 1.3, -0.5, 0.5), n=n, v=0.3)
-        rep = omega_ratios(coefficients_from_governing(g), g)
+        rep = ResidualReport.from_fields(g.grid, omega_ratios(coefficients_from_governing(g), g))
         linfs.append(max(rep["omega-1"].linf, rep["omega-2"].linf))
         assert rep["omega-combined"].excluded == 0
         # (R1)_y - (R2)_x = 0; the 1st kind's + sign would leave an O(1)
@@ -41,7 +41,7 @@ def test_liouville_ratios_vanish_to_roundoff():
     # planar curvature lines: kappa1 is independent of x and kappa2 of y, so
     # both ratio residuals are zero up to rounding noise in the FD quotients
     g = seed("liouville", (-1, 1, -1, 1), n=51, a=0.5, c1=-0.2)
-    rep = omega_ratios(coefficients_from_governing(g), g)
+    rep = ResidualReport.from_fields(g.grid, omega_ratios(coefficients_from_governing(g), g))
     assert rep["omega-1"].linf < 1e-12
     assert rep["omega-2"].linf < 1e-12
 
@@ -55,7 +55,7 @@ def test_constant_coefficient_field_gives_zero_ratios():
         xi=ScalarField.constant(grid, 0.2),
         h=ScalarField.constant(grid, 0.3),
     )
-    fields = omega_ratio_fields(coefficients_from_governing(g), g)
+    fields = omega_ratios(coefficients_from_governing(g), g)
     for name, values in fields.items():
         assert np.all(values == 0.0), name
 
@@ -69,6 +69,6 @@ def test_umbilic_nodes_are_flagged():
 
     c = CoefficientFields(grid, one, one, one, one, one, one, zero, zero)
     g = GoverningFields(kind="first", qn=1.0, alpha=one, xi=zero, h=zero)
-    rep = omega_ratios(c, g)
+    rep = ResidualReport.from_fields(grid, omega_ratios(c, g))
     assert rep["omega-1"].excluded == 25  # whole 5x5 reporting core
     assert rep["omega-1"].linf == 0.0
