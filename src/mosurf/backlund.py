@@ -13,12 +13,13 @@ truncation.  The transformation itself is pointwise algebra:
     r' = r - (phi / (m omega nu)) (lambda X + mu Y + omega N),
 
 with the coefficient update Hvec' = Hvec - (H/M) Mvec, Kvec' = Kvec - (K/M) Mvec,
-Mvec = (omega, phi, chi), M = m omega nu.  The new governing fields
-(xi', alpha', h') follow from closed forms written with the kind's sign
-eps (:data:`kernel.EPS`) and satisfy the same governing system (kind
-preservation), which the tests verify as residuals.  Primed fields are NaN
-where the transform is undefined; field files keep those nodes as flagged
-ones, so a primed file is valid input to a second transform.
+Mvec = (omega, phi, chi), M = m omega nu.  :class:`LaxFields` holds w, nu and
+M as read-only arrays.  The new governing fields (xi', alpha', h') follow from
+closed forms written with the kind's sign eps (:data:`kernel.EPS`) and
+satisfy the same governing system (kind preservation), which the tests verify
+as residuals.  Primed fields are NaN where the transform is undefined; field
+files keep those nodes as flagged ones, so a primed file is valid input to a
+second transform.
 
 The classical Bianchi-Darboux transformation of a cmc background sweeps the
 same Lax system on its reduction chi = qn phi, which is measured, not assumed.
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError, SingularGridError
-from .fields import Grid2D, ScalarField, Vec3Field
+from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays
 from .kernel import EPS, CoefficientFields, GoverningFields, coefficients_from_governing
 from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
 from .sweep import sweep_grid
@@ -83,19 +84,20 @@ class LaxFields:
     when only one order was swept (Bianchi-Darboux).
     """
 
-    grid: Grid2D
     m: float
     qn: float
-    lam: ScalarField
-    mu: ScalarField
-    omega: ScalarField
-    phi: ScalarField
-    chi: ScalarField
-    nu: ScalarField
-    bigM: ScalarField
+    lam: np.ndarray = dc_field(repr=False)
+    mu: np.ndarray = dc_field(repr=False)
+    omega: np.ndarray = dc_field(repr=False)
+    phi: np.ndarray = dc_field(repr=False)
+    chi: np.ndarray = dc_field(repr=False)
+    nu: np.ndarray = dc_field(repr=False)
+    bigM: np.ndarray = dc_field(repr=False)
     singular: np.ndarray = dc_field(repr=False)
     constraint_drift: float
     path_independence: float | None
+
+    __post_init__ = freeze_arrays
 
     @property
     def n_singular(self) -> int:
@@ -106,7 +108,6 @@ class LaxFields:
 class PrimedUpdate:
     """Raw coefficient update Hvec' = Hvec - (H/M) Mvec (theorem sign conventions)."""
 
-    grid: Grid2D
     Ho: np.ndarray
     A1: np.ndarray
     Abar1: np.ndarray
@@ -185,21 +186,20 @@ def _sweep_lax(
     c: CoefficientFields, qn: float, m: float, init: np.ndarray, order: str = "xy"
 ) -> np.ndarray:
     """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node."""
-    cx = (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values)
-    cy = (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values)
+    cx = (c.p, c.Ho, c.A1, c.Abar1)
+    cy = (c.q, c.Ko, c.A2, c.Abar2)
     gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
     return sweep_grid(c.grid, cx, gx, cy, gy, init, order=order, substeps=lax_substeps(c.grid))
 
 
-def _lax_fields(
-    grid: Grid2D, m: float, qn: float, w: np.ndarray, path_err: float | None
-) -> LaxFields:
+def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> LaxFields:
     """nu, M, the singular mask and the quadric drift of a Lax solution ``w``.
 
     The drift is taken relative to the quadric's magnitude at the origin
     node, where the solution holds its initial vector.
     """
-    lam, mu, om, ph, ch = (w[:, :, k] for k in range(5))
+    # one component-major copy: contiguous components compute faster than strided views
+    lam, mu, om, ph, ch = np.moveaxis(w, 2, 0).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = ch - qn * ph * ph / (2.0 * om)
     bigM = m * om * nu
@@ -215,11 +215,7 @@ def _lax_fields(
     q0 = abs(2.0 * m * om[0, 0] * ch[0, 0] - m * qn * ph[0, 0] ** 2)
     scale = q0 if q0 > 0 else 1.0
     drift = float(np.max(np.abs(quad), where=np.isfinite(quad), initial=0.0)) / scale
-    f = lambda v: ScalarField(grid, v)
-    return LaxFields(
-        grid, m, qn, f(lam), f(mu), f(om), f(ph), f(ch), f(nu), f(bigM),
-        singular, drift, path_err,
-    )
+    return LaxFields(m, qn, lam, mu, om, ph, ch, nu, bigM, singular, drift, path_err)
 
 
 def integrate_lax(
@@ -244,7 +240,8 @@ def integrate_lax(
     alt = _sweep_lax(c, qn, m, init, order="yx")
     with np.errstate(invalid="ignore"):
         path_err = float(np.nanmax(np.abs(out - alt)))
-    return _lax_fields(c.grid, m, qn, out, path_err)
+    del alt
+    return _lax_fields(m, qn, out, path_err)
 
 
 def _nanwhere(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -256,12 +253,12 @@ def backlund_surface(s: SurfaceTriple, f: FrameGrid, lx: LaxFields) -> Vec3Field
     X = f.frames[:, :, :, 0]
     Y = f.frames[:, :, :, 1]
     N = f.frames[:, :, :, 2]
-    lam = lx.lam.values[:, :, None]
-    mu = lx.mu.values[:, :, None]
-    om = lx.omega.values[:, :, None]
+    lam = lx.lam[:, :, None]
+    mu = lx.mu[:, :, None]
+    om = lx.omega[:, :, None]
     direction = lam * X + mu * Y + om * N
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = lx.phi.values / lx.bigM.values
+        factor = lx.phi / lx.bigM
     factor = _nanwhere(lx.singular, factor)
     return Vec3Field(s.r.grid, s.r.values - factor[:, :, None] * direction)
 
@@ -275,12 +272,8 @@ def backlund_coefficients(
     K analogue; then every component of Hvec, Kvec is shifted by
     -(H/M) Mvec resp. -(K/M) Mvec with Mvec = (omega, phi, chi).
     """
-    om, ph, ch = lx.omega.values, lx.phi.values, lx.chi.values
-    nu, bigM = lx.nu.values, lx.bigM.values
-    m = lx.m
-    Ho, Ko = c.Ho.values, c.Ko.values
-    A1, A2 = c.A1.values, c.A2.values
-    Ab1, Ab2 = c.Abar1.values, c.Abar2.values
+    om, ph, ch, nu, bigM, m = lx.omega, lx.phi, lx.chi, lx.nu, lx.bigM, lx.m
+    Ho, Ko, A1, A2, Ab1, Ab2 = c.Ho, c.Ko, c.A1, c.A2, c.Abar1, c.Abar2
     with np.errstate(divide="ignore", invalid="ignore"):
         H = m * (nu * Ho + om * Ab1 - qn * ph * A1 + qn * ph * ph * Ho / (2.0 * om))
         K = m * (nu * Ko + om * Ab2 - qn * ph * A2 + qn * ph * ph * Ko / (2.0 * om))
@@ -290,7 +283,6 @@ def backlund_coefficients(
     rH = _nanwhere(mask, rH)
     rK = _nanwhere(mask, rK)
     return PrimedUpdate(
-        c.grid,
         Ho=Ho - rH * om, A1=A1 - rH * ph, Abar1=Ab1 - rH * ch,
         Ko=Ko - rK * om, A2=A2 - rK * ph, Abar2=Ab2 - rK * ch,
         mask=mask,
@@ -311,7 +303,7 @@ def backlund_governing(
     qn = g.qn
     eps = EPS[g.kind]
     al, xi, h = g.alpha.values, g.xi.values, g.h.values
-    om, ph, nu = lx.omega.values, lx.phi.values, lx.nu.values
+    om, ph, nu = lx.omega, lx.phi, lx.nu
     with np.errstate(divide="ignore", invalid="ignore"):
         t = h - (ph / om) * np.exp(xi)
         ex_p = 0.5 * qn * (om / nu) * np.exp(-xi) * (1.0 - eps * t * t)
@@ -415,7 +407,7 @@ def bianchi_darboux(
 
     c = coefficients_from_governing(g)
     init = admissible_initial(m, qn, lambda0, omega0, phi0)
-    lx = _lax_fields(g.grid, m, qn, _sweep_lax(c, qn, m, init), None)
+    lx = _lax_fields(m, qn, _sweep_lax(c, qn, m, init), None)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
 
@@ -440,7 +432,7 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
         raise SingularGridError("no valid nodes after the Backlund transformation")
     cp = res.primed_coefficients
     eps = EPS[res.primed_governing.kind]
-    thm = (cp.A1.values, -eps * cp.A2.values, cp.Ho.values, -eps * cp.Ko.values)
+    thm = (cp.A1, -eps * cp.A2, cp.Ho, -eps * cp.Ko)
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
     out = {
         "constraint_drift": res.lax.constraint_drift,
@@ -463,11 +455,11 @@ def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[
     """
     gp = res.primed_governing
     ok = ~(res.branch_invalid | res.lax.singular)
-    phi = res.lax.phi.values
-    sigma = phi - 2.0 * res.lax.omega.values
+    phi = res.lax.phi
+    sigma = phi - 2.0 * res.lax.omega
     with np.errstate(divide="ignore", invalid="ignore"):
         e_alpha_dev = np.exp(gp.alpha.values) + (phi / sigma) * np.exp(-g.alpha.values)
-    chi_dev = res.lax.chi.values - res.lax.qn * phi
+    chi_dev = res.lax.chi - res.lax.qn * phi
     return {
         "e_xi_prime_max_dev": float(np.nanmax(np.abs(np.exp(gp.xi.values) - 1.0)[ok])),
         "h_prime_max_dev": float(np.nanmax(np.abs(gp.h.values - 1.0)[ok])),

@@ -218,9 +218,7 @@ def _cmd_reconstruct(args) -> int:
         {
             "x": g.grid.meshgrid()[0], "y": g.grid.meshgrid()[1],
             "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
-            "A1": c.A1.values, "A2": c.A2.values,
-            "Ho": c.Ho.values, "Ko": c.Ko.values,
-            "T1": s.T1.values, "T2": s.T2.values,
+            "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": s.T1, "T2": s.T2,
         },
     )
     diag = {
@@ -247,7 +245,7 @@ def _cmd_stress(args) -> int:
     g, _ = read_field_file(args.fieldfile)
     s = stresses(g)
     X, Y = g.grid.meshgrid()
-    write_table(args.out, g.grid, {"x": X, "y": Y, "T1": s.T1.values, "T2": s.T2.values})
+    write_table(args.out, g.grid, {"x": X, "y": Y, "T1": s.T1, "T2": s.T2})
     n_flag = int(s.flagged.sum())
     print(f"stress kind={g.kind} qn={g.qn} grid={g.grid.nx}x{g.grid.ny} "
           f"flagged={n_flag} -> {args.out}")
@@ -275,7 +273,7 @@ def _cmd_backlund(args) -> int:
         res = apply_backlund(g, args.m, lam0, om0, ph0)
     checks = transform_diagnostics(res)  # raises when no node is valid
     # the initial vector as swept: Bianchi-Darboux solves its own phi0
-    init = [v.values[0, 0] for v in (res.lax.lam, res.lax.omega, res.lax.phi)]
+    init = [v[0, 0] for v in (res.lax.lam, res.lax.omega, res.lax.phi)]
     diag: dict[str, object] = {"m": args.m, "init": init}
     if args.bianchi_darboux:
         diag.update(mbar=mbar, **bianchi_darboux_identities(g, res))

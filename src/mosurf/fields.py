@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * a field value array has shape ``(nx, ny)`` and is indexed ``[i, j]`` with
   ``i`` the x index and ``j`` the y index;
 * serialization is row-major in x-fastest order, i.e. ``values.ravel(order="F")``;
-* fields are immutable after construction, every operation returns a new field.
+* :class:`ScalarField` and :class:`Vec3Field` copy and freeze their values; the
+  internal bundles hold read-only views of the arrays they built (:func:`freeze_arrays`).
 
 Derivatives are second-order central stencils in the interior with
 second-order one-sided closures on the boundary rows/columns, so every
@@ -14,7 +15,7 @@ derivative-based residual in the package is uniformly O(h^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "Vec3Field",
     "partial_x",
     "partial_y",
+    "freeze_arrays",
 ]
 
 
@@ -95,6 +97,14 @@ class Grid2D:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def freeze_arrays(bundle) -> None:
+    """``__post_init__`` of a frozen dataclass: its arrays become read-only views."""
+    for f in fields(bundle):
+        v = getattr(bundle, f.name)
+        if isinstance(v, np.ndarray):
+            object.__setattr__(bundle, f.name, _freeze(v.view()))
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,7 @@ def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -
     accuracy diagnostic.
     """
     phi0 = _check_rotation(phi0)
-    frames = sweep_grid(c.grid, (c.p.values, c.Ho.values), _skew_x,
-                        (c.q.values, c.Ko.values), _skew_y, phi0, order=order)
+    frames = sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, phi0, order=order)
     return FrameGrid(c.grid, frames)
 
 
@@ -183,8 +182,8 @@ def reconstruct_surfaces(
     state0 = np.hstack([phi0, phi0[:, 2:], np.zeros((3, 2))])  # (Phi | N, r, rbar)
     out = sweep_grid(
         c.grid,
-        (c.p.values, c.Ho.values, c.A1.values, c.Abar1.values), _with_triple_x,
-        (c.q.values, c.Ko.values, c.A2.values, c.Abar2.values), _with_triple_y,
+        (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
+        (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
         state0,
     )
     # the fields take contiguous copies of the triple columns; the sweep

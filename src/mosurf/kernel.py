@@ -12,6 +12,8 @@ maps them to
   Abar1 = T2 A1, Abar2 = T1 A2,
 * net rotation coefficients p, q,
 
+held as read-only arrays by :class:`CoefficientFields` and
+:class:`StressFields`, each built once and never copied,
 and evaluates every equation of the theory, one function per family that
 returns its residual arrays by registry name: the governing system, the
 Mainardi-Codazzi/net/Gauss relations, the membrane equilibrium equations,
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ParameterError
-from .fields import Grid2D, ScalarField, diff_x, diff_y
+from .fields import Grid2D, ScalarField, diff_x, diff_y, freeze_arrays
 
 __all__ = [
     "GoverningFields",
@@ -90,25 +92,23 @@ class GoverningFields:
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Fundamental-form, dual and rotation coefficients on one grid.
+    """Fundamental-form, dual and rotation coefficients on one grid, read-only.
 
     ``flagged`` marks nodes where a guard tripped; their values are NaN.
     """
 
     grid: Grid2D
-    A1: ScalarField
-    A2: ScalarField
-    Ho: ScalarField
-    Ko: ScalarField
-    Abar1: ScalarField
-    Abar2: ScalarField
-    p: ScalarField
-    q: ScalarField
-    flagged: np.ndarray = dc_field(repr=False, default=None)
+    A1: np.ndarray = dc_field(repr=False)
+    A2: np.ndarray = dc_field(repr=False)
+    Ho: np.ndarray = dc_field(repr=False)
+    Ko: np.ndarray = dc_field(repr=False)
+    Abar1: np.ndarray = dc_field(repr=False)
+    Abar2: np.ndarray = dc_field(repr=False)
+    p: np.ndarray = dc_field(repr=False)
+    q: np.ndarray = dc_field(repr=False)
+    flagged: np.ndarray = dc_field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.flagged is None:
-            object.__setattr__(self, "flagged", np.zeros(self.grid.shape, dtype=bool))
+    __post_init__ = freeze_arrays
 
     @property
     def n_flagged(self) -> int:
@@ -117,12 +117,14 @@ class CoefficientFields:
 
 @dataclass(frozen=True)
 class StressFields:
-    """In-plane normal stress resultants T1, T2 (units of qn * length)."""
+    """In-plane normal stress resultants T1, T2 (units of qn * length), read-only."""
 
     grid: Grid2D
-    T1: ScalarField
-    T2: ScalarField
+    T1: np.ndarray = dc_field(repr=False)
+    T2: np.ndarray = dc_field(repr=False)
     flagged: np.ndarray = dc_field(repr=False)
+
+    __post_init__ = freeze_arrays
 
 
 @dataclass(frozen=True)
@@ -184,33 +186,25 @@ def _sc(kind: str, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return np.sin(alpha), np.cos(alpha), EPS[kind]
 
 
-def _stress_arrays(
-    g: GoverningFields,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T1, T2 and the guard mask, evaluated pointwise from the closed formulas."""
-    al = g.alpha.values
-    xi = g.xi.values
-    h = g.h.values
+def stresses(g: GoverningFields) -> StressFields:
+    """Stress resultants of the membrane; vanishing denominators are flagged (NaN)."""
+    al, xi, h = g.alpha.values, g.xi.values, g.h.values
     qn = g.qn
     S, C, eps = _sc(g.kind, al)
     num1 = 2.0 * h * S + (1.0 + eps * h * h) * C
     num2 = 2.0 * h * C + (eps + h * h) * S
     den1 = S + eps * h * C  # = A2
     den2 = C + h * S  # = A1
+    del S, C
     bad = (np.abs(den1) < EPS_DIV) | (np.abs(den2) < EPS_DIV)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the parenthesized ratio keeps T1 = T2 = qn bit-exact on the cmc family
-        T1 = 0.5 * qn * np.exp(-xi) * (num1 / den1)
-        T2 = 0.5 * qn * np.exp(-xi) * (num2 / den2)
-    T1 = np.where(bad, np.nan, T1)
-    T2 = np.where(bad, np.nan, T2)
-    return T1, T2, bad
-
-
-def stresses(g: GoverningFields) -> StressFields:
-    """Stress resultants of the membrane; vanishing denominators are flagged."""
-    T1, T2, bad = _stress_arrays(g)
-    return StressFields(g.grid, ScalarField(g.grid, T1), ScalarField(g.grid, T2), bad)
+        half_load = 0.5 * qn * np.exp(-xi)
+        T1 = half_load * (num1 / den1)
+        T2 = half_load * (num2 / den2)
+    T1[bad] = np.nan
+    T2[bad] = np.nan
+    return StressFields(g.grid, T1, T2, bad)
 
 
 def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
@@ -221,35 +215,36 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     (S/C is evaluated as tanh(alpha) for the 1st kind),
     rather than discrete ratios like (A1)_y / A2; the discrete ratios are kept
     as residual checks in :func:`gauss_codazzi_residuals` so the two routes
-    stay independent.
+    stay independent.  Every array is built once and kept as it is built.
     """
     grid = g.grid
-    al = g.alpha.values
-    xi = g.xi.values
-    h = g.h.values
+    al, xi, h = g.alpha.values, g.xi.values, g.h.values
     S, C, eps = _sc(g.kind, al)
-    ex = np.exp(xi)
-    al_x, al_y = diff_x(al, grid), diff_y(al, grid)
-    xi_x, xi_y = diff_x(xi, grid), diff_y(xi, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         A1 = C + h * S
         A2 = S + eps * h * C
+        ex = np.exp(xi)
         Ho = ex * S
         Ko = eps * ex * C
+        del ex
         # tanh(alpha) rather than S/C for the 1st kind: they differ in the last bits
-        p = eps * (al_y + xi_y * (np.tanh(al) if g.kind == "first" else S / C))
-        q = al_x + eps * xi_x * (C / S)
-    T1, T2, bad = _stress_arrays(g)
-    Abar1 = T2 * A1
-    Abar2 = T1 * A2
+        ratio = np.tanh(al) if g.kind == "first" else S / C
+        p = eps * (diff_y(al, grid) + diff_y(xi, grid) * ratio)
+        del ratio
+        q = diff_x(al, grid) + eps * diff_x(xi, grid) * (C / S)
+        del S, C
+    s = stresses(g)
+    Abar1 = s.T2 * A1
+    Abar2 = s.T1 * A2
     # NaN sentinels stay local to the field they break: a stress singularity
     # poisons Abar1/Abar2 but leaves the frame coefficients p, q, Ho, Ko usable.
-    fields = [np.where(np.isfinite(v), v, np.nan) for v in (A1, A2, Ho, Ko, Abar1, Abar2, p, q)]
-    flagged = bad.copy()
-    for arr in fields:
-        flagged |= np.isnan(arr)
-    f = lambda v: ScalarField(grid, v)
-    return CoefficientFields(grid, *[f(v) for v in fields], flagged)
+    flagged = s.flagged.copy()
+    del s
+    for v in (A1, A2, Ho, Ko, Abar1, Abar2, p, q):
+        bad = ~np.isfinite(v)
+        v[bad] = np.nan
+        flagged |= bad
+    return CoefficientFields(grid, A1, A2, Ho, Ko, Abar1, Abar2, p, q, flagged)
 
 
 def second_fundamental_form(g: GoverningFields) -> tuple[ScalarField, ScalarField]:
@@ -266,8 +261,8 @@ def second_fundamental_form(g: GoverningFields) -> tuple[ScalarField, ScalarFiel
 def principal_curvatures(c: CoefficientFields) -> tuple[np.ndarray, np.ndarray]:
     """kappa1 = -Ho/A1, kappa2 = -Ko/A2 (NaN where flagged)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = -c.Ho.values / c.A1.values
-        k2 = -c.Ko.values / c.A2.values
+        k1 = -c.Ho / c.A1
+        k2 = -c.Ko / c.A2
     return k1, k2
 
 
@@ -306,10 +301,8 @@ def governing_residuals(g: GoverningFields) -> dict[str, np.ndarray]:
 def gauss_codazzi_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:
     """Mainardi-Codazzi, net and Gauss equation residual arrays."""
     grid = c.grid
-    A1, A2 = c.A1.values, c.A2.values
-    Ho, Ko = c.Ho.values, c.Ko.values
-    Ab1, Ab2 = c.Abar1.values, c.Abar2.values
-    p, q = c.p.values, c.q.values
+    A1, A2, Ho, Ko = c.A1, c.A2, c.Ho, c.Ko
+    Ab1, Ab2, p, q = c.Abar1, c.Abar2, c.p, c.q
     return {
         "codazzi-H": diff_y(Ho, grid) - p * Ko,
         "codazzi-K": diff_x(Ko, grid) - q * Ho,
@@ -335,8 +328,7 @@ def equilibrium_residuals(
     changes of A1, A2 are harmless.
     """
     grid = c.grid
-    A1, A2 = c.A1.values, c.A2.values
-    T1, T2 = s.T1.values, s.T2.values
+    A1, A2, T1, T2 = c.A1, c.A2, s.T1, s.T2
     k1, k2 = principal_curvatures(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         res1 = diff_x(T1, grid) + (diff_x(A2, grid) / A2) * (T1 - T2)
@@ -352,9 +344,7 @@ def first_integral_check(c: CoefficientFields, kind: str, qn: float) -> dict[str
     Ko^2 - eps Ho^2 = (Ho A2 - Ko A1)^2.  All three are derivative-free algebra.
     """
     eps = _check_kind(kind)
-    A1, A2 = c.A1.values, c.A2.values
-    Ho, Ko = c.Ho.values, c.Ko.values
-    Ab1, Ab2 = c.Abar1.values, c.Abar2.values
+    A1, A2, Ho, Ko, Ab1, Ab2 = c.A1, c.A2, c.Ho, c.Ko, c.Abar1, c.Abar2
     fi1 = 2.0 * Ab1 * Ho - qn * A1 * A1 + qn
     cross = Ho * A2 - Ko * A1
     fi2 = 2.0 * Ab2 * Ko - qn * A2 * A2 - eps * qn
@@ -369,8 +359,7 @@ def orthogonality_check(c: CoefficientFields, qn: float) -> dict[str, np.ndarray
     membrane data (H1, K1) = (A1, A2), (H2, K2) = -(qn/2)(A1, A2),
     (H3, K3) = (Abar1, Abar2), (Hc, Kc) = (Ho, Ko), in that term order.
     """
-    A1, A2 = c.A1.values, c.A2.values
-    Ho, Ko = c.Ho.values, c.Ko.values
+    A1, A2, Ho, Ko = c.A1, c.A2, c.Ho, c.Ko
     half = -0.5 * qn
-    res = A1 * (half * A2) + (half * A1) * A2 + c.Abar1.values * Ko + c.Abar2.values * Ho
+    res = A1 * (half * A2) + (half * A1) * A2 + c.Abar1 * Ko + c.Abar2 * Ho
     return {"orthogonality": res}

@@ -24,26 +24,26 @@ from .kernel import EPS, CoefficientFields, GoverningFields, principal_curvature
 
 __all__ = ["omega_ratios"]
 
-#: relative umbilic guard: |kappa1 - kappa2| below this times max |kappa|
+#: relative umbilic guard: |kappa1 - kappa2| at or below this times
+#: max(|kappa1|, |kappa2|) at the same node
 EPS_UMBILIC = 1e-6
 
 
 def omega_ratios(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarray]:
     """Residual arrays of the Omega-surface Corollary identities.
 
-    Umbilic nodes (|kappa1 - kappa2| below ``EPS_UMBILIC`` relative to the
-    curvature scale) are NaN; membrane O surfaces of either kind are
-    umbilic-free wherever the coefficients are finite, so this guard only
-    trips on degenerate data.
+    Umbilic nodes (|kappa1 - kappa2| not finite, or at most ``EPS_UMBILIC``
+    times max(|kappa1|, |kappa2|) at that node) are NaN; membrane O surfaces
+    of either kind are umbilic-free wherever the coefficients are finite, so
+    this per-node guard only trips on degenerate data.
     """
     grid = c.grid
     k1, k2 = principal_curvatures(c)
     dk = k1 - k2
-    with np.errstate(invalid="ignore"):
-        scale = np.nanmax(np.abs(np.stack([k1, k2])))
-    umbilic = ~np.isfinite(dk) | (np.abs(dk) < EPS_UMBILIC * max(scale, 1e-300))
-    dk = np.where(umbilic, np.nan, dk)
-    A1, A2 = c.A1.values, c.A2.values
+    scale = np.maximum(np.abs(k1), np.abs(k2))
+    umbilic = ~np.isfinite(dk) | (np.abs(dk) <= EPS_UMBILIC * scale)
+    dk[umbilic] = np.nan
+    A1, A2 = c.A1, c.A2
     with np.errstate(divide="ignore", invalid="ignore"):
         R1 = diff_x(k1, grid) / dk * (A1 / A2)
         R2 = diff_y(k2, grid) / dk * (A2 / A1)

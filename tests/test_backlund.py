@@ -1,6 +1,6 @@
 """Lax-pair integration and Backlund transformation tests."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +17,14 @@ from mosurf.backlund import (
     transform_diagnostics,
 )
 from mosurf.errors import ParameterError
-from mosurf.fields import Grid2D, ScalarField
+from mosurf.fields import Grid2D
 from mosurf.frames import integrate_frame, mesh_curvatures, reconstruct_surfaces
-from mosurf.kernel import ResidualReport, coefficients_from_governing, governing_residuals
+from mosurf.kernel import (
+    ResidualReport,
+    coefficients_from_governing,
+    governing_residuals,
+    stresses,
+)
 from mosurf.seeds import SeedSpec, generate_seed
 
 I3 = np.eye(3)
@@ -71,8 +76,8 @@ def test_zero_initial_vector_gives_zero_solution():
     g = cmc(n=21)
     c = coefficients_from_governing(g)
     lx = integrate_lax(c, g.qn, 1.0, np.zeros(5))
-    assert np.all(lx.lam.values == 0.0)
-    assert np.all(lx.chi.values == 0.0)
+    assert np.all(lx.lam == 0.0)
+    assert np.all(lx.chi == 0.0)
     assert lx.singular.all()
 
 
@@ -119,8 +124,26 @@ def test_integrate_lax_leaves_init_unchanged():
     second = integrate_lax(c, g.qn, 1.0, init)
     assert np.array_equal(init, before)
     for name in ("lam", "mu", "omega", "phi", "chi"):
-        a, b = getattr(first, name).values, getattr(second, name).values
+        a, b = getattr(first, name), getattr(second, name)
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_bundle_arrays_are_read_only():
+    # the coefficient, stress and Lax bundles keep the arrays they built,
+    # read-only, like the values of a ScalarField
+    g = cmc(n=21)
+    c = coefficients_from_governing(g)
+    s = stresses(g)
+    lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
+    for bundle in (c, s, lx):
+        arrays = [f.name for f in fields(bundle)
+                  if isinstance(getattr(bundle, f.name), np.ndarray)]
+        assert arrays, type(bundle).__name__
+        for name in arrays:
+            assert not getattr(bundle, name).flags.writeable, name
+    for a in (c.A1, s.T1, lx.lam):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def test_lax_path_independence_order():
@@ -135,17 +158,11 @@ def test_lax_path_independence_order():
 
 
 def test_lax_path_independence_negative_control():
-    from mosurf.fields import ScalarField
-    from mosurf.kernel import CoefficientFields
-
     g = cmc(n=201)
     c = coefficients_from_governing(g)
     init = admissible_initial(1.0, g.qn, 0.0, 1.0, 0.5)
     lx = integrate_lax(c, g.qn, 1.0, init)
-    bad_c = CoefficientFields(
-        c.grid, c.A1, c.A2, ScalarField(c.grid, 1.01 * c.Ho.values), c.Ko,
-        c.Abar1, c.Abar2, c.p, c.q,
-    )
+    bad_c = replace(c, Ho=1.01 * c.Ho)
     lx_bad = integrate_lax(bad_c, g.qn, 1.0, init)
     # valid-background discrepancy is O(h^2); corruption makes it O(1)
     assert lx_bad.path_independence > 100 * lx.path_independence
@@ -160,9 +177,7 @@ def test_backlund_surface_displacement_norm():
     r_p = backlund_surface(triple, f, res.lax)
     disp = np.sqrt(((r_p.values - triple.r.values) ** 2).sum(axis=2))
     lx = res.lax
-    expected = np.abs(lx.phi.values) * np.sqrt(
-        lx.lam.values**2 + lx.mu.values**2 + lx.omega.values**2
-    ) / np.abs(lx.bigM.values)
+    expected = np.abs(lx.phi) * np.sqrt(lx.lam**2 + lx.mu**2 + lx.omega**2) / np.abs(lx.bigM)
     assert np.allclose(disp, expected, rtol=1e-10)
 
 
@@ -172,7 +187,7 @@ def test_backlund_governing_base_node_with_t_zero():
     res = apply_backlund(g, m=0.7, lambda0=0.0, omega0=1.0, phi0=1.0)
     gp = res.primed_governing
     assert gp.alpha.values[0, 0] == pytest.approx(-g.alpha.values[0, 0], rel=1e-14)
-    ratio = res.lax.phi.values[0, 0] / res.lax.omega.values[0, 0]
+    ratio = res.lax.phi[0, 0] / res.lax.omega[0, 0]
     assert gp.h.values[0, 0] == pytest.approx(
         ratio * np.exp(gp.xi.values[0, 0]), rel=1e-12
     )
@@ -183,7 +198,7 @@ def test_second_kind_alpha_rotation_identity():
     g = pseudo(n=101)
     res = apply_backlund(g, **PSEUDO_BACKLUND)
     lx = res.lax
-    t = g.h.values - (lx.phi.values / lx.omega.values) * np.exp(g.xi.values)
+    t = g.h.values - (lx.phi / lx.omega) * np.exp(g.xi.values)
     lhs = np.exp(1j * res.primed_governing.alpha.values)
     rhs = np.exp(1j * g.alpha.values) * (1.0 - 1j * t) / (1.0 + 1j * t)
     ok = ~res.branch_invalid
@@ -281,9 +296,9 @@ def test_bianchi_darboux_identities():
     ex_p = np.exp(bd.primed_governing.xi.values)
     assert np.max(np.abs(ex_p - 1.0)) < 1e-6
     assert np.max(np.abs(bd.primed_governing.h.values - 1.0)) < 1e-6
-    sigma = bd.lax.phi.values - 2.0 * bd.lax.omega.values
+    sigma = bd.lax.phi - 2.0 * bd.lax.omega
     lhs = np.exp(bd.primed_governing.alpha.values)
-    rhs = -(bd.lax.phi.values / sigma) * np.exp(-g.alpha.values)
+    rhs = -(bd.lax.phi / sigma) * np.exp(-g.alpha.values)
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
@@ -295,9 +310,9 @@ def test_bianchi_darboux_chi_identity_is_measured(qn):
     g = generate_seed(SeedSpec("cmc", grid, qn=qn, alpha0=1.0))
     bd = bianchi_darboux(g, mbar=1.0)
     assert bianchi_darboux_identities(g, bd)["chi_minus_qn_phi_max_dev"] < 1e-12
-    chi = bd.lax.chi.values.copy()
+    chi = bd.lax.chi.copy()
     chi[40, 60] += 1e-6
-    shifted = replace(bd, lax=replace(bd.lax, chi=ScalarField(grid, chi)))
+    shifted = replace(bd, lax=replace(bd.lax, chi=chi))
     dev = bianchi_darboux_identities(g, shifted)["chi_minus_qn_phi_max_dev"]
     assert dev == pytest.approx(1e-6, rel=1e-6)
 

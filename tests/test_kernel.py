@@ -1,5 +1,7 @@
 """Coefficient, stress and residual machinery tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,10 +50,10 @@ def test_coefficients_first_kind_point_values():
     h0 = 0.37
     g = make_governing("first", GRID, 0.0, 0.0, h0)
     c = coefficients_from_governing(g)
-    assert np.all(c.A1.values == 1.0)
-    assert np.all(c.A2.values == h0)
-    assert np.all(c.Ho.values == 0.0)
-    assert np.all(c.Ko.values == 1.0)
+    assert np.all(c.A1 == 1.0)
+    assert np.all(c.A2 == h0)
+    assert np.all(c.Ho == 0.0)
+    assert np.all(c.Ko == 1.0)
 
 
 def test_coefficients_second_kind_point_values():
@@ -60,7 +62,7 @@ def test_coefficients_second_kind_point_values():
     c = coefficients_from_governing(g)
     s2 = np.sqrt(2.0) / 2.0
     for field, sign in ((c.A1, 1), (c.A2, 1), (c.Ho, 1), (c.Ko, -1)):
-        assert np.allclose(field.values, sign * s2, rtol=1e-15)
+        assert np.allclose(field, sign * s2, rtol=1e-15)
 
 
 def test_stresses_first_kind_h1_is_isotropic():
@@ -72,15 +74,15 @@ def test_stresses_first_kind_h1_is_isotropic():
     g = make_governing("first", GRID, alpha, xi, 1.0, qn=qn)
     s = stresses(g)
     expected = qn * np.exp(-xi)
-    assert np.array_equal(s.T1.values, expected)
-    assert np.array_equal(s.T2.values, expected)
+    assert np.array_equal(s.T1, expected)
+    assert np.array_equal(s.T2, expected)
 
 
 def test_stresses_second_kind_h0():
     g = make_governing("second", GRID, np.pi / 4, 0.0, 0.0, qn=2.0)
     s = stresses(g)
-    assert np.allclose(s.T1.values, 1.0, rtol=1e-14)   # (qn/2) cot(pi/4)
-    assert np.allclose(s.T2.values, -1.0, rtol=1e-14)  # -(qn/2) tan(pi/4)
+    assert np.allclose(s.T1, 1.0, rtol=1e-14)   # (qn/2) cot(pi/4)
+    assert np.allclose(s.T2, -1.0, rtol=1e-14)  # -(qn/2) tan(pi/4)
 
 
 def test_stress_cross_check_against_first_integral():
@@ -89,10 +91,10 @@ def test_stress_cross_check_against_first_integral():
     g = make_governing("first", GRID, 1.0, 0.0, 0.0, qn=qn)
     s = stresses(g)
     coth1 = np.cosh(1.0) / np.sinh(1.0)
-    assert np.allclose(s.T1.values, 0.5 * qn * coth1, rtol=1e-14)
+    assert np.allclose(s.T1, 0.5 * qn * coth1, rtol=1e-14)
     c = coefficients_from_governing(g)
-    oracle = qn * (c.A2.values**2 + 1.0) / (2.0 * c.A2.values * c.Ko.values)
-    assert np.allclose(s.T1.values, oracle, rtol=1e-12)
+    oracle = qn * (c.A2**2 + 1.0) / (2.0 * c.A2 * c.Ko)
+    assert np.allclose(s.T1, oracle, rtol=1e-12)
 
 
 def test_stress_first_integral_consistency_on_seeds():
@@ -102,8 +104,8 @@ def test_stress_first_integral_consistency_on_seeds():
     )
     c = coefficients_from_governing(g)
     s = stresses(g)
-    oracle = g.qn * (c.A1.values**2 - 1.0) / (2.0 * c.A1.values * c.Ho.values)
-    assert np.allclose(s.T2.values, oracle, rtol=1e-12)
+    oracle = g.qn * (c.A1**2 - 1.0) / (2.0 * c.A1 * c.Ho)
+    assert np.allclose(s.T2, oracle, rtol=1e-12)
 
 
 def test_second_fundamental_form_cmc():
@@ -115,7 +117,7 @@ def test_second_fundamental_form_cmc():
     assert np.allclose(b22.values, -ea * np.cosh(al), rtol=1e-14)
     c = coefficients_from_governing(g)
     # kappa_i = b_ii / A_i^2 in curvature-line coordinates
-    meanH = 0.5 * (b11.values / c.A1.values**2 + b22.values / c.A2.values**2)
+    meanH = 0.5 * (b11.values / c.A1**2 + b22.values / c.A2**2)
     assert np.allclose(meanH, -0.5, rtol=1e-13)
 
 
@@ -125,7 +127,7 @@ def test_second_fundamental_form_pseudospherical_gauss_curvature():
     )
     b11, b22 = second_fundamental_form(g)
     c = coefficients_from_governing(g)
-    K = b11.values * b22.values / (c.A1.values**2 * c.A2.values**2)
+    K = b11.values * b22.values / (c.A1**2 * c.A2**2)
     assert np.allclose(K, -1.0, rtol=1e-12)
 
 
@@ -140,8 +142,8 @@ def test_curvatures_match_second_form():
     c = coefficients_from_governing(g)
     k1, k2 = principal_curvatures(c)
     b11, b22 = second_fundamental_form(g)
-    assert np.allclose(b11.values, k1 * c.A1.values**2, rtol=1e-12)
-    assert np.allclose(b22.values, k2 * c.A2.values**2, rtol=1e-12)
+    assert np.allclose(b11.values, k1 * c.A1**2, rtol=1e-12)
+    assert np.allclose(b22.values, k2 * c.A2**2, rtol=1e-12)
 
 
 def test_cmc_governing_residuals():
@@ -153,9 +155,9 @@ def test_cmc_governing_residuals():
 
 
 def test_gauss_codazzi_flat_plane_limit():
-    one = ScalarField.constant(GRID, 1.0)
-    zero = ScalarField.zeros(GRID)
-    c = CoefficientFields(GRID, one, one, zero, zero, one, one, zero, zero)
+    one, zero = np.ones(GRID.shape), np.zeros(GRID.shape)
+    c = CoefficientFields(GRID, one, one, zero, zero, one, one, zero, zero,
+                          np.zeros(GRID.shape, bool))
     fields = gauss_codazzi_residuals(c)
     for name, values in fields.items():
         assert np.all(values == 0.0), name
@@ -209,7 +211,7 @@ def test_first_integral_constraint_is_algebraic_identity():
         )
         c = coefficients_from_governing(g)
         sign = -1.0 if kind == "first" else 1.0
-        cross = c.Ho.values * c.A2.values - c.Ko.values * c.A1.values
+        cross = c.Ho * c.A2 - c.Ko * c.A1
         assert np.allclose(cross, sign * np.exp(g.xi.values), rtol=1e-13)
         res = first_integral_check(c, kind, g.qn)
         assert np.max(np.abs(res["constraint"])) < 1e-12
@@ -220,7 +222,7 @@ def test_first_integrals_on_cmc():
     g = cmc_seed(n=51, qn=qn)
     c = coefficients_from_governing(g)
     # 2 Abar1 Ho - qn A1^2 = -qn exactly on this family
-    lhs = 2.0 * c.Abar1.values * c.Ho.values - qn * c.A1.values**2
+    lhs = 2.0 * c.Abar1 * c.Ho - qn * c.A1**2
     assert np.allclose(lhs, -qn, rtol=1e-13)
     rep = ResidualReport.from_fields(g.grid, first_integral_check(c, "first", qn))
     assert rep["first-integral-1"].linf < 1e-12
@@ -230,7 +232,7 @@ def test_first_integrals_on_cmc():
 def test_first_integral_second_kind_point():
     g = make_governing("second", GRID, np.pi / 4, 0.0, 0.0, qn=1.0)
     c = coefficients_from_governing(g)
-    lhs = 2.0 * c.Abar2.values * c.Ko.values - c.A2.values**2
+    lhs = 2.0 * c.Abar2 * c.Ko - c.A2**2
     assert np.allclose(lhs, -1.0, rtol=1e-13)
 
 
@@ -246,12 +248,11 @@ def test_orthogonality_linear_in_abar1():
     c = coefficients_from_governing(g)
     base = orthogonality_check(c, g.qn)["orthogonality"]
     delta = 0.125
-    bumped = c.Abar1.values.copy()
+    bumped = c.Abar1.copy()
     bumped[10, 10] += delta
-    c2 = CoefficientFields(c.grid, c.A1, c.A2, c.Ho, c.Ko,
-                           ScalarField(c.grid, bumped), c.Abar2, c.p, c.q)
+    c2 = replace(c, Abar1=bumped)
     diff = orthogonality_check(c2, g.qn)["orthogonality"] - base
-    assert diff[10, 10] == pytest.approx(delta * c.Ko.values[10, 10], rel=1e-12)
+    assert diff[10, 10] == pytest.approx(delta * c.Ko[10, 10], rel=1e-12)
     diff[10, 10] = 0.0
     assert np.all(diff == 0.0)
 
@@ -286,9 +287,9 @@ def test_stress_guard_flags_vanishing_denominator():
     g = make_governing("second", GRID, np.pi / 4, 0.0, 1.0)
     s = stresses(g)
     assert s.flagged.all()
-    assert np.isnan(s.T1.values).all()
+    assert np.isnan(s.T1).all()
     c = coefficients_from_governing(g)
     assert c.flagged.all()
     # frame coefficients stay usable at stress-flagged nodes
-    assert np.isfinite(c.Ho.values).all()
-    assert np.isfinite(c.p.values).all()
+    assert np.isfinite(c.Ho).all()
+    assert np.isfinite(c.p).all()

@@ -63,12 +63,13 @@ def test_constant_coefficient_field_gives_zero_ratios():
 def test_umbilic_nodes_are_flagged():
     # kappa1 = kappa2 everywhere: A1 = A2 = 1, Ho = Ko = 1
     grid = Grid2D.from_domain(0, 1, 0, 1, 11, 11)
-    one = ScalarField.constant(grid, 1.0)
-    zero = ScalarField.zeros(grid)
+    one, zero = np.ones(grid.shape), np.zeros(grid.shape)
     from mosurf.kernel import CoefficientFields
 
-    c = CoefficientFields(grid, one, one, one, one, one, one, zero, zero)
-    g = GoverningFields(kind="first", qn=1.0, alpha=one, xi=zero, h=zero)
+    c = CoefficientFields(grid, one, one, one, one, one, one, zero, zero,
+                          np.zeros(grid.shape, bool))
+    g = GoverningFields(kind="first", qn=1.0, alpha=ScalarField.constant(grid, 1.0),
+                        xi=ScalarField.zeros(grid), h=ScalarField.zeros(grid))
     rep = ResidualReport.from_fields(grid, omega_ratios(c, g))
     assert rep["omega-1"].excluded == 25  # whole 5x5 reporting core
     assert rep["omega-1"].linf == 0.0

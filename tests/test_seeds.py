@@ -81,8 +81,8 @@ def test_cmc_stresses_isotropic_homogeneous():
     qn = 1.25
     g = generate_seed(SeedSpec("cmc", grid((0, 2, 0, 2)), qn=qn, alpha0=1.0))
     s = stresses(g)
-    assert np.all(s.T1.values == qn)
-    assert np.all(s.T2.values == qn)
+    assert np.all(s.T1 == qn)
+    assert np.all(s.T2 == qn)
 
 
 def test_cmc_coefficients_closed_form():
@@ -90,15 +90,15 @@ def test_cmc_coefficients_closed_form():
     g = generate_seed(SeedSpec("cmc", grid((0, 1, 0, 1), 51), qn=qn, alpha0=0.8))
     c = coefficients_from_governing(g)
     ea = np.exp(g.alpha.values)
-    assert np.allclose(c.A1.values, ea, rtol=1e-14)
-    assert np.allclose(c.A2.values, ea, rtol=1e-14)
-    assert np.allclose(c.Ho.values, np.sinh(g.alpha.values), rtol=1e-14)
-    assert np.allclose(c.Ko.values, np.cosh(g.alpha.values), rtol=1e-14)
-    assert np.allclose(c.Abar1.values, qn * ea, rtol=1e-13)
-    assert np.allclose(c.Abar2.values, qn * ea, rtol=1e-13)
+    assert np.allclose(c.A1, ea, rtol=1e-14)
+    assert np.allclose(c.A2, ea, rtol=1e-14)
+    assert np.allclose(c.Ho, np.sinh(g.alpha.values), rtol=1e-14)
+    assert np.allclose(c.Ko, np.cosh(g.alpha.values), rtol=1e-14)
+    assert np.allclose(c.Abar1, qn * ea, rtol=1e-13)
+    assert np.allclose(c.Abar2, qn * ea, rtol=1e-13)
     # p = alpha_y = 0, q = alpha_x
-    assert np.all(c.p.values == 0.0)
-    assert np.allclose(c.q.values, diff_x(g.alpha.values, g.grid), rtol=1e-14)
+    assert np.all(c.p == 0.0)
+    assert np.allclose(c.q, diff_x(g.alpha.values, g.grid), rtol=1e-14)
 
 
 def test_cmc_alpha0_zero_is_degenerate():
@@ -163,8 +163,8 @@ def test_pseudospherical_stresses():
     g = generate_seed(SeedSpec("pseudospherical", grid((0.7, 1.3, -0.5, 0.5), 51), qn=qn, v=0.3))
     s = stresses(g)
     al = g.alpha.values
-    assert np.allclose(s.T1.values, 0.5 * qn / np.tan(al), rtol=1e-13)
-    assert np.allclose(s.T2.values, -0.5 * qn * np.tan(al), rtol=1e-13)
+    assert np.allclose(s.T1, 0.5 * qn / np.tan(al), rtol=1e-13)
+    assert np.allclose(s.T2, -0.5 * qn * np.tan(al), rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
