@@ -12,6 +12,7 @@ command does not pay the start-up cost of modules it never calls.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -52,26 +53,25 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _parse_domain(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ParameterError(f"--domain expects x0:x1:y0:y1, got {text!r}")
-    try:
-        x0, x1, y0, y1 = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ParameterError(f"--domain expects numbers, got {text!r}") from exc
-    return x0, x1, y0, y1
-
-
-def _parse_init(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ParameterError(f"--init expects lambda0,omega0,phi0, got {text!r}")
+def _parse_numbers(text: str, sep: str, names: str, flag: str) -> tuple[float, ...]:
+    """The finite numbers of a ``sep``-separated flag value, one per name."""
+    parts = text.split(sep)
+    if len(parts) != len(names.split(sep)):
+        raise ParameterError(f"{flag} expects {names}, got {text!r}")
     try:
         vals = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise ParameterError(f"--init expects numbers, got {text!r}") from exc
+        raise ParameterError(f"{flag} expects numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ParameterError(f"{flag} expects finite numbers, got {text!r}")
     return vals
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    """A NaN or infinite float flag is a bad value, caught before any work."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +134,7 @@ def _cmd_seed(args) -> int:
     from .fileio import write_field_file
     from .seeds import SeedSpec, generate_seed
 
-    x0, x1, y0, y1 = _parse_domain(args.domain)
+    x0, x1, y0, y1 = _parse_numbers(args.domain, ":", "x0:x1:y0:y1", "--domain")
     grid = Grid2D.from_domain(x0, x1, y0, y1, args.nx, args.ny)
     spec = SeedSpec(args.family, grid, qn=args.qn,
                     alpha0=args.alpha0, v=args.v, a=args.a, c1=args.c1)
@@ -150,6 +150,8 @@ def _cmd_verify(args) -> int:
     from .seeds import SeedSpec, generate_seed
     from .verify import ALGEBRAIC_EQUATIONS, convergence_orders, verify_governing
 
+    if args.refine < 0:
+        raise ParameterError(f"--refine must be >= 0, got {args.refine}")
     g, seed = read_field_file(args.fieldfile)
     report = verify_governing(g)
     orders = None
@@ -264,7 +266,7 @@ def _cmd_backlund(args) -> int:
 
     if args.m == 0.0:
         raise ParameterError("--m must be nonzero")
-    lam0, om0, ph0 = _parse_init(args.init)
+    lam0, om0, ph0 = _parse_numbers(args.init, ",", "lambda0,omega0,phi0", "--init")
     g, _ = read_field_file(args.fieldfile)
     if args.bianchi_darboux:
         mbar = args.m * g.qn / 2.0
@@ -321,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_finite(args)
         return _COMMANDS[args.command](args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"mosurf: error: {exc}", file=sys.stderr)

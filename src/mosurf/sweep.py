@@ -4,18 +4,14 @@ Every integrated system is linear in its state.  Along x it moves by the
 generator ``gen_x(*coeffs_x)``, along y by ``gen_y(*coeffs_y)``: the
 coefficient tuples hold the (nx, ny) node arrays each direction uses.
 
-Layout.  The sweep keeps its states component-major: m lines marched at once
-hold ``state.shape + (m,)``, with the lines on the last, contiguous axis
-(m = 1 along the first row, nx up the columns).  A builder takes coefficient
-arrays of any shape and returns the dense generator component-first, shape
-``(n, d) + coeff_shape``, written as contiguous slabs ``G[i, j] = ...``.  A
-vector state ``w`` (d,) moves as ``G w`` (``einsum("ij...,j...->i...")``);
-a matrix state ``S`` (r, d) moves as ``S[:, :n] G``
-(``einsum("aj...,jk...->ak...")``), which reads only its first n columns, so
-a NaN that enters the other columns never feeds back into them.  The
-generators stay dense, so a NaN coefficient spreads through 0 * NaN exactly
-as through a dense matrix product.  The output is node-major, ``(nx, ny) +
-state.shape``; each column is moved into it as it is marched.
+Layout.  A builder takes coefficient arrays of any shape and returns the
+dense generator component-first, shape ``(n, d) + coeff_shape``, written as
+contiguous slabs ``G[i, j] = ...``.  A vector state ``w`` (d,) moves as
+``G w``; a matrix state ``S`` (r, d) moves as ``S[:, :n] G``, which reads
+only its first n columns, so a NaN that enters the other columns never feeds
+back into them.  The generators stay dense, so a NaN coefficient spreads
+through 0 * NaN exactly as through a dense matrix product.  The output is
+node-major, ``(nx, ny) + state.shape``.
 
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
@@ -27,17 +23,40 @@ quadric) stays at O(s^4) globally in the step length s = h / substeps.
 Substeps shrink that drift only; the Lax sweeps choose them by a step-length
 rule (``backlund.lax_substeps``).
 
-The RK4 steps along a line are serial, but their generators are not: a march
-builds the stage generators of a block of B intervals (``BLOCK``, or fewer on
-wide grids, see ``BLOCK_FLOATS``) with one builder call per stage point, from
-one stack of the block's node coefficients, and the serial loop takes the
-interval's slice ``G[:, :, i]``.  A block holds 2 * substeps * B * m
-generators of shape (n, d).  Each generator entry is computed by the same
-elementwise operations as one interval at a time would, and every block has
-at least two intervals, so the swept values do not depend on B, bit for bit:
-a one-interval block would hand ``einsum`` a contiguous (n, d, 1) generator
-on the first row, which it contracts with a SIMD dot product instead of the
-sequential sum it runs on every strided slice.
+The two marches.  One RK4 step of a linear system is one matrix (Hairer,
+Norsett & Wanner, Solving ODEs I, II.1), a polynomial in the step's start,
+midpoint and end generators Ga, Gm, Gb.  The first row is a single line, so
+a staged step there is a dozen numpy calls on one small state; ``_row``
+instead builds the increment Q of every row step in a few vectorized calls
+and then takes one product per step.  For a vector state:
+
+    A1 = I + s/2 Ga,  A2 = I + s/2 Gm A1,  A3 = I + s Gm A2,
+    Q = s/6 (Ga + 2 Gm (A1 + A2) + Gb A3),   w += Q w;
+
+for a matrix state, with U = G[:, :n]:
+
+    A1 = I + s/2 Ua,  A2 = I + s/2 A1 Um,  A3 = I + s A2 Um,
+    Q = s/6 (Ga + 2 (A1 + A2) Gm + A3 Gb)  (n x d),   S += S[:, :n] Q.
+
+A vector state is the one-row matrix state of the transposed generators, so
+``_row`` runs the matrix form only.  Q reads the generators' other columns
+only to fill its own, so a NaN there still never reaches the first n.  The
+step products are ``matmul``, which costs about half an ``einsum`` call on
+one small state; a NaN spreads through them to the same nodes and
+components as through the staged march, which the sweep tests check.
+
+The columns are marched by ``_march`` with the staged step
+``state + (s/6) (k1 + 2 k2 + 2 k3 + k4)``: across nx lines a Q costs more to
+build than the four stages it replaces (for the 301 columns of a Lax sweep,
+about 310 us per interval against 75-115 us for the staged step, generators
+included, on a 2-core Xeon).  The serial steps take their generators
+from blocks: one builder call per stage point builds the stage generators of
+B intervals (``BLOCK``, or fewer on wide grids, see ``BLOCK_FLOATS``) from
+one stack of the block's node coefficients, and a step takes the interval's
+slice ``G[:, :, i]``.  Each generator entry is computed by the same
+elementwise operations whatever B is, so the swept values do not depend on
+B, bit for bit.  A block's states go into one contiguous buffer, which the
+sweep copies into the node-major output as one block of columns.
 """
 
 from __future__ import annotations
@@ -56,9 +75,59 @@ Builder = Callable[..., np.ndarray]
 #: block is cut shorter where its generators would hold more than BLOCK_FLOATS
 #: floats (2 MB, one core's L2 cache on the 2-core Xeon it was tuned on; the
 #: cap was re-measured on the component-major layout and still pays: without
-#: it 301-wide Lax sweeps ran ~10% slower), but never below two intervals
+#: it 301-wide Lax sweeps ran ~10% slower)
 BLOCK = 32
 BLOCK_FLOATS = 1 << 18
+
+
+def _stage_points(c0: np.ndarray, c1: np.ndarray, substeps: int, at: float) -> list[np.ndarray]:
+    """The coefficients of the intervals [c0, c1] at fraction ``at`` of each substep."""
+    thetas = [(s + at) / substeps for s in range(substeps)]
+    return [c1 if t >= 1.0 else (1.0 - t) * c0 + t * c1 for t in thetas]
+
+
+def _row(
+    state0: np.ndarray,
+    h: float,
+    gen: Builder,
+    line: tuple[np.ndarray, ...],
+    substeps: int,
+) -> np.ndarray:
+    """RK4 march of one line by step matrices (see the module docstring).
+
+    ``line`` holds the (L,) coefficient arrays of the line's L nodes; returns
+    the states at every node after the first, shape ``(L - 1,) + state0.shape``.
+    """
+    hs = h / substeps
+    if state0.ndim == 1:  # w' = G w is the row-vector system w' = w G^T
+        build = lambda *c: gen(*c).swapaxes(0, 1)
+    else:
+        build = gen
+    c = np.stack(line)[..., None]  # (K, L, 1): the last axis takes the substeps
+    gm, gb = (build(*np.concatenate(_stage_points(c[:, :-1], c[:, 1:], substeps, at), axis=-1))
+              for at in (0.5, 1.0))
+    n, d = gb.shape[:2]
+    gm, gb = gm.reshape(n, d, -1), gb.reshape(n, d, -1)  # the steps in order
+    # a step starts with the generator the step before ended with
+    ga = np.concatenate([build(*c[:, 0]), gb[:, :, :-1]], axis=2)
+
+    def mul(a, b):  # stacked products, the steps on the last axis
+        return np.einsum("ijt,jkt->ikt", a, b)
+
+    eye = np.eye(n)[..., None]
+    a1 = eye + (0.5 * hs) * ga[:, :n]
+    a2 = eye + (0.5 * hs) * mul(a1, gm[:, :n])
+    a3 = eye + hs * mul(a2, gm[:, :n])
+    q = (hs / 6.0) * (ga + 2.0 * mul(a1 + a2, gm) + mul(a3, gb))
+    q = np.moveaxis(q, -1, 0).reshape(-1, substeps, n, d)  # (L - 1, substeps, n, d)
+
+    state = state0.reshape(-1, state0.shape[-1])  # a vector is one row
+    rows = np.empty((len(q),) + state.shape)
+    for qi, nxt in zip(q, rows):
+        for qs in qi:
+            np.add(state, np.matmul(state[:, :n], qs), out=nxt)
+            state = nxt
+    return rows.reshape((len(q),) + state0.shape)
 
 
 def _march(
@@ -69,43 +138,36 @@ def _march(
     rule: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     substeps: int,
 ) -> Iterator[np.ndarray]:
-    """RK4 march of m lines at once.
+    """Staged RK4 march of m lines at once.
 
-    ``state0`` is component-major, ``state.shape + (m,)``, and ``line`` holds
-    the (L, m) coefficient arrays of the L nodes of every line; the state at
-    every node after the first is yielded.  The march owns one C-ordered copy
-    of ``state0`` and advances it in place, so the yielded array is
-    overwritten by the next step.  Each stage generator is built once: k2 and
-    k3 share the midpoint, and a step starts with the generator the previous
-    step ended with.  A block of intervals takes one (K, B + 1, m)
-    coefficient stack and one builder call per stage point.  The stages are
-    written into buffers allocated once per march, with the operations and
-    their order of the textbook form ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
+    ``state0`` is component-major, ``state.shape + (m,)`` with the lines on
+    the last axis, and ``line`` holds the (L, m) coefficient arrays of the L
+    nodes of every line.  Yields one contiguous ``(b,) + state.shape + (m,)``
+    array per block of b intervals: the states at the block's end nodes.  It
+    is overwritten by the next block, so the caller copies it out first.
+    Each stage generator is built once: k2 and k3 share the midpoint, and a
+    step starts with the generator the previous step ended with.  A block of
+    intervals takes one (K, B + 1, m) coefficient stack and one builder call
+    per stage point.  The stages are written into buffers allocated once per
+    march, with the operations and their order of the textbook form
+    ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hs = h / substeps
     state = np.array(state0, dtype=float, order="C")
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
-    mids = [(s + 0.5) / substeps for s in range(substeps)]
-    ends = [(s + 1.0) / substeps for s in range(substeps)]
-
-    def at(c0, c1, theta):  # every interval's generator at theta, in one call
-        return gen(*(c1 if theta >= 1.0 else (1.0 - theta) * c0 + theta * c1))
 
     def stage(k, scale):  # state + scale k, in the scratch buffer
         return np.add(state, np.multiply(k, scale, out=arg), out=arg)
 
     ga = gen(*(v[0] for v in line))
     intervals = len(line[0]) - 1
-    block = max(2, min(BLOCK, BLOCK_FLOATS // (2 * substeps * ga.size)))
-    starts = list(range(0, intervals, block))
-    if len(starts) > 1 and intervals - starts[-1] == 1:
-        starts.pop()  # no one-interval block (see the module docstring)
-    for a, b in zip(starts, starts[1:] + [intervals]):
-        cb = np.stack([v[a:b + 1] for v in line])
-        c0, c1 = cb[:, :-1], cb[:, 1:]
-        gms = [at(c0, c1, t) for t in mids]
-        gbs = [at(c0, c1, t) for t in ends]
-        for i in range(c1.shape[1]):
+    block = max(1, min(BLOCK, BLOCK_FLOATS // (2 * substeps * ga.size)))
+    buf = np.empty((block,) + state.shape)
+    for a in range(0, intervals, block):
+        cb = np.stack([v[a:a + block + 1] for v in line])
+        gms, gbs = ([gen(*p) for p in _stage_points(cb[:, :-1], cb[:, 1:], substeps, at)]
+                    for at in (0.5, 1.0))
+        for i in range(cb.shape[1] - 1):
             for s in range(substeps):
                 gm, gb = gms[s][:, :, i], gbs[s][:, :, i]
                 rule(ga, state, k1)
@@ -119,7 +181,8 @@ def _march(
                 acc *= hs / 6.0
                 state += acc
                 ga = gb
-            yield state
+            buf[i] = state
+        yield buf[:cb.shape[1] - 1]
 
 
 def sweep_grid(
@@ -152,14 +215,12 @@ def sweep_grid(
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
     fill[0, 0] = state0
-    # the first row is one line (m = 1)
-    row = tuple(v[:, :1] for v in coeffs_x)
-    for i, state in enumerate(_march(state0[..., None], hx, gen_x, row, rule, substeps), 1):
-        fill[i, 0] = state[..., 0]
+    fill[1:, 0] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
     # every column at once (the line runs along y, the batch along x); only
     # one block of the coefficients is stacked at a time, never the whole grid
     columns = tuple(v.T for v in coeffs_y)
-    cols = np.moveaxis(fill, 0, -1)  # cols[j] is column j, component-major
-    for j, batch in enumerate(_march(cols[0], hy, gen_y, columns, rule, substeps), 1):
-        cols[j] = batch
+    j = 1
+    for batch in _march(np.moveaxis(fill[:, 0], 0, -1), hy, gen_y, columns, rule, substeps):
+        fill[:, j:j + len(batch)] = np.moveaxis(batch, -1, 0)
+        j += len(batch)
     return out

@@ -616,6 +616,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("mosurf: error:") and "cmc" in errors[0]
     assert not out.exists()
+    # a non-finite number or a negative --refine is a bad flag value: exit 1
+    # with one error line, no warning and no file, before any work is done
+    cmc = tmp_path / "cmc.json"
+    assert run(["seed", "--family", "cmc", "--domain", "0:1:0:1", "--nx", "9", "--ny", "9",
+                "-o", str(cmc)]) == 0
+    capsys.readouterr()
+    seed = ["seed", "--family", "cmc", "--domain", "0:1:0:1", "--nx", "9", "--ny", "9"]
+    bad = [
+        seed + ["--qn", "nan"], seed + ["--qn", "inf"], seed + ["--alpha0=-inf"],
+        ["seed", "--family", "cmc", "--domain", "0:nan:0:1"],
+        ["backlund", str(cmc), "--m", "nan"], ["backlund", str(cmc), "--m", "inf"],
+        ["backlund", str(cmc), "--init", "0,nan,1"],
+        ["verify", str(cmc), "--refine", "-1"], ["verify", str(cmc), "--tol", "nan"],
+        ["verify", str(cmc), "--tol", "inf"],
+    ]
+    out, report = tmp_path / "bad.json", tmp_path / "bad_report.json"
+    for argv in bad:
+        extra = ["--report", str(report)] if argv[0] == "verify" else ["-o", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv + extra) == 1, argv
+        assert [str(w.message) for w in caught] == [], argv
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("mosurf: error:"), argv
+        assert captured.out == "", argv
+        assert not out.exists() and not report.exists(), argv
+    # --tol 0 is valid: it fails every algebraic residual
+    assert run(["verify", str(cmc), "--tol", "0"]) == 4
 
 
 def test_cli_usage_error_is_exit_1():

@@ -71,10 +71,55 @@ def test_sweep_rejects_unknown_order():
         exp_sweep(5, np.ones(1), "zz")
 
 
-# -- the block build keeps the per-interval arithmetic bit for bit ----------
+# -- the frozen arithmetic: step matrices on the first row, staged columns --
+
+def step_matrix_row(state0, h, gen, line, substeps):
+    """Frozen first-row march by RK4 step matrices.
+
+    The start, midpoint and end generators of every (interval, substep) step
+    come from one builder call per stage kind, the steps in order on the last
+    axis; a vector state runs as the one-row matrix state of the transposed
+    generators.  With U = G[:, :n]: A1 = I + hs/2 Ua, A2 = I + hs/2 A1 Um,
+    A3 = I + hs A2 Um, Q = hs/6 (Ga + 2 (A1 + A2) Gm + A3 Gb), and each step
+    is S += S[:, :n] Q.  Returns the states at the line's nodes after the first.
+    """
+    hs = h / substeps
+    c = np.stack(line)
+    c0, c1 = c[:, :-1, None], c[:, 1:, None]
+
+    def build(coeffs):
+        g = gen(*coeffs)
+        g = g.swapaxes(0, 1) if state0.ndim == 1 else g
+        return g.reshape(g.shape[:2] + (-1,))
+
+    def stage(thetas):
+        return build(np.concatenate(
+            [c1 if t >= 1.0 else (1.0 - t) * c0 + t * c1 for t in thetas], axis=-1))
+
+    gm = stage([(s + 0.5) / substeps for s in range(substeps)])
+    gb = stage([(s + 1.0) / substeps for s in range(substeps)])
+    ga = np.concatenate([build(c[:, :1]), gb[:, :, :-1]], axis=2)
+    n, d = gb.shape[:2]
+
+    def mul(a, b):
+        return np.einsum("ijt,jkt->ikt", a, b)
+
+    eye = np.eye(n)[..., None]
+    a1 = eye + (0.5 * hs) * ga[:, :n]
+    a2 = eye + (0.5 * hs) * mul(a1, gm[:, :n])
+    a3 = eye + hs * mul(a2, gm[:, :n])
+    q = (hs / 6.0) * (ga + 2.0 * mul(a1 + a2, gm) + mul(a3, gb))
+    state = state0.reshape(-1, state0.shape[-1])
+    rows = []
+    for t in range(q.shape[2]):
+        state = state + np.matmul(state[:, :n], q[:, :, t])
+        if (t + 1) % substeps == 0:
+            rows.append(state.reshape(state0.shape))
+    return np.array(rows)
+
 
 def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps,
-                       rules, layout):
+                       rules, layout, step_matrices=False):
     """Two-pass RK4 sweep that builds the generators of one RK4 step at a time.
 
     ``rules`` maps the state's ndim to its product rule and ``layout`` is
@@ -83,6 +128,7 @@ def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, su
     node layout.  In the component layout a step's midpoint and end
     generators come from one builder call over both points, so, as in the
     sweep's blocks, every generator after a line's first is a strided slice.
+    With ``step_matrices`` the first row is marched by ``step_matrix_row``.
     """
 
     def march(state0, h, gen, nodes, rule):
@@ -133,9 +179,13 @@ def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, su
     fill[0, 0] = state0
     columns = (np.stack([v[:, j] for v in coeffs_y]) for j in range(fill.shape[1]))
     if layout == "component":
-        row = (np.stack([v[i, :1] for v in coeffs_x]) for i in range(fill.shape[0]))
-        for i, state in enumerate(march(state0[..., None], hx, gen_x, row, rule), 1):
-            fill[i, 0] = state[..., 0]
+        if step_matrices:
+            fill[1:, 0] = step_matrix_row(state0, hx, gen_x, [v[:, 0] for v in coeffs_x],
+                                          substeps)
+        else:
+            row = (np.stack([v[i, :1] for v in coeffs_x]) for i in range(fill.shape[0]))
+            for i, state in enumerate(march(state0[..., None], hx, gen_x, row, rule), 1):
+                fill[i, 0] = state[..., 0]
         cols = np.moveaxis(fill, 0, -1)
         for j, batch in enumerate(march(cols[0], hy, gen_y, columns, rule), 1):
             cols[j] = batch
@@ -148,17 +198,27 @@ def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, su
     return out
 
 
+#: the component-first products: dense (n, d) + batch generators, ``einsum``
+#: over the leading axes
+COMPONENT_RULES = {
+    1: lambda G, w, out: np.einsum("ij...,j...->i...", G, w, out=out),
+    2: lambda G, S, out: np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G, out=out),
+}
+
+
 def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
-    """Frozen per-interval march on the component-first contract: dense
-    (n, d) + batch generators, ``einsum`` products over the leading axes.
-    ``sweep_grid`` must reproduce its every bit."""
-    rules = {
-        1: lambda G, w, out: np.einsum("ij...,j...->i...", G, w, out=out),
-        2: lambda G, S, out: np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G,
-                                       out=out),
-    }
+    """Frozen sweep: the first row by step matrices, the columns by staged
+    per-interval steps on the component-first contract.  ``sweep_grid`` must
+    reproduce its every bit, whatever its block sizes."""
     return per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order,
-                              substeps, rules, "component")
+                              substeps, COMPONENT_RULES, "component", step_matrices=True)
+
+
+def staged_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
+    """The sweep before the first row took step matrices: staged RK4 steps on
+    every line, the row as one component-major line (m = 1)."""
+    return per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order,
+                              substeps, COMPONENT_RULES, "component")
 
 
 def node_major_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
@@ -203,12 +263,17 @@ def triple_like_y(q, Ko, A2, Abar2):
     return G
 
 
-def random_coefficients(grid, nan_node=None):
+#: coefficient slots that may be NaN: an Abar, which only the rbar column of
+#: the matrix state reads (as at a stress-flagged node), and p/q, a frame one
+TRIPLE_ONLY, FRAME = 3, 0
+
+
+def random_coefficients(grid, nan_node=None, slot=TRIPLE_ONLY):
     rng = np.random.default_rng(grid.nx * 1000 + grid.ny)
     cs = [rng.uniform(-2.0, 2.0, grid.shape) for _ in range(8)]
     if nan_node is not None:
-        cs[3][nan_node] = np.nan  # an Abar coefficient, as at a stress-flagged node
-        cs[7][nan_node] = np.nan
+        cs[slot][nan_node] = np.nan
+        cs[slot + 4][nan_node] = np.nan
     return tuple(cs[:4]), tuple(cs[4:])
 
 
@@ -240,32 +305,44 @@ def test_block_sweep_matches_per_interval_reference(kind, order, n):
 @pytest.mark.parametrize("kind", sorted(STATES))
 @pytest.mark.parametrize("order", ["xy", "yx"])
 def test_block_sweep_spreads_nan_like_reference(kind, order):
-    # a NaN coefficient poisons the same nodes and components as before
+    # a NaN coefficient poisons the same nodes and components as before, on
+    # a column and on the first row of either order
     state0, gen_x, gen_y = STATES[kind]
     grid = Grid2D.from_domain(0, 1, 0, 1, BLOCK + 3, 9)
-    cx, cy = random_coefficients(grid, nan_node=(BLOCK - 1, 4))
-    got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=2)
-    want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, 2)
-    assert np.isnan(got).any() and not np.isnan(got).all()
-    assert got.tobytes() == want.tobytes()
+    for nan_node in ((BLOCK - 1, 4), (BLOCK - 1, 0), (0, 5)):
+        cx, cy = random_coefficients(grid, nan_node)
+        got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=2)
+        want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, 2)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+        assert got.tobytes() == want.tobytes(), nan_node
 
 
 def test_block_sweep_capped_by_block_floats(monkeypatch):
-    # wide lines take shorter blocks, never shorter than two intervals (a
-    # one-interval tail joins the block before it); the arithmetic stays the same
+    # wide lines take shorter blocks, down to one interval; the arithmetic
+    # stays the same
     import mosurf.sweep
 
     state0, gen_x, gen_y = STATES["vector"]
     grid = Grid2D.from_domain(0, 1, 0, 1, 11, 2 * BLOCK + 2)
     cx, cy = random_coefficients(grid)
     want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, "xy", 2)
-    for floats in (1, 2 * 2 * 11 * 25 * 3):  # column blocks of 2 and 3 intervals
-        monkeypatch.setattr(mosurf.sweep, "BLOCK_FLOATS", floats)
+    for intervals in (1, 2, 3):  # column blocks of that many intervals
+        monkeypatch.setattr(mosurf.sweep, "BLOCK_FLOATS", 2 * 2 * 11 * 25 * intervals)
         got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order="xy", substeps=2)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes(), intervals
 
 
-# -- the component-major products agree with the node-major ones ------------
+# -- other arithmetic of the same sweep agrees to round-off ----------------
+
+def assert_close_with_nan_mask(got, want, nan_node):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert nan.any() == (nan_node is not None) and not nan.all()
+    assert np.isfinite(want[~nan]).all()
+    # relative to the largest entry: single entries can cancel to ~1e-4
+    err = np.max(np.abs(got[~nan] - want[~nan])) / np.max(np.abs(want[~nan]))
+    assert err <= 1e-13, err
+
 
 @pytest.mark.parametrize("kind", sorted(STATES))
 @pytest.mark.parametrize("order", ["xy", "yx"])
@@ -280,10 +357,25 @@ def test_sweep_matches_node_major_products(kind, order, substeps):
         cx, cy = random_coefficients(grid, nan_node)
         got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
         want = node_major_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert nan.any() == (nan_node is not None) and not nan.all()
-        assert np.isfinite(want[~nan]).all()
-        # relative to the largest entry: single entries can cancel to ~1e-4
-        err = np.max(np.abs(got[~nan] - want[~nan])) / np.max(np.abs(want[~nan]))
-        assert err <= 1e-13, (shape, err)
+        assert_close_with_nan_mask(got, want, nan_node)
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("order", ["xy", "yx"])
+@pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+def test_row_step_matrices_match_staged_steps(kind, order, substeps):
+    # a step matrix rounds differently from the four staged stages, and
+    # spreads a NaN coefficient on the first row of either order, or up a
+    # column, to the same nodes and components; a NaN that only the rbar
+    # column reads leaves the frame, N and r finite
+    state0, gen_x, gen_y = STATES[kind]
+    grid = Grid2D.from_domain(0, 1, 0, 1, BLOCK + 3, 9)
+    for nan_node in (None, (BLOCK - 1, 0), (0, 5), (3, 4)):
+        for slot in (TRIPLE_ONLY, FRAME):
+            cx, cy = random_coefficients(grid, nan_node, slot)
+            got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order,
+                             substeps=substeps)
+            want = staged_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
+            assert_close_with_nan_mask(got, want, nan_node)
+            if kind == "matrix" and slot == TRIPLE_ONLY:
+                assert np.isfinite(got[..., :5]).all()
