@@ -156,12 +156,14 @@ def lax_substeps(grid: Grid2D) -> int:
     return math.ceil(min(grid.hmax / LAX_STEP, LAX_SUBSTEPS))  # hmax / LAX_STEP may be inf
 
 
-def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn):
-    L = np.zeros((5, 5) + np.shape(p))
-    L[0, 1] = -p
-    L[0, 2] = m * Abar1 - Ho
-    L[0, 3] = -m * qn * A1
-    L[0, 4] = m * Ho
+def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn, out=None):
+    """The Lax generator along x, component-first; into a zeroed ``out`` it
+    writes only its nonzero entries."""
+    L = np.zeros((5, 5) + np.shape(p)) if out is None else out
+    np.negative(p, out=L[0, 1])
+    np.subtract(m * Abar1, Ho, out=L[0, 2])
+    np.multiply(-m * qn, A1, out=L[0, 3])
+    np.multiply(m, Ho, out=L[0, 4])
     L[1, 0] = p
     L[2, 0] = Ho
     L[3, 0] = A1
@@ -169,13 +171,14 @@ def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn):
     return L
 
 
-def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn):
-    L = np.zeros((5, 5) + np.shape(q))
+def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn, out=None):
+    """The Lax generator along y."""
+    L = np.zeros((5, 5) + np.shape(q)) if out is None else out
     L[0, 1] = q
-    L[1, 0] = -q
-    L[1, 2] = m * Abar2 - Ko
-    L[1, 3] = -m * qn * A2
-    L[1, 4] = m * Ko
+    np.negative(q, out=L[1, 0])
+    np.subtract(m * Abar2, Ko, out=L[1, 2])
+    np.multiply(-m * qn, A2, out=L[1, 3])
+    np.multiply(m, Ko, out=L[1, 4])
     L[2, 1] = Ko
     L[3, 1] = A2
     L[4, 1] = Abar2

@@ -41,12 +41,15 @@ class _Parser(argparse.ArgumentParser):
     so parse errors are raised as ParameterError.
 
     The negative-number matcher is widened so values like ``-3:3:-3:3``
-    (domains) and ``-0.2`` (parameters) are not mistaken for option flags.
+    (domains), ``-0.2`` (parameters) and ``-inf``, ``-infinity`` or ``-nan``
+    in any case (which ``float`` reads) are not mistaken for option flags;
+    they reach the finite-number checks instead.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d[\d.:,eE+\-]*$")
+        self._negative_number_matcher = re.compile(
+            r"^-(\d|inf|nan)[\w.:,+\-]*$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -196,11 +199,10 @@ def _cmd_reconstruct(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_obj, write_report_file, write_table
     from .frames import (integrate_frame, orthonormality_drift, path_independence_error,
                          reconstruct_surfaces, surface_diagnostics)
-    from .kernel import ResidualReport, coefficients_from_governing, stresses
+    from .kernel import ResidualReport, _coefficients_and_stresses
 
     g, _ = read_field_file(args.fieldfile)
-    c = coefficients_from_governing(g)
-    s = stresses(g)
+    c, s = _coefficients_and_stresses(g)
     frac = c.n_flagged / g.grid.n_nodes
     if frac > 0.5:
         print(f"warning: {100 * frac:.1f}% of nodes are flagged", file=sys.stderr)

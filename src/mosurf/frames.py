@@ -5,10 +5,13 @@ The orthonormal frame Phi = (X, Y, N) (columns) satisfies
     Phi_x = Phi U,  U = [[0, p, Ho], [-p, 0, 0], [-Ho, 0, 0]],
     Phi_y = Phi V,  V = [[0, -q, 0], [q, 0, Ko], [0, -Ko, 0]],
 
-and the point matrix R = (N, r, rbar) satisfies R_x = X Hvec, R_y = Y Kvec
-with Hvec = (Ho, A1, Abar1), Kvec = (Ko, A2, Abar2).  Both are integrated
-with the two-pass RK4 sweep; no re-orthonormalization is applied, so
-orthonormality drift is a genuine accuracy diagnostic.
+and the surface pair R = (r, rbar) satisfies R_x = X (A1, Abar1),
+R_y = Y (A2, Abar2).  The Gauss map N is the frame normal, the third column
+of Phi: N_x = Ho X and N_y = Ko Y are the third columns of Phi U and Phi V,
+so it is not integrated a second time.  :func:`reconstruct_surfaces` sweeps the
+3x5 state (Phi | r, rbar) once with the two-pass RK4 sweep; no
+re-orthonormalization is applied, so orthonormality drift is a genuine
+accuracy diagnostic.
 """
 
 from __future__ import annotations
@@ -64,49 +67,43 @@ class SurfaceTriple:
         return self.N.grid
 
 
-def _skew_x(p, Ho):
-    """U(p, Ho), component-first: shape (3, 3) + p.shape."""
-    U = np.zeros((3, 3) + np.shape(p))
+def _skew_x(p, Ho, out=None):
+    """U(p, Ho), component-first: shape (3, 3) + p.shape.
+
+    Like every sweep builder, it writes only its nonzero entries into a
+    zeroed ``out`` when one is given.
+    """
+    U = np.zeros((3, 3) + np.shape(p)) if out is None else out
     U[0, 1] = p
-    U[1, 0] = -p
+    np.negative(p, out=U[1, 0])
     U[0, 2] = Ho
-    U[2, 0] = -Ho
+    np.negative(Ho, out=U[2, 0])
     return U
 
 
-def _skew_y(q, Ko):
+def _skew_y(q, Ko, out=None):
     """V(q, Ko)."""
-    V = np.zeros((3, 3) + np.shape(q))
-    V[0, 1] = -q
+    V = np.zeros((3, 3) + np.shape(q)) if out is None else out
+    np.negative(q, out=V[0, 1])
     V[1, 0] = q
     V[1, 2] = Ko
-    V[2, 1] = -Ko
+    np.negative(Ko, out=V[2, 1])
     return V
 
 
-def _with_triple_x(p, Ho, A1, Abar1):
-    """[U | e_0 (Ho, A1, Abar1)]: Phi' = Phi U and R' = X Hvec."""
-    G = np.zeros((3, 6) + np.shape(p))
-    G[0, 1] = p
-    G[1, 0] = -p
-    G[0, 2] = Ho
-    G[2, 0] = -Ho
-    G[0, 3] = Ho
-    G[0, 4] = A1
-    G[0, 5] = Abar1
+def _with_triple_x(p, Ho, A1, Abar1, out=None):
+    """[U | e_0 (A1, Abar1)]: Phi' = Phi U and (r, rbar)' = X (A1, Abar1)."""
+    G = _skew_x(p, Ho, np.zeros((3, 5) + np.shape(p)) if out is None else out)
+    G[0, 3] = A1
+    G[0, 4] = Abar1
     return G
 
 
-def _with_triple_y(q, Ko, A2, Abar2):
-    """[V | e_1 (Ko, A2, Abar2)]: Phi' = Phi V and R' = Y Kvec."""
-    G = np.zeros((3, 6) + np.shape(q))
-    G[0, 1] = -q
-    G[1, 0] = q
-    G[1, 2] = Ko
-    G[2, 1] = -Ko
-    G[1, 3] = Ko
-    G[1, 4] = A2
-    G[1, 5] = Abar2
+def _with_triple_y(q, Ko, A2, Abar2, out=None):
+    """[V | e_1 (A2, Abar2)]: Phi' = Phi V and (r, rbar)' = Y (A2, Abar2)."""
+    G = _skew_y(q, Ko, np.zeros((3, 5) + np.shape(q)) if out is None else out)
+    G[1, 3] = A2
+    G[1, 4] = Abar2
     return G
 
 
@@ -137,13 +134,14 @@ def orthonormality_drift(f: FrameGrid) -> float:
     """Max over nodes of the max-abs entry of Phi^T Phi - I; NaN if a frame is.
 
     Only the six distinct Gram entries are formed, each summed over the rows
-    in order, which is the arithmetic of ``einsum("ka,kb->ab")``.
+    in order, which is the arithmetic of ``einsum("ka,kb->ab")``, on one
+    component-major copy of the frames (contiguous entries compute faster
+    than strided views).
     """
-    F = f.frames
+    F = np.moveaxis(f.frames, (2, 3), (0, 1)).copy()
 
     def gram(a, b):
-        return (F[..., 0, a] * F[..., 0, b] + F[..., 1, a] * F[..., 1, b]
-                + F[..., 2, a] * F[..., 2, b])
+        return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
 
     devs = [np.max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
     devs += [np.max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
@@ -166,20 +164,21 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
 def reconstruct_surfaces(
     f: FrameGrid, c: CoefficientFields
 ) -> tuple[SurfaceTriple, float]:
-    """Integrate R_x = X Hvec, R_y = Y Kvec jointly with the frame.
+    """Integrate R = (r, rbar), R_x = X (A1, Abar1), R_y = Y (A2, Abar2), with the frame.
 
-    The base points at the origin node are N0 = the frame normal there and
-    r0 = rbar0 = 0.  Returns the triple and the max distance between the
-    re-integrated Gauss map and the normal column of ``f`` (a
-    cross-implementation check).
+    One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
+    ``f`` at the origin node and r0 = rbar0 = 0; N is its frame normal, the
+    third column.  Returns the triple and the max distance between that N
+    and the normal column of ``f``.  Both come from the same arithmetic on
+    the same coefficients, so that distance reads 0 unless the two sweeps
+    are run differently.
     NaN dual coefficients (flagged stress nodes) poison the rbar sheet
     downstream of the flagged node, which is reported honestly; the frame,
-    N and r stay finite, since the generator's triple columns never feed back.
+    N and r stay finite, since the generator's (r, rbar) columns never feed back.
     """
     if f.grid != c.grid:
         raise ParameterError("frame grid and coefficient grid differ")
-    phi0 = f.frames[0, 0]
-    state0 = np.hstack([phi0, phi0[:, 2:], np.zeros((3, 2))])  # (Phi | N, r, rbar)
+    state0 = np.hstack([f.frames[0, 0], np.zeros((3, 2))])  # (Phi | r, rbar)
     out = sweep_grid(
         c.grid,
         (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
@@ -188,7 +187,7 @@ def reconstruct_surfaces(
     )
     # the fields take contiguous copies of the triple columns; the sweep
     # output, with its second copy of the frame, is dropped before the check
-    triple = SurfaceTriple(*(Vec3Field(c.grid, out[:, :, :, k]) for k in (3, 4, 5)))
+    triple = SurfaceTriple(*(Vec3Field(c.grid, out[:, :, :, k]) for k in (2, 3, 4)))
     del out
     N = triple.N.values
     gauss_dev = float(np.sqrt(((N - f.frames[:, :, :, 2]) ** 2).sum(axis=2)).max())

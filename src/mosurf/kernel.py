@@ -210,6 +210,15 @@ def stresses(g: GoverningFields) -> StressFields:
 def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     """All coefficient fields implied by (alpha, xi, h, qn).
 
+    See :func:`_coefficients_and_stresses`, which also returns the stresses
+    it computes on the way.
+    """
+    return _coefficients_and_stresses(g)[0]
+
+
+def _coefficients_and_stresses(g: GoverningFields) -> tuple[CoefficientFields, StressFields]:
+    """The coefficient fields of ``g`` and its :func:`stresses`, each computed once.
+
     p and q use the closed forms from the governing structure,
     p = eps (alpha_y + xi_y S/C) and q = alpha_x + eps xi_x C/S
     (S/C is evaluated as tanh(alpha) for the 1st kind),
@@ -239,12 +248,11 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     # NaN sentinels stay local to the field they break: a stress singularity
     # poisons Abar1/Abar2 but leaves the frame coefficients p, q, Ho, Ko usable.
     flagged = s.flagged.copy()
-    del s
     for v in (A1, A2, Ho, Ko, Abar1, Abar2, p, q):
         bad = ~np.isfinite(v)
         v[bad] = np.nan
         flagged |= bad
-    return CoefficientFields(grid, A1, A2, Ho, Ko, Abar1, Abar2, p, q, flagged)
+    return CoefficientFields(grid, A1, A2, Ho, Ko, Abar1, Abar2, p, q, flagged), s
 
 
 def second_fundamental_form(g: GoverningFields) -> tuple[ScalarField, ScalarField]:

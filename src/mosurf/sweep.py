@@ -4,14 +4,19 @@ Every integrated system is linear in its state.  Along x it moves by the
 generator ``gen_x(*coeffs_x)``, along y by ``gen_y(*coeffs_y)``: the
 coefficient tuples hold the (nx, ny) node arrays each direction uses.
 
-Layout.  A builder takes coefficient arrays of any shape and returns the
-dense generator component-first, shape ``(n, d) + coeff_shape``, written as
-contiguous slabs ``G[i, j] = ...``.  A vector state ``w`` (d,) moves as
-``G w``; a matrix state ``S`` (r, d) moves as ``S[:, :n] G``, which reads
-only its first n columns, so a NaN that enters the other columns never feeds
-back into them.  The generators stay dense, so a NaN coefficient spreads
-through 0 * NaN exactly as through a dense matrix product.  The output is
-node-major, ``(nx, ny) + state.shape``.
+Builders.  A builder ``gen(*coeffs, out=None)`` takes coefficient arrays
+of any shape and returns the dense generator component-first, shape
+``(n, d) + coeff_shape``, written as slabs ``G[i, j] = ...``.  Without
+``out`` it returns a new array; given ``out``, a zeroed array of that shape,
+it writes only its nonzero entries into it and returns it, so every entry
+it does not write must be zero in its generator.
+
+Layout.  A vector state ``w`` (d,) moves as ``G w``; a matrix state ``S``
+(r, d) moves as ``S[:, :n] G``, which reads only its first n columns, so a
+NaN that enters the other columns never feeds back into them.  The
+generators stay dense, so a NaN coefficient spreads through 0 * NaN exactly
+as through a dense matrix product.  The output is node-major,
+``(nx, ny) + state.shape``.
 
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
@@ -55,8 +60,15 @@ B intervals (``BLOCK``, or fewer on wide grids, see ``BLOCK_FLOATS``) from
 one stack of the block's node coefficients, and a step takes the interval's
 slice ``G[:, :, i]``.  Each generator entry is computed by the same
 elementwise operations whatever B is, so the swept values do not depend on
-B, bit for bit.  A block's states go into one contiguous buffer, which the
-sweep copies into the node-major output as one block of columns.
+B, bit for bit.  A march writes its generators and states into buffers
+allocated once per march: the generator buffers (zeroed once; each block's
+builder calls write into them through ``out``, a shorter last block into a
+view of them), the four stages and their scratch, and one contiguous buffer
+of a block's states, which the sweep copies into the node-major output as
+one block of columns.  Per block, only the coefficient stack, its stage
+interpolants and a copy of the generator carried over from the block before
+are new; the first generator of a line and the row march's generators are
+new arrays too.
 """
 
 from __future__ import annotations
@@ -135,7 +147,6 @@ def _march(
     h: float,
     gen: Builder,
     line: tuple[np.ndarray, ...],
-    rule: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     substeps: int,
 ) -> Iterator[np.ndarray]:
     """Staged RK4 march of m lines at once.
@@ -148,41 +159,58 @@ def _march(
     Each stage generator is built once: k2 and k3 share the midpoint, and a
     step starts with the generator the previous step ended with.  A block of
     intervals takes one (K, B + 1, m) coefficient stack and one builder call
-    per stage point.  The stages are written into buffers allocated once per
-    march, with the operations and their order of the textbook form
+    per stage point, into generator buffers zeroed once per march.  The
+    stages go into buffers allocated once per march too (a matrix state
+    reads them through ``S[:, :n]`` views bound once), with the operations
+    and their order of the textbook form
     ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hs = h / substeps
+    half, sixth = 0.5 * hs, hs / 6.0
     state = np.array(state0, dtype=float, order="C")
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
-
-    def stage(k, scale):  # state + scale k, in the scratch buffer
-        return np.add(state, np.multiply(k, scale, out=arg), out=arg)
-
     ga = gen(*(v[0] for v in line))
+    n = ga.shape[0]
+    if state.ndim == 2:  # a vector state: k = G w
+        spec, x, xa = "ij...,j...->i...", state, arg
+    else:  # a matrix state: k = S[:, :n] G
+        spec, x, xa = "jk...,aj...->ak...", state[:, :n], arg[:, :n]
     intervals = len(line[0]) - 1
-    block = max(1, min(BLOCK, BLOCK_FLOATS // (2 * substeps * ga.size)))
+    block = max(1, min(BLOCK, intervals, BLOCK_FLOATS // (2 * substeps * ga.size)))
+    # the midpoint and end generators of every substep; a builder writes only
+    # its nonzero entries, so the zeros written here stay.  One array per
+    # substep and stage point: a single buffer of all of them raised glibc's
+    # mmap threshold, and with it the peak RSS of a process running 301^2
+    # transforms and 601^2 frame sweeps by 0.7 MB
+    gms, gbs = ([np.zeros(ga.shape[:2] + (block,) + ga.shape[2:]) for _ in range(substeps)]
+                for _ in range(2))
     buf = np.empty((block,) + state.shape)
     for a in range(0, intervals, block):
         cb = np.stack([v[a:a + block + 1] for v in line])
-        gms, gbs = ([gen(*p) for p in _stage_points(cb[:, :-1], cb[:, 1:], substeps, at)]
-                    for at in (0.5, 1.0))
-        for i in range(cb.shape[1] - 1):
+        b = cb.shape[1] - 1
+        ga = ga.copy()  # the carried generator may be a view into ``gbs``
+        for gs, at in ((gms, 0.5), (gbs, 1.0)):
+            for g, p in zip(gs, _stage_points(cb[:, :-1], cb[:, 1:], substeps, at)):
+                gen(*p, out=g[:, :, :b])
+        for i in range(b):
             for s in range(substeps):
                 gm, gb = gms[s][:, :, i], gbs[s][:, :, i]
-                rule(ga, state, k1)
-                rule(gm, stage(k1, 0.5 * hs), k2)
-                rule(gm, stage(k2, 0.5 * hs), k3)
-                rule(gb, stage(k3, hs), k4)
+                np.einsum(spec, ga, x, out=k1)
+                np.add(state, np.multiply(k1, half, out=arg), out=arg)
+                np.einsum(spec, gm, xa, out=k2)
+                np.add(state, np.multiply(k2, half, out=arg), out=arg)
+                np.einsum(spec, gm, xa, out=k3)
+                np.add(state, np.multiply(k3, hs, out=arg), out=arg)
+                np.einsum(spec, gb, xa, out=k4)
                 np.multiply(k2, 2.0, out=acc)
                 acc += k1
                 acc += np.multiply(k3, 2.0, out=arg)
                 acc += k4
-                acc *= hs / 6.0
+                acc *= sixth
                 state += acc
                 ga = gb
             buf[i] = state
-        yield buf[:cb.shape[1] - 1]
+        yield buf[:b]
 
 
 def sweep_grid(
@@ -203,11 +231,6 @@ def sweep_grid(
     if order not in ("xy", "yx"):
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
     state0 = np.asarray(state0, dtype=float)
-    if state0.ndim == 1:
-        rule = lambda G, w, out: np.einsum("ij...,j...->i...", G, w, out=out)
-    else:
-        rule = lambda G, S, out: np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G,
-                                           out=out)
     out = np.empty(grid.shape + state0.shape)
     fill, hx, hy = out, grid.dx, grid.dy
     if order == "yx":  # the "xy" pass on the transposed grid
@@ -220,7 +243,7 @@ def sweep_grid(
     # one block of the coefficients is stacked at a time, never the whole grid
     columns = tuple(v.T for v in coeffs_y)
     j = 1
-    for batch in _march(np.moveaxis(fill[:, 0], 0, -1), hy, gen_y, columns, rule, substeps):
+    for batch in _march(np.moveaxis(fill[:, 0], 0, -1), hy, gen_y, columns, substeps):
         fill[:, j:j + len(batch)] = np.moveaxis(batch, -1, 0)
         j += len(batch)
     return out

@@ -14,14 +14,13 @@ import numpy as np
 from .kernel import (
     GoverningFields,
     ResidualReport,
-    coefficients_from_governing,
+    _coefficients_and_stresses,
     equilibrium_residuals,
     first_integral_check,
     gauss_codazzi_residuals,
     governing_residuals,
     orthogonality_check,
     residual_stats,
-    stresses,
 )
 from .omega import omega_ratios
 
@@ -78,8 +77,7 @@ def verify_governing(g: GoverningFields) -> ResidualReport:
     Each family is reduced to norms before the next one runs, which bounds
     the peak memory by one family's residual arrays.
     """
-    c = coefficients_from_governing(g)
-    s = stresses(g)
+    c, s = _coefficients_and_stresses(g)
     families = (
         lambda: governing_residuals(g),
         lambda: gauss_codazzi_residuals(c),

@@ -647,6 +647,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run(["verify", str(cmc), "--tol", "0"]) == 4
 
 
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-infinity", "-nan", "-NaN"])
+def test_cli_negative_nonfinite_flag_value_is_a_number(tmp_path, capsys, value):
+    # "-inf" and "-nan" as a separate word are values, not option flags: the
+    # finite-number check rejects them with one error line, not the usage text
+    cmc = tmp_path / "cmc.json"
+    seed = ["seed", "--family", "cmc", "--nx", "9", "--ny", "9"]
+    assert run(seed + ["--domain", "0:1:0:1", "-o", str(cmc)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "bad.json"
+    for argv in (seed + ["--domain", "0:1:0:1", "--alpha0", value],
+                 seed + ["--domain", f"{value}:1:0:1"],
+                 ["backlund", str(cmc), "--m", value],
+                 ["backlund", str(cmc), "--init", f"0,1,{value}"]):
+        assert run(argv + ["-o", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("mosurf: error:"), argv
+        assert "finite" in errors[0] and "usage" not in captured.err, argv
+        assert not out.exists(), argv
+
+
+def test_cli_negative_numbers_and_flags_still_parse(tmp_path, capsys):
+    out = tmp_path / "kink.json"
+    assert run(["seed", "--family", "pseudospherical", "--v", "-0.3", "--domain", "-1:1:-1:1",
+                "--nx", "9", "--ny", "9", "-o", str(out)]) == 0
+    assert out.exists()
+    capsys.readouterr()
+    # a word that is neither a number nor inf/nan stays an option flag
+    assert run(["seed", "--family", "cmc", "--domain", "0:1:0:1", "--alpha0", "-o",
+                str(out)]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_cli_usage_error_is_exit_1():
     with pytest.raises(SystemExit):
         # argparse handles -h itself; unknown subcommand maps to usage error

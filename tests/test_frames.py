@@ -21,6 +21,7 @@ from mosurf.kernel import (
     gauss_codazzi_residuals,
 )
 from mosurf.seeds import SeedSpec, generate_seed
+from mosurf.sweep import sweep_grid
 
 I3 = np.eye(3)
 
@@ -156,6 +157,58 @@ def test_reconstruction_confines_nan_dual_coefficients_to_rbar():
     rbar = triple.rbar.values
     assert np.isnan(rbar[downstream]).all()
     assert np.isfinite(rbar[~downstream]).all()
+
+
+def frozen_triple_x(p, Ho, A1, Abar1, out=None):
+    """The 3x6 generator [U | e_0 (Ho, A1, Abar1)] the triple sweep used to
+    take, which integrated N a second time as its fourth column."""
+    G = np.zeros((3, 6) + np.shape(p)) if out is None else out
+    G[0, 1], G[1, 0], G[0, 2], G[2, 0] = p, -p, Ho, -Ho
+    G[0, 3], G[0, 4], G[0, 5] = Ho, A1, Abar1
+    return G
+
+
+def frozen_triple_y(q, Ko, A2, Abar2, out=None):
+    """[V | e_1 (Ko, A2, Abar2)]."""
+    G = np.zeros((3, 6) + np.shape(q)) if out is None else out
+    G[0, 1], G[1, 0], G[1, 2], G[2, 1] = -q, q, Ko, -Ko
+    G[1, 3], G[1, 4], G[1, 5] = Ko, A2, Abar2
+    return G
+
+
+def frozen_joint_sweep(f, c):
+    """The 3x6 joint sweep of (Phi | N, r, rbar), as the triple was built
+    before N became the frame's own column."""
+    phi0 = f.frames[0, 0]
+    state0 = np.hstack([phi0, phi0[:, 2:], np.zeros((3, 2))])
+    return sweep_grid(c.grid, (c.p, c.Ho, c.A1, c.Abar1), frozen_triple_x,
+                      (c.q, c.Ko, c.A2, c.Abar2), frozen_triple_y, state0)
+
+
+@pytest.mark.parametrize("family,dom,shape", [
+    ("cmc", (0, 2, 0, 2), (51, 51)),
+    ("cmc", (0, 2, 0, 1.5), (61, 45)),
+    ("pseudospherical", (-1, 1, -1, 1), (37, 64)),
+    ("liouville", (-1, 1, -1, 1), (41, 41)),  # NaN dual coefficients on x = 0
+])
+def test_triple_matches_frame_and_frozen_joint_sweep(family, dom, shape):
+    # N is the frame sweep's third column and r, rbar are the 3x6 joint
+    # sweep's, bit for bit, under any initial frame
+    kw = {"cmc": {"alpha0": 1.0}, "pseudospherical": {"v": 0.3},
+          "liouville": {"a": 0.353553, "c1": 0.0}}[family]
+    grid = Grid2D.from_domain(*dom, *shape)
+    c = coefficients_from_governing(generate_seed(SeedSpec(family, grid, **kw)))
+    turn = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    for phi0 in (I3, turn @ np.array([[1.0, 0, 0], [0, 0.28, -0.96], [0, 0.96, 0.28]])):
+        f = integrate_frame(c, phi0)
+        triple, gauss_dev = reconstruct_surfaces(f, c)
+        assert triple.N.values.tobytes() == np.ascontiguousarray(f.frames[..., 2]).tobytes()
+        assert gauss_dev == 0.0
+        joint = frozen_joint_sweep(f, c)
+        for k, v in ((3, triple.N), (4, triple.r), (5, triple.rbar)):
+            assert v.values.tobytes() == np.ascontiguousarray(joint[..., k]).tobytes(), k
+    if family == "liouville":
+        assert np.isnan(triple.rbar.values).any() and np.isfinite(triple.r.values).all()
 
 
 def test_reconstruction_tangent_structure():

@@ -11,6 +11,7 @@ from mosurf.kernel import (
     CoefficientFields,
     GoverningFields,
     ResidualReport,
+    _coefficients_and_stresses,
     coefficients_from_governing,
     equilibrium_residuals,
     first_integral_check,
@@ -293,3 +294,19 @@ def test_stress_guard_flags_vanishing_denominator():
     # frame coefficients stay usable at stress-flagged nodes
     assert np.isfinite(c.Ho).all()
     assert np.isfinite(c.p).all()
+
+
+@pytest.mark.parametrize("family, kw", [("cmc", dict(alpha0=1.0)),
+                                        ("pseudospherical", dict(v=0.3)),
+                                        ("liouville", dict(a=0.353553, c1=0.0))])
+def test_coefficients_and_stresses_computed_once_are_bit_identical(family, kw):
+    # verify and reconstruct take the stresses the coefficient build computes;
+    # they are the bits of a separate stresses() call
+    g = generate_seed(SeedSpec(family, Grid2D.from_domain(-1, 1, -1, 1, 31, 27), **kw))
+    c, s = _coefficients_and_stresses(g)
+    c0, s0 = coefficients_from_governing(g), stresses(g)
+    for name in ("A1", "A2", "Ho", "Ko", "Abar1", "Abar2", "p", "q", "flagged"):
+        assert getattr(c, name).tobytes() == getattr(c0, name).tobytes(), name
+    for name in ("T1", "T2", "flagged"):
+        assert getattr(s, name).tobytes() == getattr(s0, name).tobytes(), name
+    assert s.grid == s0.grid == c.grid

@@ -1,8 +1,11 @@
 """Direct tests of the two-pass RK4 sweep."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from mosurf import backlund, frames
 from mosurf.fields import Grid2D
 from mosurf.sweep import BLOCK, sweep_grid
 
@@ -11,9 +14,12 @@ from mosurf.sweep import BLOCK, sweep_grid
 A, B, C, D = 0.7, -1.3, 0.9, 0.6
 
 
-def scalar_generator(k):
+def scalar_generator(k, out=None):
     """1x1 generator of d(state) = k state, component-first."""
-    return np.asarray(k)[None, None]
+    if out is None:
+        return np.asarray(k)[None, None]
+    out[0, 0] = k
+    return out
 
 
 def exp_sweep(n, state0, order):
@@ -37,10 +43,10 @@ def test_scalar_generators_give_exponential(order):
     assert np.log2(errs[11] / errs[21]) > 3.8  # RK4: fourth order
 
 
-def rotation_generator(a):
+def rotation_generator(a, out=None):
     """2x2 generator of d(state) = a J state, J the quarter turn."""
     a = np.asarray(a)
-    G = np.zeros((2, 2) + a.shape)
+    G = np.zeros((2, 2) + a.shape) if out is None else out
     G[0, 1] = -a
     G[1, 0] = a
     return G
@@ -236,9 +242,9 @@ def node_major_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, subs
                               state0, order, substeps, rules, "node")
 
 
-def lax_like_x(p, Ho, A1, Abar1, m=0.8, qn=1.3):
+def lax_like_x(p, Ho, A1, Abar1, m=0.8, qn=1.3, out=None):
     """The 5x5 Lax generator pattern along x (vector state)."""
-    L = np.zeros((5, 5) + np.shape(p))
+    L = np.zeros((5, 5) + np.shape(p)) if out is None else out
     L[0, 1] = -p
     L[0, 2] = m * Abar1 - Ho
     L[0, 3] = -m * qn * A1
@@ -250,9 +256,9 @@ def lax_like_x(p, Ho, A1, Abar1, m=0.8, qn=1.3):
     return L
 
 
-def triple_like_y(q, Ko, A2, Abar2):
+def triple_like_y(q, Ko, A2, Abar2, out=None):
     """A 3x6 generator (frame plus surface triple, matrix state)."""
-    G = np.zeros((3, 6) + np.shape(q))
+    G = np.zeros((3, 6) + np.shape(q)) if out is None else out
     G[0, 1] = -q
     G[1, 0] = q
     G[1, 2] = Ko
@@ -379,3 +385,42 @@ def test_row_step_matrices_match_staged_steps(kind, order, substeps):
             assert_close_with_nan_mask(got, want, nan_node)
             if kind == "matrix" and slot == TRIPLE_ONLY:
                 assert np.isfinite(got[..., :5]).all()
+
+
+# -- the library builders' out= contract ------------------------------------
+
+LIBRARY_BUILDERS = {
+    "skew_x": (frames._skew_x, 2),
+    "skew_y": (frames._skew_y, 2),
+    "triple_x": (frames._with_triple_x, 4),
+    "triple_y": (frames._with_triple_y, 4),
+    "lax_x": (partial(backlund._lax_matrix_x, m=0.8, qn=1.3), 4),
+    "lax_y": (partial(backlund._lax_matrix_y, m=-1.7, qn=0.6), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_BUILDERS))
+def test_library_builder_writes_its_generator_into_zeroed_out(name):
+    # a march zeroes its generator buffers once and lets every block's builder
+    # calls write into them: a builder must write the generator it returns,
+    # into a full block and into a shorter last-block view, and leave the
+    # entries it does not write (zeros) and the rest of the buffer alone
+    gen, k = LIBRARY_BUILDERS[name]
+    rng = np.random.default_rng(len(name))
+    block, m = 7, 5
+
+    def draw(b):
+        return [rng.uniform(-2.0, 2.0, (b, m)) for _ in range(k)]
+
+    coeffs = draw(block)
+    coeffs[-1][2, 3] = np.nan
+    want = gen(*coeffs)
+    buf = np.zeros(want.shape)
+    assert gen(*coeffs, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    for b in (block, 3, 1):  # later blocks reuse the buffer, a last one a view
+        tail = buf[:, :, b:].copy()
+        c = draw(b)
+        gen(*c, out=buf[:, :, :b])
+        assert buf[:, :, :b].tobytes() == gen(*c).tobytes(), b
+        assert buf[:, :, b:].tobytes() == tail.tobytes(), b
