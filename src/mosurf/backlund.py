@@ -375,15 +375,14 @@ def bianchi_darboux(
     mbar: float,
     lambda0: float = 0.0,
     omega0: float = 1.0,
-    branch: int = 1,
 ) -> BacklundResult:
     """Classical Bianchi-Darboux transformation of a cmc background.
 
     The Backlund transformation with m = 2 mbar / qn on the reduction
-    chi = qn phi, which the Lax flow preserves.  phi0 is solved from the
-    quadric constraint with chi0 = qn phi0 (quadratic; ``branch`` picks the
-    root); the discriminant must be nonnegative, which bounds mbar from
-    below.  The Lax system is swept in the xy order only, from
+    chi = qn phi, which the Lax flow preserves.  phi0 is the larger root,
+    omega0 + sqrt(disc), of the quadric constraint with chi0 = qn phi0; the
+    discriminant disc must be nonnegative, which bounds mbar from below.
+    The Lax system is swept in the xy order only, from
     :func:`admissible_initial`, whose chi0 then equals qn phi0;
     :func:`bianchi_darboux_identities` measures max |chi - qn phi|.
 
@@ -406,7 +405,7 @@ def bianchi_darboux(
         raise ParameterError(
             f"no admissible phi0 for mbar={mbar}: constraint discriminant {disc:.3e} < 0"
         )
-    phi0 = omega0 + (1 if branch >= 0 else -1) * np.sqrt(disc)
+    phi0 = omega0 + np.sqrt(disc)
 
     c = coefficients_from_governing(g)
     init = admissible_initial(m, qn, lambda0, omega0, phi0)

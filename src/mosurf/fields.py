@@ -5,8 +5,9 @@ Conventions used throughout the package:
 * a field value array has shape ``(nx, ny)`` and is indexed ``[i, j]`` with
   ``i`` the x index and ``j`` the y index;
 * serialization is row-major in x-fastest order, i.e. ``values.ravel(order="F")``;
-* :class:`ScalarField` and :class:`Vec3Field` copy and freeze their values; the
-  internal bundles hold read-only views of the arrays they built (:func:`freeze_arrays`).
+* :class:`ScalarField` and :class:`Vec3Field`, like the internal bundles
+  (:func:`freeze_arrays`), hold read-only views of the arrays they are given
+  and do not copy them (only a non-float array is converted).
 
 Derivatives are second-order central stencils in the interior with
 second-order one-sided closures on the boundary rows/columns, so every
@@ -16,7 +17,7 @@ derivative-based residual in the package is uniformly O(h^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,52 +109,33 @@ def freeze_arrays(bundle) -> None:
 
 
 @dataclass(frozen=True)
-class ScalarField:
+class _NodeField:
+    """Values on every node of a :class:`Grid2D`, shape ``grid.shape + TRAILING``."""
+
+    grid: Grid2D
+    values: np.ndarray = field(repr=False)
+
+    TRAILING: ClassVar[tuple[int, ...]] = ()
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=float)
+        expected = self.grid.shape + self.TRAILING
+        if v.shape != expected:
+            raise FieldFormatError(
+                f"{type(self).__name__} shape {v.shape} does not match grid "
+                f"{self.grid.shape}: expected {expected}"
+            )
+        object.__setattr__(self, "values", _freeze(v.view()))
+
+
+class ScalarField(_NodeField):
     """A real scalar sampled on every node of a :class:`Grid2D`."""
 
-    grid: Grid2D
-    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise FieldFormatError(
-                f"field shape {v.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", _freeze(v.copy()))
-
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField":
-        X, Y = grid.meshgrid()
-        return cls(grid, np.broadcast_to(np.asarray(fn(X, Y), dtype=float), grid.shape))
-
-    @classmethod
-    def constant(cls, grid: Grid2D, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "ScalarField":
-        return cls.constant(grid, 0.0)
-
-    def like(self, values: np.ndarray) -> "ScalarField":
-        """New field on the same grid."""
-        return ScalarField(self.grid, values)
-
-
-@dataclass(frozen=True)
-class Vec3Field:
+class Vec3Field(_NodeField):
     """A 3-vector sampled on every node of a :class:`Grid2D`."""
 
-    grid: Grid2D
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape + (3,):
-            raise FieldFormatError(
-                f"vector field shape {v.shape} does not match grid {self.grid.shape} + (3,)"
-            )
-        object.__setattr__(self, "values", _freeze(v.copy()))
+    TRAILING = (3,)
 
 
 def _diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -172,12 +154,12 @@ def _diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 def partial_x(f: ScalarField) -> ScalarField:
     """d/dx of a scalar field; exact on polynomials of degree <= 2 in x."""
-    return f.like(_diff(f.values, f.grid.dx, axis=0))
+    return ScalarField(f.grid, _diff(f.values, f.grid.dx, axis=0))
 
 
 def partial_y(f: ScalarField) -> ScalarField:
     """d/dy of a scalar field; exact on polynomials of degree <= 2 in y."""
-    return f.like(_diff(f.values, f.grid.dy, axis=1))
+    return ScalarField(f.grid, _diff(f.values, f.grid.dy, axis=1))
 
 
 def diff_x(values: np.ndarray, grid: Grid2D) -> np.ndarray:

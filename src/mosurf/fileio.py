@@ -214,7 +214,10 @@ def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
                 f"{path}: non-finite value in field {name!r} at flat index {idx}"
             )
         arr[flagged] = np.nan
-        fields[name] = ScalarField(grid, arr.reshape(grid.shape, order="F"))
+        # a C-ordered copy on purpose: the x-fastest reshape is an F-ordered
+        # view, over which numpy reductions sum in another order, so the
+        # residual norms of a file would differ from those of its fields
+        fields[name] = ScalarField(grid, np.ascontiguousarray(arr.reshape(grid.shape, order="F")))
     g = GoverningFields(kind=kind, qn=qn, alpha=fields["alpha"], xi=fields["xi"], h=fields["h"])
     return g, doc.get("seed")
 

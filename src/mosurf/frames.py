@@ -62,10 +62,6 @@ class SurfaceTriple:
     r: Vec3Field
     rbar: Vec3Field
 
-    @property
-    def grid(self) -> Grid2D:
-        return self.N.grid
-
 
 def _skew_x(p, Ho, out=None):
     """U(p, Ho), component-first: shape (3, 3) + p.shape.
@@ -185,9 +181,10 @@ def reconstruct_surfaces(
         (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
         state0,
     )
-    # the fields take contiguous copies of the triple columns; the sweep
-    # output, with its second copy of the frame, is dropped before the check
-    triple = SurfaceTriple(*(Vec3Field(c.grid, out[:, :, :, k]) for k in (2, 3, 4)))
+    # contiguous copies of the triple columns on purpose: views would keep the
+    # whole 3x5 sweep output, with its second copy of the frame, alive
+    triple = SurfaceTriple(*(Vec3Field(c.grid, np.ascontiguousarray(out[:, :, :, k]))
+                             for k in (2, 3, 4)))
     del out
     N = triple.N.values
     gauss_dev = float(np.sqrt(((N - f.frames[:, :, :, 2]) ** 2).sum(axis=2)).max())

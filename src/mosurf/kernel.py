@@ -45,7 +45,6 @@ __all__ = [
     "residual_stats",
     "coefficients_from_governing",
     "stresses",
-    "second_fundamental_form",
     "governing_residuals",
     "gauss_codazzi_residuals",
     "equilibrium_residuals",
@@ -253,17 +252,6 @@ def _coefficients_and_stresses(g: GoverningFields) -> tuple[CoefficientFields, S
         v[bad] = np.nan
         flagged |= bad
     return CoefficientFields(grid, A1, A2, Ho, Ko, Abar1, Abar2, p, q, flagged), s
-
-
-def second_fundamental_form(g: GoverningFields) -> tuple[ScalarField, ScalarField]:
-    """Coefficients (b11, b22) of the second fundamental form."""
-    al = g.alpha.values
-    ex = np.exp(g.xi.values)
-    h = g.h.values
-    S, C, eps = _sc(g.kind, al)
-    b11 = -ex * S * (C + h * S)
-    b22 = -ex * C * (eps * S + h * C)
-    return ScalarField(g.grid, b11), ScalarField(g.grid, b22)
 
 
 def principal_curvatures(c: CoefficientFields) -> tuple[np.ndarray, np.ndarray]:

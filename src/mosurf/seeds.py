@@ -76,20 +76,24 @@ class SeedSpec:
     def from_header(cls, header: dict, nx: int, ny: int) -> "SeedSpec":
         """The seed of a field-file ``seed`` entry on an nx x ny grid of its domain.
 
-        The header is file content, so a missing, non-numeric, non-finite or
-        invalid entry raises FieldFormatError.
+        The header is file content, so a missing or invalid entry raises
+        FieldFormatError.  Its numbers follow the field header's rule: finite
+        JSON numbers (int or float), so strings and booleans are rejected.
         """
+        from .fileio import _number  # imported here: only verify --refine reads a seed header
+
+        bad = "bad seed header"
         try:
-            x0, x1, y0, y1 = (float(v) for v in header["domain"])
-            params = {k: float(header[k]) for k in ("qn", "alpha0", "v", "a", "c1")}
-            if not np.isfinite([x0, x1, y0, y1, *params.values()]).all():
-                raise ValueError("non-finite domain or parameter")
+            x0, x1, y0, y1 = (_number(v, "domain entry", bad) for v in header["domain"])
+            params = {k: _number(header[k], k, bad) for k in ("qn", "alpha0", "v", "a", "c1")}
             grid = Grid2D.from_domain(x0, x1, y0, y1, nx, ny)
             return cls(header["family"], grid, **params)
         except KeyError as exc:
             raise FieldFormatError(f"seed header has no {exc} entry") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FieldFormatError(f"bad seed header: {exc}") from exc
+        except FieldFormatError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise FieldFormatError(f"{bad}: {exc}") from exc
 
 
 def sinh_gordon_profile(alpha0: float, dx: float, nx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +144,8 @@ def _seed_cmc(spec: SeedSpec) -> GoverningFields:
         kind="first",
         qn=spec.qn,
         alpha=ScalarField(g, alpha),
-        xi=ScalarField.zeros(g),
-        h=ScalarField.constant(g, 1.0),
+        xi=ScalarField(g, np.zeros(g.shape)),
+        h=ScalarField(g, np.full(g.shape, 1.0)),
     )
 
 
@@ -161,8 +165,8 @@ def _seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
         kind="second",
         qn=spec.qn,
         alpha=ScalarField(g, alpha),
-        xi=ScalarField.zeros(g),
-        h=ScalarField.zeros(g),
+        xi=ScalarField(g, np.zeros(g.shape)),
+        h=ScalarField(g, np.zeros(g.shape)),
     )
 
 
@@ -186,7 +190,7 @@ def _seed_liouville(spec: SeedSpec) -> GoverningFields:
     return GoverningFields(
         kind="second",
         qn=spec.qn,
-        alpha=ScalarField.constant(g, np.pi / 4.0),
+        alpha=ScalarField(g, np.full(g.shape, np.pi / 4.0)),
         xi=ScalarField(g, -np.log(u)),
         h=ScalarField(g, h),
     )

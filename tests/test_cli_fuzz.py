@@ -1,5 +1,6 @@
 """Fuzz the CLI with field files that have one corrupted payload node or
-header entry (the flagged-node list included).
+header entry (the flagged-node list and the entries of the seed header
+included).
 
 A valid 5x5 field file gets one node of one field, or one header entry,
 replaced by an arbitrary JSON value (NaN and +-Infinity included, which
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mosurf.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mosurf.fileio import FIELD_NAMES
+from mosurf.seeds import FAMILY_KINDS
 
 DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_GATE}
 
@@ -94,6 +96,10 @@ def run_all(workdir, doc):
 
 HEADER_ENTRIES = ("qn", "kind", "version", "grid.nx", "grid.ny", "grid.x0", "grid.y0",
                   "grid.dx", "grid.dy", "seed", "flagged", "seed.flagged")
+#: entries of the seed header, which only ``verify --refine`` reads
+SEED_ENTRIES = ("seed.family", "seed.qn", "seed.alpha0", "seed.v", "seed.a", "seed.c1",
+                "seed.domain", "seed.domain.0", "seed.domain.1", "seed.domain.2",
+                "seed.domain.3")
 
 
 def finite_number(value):
@@ -131,11 +137,27 @@ def header_rejects(entry, value):
     if entry in ("flagged", "seed.flagged"):  # seed.flagged: where older files kept it
         indices = isinstance(value, list) and all(type(k) is int and 0 <= k < 25 for k in value)
         return not (indices and len(set(value)) < 25)
-    return False  # seed: only verify --refine reads it
+    return False  # the seed header: only verify --refine reads it
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(seed=st.sampled_from(sorted(SEEDS)), entry=st.sampled_from(HEADER_ENTRIES),
+def refine_rejects(entry, value):
+    """Whether ``verify --refine`` must reject ``value`` at the seed ``entry``.
+
+    Seed numbers follow the field header's rule; a valid number can still be
+    rejected (alpha0 = 0, a domain that is empty), but is not required to be.
+    """
+    if entry == "seed":
+        return True  # no replacement value carries a family and every parameter
+    if entry == "seed.family":
+        return not (isinstance(value, str) and value in FAMILY_KINDS)
+    if entry == "seed.domain":
+        return not (isinstance(value, list) and len(value) == 4
+                    and all(map(finite_number, value)))
+    return entry in SEED_ENTRIES and not finite_number(value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.sampled_from(sorted(SEEDS)), entry=st.sampled_from(HEADER_ENTRIES + SEED_ENTRIES),
        value=json_values)
 @example(seed="cmc", entry="qn", value=math.nan)
 @example(seed="cmc", entry="qn", value=True)
@@ -160,10 +182,25 @@ def header_rejects(entry, value):
 @example(seed="cmc", entry="flagged", value=None)
 @example(seed="kink", entry="seed.flagged", value=[7])
 @example(seed="cmc", entry="seed.flagged", value=[10**400])
+@example(seed="cmc", entry="seed.alpha0", value="1.0")
+@example(seed="cmc", entry="seed.alpha0", value=True)
+@example(seed="kink", entry="seed.v", value=math.inf)
+@example(seed="cmc", entry="seed.qn", value="1")
+@example(seed="cmc", entry="seed.domain.1", value="2")
+@example(seed="kink", entry="seed.domain.0", value=False)
+@example(seed="cmc", entry="seed.domain.3", value=10**400)
+@example(seed="cmc", entry="seed.domain", value=[0, 2, 0])
+@example(seed="kink", entry="seed.family", value="cmc")
+@example(seed="cmc", entry="seed.alpha0", value=2)  # an integer stays a number
 def test_corrupted_header_gives_documented_exit(workdir, seed, entry, value):
     doc = json.loads((workdir / f"{seed}.json").read_text())
     *parents, key = entry.split(".")
-    (doc[parents[0]] if parents else doc)[key] = value
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[int(key) if isinstance(target, list) else key] = value
     codes = run_all(workdir, doc)
     if header_rejects(entry, value):
         assert codes == [EXIT_VALIDATION] * len(codes), (entry, value, codes)
+    if refine_rejects(entry, value):
+        assert codes[1] == EXIT_VALIDATION, (entry, value, codes)

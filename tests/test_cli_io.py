@@ -86,6 +86,7 @@ def test_field_file_round_trip_is_bit_exact(tmp_path):
     assert g2.grid == g.grid
     for name in ("alpha", "xi", "h"):
         assert np.array_equal(getattr(g, name).values, getattr(g2, name).values)
+        assert getattr(g2, name).values.flags.c_contiguous
     assert seed["family"] == "none"
 
 
@@ -390,8 +391,15 @@ def test_cli_verify_corrupted_payload_exit_code(tmp_path, capsys, corrupt):
     lambda seed: seed.update(alpha0=float("nan")),
     lambda seed: seed.update(alpha0=0.0),  # parses, but gives no seed
     lambda seed: seed.update(family="pseudospherical", v=1.5),
+    # the field header's number rule: a string or boolean is not a number,
+    # although float() would read it
+    lambda seed: seed.update(alpha0="1.0"),
+    lambda seed: seed.update(alpha0=True),
+    lambda seed: seed.update(domain=["0", "1", "0", "1"]),
+    lambda seed: seed.update(domain=[False, 1, 0, 1]),
 ], ids=["no-domain", "no-alpha0", "qn-text", "short-domain", "unknown-family",
-        "huge-int-domain", "infinite-domain", "nan-alpha0", "alpha0-zero", "kink-v"])
+        "huge-int-domain", "infinite-domain", "nan-alpha0", "alpha0-zero", "kink-v",
+        "string-alpha0", "bool-alpha0", "string-domain", "bool-domain"])
 def test_cli_verify_refine_bad_seed_header_exit_code(tmp_path, capsys, corrupt):
     out = tmp_path / "f.json"
     run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
@@ -403,6 +411,23 @@ def test_cli_verify_refine_bad_seed_header_exit_code(tmp_path, capsys, corrupt):
     assert run(["verify", str(out), "--refine", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("mosurf: error:") and err.count("mosurf: error:") == 1
+
+
+def test_cli_verify_refine_reads_integer_seed_numbers(tmp_path):
+    # JSON integers stay valid seed numbers, and give the same refinement
+    out = tmp_path / "f.json"
+    run(["seed", "--family", "cmc", "--domain", "0:1:0:1",
+         "--nx", "11", "--ny", "11", "-o", str(out)])
+    doc = json.loads(out.read_text())
+    doc["seed"].update(alpha0=1, qn=1, domain=[0, 1, 0, 1])
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps(doc))
+    reports = []
+    for path in (out, ints):
+        rep = tmp_path / f"{path.stem}_report.json"
+        assert run(["verify", str(path), "--refine", "1", "--report", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text()))
+    assert reports[0]["orders"] == reports[1]["orders"]
 
 
 def test_cli_reconstruct_outputs(tmp_path):
@@ -434,9 +459,9 @@ def test_cli_reconstruct_all_flagged_is_numerical_failure(tmp_path):
     grid = Grid2D.from_domain(0, 1, 0, 1, 11, 11)
     g = GoverningFields(
         kind="second", qn=1.0,
-        alpha=ScalarField.constant(grid, np.pi / 4),
-        xi=ScalarField.zeros(grid),
-        h=ScalarField.constant(grid, 1.0),
+        alpha=ScalarField(grid, np.full(grid.shape, np.pi / 4)),
+        xi=ScalarField(grid, np.zeros(grid.shape)),
+        h=ScalarField(grid, np.full(grid.shape, 1.0)),
     )
     path = tmp_path / "deg.json"
     write_field_file(path, g)
@@ -523,7 +548,9 @@ def test_cli_backlund_second_kind_with_singular_lax_nodes(tmp_path):
 def test_cli_primed_file_round_trips_and_chains(tmp_path):
     # the primed kink has branch-invalid nodes; the file lists them, so verify
     # on the file reproduces the in-memory primed report and a second
-    # transform reads them as NaN rather than as zeros
+    # transform reads them as NaN rather than as zeros.  The report is equal
+    # only if the reader's arrays are C-ordered like the transform's: numpy
+    # sums an F-ordered reshape in another order
     from mosurf.backlund import apply_backlund
     from mosurf.verify import verify_governing
 

@@ -41,26 +41,54 @@ def test_field_shape_checks():
         ScalarField(g, np.zeros((4, 5)))
     with pytest.raises(FieldFormatError):
         Vec3Field(g, np.zeros((5, 4)))
+    # the trailing shape is checked too: () for scalars, (3,) for vectors
+    for trailing in ((2,), (3, 1), (4,)):
+        with pytest.raises(FieldFormatError):
+            Vec3Field(g, np.zeros((5, 4) + trailing))
+    with pytest.raises(FieldFormatError):
+        ScalarField(g, np.zeros((5, 4, 3)))
+    with pytest.raises(FieldFormatError):
+        ScalarField(g, np.zeros((5, 4, 1)))
 
 
 def test_fields_are_immutable():
     g = Grid2D(5, 5)
-    f = ScalarField.zeros(g)
-    with pytest.raises(ValueError):
-        f.values[0, 0] = 1.0
+    for f in (ScalarField(g, np.zeros(g.shape)), Vec3Field(g, np.zeros(g.shape + (3,)))):
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+
+
+def test_fields_hold_views_of_float_arrays():
+    g = Grid2D(5, 4)
+    for values in (np.arange(20.0).reshape(5, 4), np.arange(60.0).reshape(5, 4, 3)):
+        f = (ScalarField if values.ndim == 2 else Vec3Field)(g, values)
+        assert np.shares_memory(f.values, values)
+        assert values.flags.writeable  # the caller's array is not frozen
+        values[0, 0] = -1.0
+        assert np.all(f.values[0, 0] == -1.0)
+
+
+def test_fields_convert_int_arrays():
+    g = Grid2D(5, 4)
+    ints = np.arange(20).reshape(5, 4)
+    f = ScalarField(g, ints)
+    assert f.values.dtype == np.float64 and not np.shares_memory(f.values, ints)
+    assert np.array_equal(f.values, ints)
+    v = Vec3Field(g, np.ones((5, 4, 3), dtype=np.int32))
+    assert v.values.dtype == np.float64 and np.all(v.values == 1.0)
 
 
 def test_derivative_of_constant_is_zero():
     g = Grid2D.from_domain(0, 1, 0, 1, 7, 9)
-    f = ScalarField.constant(g, 3.7)
+    f = ScalarField(g, np.full(g.shape, 3.7))
     assert np.all(partial_x(f).values == 0.0)
     assert np.all(partial_y(f).values == 0.0)
 
 
 def test_linear_exactness_everywhere():
     g = Grid2D.from_domain(0, 2, 0, 3, 11, 13)
-    fx = ScalarField.from_function(g, lambda x, y: x)
-    fy = ScalarField.from_function(g, lambda x, y: y)
+    X, Y = g.meshgrid()
+    fx, fy = ScalarField(g, X), ScalarField(g, Y)
     assert np.allclose(partial_x(fx).values, 1.0, atol=1e-14)
     assert np.allclose(partial_y(fy).values, 1.0, atol=1e-14)
 
@@ -69,8 +97,8 @@ def test_quadratic_exactness_including_boundary():
     # both the central stencil and the 3-point one-sided closure are exact
     # on degree-2 polynomials
     g = Grid2D.from_domain(-1, 1, -1, 1, 9, 9)
-    f = ScalarField.from_function(g, lambda x, y: 2.0 * x * x - x + 0.5)
     X, _ = g.meshgrid()
+    f = ScalarField(g, 2.0 * X * X - X + 0.5)
     assert np.allclose(partial_x(f).values, 4.0 * X - 1.0, atol=1e-12)
 
 
@@ -78,8 +106,8 @@ def test_analytic_derivative_convergence():
     errs = []
     for n in (101, 201):
         g = Grid2D.from_domain(0, 2 * np.pi, 0, 2 * np.pi, n, 11)
-        f = ScalarField.from_function(g, lambda x, y: np.sin(x))
         X, _ = g.meshgrid()
+        f = ScalarField(g, np.sin(X))
         errs.append(np.max(np.abs(partial_x(f).values - np.cos(X))))
     assert errs[0] < 5e-3
     order = np.log2(errs[0] / errs[1])
@@ -88,8 +116,8 @@ def test_analytic_derivative_convergence():
 
 def test_partial_y_analytic():
     g = Grid2D.from_domain(0, 1, 0, 2 * np.pi, 5, 101)
-    f = ScalarField.from_function(g, lambda x, y: np.cos(y))
     _, Y = g.meshgrid()
+    f = ScalarField(g, np.cos(Y))
     assert np.max(np.abs(partial_y(f).values + np.sin(Y))) < 5e-3
 
 

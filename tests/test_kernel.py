@@ -20,7 +20,6 @@ from mosurf.kernel import (
     orthogonality_check,
     principal_curvatures,
     residual_stats,
-    second_fundamental_form,
     stresses,
 )
 from mosurf.seeds import SeedSpec, generate_seed
@@ -28,8 +27,19 @@ from mosurf.verify import CORE_EQUATIONS, EXTENDED_EQUATIONS, verify_governing
 
 
 def make_governing(kind, grid, alpha, xi, h, qn=1.0):
-    const = lambda v: ScalarField.constant(grid, v) if np.isscalar(v) else ScalarField(grid, v)
-    return GoverningFields(kind=kind, qn=qn, alpha=const(alpha), xi=const(xi), h=const(h))
+    field = lambda v: ScalarField(grid, np.full(grid.shape, v))
+    return GoverningFields(kind=kind, qn=qn, alpha=field(alpha), xi=field(xi), h=field(h))
+
+
+def second_fundamental_form(g):
+    """Closed-form coefficients (b11, b22) of the second fundamental form, the
+    oracle of principal_curvatures: kappa_i = b_ii / A_i^2."""
+    al, ex, h = g.alpha.values, np.exp(g.xi.values), g.h.values
+    if g.kind == "first":
+        S, C, eps = np.sinh(al), np.cosh(al), 1.0
+    else:
+        S, C, eps = np.sin(al), np.cos(al), -1.0
+    return -ex * S * (C + h * S), -ex * C * (eps * S + h * C)
 
 
 def cmc_seed(n=101, qn=1.0, dom=(0, 2, 0, 2)):
@@ -109,33 +119,28 @@ def test_stress_first_integral_consistency_on_seeds():
     assert np.allclose(s.T2, oracle, rtol=1e-12)
 
 
-def test_second_fundamental_form_cmc():
+def test_principal_curvatures_cmc_mean_curvature():
     g = cmc_seed(n=51)
-    b11, b22 = second_fundamental_form(g)
+    k1, k2 = principal_curvatures(coefficients_from_governing(g))
     al = g.alpha.values
-    ea = np.exp(al)
-    assert np.allclose(b11.values, -ea * np.sinh(al), rtol=1e-14)
-    assert np.allclose(b22.values, -ea * np.cosh(al), rtol=1e-14)
-    c = coefficients_from_governing(g)
-    # kappa_i = b_ii / A_i^2 in curvature-line coordinates
-    meanH = 0.5 * (b11.values / c.A1**2 + b22.values / c.A2**2)
-    assert np.allclose(meanH, -0.5, rtol=1e-13)
+    # xi = 0, h = 1: A1 = A2 = e^alpha, so kappa1 = -sinh(alpha) e^-alpha
+    assert np.allclose(k1, -np.sinh(al) * np.exp(-al), rtol=1e-13)
+    assert np.allclose(k2, -np.cosh(al) * np.exp(-al), rtol=1e-13)
+    assert np.allclose(0.5 * (k1 + k2), -0.5, rtol=1e-13)
 
 
-def test_second_fundamental_form_pseudospherical_gauss_curvature():
+def test_principal_curvatures_kink_gauss_curvature():
     g = generate_seed(
         SeedSpec("pseudospherical", Grid2D.from_domain(0.7, 1.3, -0.5, 0.5, 51, 51), v=0.3)
     )
-    b11, b22 = second_fundamental_form(g)
-    c = coefficients_from_governing(g)
-    K = b11.values * b22.values / (c.A1**2 * c.A2**2)
-    assert np.allclose(K, -1.0, rtol=1e-12)
+    k1, k2 = principal_curvatures(coefficients_from_governing(g))
+    assert np.allclose(k1 * k2, -1.0, rtol=1e-12)
 
 
-def test_second_fundamental_form_alpha_zero():
+def test_principal_curvature_k1_vanishes_at_alpha_zero():
     g = make_governing("first", GRID, 0.0, 0.3, 0.5)
-    b11, _ = second_fundamental_form(g)
-    assert np.all(b11.values == 0.0)
+    k1, _ = principal_curvatures(coefficients_from_governing(g))
+    assert np.all(k1 == 0.0)
 
 
 def test_curvatures_match_second_form():
@@ -143,8 +148,8 @@ def test_curvatures_match_second_form():
     c = coefficients_from_governing(g)
     k1, k2 = principal_curvatures(c)
     b11, b22 = second_fundamental_form(g)
-    assert np.allclose(b11.values, k1 * c.A1**2, rtol=1e-12)
-    assert np.allclose(b22.values, k2 * c.A2**2, rtol=1e-12)
+    assert np.allclose(b11, k1 * c.A1**2, rtol=1e-12)
+    assert np.allclose(b22, k2 * c.A2**2, rtol=1e-12)
 
 
 def test_cmc_governing_residuals():

@@ -51,9 +51,9 @@ def test_constant_coefficient_field_gives_zero_ratios():
     g = GoverningFields(
         kind="second",
         qn=1.0,
-        alpha=ScalarField.constant(grid, 1.1),
-        xi=ScalarField.constant(grid, 0.2),
-        h=ScalarField.constant(grid, 0.3),
+        alpha=ScalarField(grid, np.full(grid.shape, 1.1)),
+        xi=ScalarField(grid, np.full(grid.shape, 0.2)),
+        h=ScalarField(grid, np.full(grid.shape, 0.3)),
     )
     fields = omega_ratios(coefficients_from_governing(g), g)
     for name, values in fields.items():
@@ -68,8 +68,8 @@ def test_umbilic_nodes_are_flagged():
 
     c = CoefficientFields(grid, one, one, one, one, one, one, zero, zero,
                           np.zeros(grid.shape, bool))
-    g = GoverningFields(kind="first", qn=1.0, alpha=ScalarField.constant(grid, 1.0),
-                        xi=ScalarField.zeros(grid), h=ScalarField.zeros(grid))
+    g = GoverningFields(kind="first", qn=1.0, alpha=ScalarField(grid, one),
+                        xi=ScalarField(grid, zero), h=ScalarField(grid, zero))
     rep = ResidualReport.from_fields(grid, omega_ratios(c, g))
     assert rep["omega-1"].excluded == 25  # whole 5x5 reporting core
     assert rep["omega-1"].linf == 0.0
