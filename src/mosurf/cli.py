@@ -196,7 +196,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .fileio import read_field_file, report_to_dict, write_obj, write_report_file, write_table
+    from .fileio import (mesh_faces, read_field_file, report_to_dict, write_obj,
+                         write_report_file, write_table)
     from .frames import (integrate_frame, orthonormality_drift, path_independence_error,
                          reconstruct_surfaces, surface_diagnostics)
     from .kernel import ResidualReport, _coefficients_and_stresses
@@ -211,16 +212,18 @@ def _cmd_reconstruct(args) -> int:
     drift = orthonormality_drift(f)
     pie = path_independence_error(c, np.eye(3))
 
-    faces = write_obj(f"{args.out}_r.obj", triple.r, valid=~c.flagged)
-    write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=~c.flagged)
-    write_obj(f"{args.out}_N.obj", triple.N, valid=~c.flagged)
-    if faces == 0:
+    valid = ~c.flagged
+    if mesh_faces(triple.r, valid) == 0:  # before any file is opened
         raise SingularGridError("no valid cells remain after flagging; no mesh written")
+    faces = write_obj(f"{args.out}_r.obj", triple.r, valid=valid)
+    write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=valid)
+    write_obj(f"{args.out}_N.obj", triple.N, valid=valid)
+    X, Y = g.grid.meshgrid()
     write_table(
         f"{args.out}_table.csv",
         g.grid,
         {
-            "x": g.grid.meshgrid()[0], "y": g.grid.meshgrid()[1],
+            "x": X, "y": Y,
             "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
             "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": s.T1, "T2": s.T2,
         },

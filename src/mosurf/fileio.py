@@ -1,19 +1,27 @@
 """Field/report file serialization, mesh and table export.
 
-Field and report files are JSON written by :func:`json.dumps`; every float is
-its shortest ``repr`` that round-trips, so field files read back bit for bit
-(integral floats appear as ``1.0``).  Payload arrays are row-major in
-x-fastest order.  Flagged nodes (NaN in any field) are written as zeros and
-listed by flat index under a top-level ``flagged`` key, and read back as NaN.
-Meshes use the plain-text Wavefront OBJ polygon format (two triangles per grid
-cell, cells touching flagged nodes skipped); tables are comma-separated with
-one node per line.
+Field and report files are JSON; every float is its shortest ``repr`` that
+round-trips, so field files read back bit for bit (integral floats appear as
+``1.0``).  Payload arrays are row-major in x-fastest order.  Flagged nodes
+(NaN in any field) are written as zeros and listed by flat index under a
+top-level ``flagged`` key, and read back as NaN.  Meshes use the plain-text
+Wavefront OBJ polygon format (two triangles per grid cell, cells touching
+flagged nodes skipped); tables are comma-separated with one node per line.
+
+Reports, and the header of a field file, are written by :func:`json.dumps`.
+The payload arrays, the OBJ vertices and the table cells go through one
+formatter, :func:`_texts`, a block of :data:`BLOCK` nodes at a time: within a
+block each distinct float is formatted once, so the text is the same as a
+per-value ``repr`` while grid coordinates and fields that vary along one axis
+cost one ``repr`` per distinct value.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -31,6 +39,7 @@ __all__ = [
     "read_field_file",
     "write_report_file",
     "report_to_dict",
+    "mesh_faces",
     "write_obj",
     "write_table",
 ]
@@ -56,19 +65,59 @@ def _plain(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _encode(value: Any, path: str | Path, indent: int | None = None) -> str:
+    """JSON text of ``value``, compact unless ``indent`` is given; a non-finite
+    value raises FieldFormatError."""
+    separators = (",", ": ") if indent else (",", ":")
+    try:
+        return json.dumps(value, allow_nan=False, default=_plain,
+                          indent=indent, separators=separators)
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: cannot serialize a non-finite value ({exc})") from exc
+
+
 def dump_json(value: Any, path: str | Path, indent: int | None = None) -> None:
     """Write ``value`` as JSON, compact unless ``indent`` is given.
 
     The text is built before the file is opened, so a non-finite value raises
     FieldFormatError and leaves no partial file behind.
     """
-    separators = (",", ": ") if indent else (",", ":")
-    try:
-        text = json.dumps(value, allow_nan=False, default=_plain,
-                          indent=indent, separators=separators)
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: cannot serialize a non-finite value ({exc})") from exc
+    text = _encode(value, path, indent)
     Path(path).write_text(text + "\n")
+
+
+#: nodes turned into text at a time by the array writers, so that none holds
+#: a whole grid of strings; a block spans ~20 rows of a 201-wide grid, so the
+#: x coordinate and fields of x alone repeat ~20 times within each block
+BLOCK = 4096
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each entry of a 1-d float array, ``''`` where it is not finite."""
+    texts = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = ""
+    return texts
+
+
+def _texts(values: np.ndarray) -> Sequence[str]:
+    """:func:`_reprs` of a 1-d float array, each distinct 64-bit pattern
+    formatted once and gathered into place.
+
+    Patterns, not values: ``-0.0 == 0.0``, but the two print differently.
+    The patterns are sorted by hand: ``np.unique`` of 4096 distinct int64
+    took ~15x as long as ``np.sort`` (numpy 2.4).
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    patterns = np.sort(bits)
+    new = patterns[1:] != patterns[:-1]
+    if new.all():  # nothing repeats
+        return _reprs(values)
+    patterns = patterns[np.concatenate(([True], new))]
+    # at least two indices: itemgetter of one would return the item itself
+    return itemgetter(*np.searchsorted(patterns, bits).tolist())(
+        _reprs(patterns.view(np.float64)))
 
 
 def _grid_header(grid: Grid2D) -> dict:
@@ -88,25 +137,41 @@ def write_field_file(
 ) -> None:
     """Serialize a governing triple; ``seed`` (family + parameters) is kept in
     the header so refinement studies can regenerate the fields on finer grids.
-    Raises SingularGridError when every node is flagged (non-finite)."""
+    Raises SingularGridError when every node is flagged (non-finite).
+
+    The text is the compact ``json.dumps`` of ``{format, version, kind, qn,
+    grid, fields, flagged?, seed?}``.  The header and the trailing entries are
+    encoded before the file is opened, so a non-finite one leaves no file.
+    """
     fields = {name: _flat(getattr(g, name).values) for name in FIELD_NAMES}
     bad = ~np.logical_and.reduce([np.isfinite(v) for v in fields.values()])
-    doc: dict[str, Any] = {
+    header = {
         "format": "mosurf-fields",
         "version": FORMAT_VERSION,
         "kind": g.kind,
         "qn": g.qn,
         "grid": _grid_header(g.grid),
-        "fields": fields,
     }
+    extra: dict[str, Any] = {}
     if bad.any():
         if bad.all():
             raise SingularGridError(f"{path}: every node has a non-finite field value")
-        doc["fields"] = {name: np.where(bad, 0.0, v) for name, v in fields.items()}
-        doc["flagged"] = np.flatnonzero(bad)
+        extra["flagged"] = np.flatnonzero(bad)
     if seed is not None:
-        doc["seed"] = seed
-    dump_json(doc, path)
+        extra["seed"] = seed
+    head = _encode(header, path)[:-1] + ',"fields":{'
+    tail = "}" + ("," + _encode(extra, path)[1:] if extra else "}")
+    with open(path, "w") as fh:
+        fh.write(head)
+        for k, (name, values) in enumerate(fields.items()):
+            fh.write(("," if k else "") + f'"{name}":[')
+            for start in range(0, len(values), BLOCK):
+                block = values[start:start + BLOCK]
+                if "flagged" in extra:
+                    block = np.where(bad[start:start + BLOCK], 0.0, block)
+                fh.write(("," if start else "") + ",".join(_texts(block)))
+            fh.write("]")
+        fh.write(tail + "\n")
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -254,26 +319,48 @@ def write_report_file(path: str | Path, doc: dict) -> None:
     dump_json(doc, path, indent=2)
 
 
+def _mesh(points: Vec3Field, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The mesh nodes (finite and valid) and, in x-fastest order, the grid
+    cells whose four corners are mesh nodes."""
+    v = points.values
+    ok = np.isfinite(v).all(axis=2)
+    if valid is not None:
+        ok &= valid
+    return ok, _flat(ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:])
+
+
+def mesh_faces(points: Vec3Field, valid: np.ndarray | None = None) -> int:
+    """The number of faces :func:`write_obj` writes for these arguments."""
+    return 2 * int(_mesh(points, valid)[1].sum())
+
+
 def write_obj(path: str | Path, points: Vec3Field, valid: np.ndarray | None = None) -> int:
     """Triangulated OBJ export; returns the number of faces written.
 
     Vertices are emitted for valid nodes only, in x-fastest order; each grid
     cell whose four corners are valid contributes two triangles.
     """
-    v = points.values
-    ok = np.isfinite(v).all(axis=2)
-    if valid is not None:
-        ok &= valid
+    ok, cell = _mesh(points, valid)
     index = np.cumsum(_flat(ok)).reshape(ok.shape, order="F")  # 1-based at valid nodes
-    cell = _flat(ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:])
-    a, b, c, d = (_flat(corner)[cell] for corner in
-                  (index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]))
-    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    corners = np.stack([_flat(corner)[cell] for corner in
+                        (index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:])],
+                       axis=1)
+    vertices = points.values.transpose(1, 0, 2)[ok.T]
     with open(path, "w") as fh:
         fh.write("# mosurf surface mesh\n")
-        fh.writelines("v %r %r %r\n" % tuple(p) for p in v.transpose(1, 0, 2)[ok.T].tolist())
-        fh.writelines("f %d %d %d\n" % tuple(t) for t in triangles.tolist())
-    return len(triangles)
+        for start in range(0, len(vertices), BLOCK):
+            t = _texts(vertices[start:start + BLOCK].ravel())
+            fh.write("v " + "\nv ".join(map(" ".join, zip(t[0::3], t[1::3], t[2::3]))) + "\n")
+        for start in range(0, len(corners), BLOCK):
+            block = corners[start:start + BLOCK]
+            # one string per vertex id the block touches; a cell's corners
+            # (a, b, c, d) run counter-clockwise into triangles abc and acd
+            first = int(block.min())
+            ids = list(map(str, range(first, int(block.max()) + 1)))
+            t = itemgetter(*(block - first).ravel().tolist())(ids)  # >= 4 indices
+            a, b, c, d = t[0::4], t[1::4], t[2::4], t[3::4]
+            fh.write("".join(map("f %s %s %s\nf %s %s %s\n".__mod__, zip(a, b, c, a, c, d))))
+    return 2 * len(corners)
 
 
 def write_table(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray]) -> None:
@@ -281,17 +368,18 @@ def write_table(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray]) 
 
     Vector-valued columns (nx, ny, 3) expand into ``name_x/_y/_z``.
     """
-    flat: dict[str, np.ndarray] = {}
+    xfast: dict[str, np.ndarray] = {}  # (ny, nx) views: C order is x-fastest
     for name, arr in columns.items():
         if arr.shape == grid.shape:
-            flat[name] = _flat(arr)
+            xfast[name] = arr.T
         elif arr.shape == grid.shape + (3,):
             for k, suffix in enumerate("xyz"):
-                flat[f"{name}_{suffix}"] = _flat(arr[:, :, k])
+                xfast[f"{name}_{suffix}"] = arr[:, :, k].T
         else:
             raise FieldFormatError(f"column {name!r} has unsupported shape {arr.shape}")
-    table = np.stack(list(flat.values()), axis=1)
+    n_nodes = grid.shape[0] * grid.shape[1]
     with open(path, "w") as fh:
-        fh.write(",".join(flat) + "\n")
-        for row in table:  # row by row: the whole table as Python floats is large
-            fh.write(",".join([repr(x) if math.isfinite(x) else "" for x in row.tolist()]) + "\n")
+        fh.write(",".join(xfast) + "\n")
+        for start in range(0, n_nodes, BLOCK):
+            cells = [_texts(col.flat[start:start + BLOCK]) for col in xfast.values()]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))

@@ -1,11 +1,14 @@
 """Serialization round-trips and end-to-end CLI behavior."""
 
 import json
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mosurf import fileio
 from mosurf.cli import main
 from mosurf.errors import FieldFormatError, SingularGridError
 from mosurf.fields import Grid2D, ScalarField
@@ -284,6 +287,193 @@ def test_table_writer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Byte oracle: the per-value writers the blocked ones replaced, frozen
+# ---------------------------------------------------------------------------
+
+
+def _reference_plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_flat(values):
+    return values.ravel(order="F")
+
+
+def reference_write_field_file(path, g, seed=None):
+    """One ``json.dumps`` of the whole document, every float by its repr."""
+    fields = {name: _reference_flat(getattr(g, name).values) for name in ("alpha", "xi", "h")}
+    bad = ~np.logical_and.reduce([np.isfinite(v) for v in fields.values()])
+    grid = g.grid
+    doc = {
+        "format": "mosurf-fields",
+        "version": 1,
+        "kind": g.kind,
+        "qn": g.qn,
+        "grid": {"nx": grid.nx, "ny": grid.ny, "x0": grid.x0, "y0": grid.y0,
+                 "dx": grid.dx, "dy": grid.dy},
+        "fields": fields,
+    }
+    if bad.any():
+        doc["fields"] = {name: np.where(bad, 0.0, v) for name, v in fields.items()}
+        doc["flagged"] = np.flatnonzero(bad)
+    if seed is not None:
+        doc["seed"] = seed
+    text = json.dumps(doc, allow_nan=False, default=_reference_plain, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def reference_write_obj(path, points, valid=None):
+    """One ``%r`` per vertex coordinate and one ``%d`` per face corner."""
+    v = points.values
+    ok = np.isfinite(v).all(axis=2)
+    if valid is not None:
+        ok &= valid
+    index = np.cumsum(_reference_flat(ok)).reshape(ok.shape, order="F")
+    cell = _reference_flat(ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:])
+    a, b, c, d = (_reference_flat(corner)[cell] for corner in
+                  (index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]))
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    with open(path, "w") as fh:
+        fh.write("# mosurf surface mesh\n")
+        fh.writelines("v %r %r %r\n" % tuple(p) for p in v.transpose(1, 0, 2)[ok.T].tolist())
+        fh.writelines("f %d %d %d\n" % tuple(t) for t in triangles.tolist())
+    return len(triangles)
+
+
+def reference_write_table(path, grid, columns):
+    """One ``repr`` per finite cell, row by row."""
+    flat = {}
+    for name, arr in columns.items():
+        if arr.shape == grid.shape:
+            flat[name] = _reference_flat(arr)
+        else:
+            for k, suffix in enumerate("xyz"):
+                flat[f"{name}_{suffix}"] = _reference_flat(arr[:, :, k])
+    table = np.stack(list(flat.values()), axis=1)
+    with open(path, "w") as fh:
+        fh.write(",".join(flat) + "\n")
+        for row in table:
+            fh.write(",".join([repr(x) if math.isfinite(x) else "" for x in row.tolist()]) + "\n")
+
+
+def oracle_grid(n):
+    """A grid of ``n`` nodes, as square as ``n`` allows; where no Grid2D has
+    ``n`` nodes (n = 1, primes) a bare ``(n, 1)`` shape, which the table and
+    OBJ writers accept."""
+    for nx in range(math.isqrt(n), 2, -1):
+        if n % nx == 0 and n // nx >= 3:
+            return Grid2D(nx, n // nx)
+    return SimpleNamespace(shape=(n, 1))
+
+
+def oracle_columns(shape, seed=0):
+    """Float columns on ``shape`` that stress the formatter: wide exponents,
+    signed zeros, subnormals, long reprs, non-finite cells and repeats."""
+    rng = np.random.default_rng(seed)
+    n = shape[0] * shape[1]
+    pick = lambda *values: rng.choice(np.array(values, dtype=float), n)
+    x = np.linspace(-1.0, 2.0, shape[0])[:, None] * np.ones(shape)
+    cols = {
+        "normal": rng.standard_normal(n),
+        "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+        "zeros": pick(0.0, -0.0, 5e-324, -5e-324, 1.0),
+        "big": 1e16 + rng.integers(-4, 5, n) * 2.0,
+        "small": 1e-5 * (1.0 + rng.integers(-3, 4, n) * np.finfo(float).eps),
+        "holes": np.where(rng.random(n) < 0.1, pick(np.nan, np.inf, -np.inf),
+                          rng.standard_normal(n)),
+        "constant": np.full(n, 0.1 + 0.2),
+    }
+    out = {name: v.reshape(shape, order="F") for name, v in cols.items()}
+    out["of_x"] = np.sin(x)  # one-variable: repeats along y
+    return out
+
+
+ORACLE_COUNTS = (1, fileio.BLOCK - 1, fileio.BLOCK, fileio.BLOCK + 1, 2 * fileio.BLOCK + 1)
+
+
+def assert_same_bytes(tmp_path, write, reference, *args, **kwargs):
+    got, want = tmp_path / "got", tmp_path / "want"
+    assert write(got, *args, **kwargs) == reference(want, *args, **kwargs)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", ORACLE_COUNTS)
+def test_table_bytes_match_per_value_writer(tmp_path, n):
+    grid = oracle_grid(n)
+    cols = oracle_columns(grid.shape, seed=n)
+    cols["vec"] = np.stack([cols["normal"], cols["zeros"], cols["holes"]], axis=2)
+    assert_same_bytes(tmp_path, write_table, reference_write_table, grid, cols)
+
+
+@pytest.mark.parametrize("n", ORACLE_COUNTS)
+def test_obj_bytes_match_per_value_writer(tmp_path, n):
+    grid = oracle_grid(n)
+    cols = oracle_columns(grid.shape, seed=n)
+    rng = np.random.default_rng(n)
+    valid = rng.random(grid.shape) > 0.05
+    for names in (("normal", "wide", "zeros"), ("of_x", "constant", "big"),
+                  ("small", "holes", "normal")):
+        values = np.stack([cols[k] for k in names], axis=2)
+        points = (Vec3Field(grid, values) if isinstance(grid, Grid2D)
+                  else SimpleNamespace(values=values))
+        assert_same_bytes(tmp_path, write_obj, reference_write_obj, points)
+        assert_same_bytes(tmp_path, write_obj, reference_write_obj, points, valid)
+
+
+@pytest.mark.parametrize("n", ORACLE_COUNTS[1:])  # a Grid2D has at least 9 nodes
+def test_field_file_bytes_match_per_value_writer(tmp_path, n):
+    grid = oracle_grid(n)
+    cols = oracle_columns(grid.shape, seed=n)
+    seed = {"family": "cmc", "qn": -0.0, "domain": [0.0, 2.0, 1e-5, 1e16], "alpha0": 5e-324}
+    for kind, names in (("first", ("normal", "wide", "zeros")),
+                        ("second", ("of_x", "constant", "big")),
+                        ("first", ("small", "holes", "of_x"))):  # holes: flagged nodes
+        g = GoverningFields(kind=kind, qn=0.1 + 0.2,
+                            **{k: ScalarField(grid, cols[c]) for k, c in
+                               zip(("alpha", "xi", "h"), names)})
+        assert_same_bytes(tmp_path, write_field_file, reference_write_field_file, g)
+        assert_same_bytes(tmp_path, write_field_file, reference_write_field_file, g, seed=seed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 8, 9, 10, 17])
+def test_writers_match_per_value_writers_at_any_block_size(tmp_path, monkeypatch, block):
+    # a 3 x 3 grid of 9 nodes spans one to nine blocks, ending on and off
+    # a block boundary
+    monkeypatch.setattr(fileio, "BLOCK", block)
+    grid = Grid2D(3, 3)
+    cols = oracle_columns(grid.shape, seed=block)
+    assert_same_bytes(tmp_path, write_table, reference_write_table, grid, cols)
+    points = Vec3Field(grid, np.stack([cols["zeros"], cols["of_x"], cols["holes"]], axis=2))
+    assert_same_bytes(tmp_path, write_obj, reference_write_obj, points)
+    g = GoverningFields(kind="first", qn=1.0, alpha=ScalarField(grid, cols["zeros"]),
+                        xi=ScalarField(grid, cols["holes"]), h=ScalarField(grid, cols["of_x"]))
+    assert_same_bytes(tmp_path, write_field_file, reference_write_field_file, g, seed={"a": 1})
+
+
+@pytest.mark.parametrize("qn,seed", [(float("nan"), None), (1.0, {"alpha0": float("inf")})])
+def test_field_file_nonfinite_header_leaves_no_file(tmp_path, qn, seed):
+    g = random_governing()
+    g = GoverningFields(kind=g.kind, qn=qn, alpha=g.alpha, xi=g.xi, h=g.h)
+    path = tmp_path / "f.json"
+    with pytest.raises(FieldFormatError, match="non-finite"):
+        write_field_file(path, g, seed=seed)
+    assert not path.exists()
+
+
+def test_texts_keeps_bit_patterns_apart():
+    # -0.0 == 0.0, and np.unique on the floats would print both alike
+    values = np.array([0.0, -0.0, 0.0, -0.0, np.nan, -np.inf, 1.5, 1.5])
+    assert list(fileio._texts(values)) == ["0.0", "-0.0", "0.0", "-0.0", "", "", "1.5", "1.5"]
+    assert list(fileio._texts(np.array([-0.0]))) == ["-0.0"]
+    assert list(fileio._texts(np.array([]))) == []
+
+
+# ---------------------------------------------------------------------------
 # CLI end-to-end
 # ---------------------------------------------------------------------------
 
@@ -467,6 +657,8 @@ def test_cli_reconstruct_all_flagged_is_numerical_failure(tmp_path):
     write_field_file(path, g)
     code = run(["reconstruct", str(path), "-o", str(tmp_path / "mesh")])
     assert code == 3
+    # the empty mesh is found before any file is opened
+    assert not list(tmp_path.glob("mesh_*"))
 
 
 def test_cli_stress_table(tmp_path):
