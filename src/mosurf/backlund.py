@@ -157,42 +157,45 @@ def lax_substeps(grid: Grid2D) -> int:
 
 
 def _lax_matrix_x(p, Ho, A1, Abar1, *, m, qn, out=None):
-    """The Lax generator along x, component-first; into a zeroed ``out`` it
-    writes only its nonzero entries."""
+    """The Lax generator along x in row form, component-first: the row
+    w^T moves as w^T L, so L is the transpose of the generator of w' = G w.
+    Into a zeroed ``out`` it writes only its nonzero entries."""
     L = np.zeros((5, 5) + np.shape(p)) if out is None else out
-    np.negative(p, out=L[0, 1])
-    np.subtract(m * Abar1, Ho, out=L[0, 2])
-    np.multiply(-m * qn, A1, out=L[0, 3])
-    np.multiply(m, Ho, out=L[0, 4])
-    L[1, 0] = p
-    L[2, 0] = Ho
-    L[3, 0] = A1
-    L[4, 0] = Abar1
+    np.negative(p, out=L[1, 0])
+    np.subtract(m * Abar1, Ho, out=L[2, 0])
+    np.multiply(-m * qn, A1, out=L[3, 0])
+    np.multiply(m, Ho, out=L[4, 0])
+    L[0, 1] = p
+    L[0, 2] = Ho
+    L[0, 3] = A1
+    L[0, 4] = Abar1
     return L
 
 
 def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn, out=None):
-    """The Lax generator along y."""
+    """The Lax generator along y in row form."""
     L = np.zeros((5, 5) + np.shape(q)) if out is None else out
-    L[0, 1] = q
-    np.negative(q, out=L[1, 0])
-    np.subtract(m * Abar2, Ko, out=L[1, 2])
-    np.multiply(-m * qn, A2, out=L[1, 3])
-    np.multiply(m, Ko, out=L[1, 4])
-    L[2, 1] = Ko
-    L[3, 1] = A2
-    L[4, 1] = Abar2
+    L[1, 0] = q
+    np.negative(q, out=L[0, 1])
+    np.subtract(m * Abar2, Ko, out=L[2, 1])
+    np.multiply(-m * qn, A2, out=L[3, 1])
+    np.multiply(m, Ko, out=L[4, 1])
+    L[1, 2] = Ko
+    L[1, 3] = A2
+    L[1, 4] = Abar2
     return L
 
 
 def _sweep_lax(
     c: CoefficientFields, qn: float, m: float, init: np.ndarray, order: str = "xy"
 ) -> np.ndarray:
-    """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node."""
+    """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node,
+    as the one-row state ``init[None]``."""
     cx = (c.p, c.Ho, c.A1, c.Abar1)
     cy = (c.q, c.Ko, c.A2, c.Abar2)
     gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
-    return sweep_grid(c.grid, cx, gx, cy, gy, init, order=order, substeps=lax_substeps(c.grid))
+    w = sweep_grid(c.grid, cx, gx, cy, gy, init[None], order=order, substeps=lax_substeps(c.grid))
+    return w[:, :, 0]
 
 
 def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> LaxFields:

@@ -76,16 +76,6 @@ def _encode(value: Any, path: str | Path, indent: int | None = None) -> str:
         raise FieldFormatError(f"{path}: cannot serialize a non-finite value ({exc})") from exc
 
 
-def dump_json(value: Any, path: str | Path, indent: int | None = None) -> None:
-    """Write ``value`` as JSON, compact unless ``indent`` is given.
-
-    The text is built before the file is opened, so a non-finite value raises
-    FieldFormatError and leaves no partial file behind.
-    """
-    text = _encode(value, path, indent)
-    Path(path).write_text(text + "\n")
-
-
 #: nodes turned into text at a time by the array writers, so that none holds
 #: a whole grid of strings; a block spans ~20 rows of a 201-wide grid, so the
 #: x coordinate and fields of x alone repeat ~20 times within each block
@@ -316,7 +306,12 @@ def report_to_dict(
 
 
 def write_report_file(path: str | Path, doc: dict) -> None:
-    dump_json(doc, path, indent=2)
+    """Write a report as indented JSON.
+
+    The text is built before the file is opened, so a non-finite value raises
+    FieldFormatError and leaves no partial file behind.
+    """
+    Path(path).write_text(_encode(doc, path, indent=2) + "\n")
 
 
 def _mesh(points: Vec3Field, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:

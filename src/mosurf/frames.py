@@ -126,8 +126,13 @@ def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -
     return FrameGrid(c.grid, frames)
 
 
+def _finite_max(values: np.ndarray) -> float:
+    """Max of the entries that are not NaN (NaN only if all are), with no mask."""
+    return float(np.fmax.reduce(values, axis=None))
+
+
 def orthonormality_drift(f: FrameGrid) -> float:
-    """Max over nodes of the max-abs entry of Phi^T Phi - I; NaN if a frame is.
+    """Max over nodes of the max-abs entry of Phi^T Phi - I; NaN entries are skipped.
 
     Only the six distinct Gram entries are formed, each summed over the rows
     in order, which is the arithmetic of ``einsum("ka,kb->ab")``, on one
@@ -139,9 +144,9 @@ def orthonormality_drift(f: FrameGrid) -> float:
     def gram(a, b):
         return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
 
-    devs = [np.max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
-    devs += [np.max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
-    return float(np.max(devs))
+    devs = [_finite_max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
+    devs += [_finite_max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return _finite_max(np.array(devs))
 
 
 def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
@@ -149,12 +154,12 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
 
     Zero (up to integration error) exactly when the coefficients satisfy the
     Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
-    of broken compatibility.
+    of broken compatibility.  Nodes where either sweep is NaN are skipped.
     """
     diff = integrate_frame(c, phi0, order="xy").frames
     diff -= integrate_frame(c, phi0, order="yx").frames  # in place: two frame grids, not three
     diff *= diff
-    return float(np.sqrt(diff.sum(axis=(2, 3))).max())
+    return _finite_max(np.sqrt(diff.sum(axis=(2, 3))))
 
 
 def reconstruct_surfaces(
@@ -165,9 +170,9 @@ def reconstruct_surfaces(
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
     ``f`` at the origin node and r0 = rbar0 = 0; N is its frame normal, the
     third column.  Returns the triple and the max distance between that N
-    and the normal column of ``f``.  Both come from the same arithmetic on
-    the same coefficients, so that distance reads 0 unless the two sweeps
-    are run differently.
+    and the normal column of ``f`` over the nodes where both are finite.
+    Both come from the same arithmetic on the same coefficients, so that
+    distance reads 0 unless the two sweeps are run differently.
     NaN dual coefficients (flagged stress nodes) poison the rbar sheet
     downstream of the flagged node, which is reported honestly; the frame,
     N and r stay finite, since the generator's (r, rbar) columns never feed back.
@@ -187,7 +192,7 @@ def reconstruct_surfaces(
                              for k in (2, 3, 4)))
     del out
     N = triple.N.values
-    gauss_dev = float(np.sqrt(((N - f.frames[:, :, :, 2]) ** 2).sum(axis=2)).max())
+    gauss_dev = _finite_max(np.sqrt(((N - f.frames[:, :, :, 2]) ** 2).sum(axis=2)))
     return triple, gauss_dev
 
 
@@ -247,14 +252,17 @@ def mesh_curvatures(
     return ScalarField(grid, meanH), ScalarField(grid, gaussK)
 
 
-def surface_diagnostics(triple: SurfaceTriple) -> dict[str, float]:
-    """Worst deviation of |N| from 1 and the mean/Gauss curvature statistics
-    of r over the nodes where :func:`mesh_curvatures` is defined."""
+def surface_diagnostics(triple: SurfaceTriple) -> dict[str, float | int]:
+    """Worst deviation of |N| from 1, the number of nodes whose N is not
+    finite (downstream of a flagged coefficient), and the mean/Gauss
+    curvature statistics of r over the nodes where :func:`mesh_curvatures`
+    is defined."""
     meanH, gaussK = mesh_curvatures(triple.r)
     n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
     with np.errstate(invalid="ignore"):
         return {
             "normal_unit_max_dev": float(np.nanmax(np.abs(n_norm - 1.0))),
+            "frame_nonfinite_nodes": int((~np.isfinite(n_norm)).sum()),
             "mean_curvature_mean": float(np.nanmean(meanH.values)),
             "mean_curvature_min": float(np.nanmin(meanH.values)),
             "mean_curvature_max": float(np.nanmax(meanH.values)),

@@ -11,9 +11,10 @@ of any shape and returns the dense generator component-first, shape
 it writes only its nonzero entries into it and returns it, so every entry
 it does not write must be zero in its generator.
 
-Layout.  A vector state ``w`` (d,) moves as ``G w``; a matrix state ``S``
-(r, d) moves as ``S[:, :n] G``, which reads only its first n columns, so a
-NaN that enters the other columns never feeds back into them.  The
+Layout.  A state ``S`` (r, d) moves as ``S[:, :n] G``, which reads only
+its first n columns, so a NaN that enters the other columns never feeds back
+into them.  A system written ``w' = G w`` on a vector w (the Lax system)
+moves as the one-row state ``w^T`` with the transposed generator.  The
 generators stay dense, so a NaN coefficient spreads through 0 * NaN exactly
 as through a dense matrix product.  The output is node-major,
 ``(nx, ny) + state.shape``.
@@ -33,22 +34,16 @@ Norsett & Wanner, Solving ODEs I, II.1), a polynomial in the step's start,
 midpoint and end generators Ga, Gm, Gb.  The first row is a single line, so
 a staged step there is a dozen numpy calls on one small state; ``_row``
 instead builds the increment Q of every row step in a few vectorized calls
-and then takes one product per step.  For a vector state:
-
-    A1 = I + s/2 Ga,  A2 = I + s/2 Gm A1,  A3 = I + s Gm A2,
-    Q = s/6 (Ga + 2 Gm (A1 + A2) + Gb A3),   w += Q w;
-
-for a matrix state, with U = G[:, :n]:
+and then takes one product per step.  With U = G[:, :n]:
 
     A1 = I + s/2 Ua,  A2 = I + s/2 A1 Um,  A3 = I + s A2 Um,
     Q = s/6 (Ga + 2 (A1 + A2) Gm + A3 Gb)  (n x d),   S += S[:, :n] Q.
 
-A vector state is the one-row matrix state of the transposed generators, so
-``_row`` runs the matrix form only.  Q reads the generators' other columns
-only to fill its own, so a NaN there still never reaches the first n.  The
-step products are ``matmul``, which costs about half an ``einsum`` call on
-one small state; a NaN spreads through them to the same nodes and
-components as through the staged march, which the sweep tests check.
+Q reads the generators' other columns only to fill its own, so a NaN there
+still never reaches the first n.  The step products are ``matmul``, which
+costs about half an ``einsum`` call on one small state; a NaN spreads
+through them to the same nodes and components as through the staged march,
+which the sweep tests check.
 
 The columns are marched by ``_march`` with the staged step
 ``state + (s/6) (k1 + 2 k2 + 2 k3 + k4)``: across nx lines a Q costs more to
@@ -111,17 +106,13 @@ def _row(
     the states at every node after the first, shape ``(L - 1,) + state0.shape``.
     """
     hs = h / substeps
-    if state0.ndim == 1:  # w' = G w is the row-vector system w' = w G^T
-        build = lambda *c: gen(*c).swapaxes(0, 1)
-    else:
-        build = gen
     c = np.stack(line)[..., None]  # (K, L, 1): the last axis takes the substeps
-    gm, gb = (build(*np.concatenate(_stage_points(c[:, :-1], c[:, 1:], substeps, at), axis=-1))
+    gm, gb = (gen(*np.concatenate(_stage_points(c[:, :-1], c[:, 1:], substeps, at), axis=-1))
               for at in (0.5, 1.0))
     n, d = gb.shape[:2]
     gm, gb = gm.reshape(n, d, -1), gb.reshape(n, d, -1)  # the steps in order
     # a step starts with the generator the step before ended with
-    ga = np.concatenate([build(*c[:, 0]), gb[:, :, :-1]], axis=2)
+    ga = np.concatenate([gen(*c[:, 0]), gb[:, :, :-1]], axis=2)
 
     def mul(a, b):  # stacked products, the steps on the last axis
         return np.einsum("ijt,jkt->ikt", a, b)
@@ -133,13 +124,12 @@ def _row(
     q = (hs / 6.0) * (ga + 2.0 * mul(a1 + a2, gm) + mul(a3, gb))
     q = np.moveaxis(q, -1, 0).reshape(-1, substeps, n, d)  # (L - 1, substeps, n, d)
 
-    state = state0.reshape(-1, state0.shape[-1])  # a vector is one row
-    rows = np.empty((len(q),) + state.shape)
+    state, rows = state0, np.empty((len(q),) + state0.shape)
     for qi, nxt in zip(q, rows):
         for qs in qi:
             np.add(state, np.matmul(state[:, :n], qs), out=nxt)
             state = nxt
-    return rows.reshape((len(q),) + state0.shape)
+    return rows
 
 
 def _march(
@@ -160,10 +150,9 @@ def _march(
     step starts with the generator the previous step ended with.  A block of
     intervals takes one (K, B + 1, m) coefficient stack and one builder call
     per stage point, into generator buffers zeroed once per march.  The
-    stages go into buffers allocated once per march too (a matrix state
-    reads them through ``S[:, :n]`` views bound once), with the operations
-    and their order of the textbook form
-    ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
+    stages go into buffers allocated once per march too (read through
+    ``S[:, :n]`` views bound once), with the operations and their order of
+    the textbook form ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hs = h / substeps
     half, sixth = 0.5 * hs, hs / 6.0
@@ -171,10 +160,7 @@ def _march(
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
     ga = gen(*(v[0] for v in line))
     n = ga.shape[0]
-    if state.ndim == 2:  # a vector state: k = G w
-        spec, x, xa = "ij...,j...->i...", state, arg
-    else:  # a matrix state: k = S[:, :n] G
-        spec, x, xa = "jk...,aj...->ak...", state[:, :n], arg[:, :n]
+    spec, x, xa = "jk...,aj...->ak...", state[:, :n], arg[:, :n]  # k = S[:, :n] G
     intervals = len(line[0]) - 1
     block = max(1, min(BLOCK, intervals, BLOCK_FLOATS // (2 * substeps * ga.size)))
     # the midpoint and end generators of every substep; a builder writes only
@@ -225,8 +211,8 @@ def sweep_grid(
 ) -> np.ndarray:
     """Integrate a linear state over every grid node from the origin node.
 
-    A 1-d ``state0`` is a vector state, a 2-d one a matrix state (see the
-    module docstring).  Returns an array of shape ``(nx, ny) + state0.shape``.
+    ``state0`` is an (r, d) state (see the module docstring).  Returns an
+    array of shape ``(nx, ny) + state0.shape``.
     """
     if order not in ("xy", "yx"):
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mosurf.backlund import (
+    _lax_matrix_x,
+    _lax_matrix_y,
     admissible_initial,
     apply_backlund,
     backlund_governing,
@@ -99,6 +101,43 @@ def test_constraint_drift_is_tiny():
 ])
 def test_lax_step_rule(domain, n, steps):
     assert lax_substeps(Grid2D.from_domain(*domain, n, n)) == steps
+
+
+def column_lax_x(p, Ho, A1, Abar1, m, qn):
+    """The x-part of the Lax pair, w_x = L w on w = (lambda, mu, omega, phi, chi)."""
+    z = np.zeros_like(p)
+    return np.array([
+        [z, -p, m * Abar1 - Ho, -m * qn * A1, m * Ho],
+        [p, z, z, z, z],
+        [Ho, z, z, z, z],
+        [A1, z, z, z, z],
+        [Abar1, z, z, z, z],
+    ])
+
+
+def column_lax_y(q, Ko, A2, Abar2, m, qn):
+    """The y-part of the Lax pair, w_y = L w."""
+    z = np.zeros_like(q)
+    return np.array([
+        [z, q, z, z, z],
+        [-q, z, m * Abar2 - Ko, -m * qn * A2, m * Ko],
+        [z, Ko, z, z, z],
+        [z, A2, z, z, z],
+        [z, Abar2, z, z, z],
+    ])
+
+
+@pytest.mark.parametrize("builder, column", [
+    (_lax_matrix_x, column_lax_x),
+    (_lax_matrix_y, column_lax_y),
+], ids=["x", "y"])
+def test_lax_builders_are_the_transposed_lax_pair(builder, column):
+    # the sweep moves w as the one-row state w^T, so each builder writes the
+    # transpose of the Lax pair's generator
+    rng = np.random.default_rng(5)
+    coeffs = [rng.uniform(-2.0, 2.0, (4, 3)) for _ in range(4)]
+    got = builder(*coeffs, m=0.7, qn=-1.3)
+    assert np.array_equal(got.swapaxes(0, 1), column(*coeffs, 0.7, -1.3))
 
 
 def test_one_step_drift_is_rk4_truncation():

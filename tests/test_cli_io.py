@@ -737,6 +737,22 @@ def test_cli_backlund_second_kind_with_singular_lax_nodes(tmp_path):
     assert np.isfinite(d["constraint_drift"]) and d["constraint_drift"] < 1e-6
 
 
+def test_cli_reconstruct_primed_kink_with_flagged_nodes(tmp_path):
+    # the primed kink's flagged nodes poison the frame sweeps downstream of
+    # them; the diagnostics are maxima over the finite nodes, so the report is
+    # written with finite values and counts the nodes whose normal is lost
+    src, primed, rep = tmp_path / "kink.json", tmp_path / "p.json", tmp_path / "krec.json"
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3",
+                "--domain", "-3:3:-3:3", "--nx", "31", "--ny", "31", "-o", str(src)]) == 0
+    assert run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
+    code = run(["reconstruct", str(primed), "-o", str(tmp_path / "kmesh"), "--report", str(rep)])
+    assert code == 0
+    d = json.loads(rep.read_text())["diagnostics"]
+    assert all(np.isfinite(v) for v in d.values())
+    assert d["flagged_nodes"] > 0
+    assert 0 < d["frame_nonfinite_nodes"] < 31 * 31
+
+
 def test_cli_primed_file_round_trips_and_chains(tmp_path):
     # the primed kink has branch-invalid nodes; the file lists them, so verify
     # on the file reproduces the in-memory primed report and a second

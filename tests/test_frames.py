@@ -63,10 +63,10 @@ def test_cmc_frame_drift_and_determinant():
 
 def einsum_drift(frames):
     """The Gram-matrix formula orthonormality_drift used before it formed
-    only the six distinct entries."""
+    only the six distinct entries, skipping NaN entries."""
     gram = np.einsum("ijka,ijkb->ijab", frames, frames)
     gram -= np.eye(3)
-    return float(np.max(np.abs(gram)))
+    return float(np.nanmax(np.abs(gram)))
 
 
 def test_drift_matches_einsum_gram_and_keeps_nan():
@@ -85,11 +85,13 @@ def test_drift_matches_einsum_gram_and_keeps_nan():
     off[30, 40, :, 2] = (off[30, 40, :, 0] + off[30, 40, :, 2]) / np.sqrt(2.0)
     for bad, low in ((on, 7.0), (off, 0.7)):
         assert orthonormality_drift(FrameGrid(c.grid, bad)) == einsum_drift(bad) > low
-    # one NaN node makes the drift NaN, wherever it sits in the max
-    for node in ((0, 0), (25, 17), (-1, -1)):
-        g = frames.copy()
-        g[node][2, 1] = np.nan
-        assert np.isnan(orthonormality_drift(FrameGrid(c.grid, g)))
+    # a NaN node is skipped, wherever it sits in the max, also where the
+    # worst entry sits; only a grid with no finite node reads NaN
+    for node in ((0, 0), (25, 17), (-1, -1), (30, 40)):
+        g = on.copy()
+        g[node][2, 0] = np.nan
+        assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) > 7.0
+    assert np.isnan(orthonormality_drift(FrameGrid(c.grid, np.full_like(frames, np.nan))))
 
 
 def test_drift_reduces_at_fourth_order():
@@ -137,6 +139,25 @@ def test_reconstruction_gauss_map_and_unit_normal():
     assert gauss_dev < 1e-6
     norms = np.sqrt((triple.N.values**2).sum(axis=2))
     assert np.max(np.abs(norms - 1.0)) < 1e-6
+
+
+def test_frame_diagnostics_skip_nan_nodes():
+    # a NaN frame coefficient poisons the xy sweep downstream of its node;
+    # the drift, path independence and normal distance are maxima over the
+    # nodes that stay finite
+    _, c = cmc_coefficients(n=51)
+    Ko = c.Ko.copy()
+    Ko[30, 20] = np.nan  # read up column 30 by the xy sweep
+    bad = replace(c, Ko=Ko)
+    f = integrate_frame(bad, I3)
+    lost = ~np.isfinite(f.frames).all(axis=(2, 3))
+    assert lost.any() and not lost.all()
+    _, gauss_dev = reconstruct_surfaces(f, bad)
+    drift, pie = orthonormality_drift(f), path_independence_error(bad, I3)
+    assert gauss_dev == 0.0
+    clean = np.where(lost[..., None, None], I3, f.frames)  # exact frames at the lost nodes
+    assert 0.0 < drift == orthonormality_drift(FrameGrid(c.grid, clean))
+    assert 0.0 < pie < 1e-2
 
 
 def test_reconstruction_confines_nan_dual_coefficients_to_rbar():

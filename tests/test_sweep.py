@@ -35,10 +35,8 @@ def exp_sweep(n, state0, order):
 def test_scalar_generators_give_exponential(order):
     errs = {}
     for n in (11, 21):
-        vec, exact = exp_sweep(n, np.ones(1), order)
-        mat, _ = exp_sweep(n, np.ones((1, 1)), order)
-        assert np.array_equal(vec, mat)
-        errs[n] = np.max(np.abs(vec / exact - 1.0))
+        got, exact = exp_sweep(n, np.ones((1, 1)), order)
+        errs[n] = np.max(np.abs(got / exact - 1.0))
     assert errs[21] < 1e-6
     assert np.log2(errs[11] / errs[21]) > 3.8  # RK4: fourth order
 
@@ -54,7 +52,7 @@ def rotation_generator(a, out=None):
 
 @pytest.mark.parametrize("order", ["xy", "yx"])
 @pytest.mark.parametrize("state0", [
-    np.array([1.0, -0.5]),
+    np.array([[1.0, -0.5]]),
     np.array([[1.0, -0.5], [0.25, 2.0], [-1.5, 0.0]]),
 ], ids=["vector", "matrix"])
 def test_sweep_leaves_state0_unchanged(state0, order):
@@ -74,7 +72,7 @@ def test_sweep_leaves_state0_unchanged(state0, order):
 
 def test_sweep_rejects_unknown_order():
     with pytest.raises(ValueError):
-        exp_sweep(5, np.ones(1), "zz")
+        exp_sweep(5, np.ones((1, 1)), "zz")
 
 
 # -- the frozen arithmetic: step matrices on the first row, staged columns --
@@ -84,8 +82,7 @@ def step_matrix_row(state0, h, gen, line, substeps):
 
     The start, midpoint and end generators of every (interval, substep) step
     come from one builder call per stage kind, the steps in order on the last
-    axis; a vector state runs as the one-row matrix state of the transposed
-    generators.  With U = G[:, :n]: A1 = I + hs/2 Ua, A2 = I + hs/2 A1 Um,
+    axis.  With U = G[:, :n]: A1 = I + hs/2 Ua, A2 = I + hs/2 A1 Um,
     A3 = I + hs A2 Um, Q = hs/6 (Ga + 2 (A1 + A2) Gm + A3 Gb), and each step
     is S += S[:, :n] Q.  Returns the states at the line's nodes after the first.
     """
@@ -95,7 +92,6 @@ def step_matrix_row(state0, h, gen, line, substeps):
 
     def build(coeffs):
         g = gen(*coeffs)
-        g = g.swapaxes(0, 1) if state0.ndim == 1 else g
         return g.reshape(g.shape[:2] + (-1,))
 
     def stage(thetas):
@@ -115,25 +111,24 @@ def step_matrix_row(state0, h, gen, line, substeps):
     a2 = eye + (0.5 * hs) * mul(a1, gm[:, :n])
     a3 = eye + hs * mul(a2, gm[:, :n])
     q = (hs / 6.0) * (ga + 2.0 * mul(a1 + a2, gm) + mul(a3, gb))
-    state = state0.reshape(-1, state0.shape[-1])
-    rows = []
+    state, rows = state0, []
     for t in range(q.shape[2]):
         state = state + np.matmul(state[:, :n], q[:, :, t])
         if (t + 1) % substeps == 0:
-            rows.append(state.reshape(state0.shape))
+            rows.append(state)
     return np.array(rows)
 
 
 def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps,
-                       rules, layout, step_matrices=False):
+                       rule, layout, step_matrices=False):
     """Two-pass RK4 sweep that builds the generators of one RK4 step at a time.
 
-    ``rules`` maps the state's ndim to its product rule and ``layout`` is
-    "component" (state shape + (m,), batch axis last) or "node" ((m,) +
-    state shape, batch axis first); the row march has no batch axis in the
-    node layout.  In the component layout a step's midpoint and end
-    generators come from one builder call over both points, so, as in the
-    sweep's blocks, every generator after a line's first is a strided slice.
+    ``rule`` is the state's product rule and ``layout`` is "component" (state
+    shape + (m,), batch axis last) or "node" ((m,) + state shape, batch axis
+    first); the row march has no batch axis in the node layout.  In the
+    component layout a step's midpoint and end generators come from one
+    builder call over both points, so, as in the sweep's blocks, every
+    generator after a line's first is a strided slice.
     With ``step_matrices`` the first row is marched by ``step_matrix_row``.
     """
 
@@ -175,7 +170,6 @@ def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, su
             yield state
 
     state0 = np.asarray(state0, dtype=float)
-    rule = rules[state0.ndim]
     out = np.empty(grid.shape + state0.shape)
     fill, hx, hy = out, grid.dx, grid.dy
     if order == "yx":
@@ -204,12 +198,10 @@ def per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, su
     return out
 
 
-#: the component-first products: dense (n, d) + batch generators, ``einsum``
-#: over the leading axes
-COMPONENT_RULES = {
-    1: lambda G, w, out: np.einsum("ij...,j...->i...", G, w, out=out),
-    2: lambda G, S, out: np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G, out=out),
-}
+def component_rule(G, S, out):
+    """The component-first product: a dense (n, d) + batch generator,
+    ``einsum`` over the leading axes."""
+    return np.einsum("aj...,jk...->ak...", S[:, : G.shape[0]], G, out=out)
 
 
 def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
@@ -217,42 +209,42 @@ def reference_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, subst
     per-interval steps on the component-first contract.  ``sweep_grid`` must
     reproduce its every bit, whatever its block sizes."""
     return per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order,
-                              substeps, COMPONENT_RULES, "component", step_matrices=True)
+                              substeps, component_rule, "component", step_matrices=True)
 
 
 def staged_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
     """The sweep before the first row took step matrices: staged RK4 steps on
     every line, the row as one component-major line (m = 1)."""
     return per_interval_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order,
-                              substeps, COMPONENT_RULES, "component")
+                              substeps, component_rule, "component")
 
 
 def node_major_sweep(grid, coeffs_x, gen_x, coeffs_y, gen_y, state0, order, substeps):
     """The node-major contract the sweep had before: generators (..., n, d),
-    states with the batch axis first, ``matmul`` for matrix states."""
+    states with the batch axis first, ``matmul`` for the products."""
 
     def node_major(gen):  # contiguous, as the old builders wrote them
         return lambda *c: np.ascontiguousarray(np.moveaxis(gen(*c), (0, 1), (-2, -1)))
 
-    rules = {
-        1: lambda G, w, out: np.einsum("...ij,...j->...i", G, w, out=out),
-        2: lambda G, S, out: np.matmul(S[..., : G.shape[-2]], G, out=out),
-    }
+    def rule(G, S, out):
+        return np.matmul(S[..., : G.shape[-2]], G, out=out)
+
     return per_interval_sweep(grid, coeffs_x, node_major(gen_x), coeffs_y, node_major(gen_y),
-                              state0, order, substeps, rules, "node")
+                              state0, order, substeps, rule, "node")
 
 
 def lax_like_x(p, Ho, A1, Abar1, m=0.8, qn=1.3, out=None):
-    """The 5x5 Lax generator pattern along x (vector state)."""
+    """The 5x5 Lax generator pattern along x, in row form: the generator of
+    the one-row state of a vector system."""
     L = np.zeros((5, 5) + np.shape(p)) if out is None else out
-    L[0, 1] = -p
-    L[0, 2] = m * Abar1 - Ho
-    L[0, 3] = -m * qn * A1
-    L[0, 4] = m * Ho
-    L[1, 0] = p
-    L[2, 0] = Ho
-    L[3, 0] = A1
-    L[4, 0] = Abar1
+    L[1, 0] = -p
+    L[2, 0] = m * Abar1 - Ho
+    L[3, 0] = -m * qn * A1
+    L[4, 0] = m * Ho
+    L[0, 1] = p
+    L[0, 2] = Ho
+    L[0, 3] = A1
+    L[0, 4] = Abar1
     return L
 
 
@@ -283,8 +275,9 @@ def random_coefficients(grid, nan_node=None, slot=TRIPLE_ONLY):
     return tuple(cs[:4]), tuple(cs[4:])
 
 
+#: "vector" is a vector system, the Lax shape, swept as its one-row state
 STATES = {
-    "vector": (np.array([0.3, -0.1, 1.0, 1.7, 0.9]), lax_like_x, lax_like_x),
+    "vector": (np.array([[0.3, -0.1, 1.0, 1.7, 0.9]]), lax_like_x, lax_like_x),
     "matrix": (np.hstack([np.eye(3), np.eye(3)[:, 2:], np.zeros((3, 2))]),
                triple_like_y, triple_like_y),
 }
@@ -355,7 +348,7 @@ def assert_close_with_nan_mask(got, want, nan_node):
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
 def test_sweep_matches_node_major_products(kind, order, substeps):
     # einsum over the leading axes rounds differently from the node-major
-    # einsum/matmul (BLAS), but only in the last bits, and it spreads a NaN
+    # matmul (BLAS), but only in the last bits, and it spreads a NaN
     # coefficient to the same nodes and components
     state0, gen_x, gen_y = STATES[kind]
     for shape, nan_node in (((BLOCK + 3, 9), None), ((7, BLOCK + 2), (3, BLOCK - 1))):
