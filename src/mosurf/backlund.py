@@ -123,7 +123,6 @@ class BacklundResult:
 
     lax: LaxFields
     primed_governing: GoverningFields
-    primed_coefficients: CoefficientFields
     raw_update: PrimedUpdate
     r_primed: Vec3Field
     branch_invalid: np.ndarray = dc_field(repr=False)
@@ -344,8 +343,7 @@ def _transform(
     f = integrate_frame(c, np.eye(3))
     triple, _ = reconstruct_surfaces(f, c)
     r_p = backlund_surface(triple, f, lx)
-    primed_coeffs = coefficients_from_governing(primed)
-    return BacklundResult(lx, primed, primed_coeffs, raw, r_p, invalid)
+    return BacklundResult(lx, primed, raw, r_p, invalid)
 
 
 def apply_backlund(
@@ -427,15 +425,15 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     ``lax_path_independence`` is omitted when the Lax solution was swept in
     one order only (Bianchi-Darboux).
     ``theorem_vs_raw_max_dev`` compares the raw reflection update with the
-    theorem's coefficients (A1, -eps A2, Ho, -eps Ko) of the primed governing
-    fields, over the nodes valid for both.  Raises SingularGridError when no
-    such node is left.
+    theorem's coefficients (A1, -eps A2, Ho, -eps Ko), built here from the
+    primed governing fields, over the nodes valid for both.  Raises
+    SingularGridError when no such node is left.
     """
     raw = res.raw_update
     ok = ~(res.branch_invalid | raw.mask)
     if not ok.any():
         raise SingularGridError("no valid nodes after the Backlund transformation")
-    cp = res.primed_coefficients
+    cp = coefficients_from_governing(res.primed_governing)
     eps = EPS[res.primed_governing.kind]
     thm = (cp.A1, -eps * cp.A2, cp.Ho, -eps * cp.Ko)
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)

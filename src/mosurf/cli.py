@@ -155,6 +155,8 @@ def _cmd_verify(args) -> int:
 
     if args.refine < 0:
         raise ParameterError(f"--refine must be >= 0, got {args.refine}")
+    if args.tol < 0:
+        raise ParameterError(f"--tol must be >= 0, got {args.tol:g}")
     g, seed = read_field_file(args.fieldfile)
     report = verify_governing(g)
     orders = None
@@ -200,10 +202,10 @@ def _cmd_reconstruct(args) -> int:
                          write_report_file, write_table)
     from .frames import (integrate_frame, orthonormality_drift, path_independence_error,
                          reconstruct_surfaces, surface_diagnostics)
-    from .kernel import ResidualReport, _coefficients_and_stresses
+    from .kernel import ResidualReport, coefficients_from_governing
 
     g, _ = read_field_file(args.fieldfile)
-    c, s = _coefficients_and_stresses(g)
+    c = coefficients_from_governing(g)
     frac = c.n_flagged / g.grid.n_nodes
     if frac > 0.5:
         print(f"warning: {100 * frac:.1f}% of nodes are flagged", file=sys.stderr)
@@ -225,7 +227,7 @@ def _cmd_reconstruct(args) -> int:
         {
             "x": X, "y": Y,
             "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
-            "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": s.T1, "T2": s.T2,
+            "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": c.T1, "T2": c.T2,
         },
     )
     diag = {

@@ -12,9 +12,10 @@ maps them to
   Abar1 = T2 A1, Abar2 = T1 A2,
 * net rotation coefficients p, q,
 
-held as read-only arrays by :class:`CoefficientFields` and
-:class:`StressFields`, each built once and never copied,
-and evaluates every equation of the theory, one function per family that
+in one build, :func:`coefficients_from_governing`, whose read-only
+:class:`CoefficientFields` holds every array as it was computed;
+:func:`stresses` is a view of that build's T1, T2 and its guard.  It also
+evaluates every equation of the theory, one function per family that
 returns its residual arrays by registry name: the governing system, the
 Mainardi-Codazzi/net/Gauss relations, the membrane equilibrium equations,
 the first integrals with their quadric constraint, and the orthogonality
@@ -91,7 +92,8 @@ class GoverningFields:
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Fundamental-form, dual and rotation coefficients on one grid, read-only.
+    """Fundamental-form coefficients, stresses, dual and rotation coefficients
+    on one grid, read-only.
 
     ``flagged`` marks nodes where a guard tripped; their values are NaN.
     """
@@ -101,6 +103,8 @@ class CoefficientFields:
     A2: np.ndarray = dc_field(repr=False)
     Ho: np.ndarray = dc_field(repr=False)
     Ko: np.ndarray = dc_field(repr=False)
+    T1: np.ndarray = dc_field(repr=False)
+    T2: np.ndarray = dc_field(repr=False)
     Abar1: np.ndarray = dc_field(repr=False)
     Abar2: np.ndarray = dc_field(repr=False)
     p: np.ndarray = dc_field(repr=False)
@@ -185,39 +189,17 @@ def _sc(kind: str, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return np.sin(alpha), np.cos(alpha), EPS[kind]
 
 
-def stresses(g: GoverningFields) -> StressFields:
-    """Stress resultants of the membrane; vanishing denominators are flagged (NaN)."""
-    al, xi, h = g.alpha.values, g.xi.values, g.h.values
-    qn = g.qn
-    S, C, eps = _sc(g.kind, al)
-    num1 = 2.0 * h * S + (1.0 + eps * h * h) * C
-    num2 = 2.0 * h * C + (eps + h * h) * S
-    den1 = S + eps * h * C  # = A2
-    den2 = C + h * S  # = A1
-    del S, C
-    bad = (np.abs(den1) < EPS_DIV) | (np.abs(den2) < EPS_DIV)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the parenthesized ratio keeps T1 = T2 = qn bit-exact on the cmc family
-        half_load = 0.5 * qn * np.exp(-xi)
-        T1 = half_load * (num1 / den1)
-        T2 = half_load * (num2 / den2)
-    T1[bad] = np.nan
-    T2[bad] = np.nan
-    return StressFields(g.grid, T1, T2, bad)
+def _stress_guard(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """The nodes where a stress denominator, A2 for T1 or A1 for T2, vanishes."""
+    return (np.abs(A2) < EPS_DIV) | (np.abs(A1) < EPS_DIV)
 
 
 def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
-    """All coefficient fields implied by (alpha, xi, h, qn).
+    """All coefficient fields and stresses implied by (alpha, xi, h, qn).
 
-    See :func:`_coefficients_and_stresses`, which also returns the stresses
-    it computes on the way.
-    """
-    return _coefficients_and_stresses(g)[0]
-
-
-def _coefficients_and_stresses(g: GoverningFields) -> tuple[CoefficientFields, StressFields]:
-    """The coefficient fields of ``g`` and its :func:`stresses`, each computed once.
-
+    The stresses are T1 = (qn/2) e^-xi (2 h S + (1 + eps h^2) C) / A2 and
+    T2 = (qn/2) e^-xi (2 h C + (eps + h^2) S) / A1; nodes where |A1| or |A2|
+    falls below ``EPS_DIV`` are flagged and read NaN there.
     p and q use the closed forms from the governing structure,
     p = eps (alpha_y + xi_y S/C) and q = alpha_x + eps xi_x C/S
     (S/C is evaluated as tanh(alpha) for the 1st kind),
@@ -231,6 +213,14 @@ def _coefficients_and_stresses(g: GoverningFields) -> tuple[CoefficientFields, S
     with np.errstate(divide="ignore", invalid="ignore"):
         A1 = C + h * S
         A2 = S + eps * h * C
+        guard = _stress_guard(A1, A2)
+        # the parenthesized ratio keeps T1 = T2 = qn bit-exact on the cmc family
+        half_load = 0.5 * g.qn * np.exp(-xi)
+        T1 = half_load * ((2.0 * h * S + (1.0 + eps * h * h) * C) / A2)
+        T2 = half_load * ((2.0 * h * C + (eps + h * h) * S) / A1)
+        del half_load
+        T1[guard] = np.nan
+        T2[guard] = np.nan
         ex = np.exp(xi)
         Ho = ex * S
         Ko = eps * ex * C
@@ -241,17 +231,23 @@ def _coefficients_and_stresses(g: GoverningFields) -> tuple[CoefficientFields, S
         del ratio
         q = diff_x(al, grid) + eps * diff_x(xi, grid) * (C / S)
         del S, C
-    s = stresses(g)
-    Abar1 = s.T2 * A1
-    Abar2 = s.T1 * A2
+    Abar1 = T2 * A1
+    Abar2 = T1 * A2
     # NaN sentinels stay local to the field they break: a stress singularity
     # poisons Abar1/Abar2 but leaves the frame coefficients p, q, Ho, Ko usable.
-    flagged = s.flagged.copy()
+    flagged = guard
     for v in (A1, A2, Ho, Ko, Abar1, Abar2, p, q):
         bad = ~np.isfinite(v)
         v[bad] = np.nan
         flagged |= bad
-    return CoefficientFields(grid, A1, A2, Ho, Ko, Abar1, Abar2, p, q, flagged), s
+    return CoefficientFields(grid, A1, A2, Ho, Ko, T1, T2, Abar1, Abar2, p, q, flagged)
+
+
+def stresses(g: GoverningFields) -> StressFields:
+    """The stresses of :func:`coefficients_from_governing`, flagged where its
+    |A1| or |A2| guard tripped."""
+    c = coefficients_from_governing(g)
+    return StressFields(g.grid, c.T1, c.T2, _stress_guard(c.A1, c.A2))
 
 
 def principal_curvatures(c: CoefficientFields) -> tuple[np.ndarray, np.ndarray]:
@@ -310,9 +306,7 @@ def gauss_codazzi_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:
     }
 
 
-def equilibrium_residuals(
-    c: CoefficientFields, s: StressFields, qn: float
-) -> dict[str, np.ndarray]:
+def equilibrium_residuals(c: CoefficientFields, qn: float) -> dict[str, np.ndarray]:
     """In-plane and out-of-plane equilibrium residual arrays.
 
     The in-plane equations are the scalar form of the dual net relations
@@ -324,7 +318,7 @@ def equilibrium_residuals(
     changes of A1, A2 are harmless.
     """
     grid = c.grid
-    A1, A2, T1, T2 = c.A1, c.A2, s.T1, s.T2
+    A1, A2, T1, T2 = c.A1, c.A2, c.T1, c.T2
     k1, k2 = principal_curvatures(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         res1 = diff_x(T1, grid) + (diff_x(A2, grid) / A2) * (T1 - T2)

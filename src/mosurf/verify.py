@@ -14,7 +14,7 @@ import numpy as np
 from .kernel import (
     GoverningFields,
     ResidualReport,
-    _coefficients_and_stresses,
+    coefficients_from_governing,
     equilibrium_residuals,
     first_integral_check,
     gauss_codazzi_residuals,
@@ -77,11 +77,11 @@ def verify_governing(g: GoverningFields) -> ResidualReport:
     Each family is reduced to norms before the next one runs, which bounds
     the peak memory by one family's residual arrays.
     """
-    c, s = _coefficients_and_stresses(g)
+    c = coefficients_from_governing(g)
     families = (
         lambda: governing_residuals(g),
         lambda: gauss_codazzi_residuals(c),
-        lambda: equilibrium_residuals(c, s, g.qn),
+        lambda: equilibrium_residuals(c, g.qn),
         lambda: first_integral_check(c, g.kind, g.qn),
         lambda: orthogonality_check(c, g.qn),
         lambda: omega_ratios(c, g),

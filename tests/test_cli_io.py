@@ -672,6 +672,40 @@ def test_cli_stress_table(tmp_path):
     assert len(lines) == 1 + 21 * 21
 
 
+def _blank_stress_rows(csv):
+    """Indices (x-fastest) of the stress table rows whose T1 and T2 are blank."""
+    rows = [ln.split(",") for ln in csv.read_text().splitlines()[1:]]
+    assert all((t1 == "") == (t2 == "") for _, _, t1, t2 in rows)
+    return {k for k, (_, _, t1, _) in enumerate(rows) if t1 == ""}
+
+
+def test_cli_stress_flagged_counts_guard_trips(tmp_path, capsys):
+    # flagged= counts the nodes where |A1| or |A2| < EPS_DIV; on the README
+    # Liouville seed A2 vanishes on the x = 0 column, whose cells are blank
+    src, csv = tmp_path / "liou.json", tmp_path / "T.csv"
+    assert run(["seed", "--family", "liouville", "--a", "0.353553", "--c1", "0",
+                "--domain", "-1:1:-1:1", "--nx", "101", "--ny", "101", "-o", str(src)]) == 0
+    capsys.readouterr()
+    assert run(["stress", str(src), "-o", str(csv)]) == 0
+    assert " flagged=101 " in capsys.readouterr().out
+    assert _blank_stress_rows(csv) == {50 + 101 * j for j in range(101)}
+
+
+def test_cli_stress_flagged_skips_flagged_input_nodes(tmp_path, capsys):
+    # the flagged nodes of a primed file read back as NaN: their cells are
+    # blank, but they are not stress-guard trips, so flagged= does not count them
+    src, primed, csv = tmp_path / "kink.json", tmp_path / "p.json", tmp_path / "T.csv"
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3",
+                "--domain", "-3:3:-3:3", "--nx", "31", "--ny", "31", "-o", str(src)]) == 0
+    assert run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
+    capsys.readouterr()
+    assert run(["stress", str(primed), "-o", str(csv)]) == 0
+    assert " flagged=0 " in capsys.readouterr().out
+    flagged = json.loads(primed.read_text())["flagged"]
+    assert len(flagged) == 48
+    assert _blank_stress_rows(csv) == set(flagged)
+
+
 def test_cli_backlund_and_reverify(tmp_path):
     src = tmp_path / "cmc.json"
     primed = tmp_path / "primed.json"
@@ -851,8 +885,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("mosurf: error:") and "cmc" in errors[0]
     assert not out.exists()
-    # a non-finite number or a negative --refine is a bad flag value: exit 1
-    # with one error line, no warning and no file, before any work is done
+    # a non-finite number or a negative --refine or --tol is a bad flag value:
+    # exit 1 with one error line, no warning and no file, before any work is done
     cmc = tmp_path / "cmc.json"
     assert run(["seed", "--family", "cmc", "--domain", "0:1:0:1", "--nx", "9", "--ny", "9",
                 "-o", str(cmc)]) == 0
@@ -864,7 +898,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["backlund", str(cmc), "--m", "nan"], ["backlund", str(cmc), "--m", "inf"],
         ["backlund", str(cmc), "--init", "0,nan,1"],
         ["verify", str(cmc), "--refine", "-1"], ["verify", str(cmc), "--tol", "nan"],
-        ["verify", str(cmc), "--tol", "inf"],
+        ["verify", str(cmc), "--tol", "inf"], ["verify", str(cmc), "--tol", "-1"],
+        ["verify", str(cmc), "--tol=-1e-300"],
     ]
     out, report = tmp_path / "bad.json", tmp_path / "bad_report.json"
     for argv in bad:

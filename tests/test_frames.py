@@ -28,7 +28,8 @@ I3 = np.eye(3)
 
 def zero_coefficients(grid):
     z, one = np.zeros(grid.shape), np.ones(grid.shape)
-    return CoefficientFields(grid, one, one, z, z, one, one, z, z, np.zeros(grid.shape, bool))
+    return CoefficientFields(grid, one, one, z, z, one, one, one, one, z, z,
+                             np.zeros(grid.shape, bool))
 
 
 def cmc_coefficients(n=101, dom=(0, 2, 0, 2)):

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mosurf.backlund import apply_backlund
 from mosurf.errors import ParameterError
-from mosurf.fields import Grid2D, ScalarField
+from mosurf.fields import Grid2D, ScalarField, diff_x, diff_y
 from mosurf.kernel import (
+    EPS_DIV,
     CoefficientFields,
     GoverningFields,
     ResidualReport,
-    _coefficients_and_stresses,
     coefficients_from_governing,
     equilibrium_residuals,
     first_integral_check,
@@ -31,14 +32,19 @@ def make_governing(kind, grid, alpha, xi, h, qn=1.0):
     return GoverningFields(kind=kind, qn=qn, alpha=field(alpha), xi=field(xi), h=field(h))
 
 
+def sc(g):
+    """(S, C, eps) of the governing triple: (sinh, cosh, 1) or (sin, cos, -1) of alpha."""
+    al = g.alpha.values
+    if g.kind == "first":
+        return np.sinh(al), np.cosh(al), 1.0
+    return np.sin(al), np.cos(al), -1.0
+
+
 def second_fundamental_form(g):
     """Closed-form coefficients (b11, b22) of the second fundamental form, the
     oracle of principal_curvatures: kappa_i = b_ii / A_i^2."""
-    al, ex, h = g.alpha.values, np.exp(g.xi.values), g.h.values
-    if g.kind == "first":
-        S, C, eps = np.sinh(al), np.cosh(al), 1.0
-    else:
-        S, C, eps = np.sin(al), np.cos(al), -1.0
+    ex, h = np.exp(g.xi.values), g.h.values
+    S, C, eps = sc(g)
     return -ex * S * (C + h * S), -ex * C * (eps * S + h * C)
 
 
@@ -162,7 +168,7 @@ def test_cmc_governing_residuals():
 
 def test_gauss_codazzi_flat_plane_limit():
     one, zero = np.ones(GRID.shape), np.zeros(GRID.shape)
-    c = CoefficientFields(GRID, one, one, zero, zero, one, one, zero, zero,
+    c = CoefficientFields(GRID, one, one, zero, zero, one, one, one, one, zero, zero,
                           np.zeros(GRID.shape, bool))
     fields = gauss_codazzi_residuals(c)
     for name, values in fields.items():
@@ -182,8 +188,7 @@ def test_gauss_codazzi_dual_residual_scales_with_qn():
 def test_equilibrium_cmc_exact():
     g = cmc_seed(n=101)
     c = coefficients_from_governing(g)
-    s = stresses(g)
-    rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, s, g.qn))
+    rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, g.qn))
     assert rep["equilibrium-1"].linf == 0.0
     assert rep["equilibrium-2"].linf == 0.0
     assert rep["equilibrium-3"].linf < 1e-12
@@ -196,8 +201,7 @@ def test_equilibrium_pseudospherical_converges():
             SeedSpec("pseudospherical", Grid2D.from_domain(0.7, 1.3, -0.5, 0.5, n, n), v=0.3)
         )
         c = coefficients_from_governing(g)
-        s = stresses(g)
-        rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, s, g.qn))
+        rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, g.qn))
         linfs.append(max(rep["equilibrium-1"].linf, rep["equilibrium-2"].linf))
     assert linfs[1] < 50 * (0.005) ** 2
     assert 1.8 <= np.log2(linfs[0] / linfs[1]) <= 2.2
@@ -301,17 +305,81 @@ def test_stress_guard_flags_vanishing_denominator():
     assert np.isfinite(c.p).all()
 
 
-@pytest.mark.parametrize("family, kw", [("cmc", dict(alpha0=1.0)),
-                                        ("pseudospherical", dict(v=0.3)),
-                                        ("liouville", dict(a=0.353553, c1=0.0))])
-def test_coefficients_and_stresses_computed_once_are_bit_identical(family, kw):
-    # verify and reconstruct take the stresses the coefficient build computes;
-    # they are the bits of a separate stresses() call
-    g = generate_seed(SeedSpec(family, Grid2D.from_domain(-1, 1, -1, 1, 31, 27), **kw))
-    c, s = _coefficients_and_stresses(g)
-    c0, s0 = coefficients_from_governing(g), stresses(g)
-    for name in ("A1", "A2", "Ho", "Ko", "Abar1", "Abar2", "p", "q", "flagged"):
-        assert getattr(c, name).tobytes() == getattr(c0, name).tobytes(), name
-    for name in ("T1", "T2", "flagged"):
-        assert getattr(s, name).tobytes() == getattr(s0, name).tobytes(), name
-    assert s.grid == s0.grid == c.grid
+def reference_stresses(g):
+    """The stresses as a build of their own, frozen as they were computed
+    before the coefficient build took them over: (T1, T2, guard)."""
+    xi, h = g.xi.values, g.h.values
+    S, C, eps = sc(g)
+    num1 = 2.0 * h * S + (1.0 + eps * h * h) * C
+    num2 = 2.0 * h * C + (eps + h * h) * S
+    den1 = S + eps * h * C
+    den2 = C + h * S
+    bad = (np.abs(den1) < EPS_DIV) | (np.abs(den2) < EPS_DIV)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_load = 0.5 * g.qn * np.exp(-xi)
+        T1 = half_load * (num1 / den1)
+        T2 = half_load * (num2 / den2)
+    T1[bad] = np.nan
+    T2[bad] = np.nan
+    return T1, T2, bad
+
+
+def reference_coefficients(g):
+    """Every array of the coefficient build, frozen as it was computed with a
+    stress build of its own: a dict by field name."""
+    grid = g.grid
+    al, xi, h = g.alpha.values, g.xi.values, g.h.values
+    S, C, eps = sc(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A1 = C + h * S
+        A2 = S + eps * h * C
+        Ho = np.exp(xi) * S
+        Ko = eps * np.exp(xi) * C
+        ratio = np.tanh(al) if g.kind == "first" else S / C
+        p = eps * (diff_y(al, grid) + diff_y(xi, grid) * ratio)
+        q = diff_x(al, grid) + eps * diff_x(xi, grid) * (C / S)
+    T1, T2, flagged = reference_stresses(g)
+    out = {"A1": A1, "A2": A2, "Ho": Ho, "Ko": Ko, "Abar1": T2 * A1, "Abar2": T1 * A2,
+           "p": p, "q": q}
+    for v in out.values():
+        bad = ~np.isfinite(v)
+        v[bad] = np.nan
+        flagged |= bad
+    return {**out, "T1": T1, "T2": T2, "flagged": flagged}
+
+
+def primed_kink():
+    # the README kink transform: its primed field has NaN (flagged) nodes
+    grid = Grid2D.from_domain(-3, 3, -3, 3, 31, 31)
+    g = generate_seed(SeedSpec("pseudospherical", grid, v=0.3))
+    return apply_backlund(g, 0.3, 0.0, 1.0, 0.1).primed_governing
+
+
+BUILD_CASES = {
+    "cmc": lambda: cmc_seed(n=31, dom=(-1, 1, -1, 1)),
+    "pseudospherical": lambda: generate_seed(
+        SeedSpec("pseudospherical", Grid2D.from_domain(-1, 1, -1, 1, 31, 27), v=0.3)),
+    "liouville": lambda: generate_seed(
+        SeedSpec("liouville", Grid2D.from_domain(-1, 1, -1, 1, 31, 27), a=0.353553, c1=0.0)),
+    "primed-kink": primed_kink,
+    # second kind with h = tan(alpha): A2 = 0, the stress guard trips everywhere
+    "all-guard": lambda: make_governing("second", GRID, np.pi / 4, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", BUILD_CASES)
+def test_coefficient_build_is_bit_identical_to_frozen_formulas(case):
+    # the one build computes each array once; its bits are those of the
+    # separate coefficient and stress builds it replaced
+    g = BUILD_CASES[case]()
+    want = reference_coefficients(g)
+    c = coefficients_from_governing(g)
+    for name, ref in want.items():
+        assert getattr(c, name).tobytes() == ref.tobytes(), name
+    s = stresses(g)
+    T1, T2, guard = reference_stresses(g)
+    for name, ref in (("T1", T1), ("T2", T2), ("flagged", guard)):
+        assert getattr(s, name).tobytes() == ref.tobytes(), name
+    assert s.grid == c.grid == g.grid
+    if case in ("primed-kink", "all-guard"):
+        assert c.n_flagged > 0

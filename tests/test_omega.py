@@ -66,7 +66,7 @@ def test_umbilic_nodes_are_flagged():
     one, zero = np.ones(grid.shape), np.zeros(grid.shape)
     from mosurf.kernel import CoefficientFields
 
-    c = CoefficientFields(grid, one, one, one, one, one, one, zero, zero,
+    c = CoefficientFields(grid, one, one, one, one, one, one, one, one, zero, zero,
                           np.zeros(grid.shape, bool))
     g = GoverningFields(kind="first", qn=1.0, alpha=ScalarField(grid, one),
                         xi=ScalarField(grid, zero), h=ScalarField(grid, zero))
