@@ -268,25 +268,30 @@ def governing_residuals(g: GoverningFields) -> dict[str, np.ndarray]:
 
     ``governing-1`` combines the two first-order h equations as a pointwise
     max of absolute residuals; ``governing-2`` is the xi cross-derivative
-    equation; ``governing-3`` the second-order alpha-xi equation.
+    equation; ``governing-3`` the second-order alpha-xi equation.  C/S, S/C
+    and each first derivative are formed once, and each temporary is freed
+    after its last read, so the family holds a few grids beyond its result.
     """
     grid = g.grid
     al = g.alpha.values
     xi = g.xi.values
     h = g.h.values
     S, C, eps = _sc(g.kind, al)
-    al_x, al_y = diff_x(al, grid), diff_y(al, grid)
-    xi_x, xi_y = diff_x(xi, grid), diff_y(xi, grid)
-    h_x, h_y = diff_x(h, grid), diff_y(h, grid)
-    xi_xy = diff_y(diff_x(xi, grid), grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        res_hx = h_x - (h + C / S) * xi_x
-        res_hy = h_y - (h + eps * (S / C)) * xi_y
-        res_xi = xi_xy - xi_x * xi_y - (C / S) * al_y * xi_x - eps * (S / C) * al_x * xi_y
-        Px = eps * al_x + xi_x * (C / S)
-        Py = al_y + xi_y * (S / C)
-        res_al = diff_x(Px, grid) + diff_y(Py, grid) + np.exp(2.0 * xi) * S * C
-    res_h = np.maximum(np.abs(res_hx), np.abs(res_hy))
+        source = np.exp(2.0 * xi) * S * C
+        cs = C / S
+        sc = S / C
+        del S, C
+        xi_x, xi_y = diff_x(xi, grid), diff_y(xi, grid)
+        res_h = np.abs(diff_x(h, grid) - (h + cs) * xi_x)
+        np.maximum(res_h, np.abs(diff_y(h, grid) - (h + eps * sc) * xi_y), out=res_h)
+        al_x, al_y = diff_x(al, grid), diff_y(al, grid)
+        res_xi = diff_y(xi_x, grid) - xi_x * xi_y - cs * al_y * xi_x - eps * sc * al_x * xi_y
+        res_al = diff_y(al_y + xi_y * sc, grid)
+        del al_y, sc, xi_y
+        # (Px)_x + (Py)_y + e^(2 xi) S C, summed in that order
+        np.add(diff_x(eps * al_x + xi_x * cs, grid), res_al, out=res_al)
+        res_al += source
     return {"governing-1": res_h, "governing-2": res_xi, "governing-3": res_al}
 
 

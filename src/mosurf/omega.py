@@ -42,14 +42,17 @@ def omega_ratios(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarr
     dk = k1 - k2
     scale = np.maximum(np.abs(k1), np.abs(k2))
     umbilic = ~np.isfinite(dk) | (np.abs(dk) <= EPS_UMBILIC * scale)
+    del scale
     dk[umbilic] = np.nan
     A1, A2 = c.A1, c.A2
     with np.errstate(divide="ignore", invalid="ignore"):
         R1 = diff_x(k1, grid) / dk * (A1 / A2)
+        del k1
         R2 = diff_y(k2, grid) / dk * (A2 / A1)
-    al_x = diff_x(g.alpha.values, grid)
-    al_y = diff_y(g.alpha.values, grid)
+        del k2, dk
     eps = EPS[g.kind]
     combined = diff_y(R1, grid) + eps * diff_x(R2, grid)
-    return {"omega-1": R1 + eps * al_x, "omega-2": R2 - al_y, "omega-combined": combined}
-
+    # the ratios become the residuals in place once combined has read them
+    R1 += eps * diff_x(g.alpha.values, grid)
+    R2 -= diff_y(g.alpha.values, grid)
+    return {"omega-1": R1, "omega-2": R2, "omega-combined": combined}

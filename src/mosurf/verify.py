@@ -74,21 +74,23 @@ ALGEBRAIC_EQUATIONS = (
 def verify_governing(g: GoverningFields) -> ResidualReport:
     """All 19 registry residuals of one governing triple, then ``omega-combined``.
 
-    Each family is reduced to norms before the next one runs, which bounds
-    the peak memory by one family's residual arrays.
+    Each family is reduced to norms before the next one runs.  The governing
+    family reads the triple alone and runs before the coefficient bundle is
+    built, so beyond the triple the peak memory is the larger of the governing
+    family's arrays and the bundle plus one other family's residual arrays.
     """
-    c = coefficients_from_governing(g)
-    families = (
-        lambda: governing_residuals(g),
-        lambda: gauss_codazzi_residuals(c),
-        lambda: equilibrium_residuals(c, g.qn),
-        lambda: first_integral_check(c, g.kind, g.qn),
-        lambda: orthogonality_check(c, g.qn),
-        lambda: omega_ratios(c, g),
-    )
     report = ResidualReport(g.grid)
-    for family in families:
-        report.entries.update((name, residual_stats(v, g.grid)) for name, v in family().items())
+
+    def add(residuals: dict[str, np.ndarray]) -> None:
+        report.entries.update((name, residual_stats(v, g.grid)) for name, v in residuals.items())
+
+    add(governing_residuals(g))
+    c = coefficients_from_governing(g)
+    add(gauss_codazzi_residuals(c))
+    add(equilibrium_residuals(c, g.qn))
+    add(first_integral_check(c, g.kind, g.qn))
+    add(orthogonality_check(c, g.qn))
+    add(omega_ratios(c, g))
     return report
 
 

@@ -1,5 +1,6 @@
 """Coefficient, stress and residual machinery tests."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from mosurf.backlund import apply_backlund
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, ScalarField, diff_x, diff_y
 from mosurf.kernel import (
+    EPS,
     EPS_DIV,
     CoefficientFields,
     GoverningFields,
@@ -23,6 +25,7 @@ from mosurf.kernel import (
     residual_stats,
     stresses,
 )
+from mosurf.omega import EPS_UMBILIC, omega_ratios
 from mosurf.seeds import SeedSpec, generate_seed
 from mosurf.verify import CORE_EQUATIONS, EXTENDED_EQUATIONS, verify_governing
 
@@ -383,3 +386,77 @@ def test_coefficient_build_is_bit_identical_to_frozen_formulas(case):
     assert s.grid == c.grid == g.grid
     if case in ("primed-kink", "all-guard"):
         assert c.n_flagged > 0
+
+
+def reference_governing_residuals(g):
+    """The governing family frozen as it was computed before it shared C/S,
+    S/C and xi_x between its equations and freed its temporaries."""
+    grid = g.grid
+    al, xi, h = g.alpha.values, g.xi.values, g.h.values
+    S, C, eps = sc(g)
+    al_x, al_y = diff_x(al, grid), diff_y(al, grid)
+    xi_x, xi_y = diff_x(xi, grid), diff_y(xi, grid)
+    h_x, h_y = diff_x(h, grid), diff_y(h, grid)
+    xi_xy = diff_y(diff_x(xi, grid), grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res_hx = h_x - (h + C / S) * xi_x
+        res_hy = h_y - (h + eps * (S / C)) * xi_y
+        res_xi = xi_xy - xi_x * xi_y - (C / S) * al_y * xi_x - eps * (S / C) * al_x * xi_y
+        Px = eps * al_x + xi_x * (C / S)
+        Py = al_y + xi_y * (S / C)
+        res_al = diff_x(Px, grid) + diff_y(Py, grid) + np.exp(2.0 * xi) * S * C
+    res_h = np.maximum(np.abs(res_hx), np.abs(res_hy))
+    return {"governing-1": res_h, "governing-2": res_xi, "governing-3": res_al}
+
+
+def reference_omega_ratios(c, g):
+    """The Omega-ratio family frozen as it was computed before it freed its
+    temporaries and turned the ratios into residuals in place."""
+    grid = c.grid
+    k1, k2 = principal_curvatures(c)
+    dk = k1 - k2
+    scale = np.maximum(np.abs(k1), np.abs(k2))
+    umbilic = ~np.isfinite(dk) | (np.abs(dk) <= EPS_UMBILIC * scale)
+    dk[umbilic] = np.nan
+    A1, A2 = c.A1, c.A2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R1 = diff_x(k1, grid) / dk * (A1 / A2)
+        R2 = diff_y(k2, grid) / dk * (A2 / A1)
+    al_x = diff_x(g.alpha.values, grid)
+    al_y = diff_y(g.alpha.values, grid)
+    eps = EPS[g.kind]
+    combined = diff_y(R1, grid) + eps * diff_x(R2, grid)
+    return {"omega-1": R1 + eps * al_x, "omega-2": R2 - al_y, "omega-combined": combined}
+
+
+@pytest.mark.parametrize("case", BUILD_CASES)
+def test_residual_families_are_bit_identical_to_frozen_formulas(case):
+    # the lean families keep every operation and its operand order; NaN bits
+    # included, and the same memory layout, over which the norms sum
+    g = BUILD_CASES[case]()
+    c = coefficients_from_governing(g)
+    for got, want in ((governing_residuals(g), reference_governing_residuals(g)),
+                      (omega_ratios(c, g), reference_omega_ratios(c, g))):
+        assert list(got) == list(want)
+        for name, ref in want.items():
+            assert got[name].tobytes() == ref.tobytes(), name
+            assert got[name].strides == ref.strides, name
+
+
+def test_verify_holds_one_family_beside_the_coefficient_bundle():
+    # the governing family runs before the bundle is built, so above the
+    # triple the peak is the bundle plus the largest coefficient family
+    # (gauss-codazzi: 7 arrays and its temporaries), about 9 grids; building
+    # the bundle first held it through the governing family, 18 grids above it
+    g = cmc_seed(n=201)
+    c = coefficients_from_governing(g)
+    bundle = sum(v.nbytes for v in vars(c).values() if isinstance(v, np.ndarray))
+    del c
+    tracemalloc.start()
+    try:
+        verify_governing(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes = g.alpha.values.nbytes
+    assert peak <= bundle + 12 * grid_bytes, (peak - bundle) / grid_bytes
