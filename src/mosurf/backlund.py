@@ -1,7 +1,9 @@
 """Lax-pair integration and the Backlund transformation for both kinds.
 
 The linear system in w = (lambda, mu, omega, phi, chi) with spectral
-parameter m is integrated over the grid with the two-pass RK4 sweep.  Its
+parameter m is integrated over the grid with the two-pass RK4 sweep; its
+coefficients and the load qn come from one :class:`kernel.CoefficientFields`,
+which the Lax sweep and the coefficient update take alone.  Its
 quadric constraint
 
     lambda^2 + mu^2 + omega^2 = 2 m omega nu,   nu = chi - qn phi^2 / (2 omega)
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays
-from .kernel import EPS, CoefficientFields, GoverningFields, coefficients_from_governing
+from .kernel import EPS, CoefficientFields, GoverningFields, _forms, coefficients_from_governing
 from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
 from .sweep import sweep_grid
 
@@ -185,14 +187,12 @@ def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn, out=None):
     return L
 
 
-def _sweep_lax(
-    c: CoefficientFields, qn: float, m: float, init: np.ndarray, order: str = "xy"
-) -> np.ndarray:
+def _sweep_lax(c: CoefficientFields, m: float, init: np.ndarray, order: str = "xy") -> np.ndarray:
     """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node,
     as the one-row state ``init[None]``."""
     cx = (c.p, c.Ho, c.A1, c.Abar1)
     cy = (c.q, c.Ko, c.A2, c.Abar2)
-    gx, gy = partial(_lax_matrix_x, m=m, qn=qn), partial(_lax_matrix_y, m=m, qn=qn)
+    gx, gy = partial(_lax_matrix_x, m=m, qn=c.qn), partial(_lax_matrix_y, m=m, qn=c.qn)
     w = sweep_grid(c.grid, cx, gx, cy, gy, init[None], order=order, substeps=lax_substeps(c.grid))
     return w[:, :, 0]
 
@@ -205,9 +205,11 @@ def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> L
     """
     # one component-major copy: contiguous components compute faster than strided views
     lam, mu, om, ph, ch = np.moveaxis(w, 2, 0).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         nu = ch - qn * ph * ph / (2.0 * om)
-    bigM = m * om * nu
+        bigM = m * om * nu
+        # division-free form of lambda^2 + mu^2 + omega^2 - 2 m omega nu
+        quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
     singular = (
         ~np.isfinite(om)
         | ~np.isfinite(nu)
@@ -215,21 +217,15 @@ def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> L
         | (np.abs(nu) < EPS_SING)
         | (np.abs(bigM) < EPS_SING)
     )
-    # division-free form of lambda^2 + mu^2 + omega^2 - 2 m omega nu
-    quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
     q0 = abs(2.0 * m * om[0, 0] * ch[0, 0] - m * qn * ph[0, 0] ** 2)
     scale = q0 if q0 > 0 else 1.0
     drift = float(np.max(np.abs(quad), where=np.isfinite(quad), initial=0.0)) / scale
     return LaxFields(m, qn, lam, mu, om, ph, ch, nu, bigM, singular, drift, path_err)
 
 
-def integrate_lax(
-    c: CoefficientFields,
-    qn: float,
-    m: float,
-    init: np.ndarray,
-) -> LaxFields:
-    """Integrate the 5-component linear system from ``init`` at the origin node.
+def integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields:
+    """Integrate the 5-component linear system of ``c`` (its load qn) from
+    ``init`` at the origin node.
 
     The background coefficients must come from a valid membrane O surface for
     the two sweep orders to agree; ``path_independence`` records the actual
@@ -241,12 +237,10 @@ def integrate_lax(
     init = np.asarray(init, dtype=float)
     if init.shape != (5,):
         raise ParameterError(f"init must be a 5-vector, got shape {init.shape}")
-    out = _sweep_lax(c, qn, m, init)
-    alt = _sweep_lax(c, qn, m, init, order="yx")
-    with np.errstate(invalid="ignore"):
-        path_err = float(np.nanmax(np.abs(out - alt)))
-    del alt
-    return _lax_fields(m, qn, out, path_err)
+    out = _sweep_lax(c, m, init)
+    with np.errstate(all="ignore"):  # fmax.reduce is nanmax without its all-NaN warning
+        path_err = float(np.fmax.reduce(np.abs(out - _sweep_lax(c, m, init, "yx")), axis=None))
+    return _lax_fields(m, c.qn, out, path_err)
 
 
 def _nanwhere(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -261,16 +255,13 @@ def backlund_surface(s: SurfaceTriple, f: FrameGrid, lx: LaxFields) -> Vec3Field
     lam = lx.lam[:, :, None]
     mu = lx.mu[:, :, None]
     om = lx.omega[:, :, None]
-    direction = lam * X + mu * Y + om * N
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = lx.phi / lx.bigM
-    factor = _nanwhere(lx.singular, factor)
-    return Vec3Field(s.r.grid, s.r.values - factor[:, :, None] * direction)
+    with np.errstate(all="ignore"):
+        direction = lam * X + mu * Y + om * N
+        factor = _nanwhere(lx.singular, lx.phi / lx.bigM)
+        return Vec3Field(s.r.grid, s.r.values - factor[:, :, None] * direction)
 
 
-def backlund_coefficients(
-    c: CoefficientFields, lx: LaxFields, qn: float
-) -> PrimedUpdate:
+def backlund_coefficients(c: CoefficientFields, lx: LaxFields) -> PrimedUpdate:
     """Primed coefficient six-tuple via the reflection update (theorem signs).
 
     H = m (nu Ho + omega Abar1 - qn phi A1 + qn phi^2 Ho / (2 omega)) and the
@@ -278,25 +269,23 @@ def backlund_coefficients(
     -(H/M) Mvec resp. -(K/M) Mvec with Mvec = (omega, phi, chi).
     """
     om, ph, ch, nu, bigM, m = lx.omega, lx.phi, lx.chi, lx.nu, lx.bigM, lx.m
-    Ho, Ko, A1, A2, Ab1, Ab2 = c.Ho, c.Ko, c.A1, c.A2, c.Abar1, c.Abar2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    Ho, Ko, A1, A2, Ab1, Ab2, qn = c.Ho, c.Ko, c.A1, c.A2, c.Abar1, c.Abar2, c.qn
+    with np.errstate(all="ignore"):
         H = m * (nu * Ho + om * Ab1 - qn * ph * A1 + qn * ph * ph * Ho / (2.0 * om))
         K = m * (nu * Ko + om * Ab2 - qn * ph * A2 + qn * ph * ph * Ko / (2.0 * om))
         rH = H / bigM
         rK = K / bigM
-    mask = lx.singular | ~np.isfinite(rH) | ~np.isfinite(rK)
-    rH = _nanwhere(mask, rH)
-    rK = _nanwhere(mask, rK)
-    return PrimedUpdate(
-        Ho=Ho - rH * om, A1=A1 - rH * ph, Abar1=Ab1 - rH * ch,
-        Ko=Ko - rK * om, A2=A2 - rK * ph, Abar2=Ab2 - rK * ch,
-        mask=mask,
-    )
+        mask = lx.singular | ~np.isfinite(rH) | ~np.isfinite(rK)
+        rH = _nanwhere(mask, rH)
+        rK = _nanwhere(mask, rK)
+        return PrimedUpdate(
+            Ho=Ho - rH * om, A1=A1 - rH * ph, Abar1=Ab1 - rH * ch,
+            Ko=Ko - rK * om, A2=A2 - rK * ph, Abar2=Ab2 - rK * ch,
+            mask=mask,
+        )
 
 
-def backlund_governing(
-    g: GoverningFields, lx: LaxFields
-) -> tuple[GoverningFields, np.ndarray]:
+def backlund_governing(g: GoverningFields, lx: LaxFields) -> tuple[GoverningFields, np.ndarray]:
     """Primed (xi', alpha', h') of the same kind, plus the invalid-node mask.
 
     With t = h - (phi/omega) e^xi and the kind's sign eps:
@@ -309,7 +298,7 @@ def backlund_governing(
     eps = EPS[g.kind]
     al, xi, h = g.alpha.values, g.xi.values, g.h.values
     om, ph, nu = lx.omega, lx.phi, lx.nu
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         t = h - (ph / om) * np.exp(xi)
         ex_p = 0.5 * qn * (om / nu) * np.exp(-xi) * (1.0 - eps * t * t)
         invalid = lx.singular | ~np.isfinite(t) | ~(ex_p > 0.0)
@@ -332,14 +321,13 @@ def backlund_governing(
     return primed, invalid
 
 
-def _transform(
-    g: GoverningFields, c: CoefficientFields, lx: LaxFields, name: str
-) -> BacklundResult:
+def _transform(g: GoverningFields, c: CoefficientFields, lx: LaxFields,
+               name: str) -> BacklundResult:
     """Primed fields, raw update and transformed surface of a Lax solution."""
     if lx.singular.all():
         raise SingularGridError(f"{name} undefined on every node")
     primed, invalid = backlund_governing(g, lx)
-    raw = backlund_coefficients(c, lx, g.qn)
+    raw = backlund_coefficients(c, lx)
     f = integrate_frame(c, np.eye(3))
     triple, _ = reconstruct_surfaces(f, c)
     r_p = backlund_surface(triple, f, lx)
@@ -347,11 +335,7 @@ def _transform(
 
 
 def apply_backlund(
-    g: GoverningFields,
-    m: float,
-    lambda0: float,
-    omega0: float,
-    phi0: float,
+    g: GoverningFields, m: float, lambda0: float, omega0: float, phi0: float
 ) -> BacklundResult:
     """One full Backlund application from an admissible initial vector.
 
@@ -362,7 +346,7 @@ def apply_backlund(
     """
     c = coefficients_from_governing(g)
     init = admissible_initial(m, g.qn, lambda0, omega0, phi0)
-    lx = integrate_lax(c, g.qn, m, init)
+    lx = integrate_lax(c, m, init)
     return _transform(g, c, lx, "Backlund transformation")
 
 
@@ -372,10 +356,7 @@ def apply_backlund(
 
 
 def bianchi_darboux(
-    g: GoverningFields,
-    mbar: float,
-    lambda0: float = 0.0,
-    omega0: float = 1.0,
+    g: GoverningFields, mbar: float, lambda0: float = 0.0, omega0: float = 1.0
 ) -> BacklundResult:
     """Classical Bianchi-Darboux transformation of a cmc background.
 
@@ -410,7 +391,7 @@ def bianchi_darboux(
 
     c = coefficients_from_governing(g)
     init = admissible_initial(m, qn, lambda0, omega0, phi0)
-    lx = _lax_fields(m, qn, _sweep_lax(c, qn, m, init), None)
+    lx = _lax_fields(m, qn, _sweep_lax(c, m, init), None)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
 
@@ -425,26 +406,26 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     ``lax_path_independence`` is omitted when the Lax solution was swept in
     one order only (Bianchi-Darboux).
     ``theorem_vs_raw_max_dev`` compares the raw reflection update with the
-    theorem's coefficients (A1, -eps A2, Ho, -eps Ko), built here from the
-    primed governing fields, over the nodes valid for both.  Raises
-    SingularGridError when no such node is left.
+    theorem's coefficients (A1, -eps A2, Ho, -eps Ko), evaluated pointwise
+    here from the primed governing fields (:func:`kernel._forms`), over the
+    nodes valid for both.  Raises SingularGridError when no such node is left.
     """
     raw = res.raw_update
     ok = ~(res.branch_invalid | raw.mask)
     if not ok.any():
         raise SingularGridError("no valid nodes after the Backlund transformation")
-    cp = coefficients_from_governing(res.primed_governing)
+    _, _, A1, A2, Ho, Ko = _forms(res.primed_governing)
     eps = EPS[res.primed_governing.kind]
-    thm = (cp.A1, -eps * cp.A2, cp.Ho, -eps * cp.Ko)
+    thm = (A1, -eps * A2, Ho, -eps * Ko)
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
+    with np.errstate(all="ignore"):  # fmax.reduce: nanmax without its all-NaN warning
+        dev = max(float(np.fmax.reduce(np.abs(t - r)[ok])) for t, r in zip(thm, raws))
     out = {
         "constraint_drift": res.lax.constraint_drift,
         "lax_path_independence": res.lax.path_independence,
         "singular_nodes": int(res.lax.n_singular),
         "branch_invalid_nodes": int(res.branch_invalid.sum()),
-        "theorem_vs_raw_max_dev": max(
-            float(np.nanmax(np.abs(t - r)[ok])) for t, r in zip(thm, raws)
-        ),
+        "theorem_vs_raw_max_dev": dev,
     }
     return {k: v for k, v in out.items() if v is not None}
 

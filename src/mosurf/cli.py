@@ -281,15 +281,16 @@ def _cmd_backlund(args) -> int:
     else:
         res = apply_backlund(g, args.m, lam0, om0, ph0)
     checks = transform_diagnostics(res)  # raises when no node is valid
-    # the initial vector as swept: Bianchi-Darboux solves its own phi0
+    # m and init as swept: Bianchi-Darboux sweeps m = 2 mbar / qn, which may
+    # differ from --m in the last bit, and solves its own phi0
     init = [v[0, 0] for v in (res.lax.lam, res.lax.omega, res.lax.phi)]
-    diag: dict[str, object] = {"m": args.m, "init": init}
+    diag: dict[str, object] = {"m": res.lax.m, "init": init}
     if args.bianchi_darboux:
         diag.update(mbar=mbar, **bianchi_darboux_identities(g, res))
     diag.update(checks)
     write_field_file(args.out, res.primed_governing)
     report = verify_governing(res.primed_governing)
-    print(f"backlund kind={g.kind} m={args.m} drift={checks['constraint_drift']:.3e} "
+    print(f"backlund kind={g.kind} m={res.lax.m} drift={checks['constraint_drift']:.3e} "
           f"singular={checks['singular_nodes']} invalid={checks['branch_invalid_nodes']} "
           f"theorem_vs_raw={checks['theorem_vs_raw_max_dev']:.3e} -> {args.out}")
     for name, s in report.entries.items():

@@ -144,8 +144,9 @@ def orthonormality_drift(f: FrameGrid) -> float:
     def gram(a, b):
         return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
 
-    devs = [_finite_max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
-    devs += [_finite_max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
+    with np.errstate(all="ignore"):
+        devs = [_finite_max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
+        devs += [_finite_max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
     return _finite_max(np.array(devs))
 
 
@@ -157,14 +158,13 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     of broken compatibility.  Nodes where either sweep is NaN are skipped.
     """
     diff = integrate_frame(c, phi0, order="xy").frames
-    diff -= integrate_frame(c, phi0, order="yx").frames  # in place: two frame grids, not three
-    diff *= diff
-    return _finite_max(np.sqrt(diff.sum(axis=(2, 3))))
+    with np.errstate(all="ignore"):
+        diff -= integrate_frame(c, phi0, order="yx").frames  # in place: two frame grids, not three
+        diff *= diff
+        return _finite_max(np.sqrt(diff.sum(axis=(2, 3))))
 
 
-def reconstruct_surfaces(
-    f: FrameGrid, c: CoefficientFields
-) -> tuple[SurfaceTriple, float]:
+def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTriple, float]:
     """Integrate R = (r, rbar), R_x = X (A1, Abar1), R_y = Y (A2, Abar2), with the frame.
 
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
@@ -191,14 +191,12 @@ def reconstruct_surfaces(
     triple = SurfaceTriple(*(Vec3Field(c.grid, np.ascontiguousarray(out[:, :, :, k]))
                              for k in (2, 3, 4)))
     del out
-    N = triple.N.values
-    gauss_dev = _finite_max(np.sqrt(((N - f.frames[:, :, :, 2]) ** 2).sum(axis=2)))
+    with np.errstate(all="ignore"):
+        gauss_dev = _finite_max(np.sqrt(((triple.N.values - f.frames[:, :, :, 2]) ** 2).sum(2)))
     return triple, gauss_dev
 
 
-def mesh_curvatures(
-    r: Vec3Field, eps: float = 1e-10
-) -> tuple[ScalarField, ScalarField]:
+def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, ScalarField]:
     """Discrete mean and Gauss curvature of a point grid at interior nodes.
 
     Central differences build the first and second fundamental forms; the
@@ -224,13 +222,13 @@ def mesh_curvatures(
     # one contiguous (nx, ny) array per component; every derivative is a
     # per-component temporary, dropped once it is summed in
     xyz = [np.ascontiguousarray(r.values[:, :, k]) for k in range(3)]
-    rx = [(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx) for v in xyz]
-    ry = [(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy) for v in xyz]
-    E = total(a * a for a in rx)
-    F = total(a * b for a, b in zip(rx, ry))
-    G = total(b * b for b in ry)
-    det = E * G - F * F
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        rx = [(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx) for v in xyz]
+        ry = [(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy) for v in xyz]
+        E = total(a * a for a in rx)
+        F = total(a * b for a, b in zip(rx, ry))
+        G = total(b * b for b in ry)
+        det = E * G - F * F
         root = np.sqrt(det)
         n = [(rx[1] * ry[2] - rx[2] * ry[1]) / root,  # np.cross(rx, ry) / root
              (rx[2] * ry[0] - rx[0] * ry[2]) / root,
@@ -257,14 +255,16 @@ def surface_diagnostics(triple: SurfaceTriple) -> dict[str, float | int]:
     finite (downstream of a flagged coefficient), and the mean/Gauss
     curvature statistics of r over the nodes where :func:`mesh_curvatures`
     is defined."""
-    meanH, gaussK = mesh_curvatures(triple.r)
-    n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
-    with np.errstate(invalid="ignore"):
+    H, K = (v.values for v in mesh_curvatures(triple.r))
+    # numpy's nanmean, nanmin and nanmax to the bit, which read NaN with no
+    # warning where no node is defined
+    with np.errstate(all="ignore"):
+        n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
         return {
-            "normal_unit_max_dev": float(np.nanmax(np.abs(n_norm - 1.0))),
+            "normal_unit_max_dev": _finite_max(np.abs(n_norm - 1.0)),
             "frame_nonfinite_nodes": int((~np.isfinite(n_norm)).sum()),
-            "mean_curvature_mean": float(np.nanmean(meanH.values)),
-            "mean_curvature_min": float(np.nanmin(meanH.values)),
-            "mean_curvature_max": float(np.nanmax(meanH.values)),
-            "gauss_curvature_mean": float(np.nanmean(gaussK.values)),
+            "mean_curvature_mean": float(np.nansum(H) / np.count_nonzero(~np.isnan(H))),
+            "mean_curvature_min": float(np.fmin.reduce(H, axis=None)),
+            "mean_curvature_max": _finite_max(H),
+            "gauss_curvature_mean": float(np.nansum(K) / np.count_nonzero(~np.isnan(K))),
         }

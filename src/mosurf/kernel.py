@@ -13,19 +13,22 @@ maps them to
 * net rotation coefficients p, q,
 
 in one build, :func:`coefficients_from_governing`, whose read-only
-:class:`CoefficientFields` holds every array as it was computed;
+:class:`CoefficientFields` holds every array as it was computed and the
+triple's kind and qn; its pointwise part (A1, A2, Ho, Ko) is :func:`_forms`.
 :func:`stresses` is a view of that build's T1, T2 and its guard.  It also
-evaluates every equation of the theory, one function per family that
-returns its residual arrays by registry name: the governing system, the
-Mainardi-Codazzi/net/Gauss relations, the membrane equilibrium equations,
-the first integrals with their quadric constraint, and the orthogonality
-relation Abar1 Ko + Ho Abar2 = qn A1 A2, the membrane form of the
-Omega-surface 4-vector condition (the curvature-ratio Omega identities are
-in :mod:`mosurf.omega`).  :func:`residual_stats` reduces an array to norms.
+evaluates every equation of the theory, one function per family that takes
+the triple or the bundle alone and returns its residual arrays by registry
+name: the governing system, the Mainardi-Codazzi/net/Gauss relations, the
+membrane equilibrium equations, the first integrals with their quadric
+constraint, and the orthogonality relation Abar1 Ko + Ho Abar2 = qn A1 A2,
+the membrane form of the Omega-surface 4-vector condition (the curvature-ratio
+Omega identities are in :mod:`mosurf.omega`).  :func:`residual_stats` reduces
+an array to norms.
 
 Flagged-node policy: nodes where a division guard trips (vanishing
-denominators at curvature-line degeneracies) are set to NaN and excluded
-from the reported norms; every report entry carries its exclusion count.
+denominators at curvature-line degeneracies) or a value overflows are set to
+NaN, without a numpy warning, and excluded from the reported norms; every
+report entry carries its exclusion count.
 """
 
 from __future__ import annotations
@@ -61,13 +64,6 @@ EPS = {"first": 1.0, "second": -1.0}
 EPS_DIV = 1e-12
 
 
-def _check_kind(kind: str) -> float:
-    """The sign eps of ``kind``; ParameterError for an unknown kind."""
-    if kind not in EPS:
-        raise ParameterError(f"kind must be 'first' or 'second', got {kind!r}")
-    return EPS[kind]
-
-
 @dataclass(frozen=True)
 class GoverningFields:
     """The triple (alpha, xi, h) on a shared grid, plus kind and load."""
@@ -79,7 +75,8 @@ class GoverningFields:
     h: ScalarField
 
     def __post_init__(self) -> None:
-        _check_kind(self.kind)
+        if self.kind not in EPS:
+            raise ParameterError(f"kind must be 'first' or 'second', got {self.kind!r}")
         if self.qn == 0.0:
             raise ParameterError("qn must be nonzero")
         if not (self.alpha.grid == self.xi.grid == self.h.grid):
@@ -93,12 +90,14 @@ class GoverningFields:
 @dataclass(frozen=True)
 class CoefficientFields:
     """Fundamental-form coefficients, stresses, dual and rotation coefficients
-    on one grid, read-only.
+    of one triple, read-only, with the triple's grid, kind and load qn.
 
     ``flagged`` marks nodes where a guard tripped; their values are NaN.
     """
 
     grid: Grid2D
+    kind: str
+    qn: float
     A1: np.ndarray = dc_field(repr=False)
     A2: np.ndarray = dc_field(repr=False)
     Ho: np.ndarray = dc_field(repr=False)
@@ -189,6 +188,22 @@ def _sc(kind: str, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return np.sin(alpha), np.cos(alpha), EPS[kind]
 
 
+def _forms(g: GoverningFields) -> tuple[np.ndarray, ...]:
+    """(S, C, A1, A2, Ho, Ko) of a triple, pointwise: A1 = C + h S,
+    A2 = S + eps h C, Ho = e^xi S and Ko = eps e^xi C, NaN where not finite."""
+    h = g.h.values
+    with np.errstate(all="ignore"):
+        S, C, eps = _sc(g.kind, g.alpha.values)
+        A1 = C + h * S
+        A2 = S + eps * h * C
+        ex = np.exp(g.xi.values)
+        Ho = ex * S
+        Ko = eps * ex * C
+    for v in (A1, A2, Ho, Ko):
+        v[~np.isfinite(v)] = np.nan
+    return S, C, A1, A2, Ho, Ko
+
+
 def _stress_guard(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
     """The nodes where a stress denominator, A2 for T1 or A1 for T2, vanishes."""
     return (np.abs(A2) < EPS_DIV) | (np.abs(A1) < EPS_DIV)
@@ -209,10 +224,9 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     """
     grid = g.grid
     al, xi, h = g.alpha.values, g.xi.values, g.h.values
-    S, C, eps = _sc(g.kind, al)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A1 = C + h * S
-        A2 = S + eps * h * C
+    S, C, A1, A2, Ho, Ko = _forms(g)
+    eps = EPS[g.kind]
+    with np.errstate(all="ignore"):
         guard = _stress_guard(A1, A2)
         # the parenthesized ratio keeps T1 = T2 = qn bit-exact on the cmc family
         half_load = 0.5 * g.qn * np.exp(-xi)
@@ -221,18 +235,14 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
         del half_load
         T1[guard] = np.nan
         T2[guard] = np.nan
-        ex = np.exp(xi)
-        Ho = ex * S
-        Ko = eps * ex * C
-        del ex
         # tanh(alpha) rather than S/C for the 1st kind: they differ in the last bits
         ratio = np.tanh(al) if g.kind == "first" else S / C
         p = eps * (diff_y(al, grid) + diff_y(xi, grid) * ratio)
         del ratio
         q = diff_x(al, grid) + eps * diff_x(xi, grid) * (C / S)
         del S, C
-    Abar1 = T2 * A1
-    Abar2 = T1 * A2
+        Abar1 = T2 * A1
+        Abar2 = T1 * A2
     # NaN sentinels stay local to the field they break: a stress singularity
     # poisons Abar1/Abar2 but leaves the frame coefficients p, q, Ho, Ko usable.
     flagged = guard
@@ -240,7 +250,8 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
         bad = ~np.isfinite(v)
         v[bad] = np.nan
         flagged |= bad
-    return CoefficientFields(grid, A1, A2, Ho, Ko, T1, T2, Abar1, Abar2, p, q, flagged)
+    return CoefficientFields(grid, g.kind, g.qn, A1, A2, Ho, Ko, T1, T2, Abar1, Abar2, p, q,
+                             flagged)
 
 
 def stresses(g: GoverningFields) -> StressFields:
@@ -252,7 +263,7 @@ def stresses(g: GoverningFields) -> StressFields:
 
 def principal_curvatures(c: CoefficientFields) -> tuple[np.ndarray, np.ndarray]:
     """kappa1 = -Ho/A1, kappa2 = -Ko/A2 (NaN where flagged)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         k1 = -c.Ho / c.A1
         k2 = -c.Ko / c.A2
     return k1, k2
@@ -276,8 +287,8 @@ def governing_residuals(g: GoverningFields) -> dict[str, np.ndarray]:
     al = g.alpha.values
     xi = g.xi.values
     h = g.h.values
-    S, C, eps = _sc(g.kind, al)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        S, C, eps = _sc(g.kind, al)
         source = np.exp(2.0 * xi) * S * C
         cs = C / S
         sc = S / C
@@ -311,7 +322,7 @@ def gauss_codazzi_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:
     }
 
 
-def equilibrium_residuals(c: CoefficientFields, qn: float) -> dict[str, np.ndarray]:
+def equilibrium_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:
     """In-plane and out-of-plane equilibrium residual arrays.
 
     The in-plane equations are the scalar form of the dual net relations
@@ -325,29 +336,30 @@ def equilibrium_residuals(c: CoefficientFields, qn: float) -> dict[str, np.ndarr
     grid = c.grid
     A1, A2, T1, T2 = c.A1, c.A2, c.T1, c.T2
     k1, k2 = principal_curvatures(c)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         res1 = diff_x(T1, grid) + (diff_x(A2, grid) / A2) * (T1 - T2)
         res2 = diff_y(T2, grid) + (diff_y(A1, grid) / A1) * (T2 - T1)
-        res3 = k1 * T1 + k2 * T2 + qn
+        res3 = k1 * T1 + k2 * T2 + c.qn
     return {"equilibrium-1": res1, "equilibrium-2": res2, "equilibrium-3": res3}
 
 
-def first_integral_check(c: CoefficientFields, kind: str, qn: float) -> dict[str, np.ndarray]:
+def first_integral_check(c: CoefficientFields) -> dict[str, np.ndarray]:
     """First integrals normalized to (-qn, eps qn) and the quadric constraint.
 
     2 Abar1 Ho - qn A1^2 = -qn, 2 Abar2 Ko - qn A2^2 = eps qn and
     Ko^2 - eps Ho^2 = (Ho A2 - Ko A1)^2.  All three are derivative-free algebra.
     """
-    eps = _check_kind(kind)
+    eps, qn = EPS[c.kind], c.qn
     A1, A2, Ho, Ko, Ab1, Ab2 = c.A1, c.A2, c.Ho, c.Ko, c.Abar1, c.Abar2
-    fi1 = 2.0 * Ab1 * Ho - qn * A1 * A1 + qn
-    cross = Ho * A2 - Ko * A1
-    fi2 = 2.0 * Ab2 * Ko - qn * A2 * A2 - eps * qn
-    constraint = Ko * Ko - eps * Ho * Ho - cross * cross
+    with np.errstate(all="ignore"):
+        fi1 = 2.0 * Ab1 * Ho - qn * A1 * A1 + qn
+        cross = Ho * A2 - Ko * A1
+        fi2 = 2.0 * Ab2 * Ko - qn * A2 * A2 - eps * qn
+        constraint = Ko * Ko - eps * Ho * Ho - cross * cross
     return {"first-integral-1": fi1, "first-integral-2": fi2, "constraint": constraint}
 
 
-def orthogonality_check(c: CoefficientFields, qn: float) -> dict[str, np.ndarray]:
+def orthogonality_check(c: CoefficientFields) -> dict[str, np.ndarray]:
     """Residual of Abar1 Ko + Ho Abar2 - qn A1 A2 (pure pointwise algebra).
 
     Evaluated as the 4-vector form H1 K2 + H2 K1 + H3 Kc + K3 Hc of the
@@ -355,6 +367,7 @@ def orthogonality_check(c: CoefficientFields, qn: float) -> dict[str, np.ndarray
     (H3, K3) = (Abar1, Abar2), (Hc, Kc) = (Ho, Ko), in that term order.
     """
     A1, A2, Ho, Ko = c.A1, c.A2, c.Ho, c.Ko
-    half = -0.5 * qn
-    res = A1 * (half * A2) + (half * A1) * A2 + c.Abar1 * Ko + c.Abar2 * Ho
+    half = -0.5 * c.qn
+    with np.errstate(all="ignore"):
+        res = A1 * (half * A2) + (half * A1) * A2 + c.Abar1 * Ko + c.Abar2 * Ho
     return {"orthogonality": res}

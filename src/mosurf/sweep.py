@@ -224,12 +224,13 @@ def sweep_grid(
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
     fill[0, 0] = state0
-    fill[1:, 0] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
-    # every column at once (the line runs along y, the batch along x); only
-    # one block of the coefficients is stacked at a time, never the whole grid
-    columns = tuple(v.T for v in coeffs_y)
-    j = 1
-    for batch in _march(np.moveaxis(fill[:, 0], 0, -1), hy, gen_y, columns, substeps):
-        fill[:, j:j + len(batch)] = np.moveaxis(batch, -1, 0)
-        j += len(batch)
+    with np.errstate(all="ignore"):  # a NaN or overflow spreads downstream, unwarned
+        fill[1:, 0] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
+        # every column at once (the line runs along y, the batch along x); only
+        # one block of the coefficients is stacked at a time, never the whole grid
+        columns = tuple(v.T for v in coeffs_y)
+        j = 1
+        for batch in _march(np.moveaxis(fill[:, 0], 0, -1), hy, gen_y, columns, substeps):
+            fill[:, j:j + len(batch)] = np.moveaxis(batch, -1, 0)
+            j += len(batch)
     return out

@@ -87,9 +87,9 @@ def verify_governing(g: GoverningFields) -> ResidualReport:
     add(governing_residuals(g))
     c = coefficients_from_governing(g)
     add(gauss_codazzi_residuals(c))
-    add(equilibrium_residuals(c, g.qn))
-    add(first_integral_check(c, g.kind, g.qn))
-    add(orthogonality_check(c, g.qn))
+    add(equilibrium_residuals(c))
+    add(first_integral_check(c))
+    add(orthogonality_check(c))
     add(omega_ratios(c, g))
     return report
 

@@ -77,7 +77,7 @@ def test_admissible_initial_validation():
 def test_zero_initial_vector_gives_zero_solution():
     g = cmc(n=21)
     c = coefficients_from_governing(g)
-    lx = integrate_lax(c, g.qn, 1.0, np.zeros(5))
+    lx = integrate_lax(c, 1.0, np.zeros(5))
     assert np.all(lx.lam == 0.0)
     assert np.all(lx.chi == 0.0)
     assert lx.singular.all()
@@ -86,7 +86,7 @@ def test_zero_initial_vector_gives_zero_solution():
 def test_constraint_drift_is_tiny():
     g = cmc(n=201)
     c = coefficients_from_governing(g)
-    lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 0.5))
+    lx = integrate_lax(c, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 0.5))
     assert lx.constraint_drift < 1e-8
 
 
@@ -148,7 +148,7 @@ def test_one_step_drift_is_rk4_truncation():
         g = generate_seed(SeedSpec("cmc", Grid2D.from_domain(0, 2, 0, 2, n, n), alpha0=1.0))
         assert lax_substeps(g.grid) == 1
         c = coefficients_from_governing(g)
-        lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
+        lx = integrate_lax(c, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
         drift[n] = lx.constraint_drift
     assert drift[201] > 1e-13
     assert drift[201] / drift[401] >= 10.0
@@ -159,8 +159,8 @@ def test_integrate_lax_leaves_init_unchanged():
     c = coefficients_from_governing(g)
     init = admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7)
     before = init.copy()
-    first = integrate_lax(c, g.qn, 1.0, init)
-    second = integrate_lax(c, g.qn, 1.0, init)
+    first = integrate_lax(c, 1.0, init)
+    second = integrate_lax(c, 1.0, init)
     assert np.array_equal(init, before)
     for name in ("lam", "mu", "omega", "phi", "chi"):
         a, b = getattr(first, name), getattr(second, name)
@@ -173,7 +173,7 @@ def test_bundle_arrays_are_read_only():
     g = cmc(n=21)
     c = coefficients_from_governing(g)
     s = stresses(g)
-    lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
+    lx = integrate_lax(c, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
     for bundle in (c, s, lx):
         arrays = [f.name for f in fields(bundle)
                   if isinstance(getattr(bundle, f.name), np.ndarray)]
@@ -191,7 +191,7 @@ def test_lax_path_independence_order():
     for n in (101, 201):
         g = cmc(n=n)
         c = coefficients_from_governing(g)
-        lx = integrate_lax(c, g.qn, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
+        lx = integrate_lax(c, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
         errs.append(lx.path_independence)
     assert 1.8 <= np.log2(errs[0] / errs[1]) <= 2.2
 
@@ -200,9 +200,9 @@ def test_lax_path_independence_negative_control():
     g = cmc(n=201)
     c = coefficients_from_governing(g)
     init = admissible_initial(1.0, g.qn, 0.0, 1.0, 0.5)
-    lx = integrate_lax(c, g.qn, 1.0, init)
+    lx = integrate_lax(c, 1.0, init)
     bad_c = replace(c, Ho=1.01 * c.Ho)
-    lx_bad = integrate_lax(bad_c, g.qn, 1.0, init)
+    lx_bad = integrate_lax(bad_c, 1.0, init)
     # valid-background discrepancy is O(h^2); corruption makes it O(1)
     assert lx_bad.path_independence > 100 * lx.path_independence
 
@@ -278,6 +278,23 @@ def test_theorem_form_matches_raw_update(seed_fn, params):
         assert np.max(np.abs(thm - rawv)) < 1e-8
     # the library's cross-check, built from the primed coefficients and eps
     assert transform_diagnostics(res)["theorem_vs_raw_max_dev"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "seed_fn,params",
+    [(cmc, CMC_BACKLUND), (pseudo, PSEUDO_BACKLUND)],
+    ids=["first-kind", "second-kind"],
+)
+def test_theorem_vs_raw_sees_a_broken_update(seed_fn, params):
+    # negative control: one node of the raw update moved by 1e-3 shows in the
+    # cross-check, so it compares two routes, not one value with itself
+    res = apply_backlund(seed_fn(n=51), **params)
+    assert not (res.branch_invalid | res.raw_update.mask)[20, 30]
+    A1 = res.raw_update.A1.copy()
+    A1[20, 30] += 1e-3
+    broken = replace(res, raw_update=replace(res.raw_update, A1=A1))
+    assert transform_diagnostics(res)["theorem_vs_raw_max_dev"] < 1e-8
+    assert transform_diagnostics(broken)["theorem_vs_raw_max_dev"] > 1e-3 - 1e-8
 
 
 @pytest.mark.parametrize(

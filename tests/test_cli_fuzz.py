@@ -15,11 +15,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mosurf.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from mosurf.fileio import FIELD_NAMES
+from mosurf.fileio import FIELD_NAMES, read_field_file
+from mosurf.kernel import coefficients_from_governing
 from mosurf.seeds import FAMILY_KINDS
 
 DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_GATE}
@@ -92,6 +94,26 @@ def run_all(workdir, doc):
         assert "Traceback" not in err, (argv, err)
         codes.append(code)
     return codes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed, field, node, codes", [
+    ("cmc", "alpha", 12, [EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_OK]),
+    ("kink", "h", 0, [EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_NUMERICAL]),
+])
+def test_absurd_finite_node_is_flagged_without_warnings(workdir, seed, field, node, codes):
+    # sinh/cosh (cmc) or h^2 (kink) overflow at the node; every command runs
+    # without a numpy warning, and only reconstruct's report (NaN curvature
+    # statistics) and the kink's transform (no valid node) fail
+    doc = json.loads((workdir / f"{seed}.json").read_text())
+    doc["fields"][field][node] = 1e300
+    assert run_all(workdir, doc) == codes
+    g, _ = read_field_file(workdir / "bad.json")
+    flagged = coefficients_from_governing(g).flagged.ravel(order="F")
+    assert np.flatnonzero(flagged).tolist() == [node]
+    if node == 12:  # the 5x5 report core is the centre node: it is excluded and counted
+        report = json.loads((workdir / "v.json").read_text())["equations"]
+        assert all(e["excluded"] == 1 for k, e in report.items() if k != "omega-combined")
 
 
 HEADER_ENTRIES = ("qn", "kind", "version", "grid.nx", "grid.ny", "grid.x0", "grid.y0",

@@ -755,6 +755,22 @@ def test_cli_backlund_bianchi_darboux_report(tmp_path):
     assert d["init"] == [0.0, 1.0, 1.0 + np.sqrt(0.5)]
 
 
+def test_cli_bianchi_darboux_reports_the_swept_m(tmp_path, capsys):
+    # --m becomes mbar = m qn / 2, and Bianchi-Darboux sweeps m = 2 mbar / qn,
+    # which at qn = 0.7 rounds 1.5 to 1.4999999999999998; the report and the
+    # summary line give the m that was swept
+    src, rep = tmp_path / "cmc.json", tmp_path / "rep.json"
+    run(["seed", "--family", "cmc", "--qn", "0.7", "--domain", "0:1:0:1",
+         "--nx", "21", "--ny", "21", "-o", str(src)])
+    swept = 2.0 * (1.5 * 0.7 / 2.0) / 0.7
+    assert swept != 1.5
+    capsys.readouterr()
+    assert run(["backlund", str(src), "--m", "1.5", "--bianchi-darboux",
+                "-o", str(tmp_path / "bd.json"), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["diagnostics"]["m"] == swept
+    assert f" m={swept!r} " in capsys.readouterr().out
+
+
 def test_cli_backlund_second_kind_with_singular_lax_nodes(tmp_path):
     # the README kink seed has Lax nodes made non-finite by stress-flagged
     # coefficients; the drift is taken over the finite nodes, so the report

@@ -28,7 +28,7 @@ I3 = np.eye(3)
 
 def zero_coefficients(grid):
     z, one = np.zeros(grid.shape), np.ones(grid.shape)
-    return CoefficientFields(grid, one, one, z, z, one, one, one, one, z, z,
+    return CoefficientFields(grid, "first", 1.0, one, one, z, z, one, one, one, one, z, z,
                              np.zeros(grid.shape, bool))
 
 

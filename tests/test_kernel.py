@@ -171,8 +171,8 @@ def test_cmc_governing_residuals():
 
 def test_gauss_codazzi_flat_plane_limit():
     one, zero = np.ones(GRID.shape), np.zeros(GRID.shape)
-    c = CoefficientFields(GRID, one, one, zero, zero, one, one, one, one, zero, zero,
-                          np.zeros(GRID.shape, bool))
+    c = CoefficientFields(GRID, "first", 1.0, one, one, zero, zero, one, one, one, one, zero,
+                          zero, np.zeros(GRID.shape, bool))
     fields = gauss_codazzi_residuals(c)
     for name, values in fields.items():
         assert np.all(values == 0.0), name
@@ -191,7 +191,7 @@ def test_gauss_codazzi_dual_residual_scales_with_qn():
 def test_equilibrium_cmc_exact():
     g = cmc_seed(n=101)
     c = coefficients_from_governing(g)
-    rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, g.qn))
+    rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c))
     assert rep["equilibrium-1"].linf == 0.0
     assert rep["equilibrium-2"].linf == 0.0
     assert rep["equilibrium-3"].linf < 1e-12
@@ -204,7 +204,7 @@ def test_equilibrium_pseudospherical_converges():
             SeedSpec("pseudospherical", Grid2D.from_domain(0.7, 1.3, -0.5, 0.5, n, n), v=0.3)
         )
         c = coefficients_from_governing(g)
-        rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c, g.qn))
+        rep = ResidualReport.from_fields(g.grid, equilibrium_residuals(c))
         linfs.append(max(rep["equilibrium-1"].linf, rep["equilibrium-2"].linf))
     assert linfs[1] < 50 * (0.005) ** 2
     assert 1.8 <= np.log2(linfs[0] / linfs[1]) <= 2.2
@@ -226,7 +226,7 @@ def test_first_integral_constraint_is_algebraic_identity():
         sign = -1.0 if kind == "first" else 1.0
         cross = c.Ho * c.A2 - c.Ko * c.A1
         assert np.allclose(cross, sign * np.exp(g.xi.values), rtol=1e-13)
-        res = first_integral_check(c, kind, g.qn)
+        res = first_integral_check(c)
         assert np.max(np.abs(res["constraint"])) < 1e-12
 
 
@@ -237,7 +237,7 @@ def test_first_integrals_on_cmc():
     # 2 Abar1 Ho - qn A1^2 = -qn exactly on this family
     lhs = 2.0 * c.Abar1 * c.Ho - qn * c.A1**2
     assert np.allclose(lhs, -qn, rtol=1e-13)
-    rep = ResidualReport.from_fields(g.grid, first_integral_check(c, "first", qn))
+    rep = ResidualReport.from_fields(g.grid, first_integral_check(c))
     assert rep["first-integral-1"].linf < 1e-12
     assert rep["first-integral-2"].linf < 1e-12
 
@@ -252,19 +252,19 @@ def test_first_integral_second_kind_point():
 def test_orthogonality_identities():
     g = cmc_seed(n=51)
     c = coefficients_from_governing(g)
-    rep = ResidualReport.from_fields(g.grid, orthogonality_check(c, g.qn))
+    rep = ResidualReport.from_fields(g.grid, orthogonality_check(c))
     assert rep["orthogonality"].linf < 1e-12
 
 
 def test_orthogonality_linear_in_abar1():
     g = cmc_seed(n=21, dom=(0, 1, 0, 1))
     c = coefficients_from_governing(g)
-    base = orthogonality_check(c, g.qn)["orthogonality"]
+    base = orthogonality_check(c)["orthogonality"]
     delta = 0.125
     bumped = c.Abar1.copy()
     bumped[10, 10] += delta
     c2 = replace(c, Abar1=bumped)
-    diff = orthogonality_check(c2, g.qn)["orthogonality"] - base
+    diff = orthogonality_check(c2)["orthogonality"] - base
     assert diff[10, 10] == pytest.approx(delta * c.Ko[10, 10], rel=1e-12)
     diff[10, 10] = 0.0
     assert np.all(diff == 0.0)

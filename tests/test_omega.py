@@ -66,8 +66,8 @@ def test_umbilic_nodes_are_flagged():
     one, zero = np.ones(grid.shape), np.zeros(grid.shape)
     from mosurf.kernel import CoefficientFields
 
-    c = CoefficientFields(grid, one, one, one, one, one, one, one, one, zero, zero,
-                          np.zeros(grid.shape, bool))
+    c = CoefficientFields(grid, "first", 1.0, one, one, one, one, one, one, one, one, zero,
+                          zero, np.zeros(grid.shape, bool))
     g = GoverningFields(kind="first", qn=1.0, alpha=ScalarField(grid, one),
                         xi=ScalarField(grid, zero), h=ScalarField(grid, zero))
     rep = ResidualReport.from_fields(grid, omega_ratios(c, g))
