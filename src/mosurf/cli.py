@@ -215,9 +215,23 @@ def _cmd_reconstruct(args) -> int:
     pie = path_independence_error(c, np.eye(3))
 
     valid = ~c.flagged
-    if mesh_faces(triple.r, valid) == 0:  # before any file is opened
+    faces = mesh_faces(triple.r, valid)
+    if faces == 0:  # found before any file is opened
         raise SingularGridError("no valid cells remain after flagging; no mesh written")
-    faces = write_obj(f"{args.out}_r.obj", triple.r, valid=valid)
+    diag = {
+        "orthonormality_drift": drift,
+        "path_independence_error": pie,
+        "gauss_map_consistency": gauss_dev,
+        **surface_diagnostics(triple),
+        "flagged_nodes": int(c.n_flagged),
+        "faces_written": faces,
+    }
+    # a report that cannot be encoded (a non-finite value) fails before any file is opened
+    nonfinite = [name for name, v in diag.items() if not math.isfinite(v)]
+    if args.report and nonfinite:
+        raise SingularGridError(f"{args.report}: non-finite diagnostics "
+                                f"{', '.join(nonfinite)}; no file written")
+    write_obj(f"{args.out}_r.obj", triple.r, valid=valid)
     write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=valid)
     write_obj(f"{args.out}_N.obj", triple.N, valid=valid)
     X, Y = g.grid.meshgrid()
@@ -230,14 +244,6 @@ def _cmd_reconstruct(args) -> int:
             "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": c.T1, "T2": c.T2,
         },
     )
-    diag = {
-        "orthonormality_drift": drift,
-        "path_independence_error": pie,
-        "gauss_map_consistency": gauss_dev,
-        **surface_diagnostics(triple),
-        "flagged_nodes": int(c.n_flagged),
-        "faces_written": faces,
-    }
     print(f"reconstruct grid={g.grid.nx}x{g.grid.ny} faces={faces} "
           f"drift={drift:.3e} path_independence={pie:.3e} "
           f"mean_curvature={diag['mean_curvature_mean']:.6f}")

@@ -12,6 +12,16 @@ so it is not integrated a second time.  :func:`reconstruct_surfaces` sweeps the
 3x5 state (Phi | r, rbar) once with the two-pass RK4 sweep; no
 re-orthonormalization is applied, so orthonormality drift is a genuine
 accuracy diagnostic.
+
+The diagnostics that follow the sweeps (the Gauss-map distance of
+:func:`reconstruct_surfaces`, :func:`orthonormality_drift` and
+:func:`mesh_curvatures`) are pointwise or 3x3-stencil formulas followed by a
+max.  They run one block of first-axis rows at a time (``_row_blocks``: as
+many rows as keep a block of frames, 9 floats a node, within the sweep's
+``BLOCK_FLOATS`` cache budget), so their temporaries are a block, not a
+grid.  Each node takes the same operations in the same order, and a max of
+block maxima is the max, so the results do not depend on the block, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import Grid2D, ScalarField, Vec3Field
 from .kernel import CoefficientFields
-from .sweep import sweep_grid
+from .sweep import BLOCK_FLOATS, sweep_grid
 
 __all__ = [
     "FrameGrid",
@@ -131,23 +141,38 @@ def _finite_max(values: np.ndarray) -> float:
     return float(np.fmax.reduce(values, axis=None))
 
 
+def _row_blocks(start: int, stop: int, ny: int) -> list[slice]:
+    """The first-axis rows [start, stop) in blocks of as many rows as keep a
+    block of frames (9 floats a node) within ``BLOCK_FLOATS``."""
+    rows = max(1, BLOCK_FLOATS // (9 * ny))
+    return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
+
+
+def _blocked_max(grid: Grid2D, block_max) -> float:
+    """:func:`_finite_max` of the grid, as the max of ``block_max(rows)`` over its row blocks."""
+    with np.errstate(all="ignore"):
+        return _finite_max(np.array([block_max(rows) for rows in _row_blocks(0, grid.nx, grid.ny)]))
+
+
 def orthonormality_drift(f: FrameGrid) -> float:
     """Max over nodes of the max-abs entry of Phi^T Phi - I; NaN entries are skipped.
 
     Only the six distinct Gram entries are formed, each summed over the rows
-    in order, which is the arithmetic of ``einsum("ka,kb->ab")``, on one
-    component-major copy of the frames (contiguous entries compute faster
-    than strided views).
+    in order, which is the arithmetic of ``einsum("ka,kb->ab")``, on a
+    component-major copy of each row block of the frames (contiguous entries
+    compute faster than strided views).
     """
-    F = np.moveaxis(f.frames, (2, 3), (0, 1)).copy()
+    def block_max(rows):
+        F = np.moveaxis(f.frames[rows], (2, 3), (0, 1)).copy()
 
-    def gram(a, b):
-        return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
+        def gram(a, b):
+            return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
 
-    with np.errstate(all="ignore"):
         devs = [_finite_max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
         devs += [_finite_max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
-    return _finite_max(np.array(devs))
+        return _finite_max(np.array(devs))
+
+    return _blocked_max(f.grid, block_max)
 
 
 def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
@@ -191,8 +216,9 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     triple = SurfaceTriple(*(Vec3Field(c.grid, np.ascontiguousarray(out[:, :, :, k]))
                              for k in (2, 3, 4)))
     del out
-    with np.errstate(all="ignore"):
-        gauss_dev = _finite_max(np.sqrt(((triple.N.values - f.frames[:, :, :, 2]) ** 2).sum(2)))
+    N = triple.N.values
+    gauss_dev = _blocked_max(c.grid, lambda rows: _finite_max(
+        np.sqrt(((N[rows] - f.frames[rows, :, :, 2]) ** 2).sum(2))))
     return triple, gauss_dev
 
 
@@ -219,34 +245,38 @@ def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, Scal
             acc += t
         return acc
 
-    # one contiguous (nx, ny) array per component; every derivative is a
-    # per-component temporary, dropped once it is summed in
-    xyz = [np.ascontiguousarray(r.values[:, :, k]) for k in range(3)]
     with np.errstate(all="ignore"):
-        rx = [(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx) for v in xyz]
-        ry = [(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy) for v in xyz]
-        E = total(a * a for a in rx)
-        F = total(a * b for a, b in zip(rx, ry))
-        G = total(b * b for b in ry)
-        det = E * G - F * F
-        root = np.sqrt(det)
-        n = [(rx[1] * ry[2] - rx[2] * ry[1]) / root,  # np.cross(rx, ry) / root
-             (rx[2] * ry[0] - rx[0] * ry[2]) / root,
-             (rx[0] * ry[1] - rx[1] * ry[0]) / root]
-        del rx, ry, root
-        L = total((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2 * nk
-                  for v, nk in zip(xyz, n))
-        M = total((v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * dx * dy) * nk
-                  for v, nk in zip(xyz, n))
-        Nf = total((v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dy**2 * nk
-                   for v, nk in zip(xyz, n))
-        mH = (G * L - 2 * F * M + E * Nf) / (2 * det)
-        gK = (L * Nf - M * M) / det
-    bad = ~(det > eps)
-    mH = np.where(bad, np.nan, mH)
-    gK = np.where(bad, np.nan, gK)
-    meanH[1:-1, 1:-1] = mH
-    gaussK[1:-1, 1:-1] = gK
+        for rows in _row_blocks(1, grid.nx - 1, grid.ny):
+            # the block's rows and a one-row halo on each side, one contiguous
+            # array per component; every derivative is a per-component
+            # temporary of the block, dropped once it is summed in
+            xyz = [np.ascontiguousarray(r.values[rows.start - 1:rows.stop + 1, :, k])
+                   for k in range(3)]
+            rx = [(v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dx) for v in xyz]
+            ry = [(v[1:-1, 2:] - v[1:-1, :-2]) / (2 * dy) for v in xyz]
+            E = total(a * a for a in rx)
+            F = total(a * b for a, b in zip(rx, ry))
+            G = total(b * b for b in ry)
+            det = E * G - F * F
+            root = np.sqrt(det)
+            n = [(rx[1] * ry[2] - rx[2] * ry[1]) / root,  # np.cross(rx, ry) / root
+                 (rx[2] * ry[0] - rx[0] * ry[2]) / root,
+                 (rx[0] * ry[1] - rx[1] * ry[0]) / root]
+            del rx, ry, root
+            L = total((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dx**2 * nk
+                      for v, nk in zip(xyz, n))
+            M = total((v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * dx * dy) * nk
+                      for v, nk in zip(xyz, n))
+            Nf = total((v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dy**2 * nk
+                       for v, nk in zip(xyz, n))
+            del xyz, n
+            bad = ~(det > eps)
+            mH = (G * L - 2 * F * M + E * Nf) / (2 * det)
+            gK = (L * Nf - M * M) / det
+            mH[bad] = np.nan
+            gK[bad] = np.nan
+            meanH[rows, 1:-1] = mH
+            gaussK[rows, 1:-1] = gK
     return ScalarField(grid, meanH), ScalarField(grid, gaussK)
 
 

@@ -15,12 +15,13 @@ maps them to
 in one build, :func:`coefficients_from_governing`, whose read-only
 :class:`CoefficientFields` holds every array as it was computed and the
 triple's kind and qn; its pointwise part (A1, A2, Ho, Ko) is :func:`_forms`.
-:func:`stresses` is a view of that build's T1, T2 and its guard.  It also
-evaluates every equation of the theory, one function per family that takes
-the triple or the bundle alone and returns its residual arrays by registry
-name: the governing system, the Mainardi-Codazzi/net/Gauss relations, the
-membrane equilibrium equations, the first integrals with their quadric
-constraint, and the orthogonality relation Abar1 Ko + Ho Abar2 = qn A1 A2,
+:func:`stresses` is a view of that build's T1, T2, flagged where they are NaN
+at a finite triple node.  It also evaluates every equation of the theory,
+one function per family that takes the triple or the bundle alone and
+returns its residual arrays by registry name: the governing system, the
+Mainardi-Codazzi/net/Gauss relations, the membrane equilibrium equations,
+the first integrals with their quadric constraint, and the orthogonality
+relation Abar1 Ko + Ho Abar2 = qn A1 A2,
 the membrane form of the Omega-surface 4-vector condition (the curvature-ratio
 Omega identities are in :mod:`mosurf.omega`).  :func:`residual_stats` reduces
 an array to norms.
@@ -204,17 +205,13 @@ def _forms(g: GoverningFields) -> tuple[np.ndarray, ...]:
     return S, C, A1, A2, Ho, Ko
 
 
-def _stress_guard(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """The nodes where a stress denominator, A2 for T1 or A1 for T2, vanishes."""
-    return (np.abs(A2) < EPS_DIV) | (np.abs(A1) < EPS_DIV)
-
-
 def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     """All coefficient fields and stresses implied by (alpha, xi, h, qn).
 
     The stresses are T1 = (qn/2) e^-xi (2 h S + (1 + eps h^2) C) / A2 and
     T2 = (qn/2) e^-xi (2 h C + (eps + h^2) S) / A1; nodes where |A1| or |A2|
-    falls below ``EPS_DIV`` are flagged and read NaN there.
+    falls below ``EPS_DIV`` are flagged, and they and the nodes where a stress
+    overflows read NaN there.
     p and q use the closed forms from the governing structure,
     p = eps (alpha_y + xi_y S/C) and q = alpha_x + eps xi_x C/S
     (S/C is evaluated as tanh(alpha) for the 1st kind),
@@ -227,14 +224,14 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
     S, C, A1, A2, Ho, Ko = _forms(g)
     eps = EPS[g.kind]
     with np.errstate(all="ignore"):
-        guard = _stress_guard(A1, A2)
+        guard = (np.abs(A2) < EPS_DIV) | (np.abs(A1) < EPS_DIV)  # a stress denominator vanishes
         # the parenthesized ratio keeps T1 = T2 = qn bit-exact on the cmc family
         half_load = 0.5 * g.qn * np.exp(-xi)
         T1 = half_load * ((2.0 * h * S + (1.0 + eps * h * h) * C) / A2)
         T2 = half_load * ((2.0 * h * C + (eps + h * h) * S) / A1)
         del half_load
-        T1[guard] = np.nan
-        T2[guard] = np.nan
+        T1[guard | np.isinf(T1)] = np.nan  # an overflow reads NaN; a NaN keeps its bits
+        T2[guard | np.isinf(T2)] = np.nan
         # tanh(alpha) rather than S/C for the 1st kind: they differ in the last bits
         ratio = np.tanh(al) if g.kind == "first" else S / C
         p = eps * (diff_y(al, grid) + diff_y(xi, grid) * ratio)
@@ -255,10 +252,13 @@ def coefficients_from_governing(g: GoverningFields) -> CoefficientFields:
 
 
 def stresses(g: GoverningFields) -> StressFields:
-    """The stresses of :func:`coefficients_from_governing`, flagged where its
-    |A1| or |A2| guard tripped."""
+    """The stresses of :func:`coefficients_from_governing`, flagged where T1 or
+    T2 is NaN although the triple is finite: where its |A1| or |A2| guard
+    tripped or a stress overflowed.  The NaN nodes of the triple (the flagged
+    nodes of a primed file) read NaN and are not counted."""
     c = coefficients_from_governing(g)
-    return StressFields(g.grid, c.T1, c.T2, _stress_guard(c.A1, c.A2))
+    finite = np.isfinite(g.alpha.values) & np.isfinite(g.xi.values) & np.isfinite(g.h.values)
+    return StressFields(g.grid, c.T1, c.T2, (np.isnan(c.T1) | np.isnan(c.T2)) & finite)
 
 
 def principal_curvatures(c: CoefficientFields) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mosurf.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mosurf.fileio import FIELD_NAMES, read_field_file
-from mosurf.kernel import coefficients_from_governing
+from mosurf.kernel import coefficients_from_governing, stresses
 from mosurf.seeds import FAMILY_KINDS
 
 DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_GATE}
@@ -98,22 +98,46 @@ def run_all(workdir, doc):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed, field, node, codes", [
-    ("cmc", "alpha", 12, [EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_OK]),
-    ("kink", "h", 0, [EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_NUMERICAL]),
+    ("cmc", "alpha", 12, [EXIT_OK, EXIT_OK, EXIT_NUMERICAL, EXIT_OK, EXIT_OK, EXIT_OK]),
+    ("kink", "h", 0, [EXIT_OK, EXIT_OK, EXIT_NUMERICAL, EXIT_OK, EXIT_OK, EXIT_NUMERICAL]),
 ])
 def test_absurd_finite_node_is_flagged_without_warnings(workdir, seed, field, node, codes):
     # sinh/cosh (cmc) or h^2 (kink) overflow at the node; every command runs
     # without a numpy warning, and only reconstruct's report (NaN curvature
-    # statistics) and the kink's transform (no valid node) fail
+    # statistics: a non-finite output, found before any file is opened) and
+    # the kink's transform (no valid node) fail
     doc = json.loads((workdir / f"{seed}.json").read_text())
     doc["fields"][field][node] = 1e300
+    outputs = ("mesh_r.obj", "mesh_rbar.obj", "mesh_N.obj", "mesh_table.csv", "rec.json")
+    for name in outputs:  # left by earlier runs in the shared directory
+        (workdir / name).unlink(missing_ok=True)
     assert run_all(workdir, doc) == codes
+    assert not [name for name in outputs if (workdir / name).exists()]
     g, _ = read_field_file(workdir / "bad.json")
     flagged = coefficients_from_governing(g).flagged.ravel(order="F")
     assert np.flatnonzero(flagged).tolist() == [node]
     if node == 12:  # the 5x5 report core is the centre node: it is excluded and counted
         report = json.loads((workdir / "v.json").read_text())["equations"]
         assert all(e["excluded"] == 1 for k, e in report.items() if k != "omega-combined")
+
+
+@pytest.mark.parametrize("seed, field, node", [("cmc", "alpha", 12), ("kink", "h", 0)])
+def test_absurd_node_stresses_read_nan_and_are_flagged(workdir, seed, field, node):
+    # T1 and T2 overflow at the node (inf on the kink, inf / inf on cmc): they
+    # read NaN, stresses flags the node, and stress counts it
+    doc = json.loads((workdir / f"{seed}.json").read_text())
+    doc["fields"][field][node] = 1e300
+    path = workdir / "absurd_stress.json"
+    path.write_text(json.dumps(doc))
+    s = stresses(read_field_file(path)[0])
+    T1, T2, flagged = (v.ravel(order="F") for v in (s.T1, s.T2, s.flagged))
+    assert np.flatnonzero(flagged).tolist() == [node]
+    assert np.isnan(T1[node]) and np.isnan(T2[node])
+    assert np.isfinite(np.delete(T1, node)).all() and np.isfinite(np.delete(T2, node)).all()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["stress", str(path), "-o", str(workdir / "absurd_stress.csv")]) == EXIT_OK
+    assert " flagged=1 " in out.getvalue()
 
 
 HEADER_ENTRIES = ("qn", "kind", "version", "grid.nx", "grid.ny", "grid.x0", "grid.y0",

@@ -1,10 +1,12 @@
 """Frame integration, surface reconstruction and mesh curvature tests."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mosurf.frames
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, Vec3Field
 from mosurf.frames import (
@@ -21,7 +23,7 @@ from mosurf.kernel import (
     gauss_codazzi_residuals,
 )
 from mosurf.seeds import SeedSpec, generate_seed
-from mosurf.sweep import sweep_grid
+from mosurf.sweep import BLOCK_FLOATS, sweep_grid
 
 I3 = np.eye(3)
 
@@ -70,7 +72,27 @@ def einsum_drift(frames):
     return float(np.nanmax(np.abs(gram)))
 
 
+def cut_row_blocks(monkeypatch, rows, ny):
+    """Cut the row blocks of the frame diagnostics to ``rows`` rows of an ny-wide grid."""
+    monkeypatch.setattr(mosurf.frames, "BLOCK_FLOATS", 9 * ny * rows)
+    assert mosurf.frames._row_blocks(0, 7, ny)[:2] == [slice(0, rows), slice(rows, 2 * rows)]
+
+
+#: rows that start or end a row block of 1, 2 or 3 rows, from row 0 or from row 1
+EDGE_ROWS = (0, 10, 11, 12, 21, 30, 33, 50)
+
+
 def test_drift_matches_einsum_gram_and_keeps_nan():
+    check_drift_matches_einsum_gram()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_drift_matches_einsum_gram_in_row_blocks(monkeypatch, rows):
+    cut_row_blocks(monkeypatch, rows, 51)
+    check_drift_matches_einsum_gram()
+
+
+def check_drift_matches_einsum_gram():
     _, c = cmc_coefficients(n=51)
     frames = integrate_frame(c, I3).frames.copy()
     rng = np.random.default_rng(7)
@@ -88,11 +110,19 @@ def test_drift_matches_einsum_gram_and_keeps_nan():
         assert orthonormality_drift(FrameGrid(c.grid, bad)) == einsum_drift(bad) > low
     # a NaN node is skipped, wherever it sits in the max, also where the
     # worst entry sits; only a grid with no finite node reads NaN
-    for node in ((0, 0), (25, 17), (-1, -1), (30, 40)):
+    for node in ((0, 0), (25, 17), (-1, -1), (30, 40), *((i, i) for i in EDGE_ROWS)):
         g = on.copy()
         g[node][2, 0] = np.nan
         assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) > 7.0
     assert np.isnan(orthonormality_drift(FrameGrid(c.grid, np.full_like(frames, np.nan))))
+    # an infinite entry is the max; a node whose entries are all NaN is skipped
+    for i in EDGE_ROWS:
+        g = frames.copy()
+        g[i, 3, 1, 2] = np.inf
+        g[i, 40] = np.nan
+        assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) == np.inf
+        g[i, 3] = np.nan
+        assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) == drift
 
 
 def test_drift_reduces_at_fourth_order():
@@ -140,6 +170,35 @@ def test_reconstruction_gauss_map_and_unit_normal():
     assert gauss_dev < 1e-6
     norms = np.sqrt((triple.N.values**2).sum(axis=2))
     assert np.max(np.abs(norms - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+def test_gauss_map_distance_matches_frozen_formula(monkeypatch, rows):
+    # the distance between the triple's N and the normal column of a frame
+    # grid that is not its own: the max over nodes of the formula it was,
+    # bit for bit, also with NaN and infinite nodes on the first and last
+    # rows of the blocks
+    _, c = cmc_coefficients(n=51)
+    if rows is not None:
+        cut_row_blocks(monkeypatch, rows, 51)
+    f = integrate_frame(c, I3)
+    frames = f.frames + 1e-3 * np.random.default_rng(5).standard_normal(f.frames.shape)
+    frames[0, 0] = f.frames[0, 0]  # the triple starts from this frame
+    for i in EDGE_ROWS[1:]:
+        frames[i, i % 7, 0, 2] = np.nan
+    other = FrameGrid(c.grid, frames)
+    N = reconstruct_surfaces(f, c)[0].N.values
+
+    def frozen(frames):
+        return float(np.nanmax(np.sqrt(((N - frames[:, :, :, 2]) ** 2).sum(2))))
+
+    dev = reconstruct_surfaces(other, c)[1]
+    assert 1e-3 < dev == frozen(frames)
+    frames[33, 20, 1, 2] = np.inf
+    assert reconstruct_surfaces(other, c)[1] == frozen(frames) == np.inf
+    frames[:] = np.nan
+    frames[0, 0] = f.frames[0, 0]
+    assert reconstruct_surfaces(other, c)[1] == 0.0
 
 
 def test_frame_diagnostics_skip_nan_nodes():
@@ -367,12 +426,28 @@ def curvature_meshes():
     flat = v.copy()
     flat[12:15, 20] = v[12, 20]  # repeated points: r_x = 0 at (13, 20)
     flat[30, 30] = flat[31, 30]
-    return {"cmc": r, "nan": Vec3Field(r.grid, bad), "degenerate": Vec3Field(r.grid, flat)}
+    edges = v.copy()  # NaN and inf nodes on the first and last rows of blocks
+    for k, i in enumerate(EDGE_ROWS):
+        edges[i, 3 + 5 * k, k % 3] = (np.nan, np.inf, -np.inf)[k % 3]
+    return {"cmc": r, "nan": Vec3Field(r.grid, bad), "degenerate": Vec3Field(r.grid, flat),
+            "edges": Vec3Field(r.grid, edges)}
 
 
 @pytest.mark.parametrize("name", ["cmc", "nan", "degenerate"])
 @pytest.mark.parametrize("eps", [1e-10, 0.02])
 def test_mesh_curvatures_match_stacked_formulas_bit_for_bit(name, eps):
+    check_curvatures_match_stacked(name, eps)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cmc", "nan", "degenerate", "edges"])
+@pytest.mark.parametrize("eps", [1e-10, 0.02])
+def test_mesh_curvatures_match_stacked_formulas_in_row_blocks(monkeypatch, rows, name, eps):
+    cut_row_blocks(monkeypatch, rows, 51)
+    check_curvatures_match_stacked(name, eps)
+
+
+def check_curvatures_match_stacked(name, eps):
     r = curvature_meshes()[name]
     with np.errstate(over="ignore", invalid="ignore"):
         meanH, gaussK = mesh_curvatures(r, eps)
@@ -395,3 +470,24 @@ def test_cmc_reconstruction_mean_curvature():
     meanH, _ = mesh_curvatures(triple.r)
     core = meanH.values[3:-3, 3:-3]
     assert np.nanmax(np.abs(core + 0.5)) < 1e-3
+
+
+def test_frame_diagnostics_hold_blocks_not_grids():
+    # at 401^2 mesh_curvatures holds its two output grids and the
+    # temporaries of one row block, orthonormality_drift one block's
+    # component-major copy and Gram entries; whole-grid temporaries held
+    # about 20 and 11 grids
+    _, c = cmc_coefficients(n=401)
+    f = integrate_frame(c, I3)
+    r = reconstruct_surfaces(f, c)[0].r
+    grid_bytes = 8 * 401 * 401
+    block_bytes = 8 * BLOCK_FLOATS
+    for run, bound in ((lambda: mesh_curvatures(r), 2 * grid_bytes + 4 * block_bytes),
+                       (lambda: orthonormality_drift(f), 2 * block_bytes)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak / grid_bytes, bound / grid_bytes)
