@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .fileio import (mesh_faces, read_field_file, report_to_dict, write_obj,
+    from .fileio import (check_report, mesh_faces, read_field_file, report_to_dict, write_obj,
                          write_report_file, write_table)
     from .frames import (integrate_frame, orthonormality_drift, path_independence_error,
                          reconstruct_surfaces, surface_diagnostics)
@@ -226,11 +226,9 @@ def _cmd_reconstruct(args) -> int:
         "flagged_nodes": int(c.n_flagged),
         "faces_written": faces,
     }
-    # a report that cannot be encoded (a non-finite value) fails before any file is opened
-    nonfinite = [name for name, v in diag.items() if not math.isfinite(v)]
-    if args.report and nonfinite:
-        raise SingularGridError(f"{args.report}: non-finite diagnostics "
-                                f"{', '.join(nonfinite)}; no file written")
+    if args.report:  # a report with a non-finite value fails before any file is opened
+        doc = report_to_dict(ResidualReport(g.grid), g.kind, g.qn, diagnostics=diag)
+        check_report(args.report, doc)
     write_obj(f"{args.out}_r.obj", triple.r, valid=valid)
     write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=valid)
     write_obj(f"{args.out}_N.obj", triple.N, valid=valid)
@@ -248,7 +246,6 @@ def _cmd_reconstruct(args) -> int:
           f"drift={drift:.3e} path_independence={pie:.3e} "
           f"mean_curvature={diag['mean_curvature_mean']:.6f}")
     if args.report:
-        doc = report_to_dict(ResidualReport(g.grid), g.kind, g.qn, diagnostics=diag)
         write_report_file(args.report, doc)
     return EXIT_OK
 

@@ -38,6 +38,7 @@ __all__ = [
     "write_field_file",
     "read_field_file",
     "write_report_file",
+    "check_report",
     "report_to_dict",
     "mesh_faces",
     "write_obj",
@@ -305,12 +306,34 @@ def report_to_dict(
     return doc
 
 
+def _nonfinite_paths(value: Any, where: str) -> list[str]:
+    """JSON paths (``a.b[2]``) of the non-finite floats in a report document."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items()
+                for p in _nonfinite_paths(v, f"{where}.{k}" if where else str(k))]
+    if isinstance(value, (list, np.ndarray)):
+        return [p for k, v in enumerate(value) for p in _nonfinite_paths(v, f"{where}[{k}]")]
+    if isinstance(value, float) and not math.isfinite(value):
+        return [where]
+    return []
+
+
+def check_report(path: str | Path, doc: dict) -> None:
+    """Raise SingularGridError (a non-finite output) naming the JSON path of
+    every non-finite number in ``doc``, the report to be written to ``path``."""
+    bad = _nonfinite_paths(doc, "")
+    if bad:
+        raise SingularGridError(f"{path}: non-finite report entries {', '.join(bad)}; "
+                                f"no file written")
+
+
 def write_report_file(path: str | Path, doc: dict) -> None:
     """Write a report as indented JSON.
 
-    The text is built before the file is opened, so a non-finite value raises
-    FieldFormatError and leaves no partial file behind.
+    A report with a non-finite value raises :func:`check_report`'s error
+    before the file is opened, so no file is left behind.
     """
+    check_report(path, doc)
     Path(path).write_text(_encode(doc, path, indent=2) + "\n")
 
 

@@ -8,8 +8,10 @@ The orthonormal frame Phi = (X, Y, N) (columns) satisfies
 and the surface pair R = (r, rbar) satisfies R_x = X (A1, Abar1),
 R_y = Y (A2, Abar2).  The Gauss map N is the frame normal, the third column
 of Phi: N_x = Ho X and N_y = Ko Y are the third columns of Phi U and Phi V,
-so it is not integrated a second time.  :func:`reconstruct_surfaces` sweeps the
-3x5 state (Phi | r, rbar) once with the two-pass RK4 sweep; no
+so it is not integrated a second time, nor copied: the triple's N is a
+read-only view of the normal column of the frame grid it was reconstructed
+from.  :func:`reconstruct_surfaces` sweeps the 3x5 state (Phi | r, rbar) once
+with the two-pass RK4 sweep and copies out only r and rbar; no
 re-orthonormalization is applied, so orthonormality drift is a genuine
 accuracy diagnostic.
 
@@ -66,7 +68,11 @@ class FrameGrid:
 
 @dataclass(frozen=True)
 class SurfaceTriple:
-    """Gauss map N (unit sphere), surface r and Combescure dual rbar."""
+    """Gauss map N (unit sphere), surface r and Combescure dual rbar.
+
+    N is a read-only view of the normal column of the frame grid the triple
+    was reconstructed from, so it keeps that grid alive.
+    """
 
     N: Vec3Field
     r: Vec3Field
@@ -193,11 +199,13 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     """Integrate R = (r, rbar), R_x = X (A1, Abar1), R_y = Y (A2, Abar2), with the frame.
 
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
-    ``f`` at the origin node and r0 = rbar0 = 0; N is its frame normal, the
-    third column.  Returns the triple and the max distance between that N
-    and the normal column of ``f`` over the nodes where both are finite.
-    Both come from the same arithmetic on the same coefficients, so that
-    distance reads 0 unless the two sweeps are run differently.
+    ``f`` at the origin node and r0 = rbar0 = 0.  The triple's N is the
+    normal of the frame grid passed in: a read-only view of the third column
+    of ``f.frames``, with no copy; r and rbar are copied out of the sweep.
+    Returns the triple and the max distance between the joint sweep's normal
+    column and that of ``f`` over the nodes where both are finite.  Both come
+    from the same arithmetic on the same coefficients, so that distance reads
+    0 unless the two sweeps are run differently.
     NaN dual coefficients (flagged stress nodes) poison the rbar sheet
     downstream of the flagged node, which is reported honestly; the frame,
     N and r stay finite, since the generator's (r, rbar) columns never feed back.
@@ -211,15 +219,13 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
         (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
         state0,
     )
-    # contiguous copies of the triple columns on purpose: views would keep the
-    # whole 3x5 sweep output, with its second copy of the frame, alive
-    triple = SurfaceTriple(*(Vec3Field(c.grid, np.ascontiguousarray(out[:, :, :, k]))
-                             for k in (2, 3, 4)))
-    del out
-    N = triple.N.values
     gauss_dev = _blocked_max(c.grid, lambda rows: _finite_max(
-        np.sqrt(((N[rows] - f.frames[rows, :, :, 2]) ** 2).sum(2))))
-    return triple, gauss_dev
+        np.sqrt(((out[rows, :, :, 2] - f.frames[rows, :, :, 2]) ** 2).sum(2))))
+    # contiguous copies of r and rbar on purpose: views would keep the whole
+    # 3x5 sweep output, with its second copy of the frame, alive
+    r, rbar = (Vec3Field(c.grid, np.ascontiguousarray(out[:, :, :, k])) for k in (3, 4))
+    del out
+    return SurfaceTriple(Vec3Field(c.grid, f.frames[:, :, :, 2]), r, rbar), gauss_dev
 
 
 def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, ScalarField]:

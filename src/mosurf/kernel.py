@@ -34,6 +34,7 @@ report entry carries its exclusion count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -175,7 +176,14 @@ def residual_stats(values: np.ndarray, grid: Grid2D) -> ResidualStats:
         return ResidualStats(0.0, 0.0, excluded)
     v = np.where(finite, core, 0.0)
     linf = float(np.max(np.abs(v)))
-    l2 = float(np.sqrt((v * v).sum(axis=0).sum() * grid.dx * grid.dy))
+    with np.errstate(over="ignore"):
+        l2 = float(np.sqrt((v * v).sum(axis=0).sum() * grid.dx * grid.dy))
+        if not math.isfinite(l2):
+            # the squares of finite residuals overflowed (linf is finite, as
+            # v holds finite values only): the same norm, with every value
+            # scaled by linf first; a finite l2 keeps its bits
+            v /= linf
+            l2 = linf * float(np.sqrt((v * v).sum(axis=0).sum() * grid.dx * grid.dy))
     return ResidualStats(linf, l2, excluded)
 
 
@@ -311,15 +319,16 @@ def gauss_codazzi_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:
     grid = c.grid
     A1, A2, Ho, Ko = c.A1, c.A2, c.Ho, c.Ko
     Ab1, Ab2, p, q = c.Abar1, c.Abar2, c.p, c.q
-    return {
-        "codazzi-H": diff_y(Ho, grid) - p * Ko,
-        "codazzi-K": diff_x(Ko, grid) - q * Ho,
-        "net-A1": diff_y(A1, grid) - p * A2,
-        "net-A2": diff_x(A2, grid) - q * A1,
-        "net-Abar1": diff_y(Ab1, grid) - p * Ab2,
-        "net-Abar2": diff_x(Ab2, grid) - q * Ab1,
-        "gauss": diff_y(p, grid) + diff_x(q, grid) + Ho * Ko,
-    }
+    with np.errstate(all="ignore"):  # a product of finite coefficients may overflow
+        return {
+            "codazzi-H": diff_y(Ho, grid) - p * Ko,
+            "codazzi-K": diff_x(Ko, grid) - q * Ho,
+            "net-A1": diff_y(A1, grid) - p * A2,
+            "net-A2": diff_x(A2, grid) - q * A1,
+            "net-Abar1": diff_y(Ab1, grid) - p * Ab2,
+            "net-Abar2": diff_x(Ab2, grid) - q * Ab1,
+            "gauss": diff_y(p, grid) + diff_x(q, grid) + Ho * Ko,
+        }
 
 
 def equilibrium_residuals(c: CoefficientFields) -> dict[str, np.ndarray]:

@@ -11,6 +11,13 @@ Three closed-form/ODE families are provided:
 * ``liouville`` (2nd kind): alpha = pi/4 and ``exp(-xi) = a (x^2+y^2) + 1/(8a)``
   with the h branch integrated in closed form; the xi equation is the
   Liouville equation with separated variables.
+
+The constant fields (xi and h of ``cmc`` and ``pseudospherical``) are held as
+broadcast scalars: read-only ``np.broadcast_to`` views with strides (0, 0),
+which use no grid of memory and give every output of full arrays, bit for
+bit.  The cmc alpha, which varies along x only, stays a full C-ordered array:
+a strides-(8, 0) view would give derived temporaries another memory order,
+over which the residual norms would sum in another order.
 """
 
 from __future__ import annotations
@@ -144,8 +151,8 @@ def _seed_cmc(spec: SeedSpec) -> GoverningFields:
         kind="first",
         qn=spec.qn,
         alpha=ScalarField(g, alpha),
-        xi=ScalarField(g, np.zeros(g.shape)),
-        h=ScalarField(g, np.full(g.shape, 1.0)),
+        xi=ScalarField(g, np.broadcast_to(0.0, g.shape)),
+        h=ScalarField(g, np.broadcast_to(1.0, g.shape)),
     )
 
 
@@ -165,8 +172,8 @@ def _seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
         kind="second",
         qn=spec.qn,
         alpha=ScalarField(g, alpha),
-        xi=ScalarField(g, np.zeros(g.shape)),
-        h=ScalarField(g, np.zeros(g.shape)),
+        xi=ScalarField(g, np.broadcast_to(0.0, g.shape)),
+        h=ScalarField(g, np.broadcast_to(0.0, g.shape)),
     )
 
 

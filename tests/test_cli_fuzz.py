@@ -121,6 +121,69 @@ def test_absurd_finite_node_is_flagged_without_warnings(workdir, seed, field, no
         assert all(e["excluded"] == 1 for k, e in report.items() if k != "omega-combined")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, node, value, command", [
+    ("alpha", 12, 700.0, "verify"),
+    ("alpha", 12, -700.0, "verify"),
+    ("xi", 6, 700.0, "omega"),
+])
+def test_overflowing_residual_norms_stay_finite(workdir, field, node, value, command):
+    # cosh(700) and e^(2 xi) are finite, but the residuals built from them
+    # overflow when squared: l2 is then taken with the values scaled by linf,
+    # and every command runs without a numpy warning
+    doc = json.loads((workdir / "cmc.json").read_text())
+    doc["fields"][field][node] = value
+    path, report = workdir / "large.json", workdir / "large_report.json"
+    path.write_text(json.dumps(doc))
+    report.unlink(missing_ok=True)
+    runs = [[command, str(path), "--report", str(report)]]
+    if command == "verify":
+        runs.insert(0, [command, str(path)])
+    for argv in runs:
+        assert run(argv) == (EXIT_OK, ""), argv
+    entries = json.loads(report.read_text())["equations"].values()
+    assert all(math.isfinite(e["l2"]) for e in entries)
+    large = [e for e in entries if e["linf"] > 1e300]
+    assert large
+    # the 5x5 report core is one node of area dx dy = 1/4: l2 = linf / 2
+    assert all(e["l2"] == e["linf"] / 2 for e in large)
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["verify", "{f}"], "equations.gauss.l2"),
+    (["omega", "{f}"], "equations.omega-2.linf"),
+    (["backlund", "{f}", "--m", "1.0", "--init", "0,1,1.7", "-o", "{d}/p.json"],
+     "diagnostics.constraint_drift"),
+    (["reconstruct", "{f}", "-o", "{d}/inf_mesh"], "diagnostics.path_independence_error"),
+])
+def test_nonfinite_report_entry_is_named_and_leaves_no_file(workdir, monkeypatch, argv, entry):
+    # a report that would hold an infinity is a non-finite output (exit 3):
+    # one error line names its JSON path, and neither the report nor, for
+    # reconstruct, a mesh is written
+    import mosurf.fileio
+
+    def report_to_dict(*args, **kwargs):
+        doc = to_dict(*args, **kwargs)
+        *parents, key = entry.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = math.inf
+        return doc
+
+    to_dict = mosurf.fileio.report_to_dict
+    monkeypatch.setattr(mosurf.fileio, "report_to_dict", report_to_dict)
+    for stale in workdir.glob("inf_*"):
+        stale.unlink()
+    report = workdir / "inf_report.json"
+    code, err = run([a.format(f=workdir / "cmc.json", d=workdir) for a in argv]
+                    + ["--report", str(report)])
+    assert code == EXIT_NUMERICAL, err
+    assert err.splitlines() == [f"mosurf: error: {report}: non-finite report entries {entry}; "
+                                f"no file written"]
+    assert list(workdir.glob("inf_*")) == []
+
+
 @pytest.mark.parametrize("seed, field, node", [("cmc", "alpha", 12), ("kink", "h", 0)])
 def test_absurd_node_stresses_read_nan_and_are_flagged(workdir, seed, field, node):
     # T1 and T2 overflow at the node (inf on the kink, inf / inf on cmc): they

@@ -72,10 +72,13 @@ def test_report_numpy_values_and_nan(tmp_path):
     write_report_file(path, report_to_dict(ResidualReport(grid), diagnostics=diag))
     assert json.loads(path.read_text())["diagnostics"] == {
         "count": 3, "curve": [0.5, 2.0], "dev": 1e-300}
-    # a non-finite value is rejected before the file is opened
+    # a non-finite value is a non-finite output, named by its JSON path and
+    # rejected before the file is opened
     bad = tmp_path / "bad.json"
-    doc = report_to_dict(ResidualReport(grid), diagnostics={"dev": float("nan")})
-    with pytest.raises(FieldFormatError):
+    doc = report_to_dict(ResidualReport(grid), diagnostics={"dev": float("nan"),
+                                                            "curve": np.array([0.5, np.inf])})
+    named = r"entries diagnostics\.dev, diagnostics\.curve\[1\];"
+    with pytest.raises(SingularGridError, match=named):
         write_report_file(bad, doc)
     assert not bad.exists()
 

@@ -240,6 +240,42 @@ def test_reconstruction_confines_nan_dual_coefficients_to_rbar():
     assert np.isfinite(rbar[~downstream]).all()
 
 
+def test_triple_normal_is_a_view_of_the_frame_normal_column():
+    # N is the normal column of the frame grid passed in, with no copy, and
+    # it equals the joint 3x5 sweep's normal column bit for bit: also at the
+    # NaN nodes downstream of a NaN Ko, on a coefficient set whose x = 0
+    # column is stress-flagged (Liouville with c1 = 0)
+    grid = Grid2D.from_domain(-1, 1, -1, 1, 41, 41)
+    c = coefficients_from_governing(generate_seed(SeedSpec("liouville", grid, a=0.353553, c1=0.0)))
+    Ko = c.Ko.copy()
+    Ko[30, 20] = np.nan
+    c = replace(c, Ko=Ko)
+    f = integrate_frame(c, I3)
+    triple, gauss_dev = reconstruct_surfaces(f, c)
+    N = triple.N.values
+    assert np.shares_memory(N, f.frames) and not N.flags.writeable
+    joint = sweep_grid(grid, (c.p, c.Ho, c.A1, c.Abar1), mosurf.frames._with_triple_x,
+                       (c.q, c.Ko, c.A2, c.Abar2), mosurf.frames._with_triple_y,
+                       np.hstack([I3, np.zeros((3, 2))]))
+    assert c.flagged[20].all() and np.isnan(N).any() and np.isfinite(N).any()
+    assert N.tobytes() == np.ascontiguousarray(joint[..., 2]).tobytes()
+    assert gauss_dev == 0.0
+
+
+def test_reconstruction_keeps_two_vec3_grids_beyond_its_inputs():
+    # the triple holds copies of r and rbar only; a copy of N kept a third grid
+    _, c = cmc_coefficients(n=201)
+    f = integrate_frame(c, I3)
+    vec3_bytes = 8 * 3 * 201 * 201
+    tracemalloc.start()
+    try:
+        triple, _ = reconstruct_surfaces(f, c)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2.1 * vec3_bytes, kept / vec3_bytes
+
+
 def frozen_triple_x(p, Ho, A1, Abar1, out=None):
     """The 3x6 generator [U | e_0 (Ho, A1, Abar1)] the triple sweep used to
     take, which integrated N a second time as its fourth column."""

@@ -1,11 +1,14 @@
 """Seed family tests: independent oracles first, then the constructors."""
 
+from dataclasses import fields as dataclass_fields, is_dataclass, replace
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from mosurf.backlund import apply_backlund, bianchi_darboux
 from mosurf.errors import DegenerateSeedError, ParameterError
-from mosurf.fields import Grid2D, diff_x, diff_y
+from mosurf.fields import Grid2D, ScalarField, diff_x, diff_y
 from mosurf.kernel import (
     ResidualReport,
     coefficients_from_governing,
@@ -13,6 +16,7 @@ from mosurf.kernel import (
     stresses,
 )
 from mosurf.seeds import SeedSpec, generate_seed, sinh_gordon_profile
+from mosurf.verify import verify_governing
 
 
 def grid(dom, n=101, m=None):
@@ -248,3 +252,55 @@ def test_every_seed_passes_governing_residuals(family):
     assert linfs[1] < 150 * Grid2D.from_domain(*dom, 101, 101).hmax ** 2
     if linfs[1] > 1e-13:
         assert 1.8 <= np.log2(linfs[0] / linfs[1]) <= 2.2
+
+
+# ---------------------------------------------------------------------------
+# constant fields held as broadcast scalars
+# ---------------------------------------------------------------------------
+
+#: the transform windows and parameters of the acceptance suite
+TRANSFORM_CONFIGS = {
+    "cmc": ((0, 1, 0, 1), dict(alpha0=1.0), dict(m=1.0, lambda0=0.0, omega0=1.0, phi0=1.7)),
+    "pseudospherical": ((0.8, 1.2, -0.3, 0.3), dict(v=0.3),
+                        dict(m=0.3, lambda0=0.0, omega0=1.0, phi0=0.1)),
+}
+
+
+def _output_bytes(g, transform):
+    """Every array and number of the coefficient build, verify and the
+    transforms of ``g``, as bytes or repr, by name."""
+    out = {}
+
+    def put(name, value):
+        if isinstance(value, np.ndarray):
+            out[name] = (value.shape, value.tobytes())
+        elif is_dataclass(value):
+            for f in dataclass_fields(value):
+                put(f"{name}.{f.name}", getattr(value, f.name))
+        else:
+            out[name] = repr(value)
+
+    put("coefficients", coefficients_from_governing(g))
+    put("verify", verify_governing(g))
+    put("backlund", apply_backlund(g, **transform))
+    if g.kind == "first":
+        put("bianchi_darboux", bianchi_darboux(g, mbar=1.0))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(TRANSFORM_CONFIGS))
+def test_constant_fields_are_broadcast_scalars_with_the_outputs_of_full_grids(family):
+    # xi and h of cmc and the kink are constant: read-only views of one
+    # scalar, with strides (0, 0), that hold no grid; every output equals
+    # that of the same seed with full C-ordered copies, bit for bit
+    dom, kw, transform = TRANSFORM_CONFIGS[family]
+    g = generate_seed(SeedSpec(family, grid(dom, 41), **kw))
+    for field in (g.xi, g.h):
+        assert field.values.strides == (0, 0) and not field.values.flags.writeable
+    assert g.alpha.values.flags.c_contiguous  # the cmc alpha varies along x: a full array
+    full = replace(g, **{name: ScalarField(g.grid, np.array(getattr(g, name).values))
+                         for name in ("alpha", "xi", "h")})
+    assert full.xi.values.strides != (0, 0)
+    got, want = _output_bytes(g, transform), _output_bytes(full, transform)
+    assert list(got) == list(want) and len(got) > 60
+    assert [k for k in want if got[k] != want[k]] == []
