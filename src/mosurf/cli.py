@@ -229,9 +229,13 @@ def _cmd_reconstruct(args) -> int:
     if args.report:  # a report with a non-finite value fails before any file is opened
         doc = report_to_dict(ResidualReport(g.grid), g.kind, g.qn, diagnostics=diag)
         check_report(args.report, doc)
-    write_obj(f"{args.out}_r.obj", triple.r, valid=valid)
-    write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=valid)
-    write_obj(f"{args.out}_N.obj", triple.N, valid=valid)
+    # the four files share one memo: r, N and rbar are formatted once, for
+    # the OBJ vertices and the table alike, and meshes on the same nodes
+    # share their face lines
+    texts: dict = {}
+    write_obj(f"{args.out}_r.obj", triple.r, valid=valid, texts=texts)
+    write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=valid, texts=texts)
+    write_obj(f"{args.out}_N.obj", triple.N, valid=valid, texts=texts)
     X, Y = g.grid.meshgrid()
     write_table(
         f"{args.out}_table.csv",
@@ -241,7 +245,9 @@ def _cmd_reconstruct(args) -> int:
             "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
             "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": c.T1, "T2": c.T2,
         },
+        texts=texts,
     )
+    del texts
     print(f"reconstruct grid={g.grid.nx}x{g.grid.ny} faces={faces} "
           f"drift={drift:.3e} path_independence={pie:.3e} "
           f"mean_curvature={diag['mean_curvature_mean']:.6f}")

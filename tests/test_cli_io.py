@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +21,9 @@ from mosurf.fileio import (
     write_report_file,
     write_table,
 )
-from mosurf.kernel import GoverningFields, ResidualReport
 from mosurf.fields import Vec3Field
+from mosurf.frames import integrate_frame, reconstruct_surfaces
+from mosurf.kernel import GoverningFields, ResidualReport, coefficients_from_governing
 from mosurf.verify import CORE_EQUATIONS, EXTENDED_EQUATIONS
 
 
@@ -476,6 +478,49 @@ def test_texts_keeps_bit_patterns_apart():
     assert list(fileio._texts(np.array([]))) == []
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls of ``fileio.<name>``; the list holds one entry per call."""
+    calls = []
+    fn = getattr(fileio, name)
+    monkeypatch.setattr(fileio, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_memo_is_keyed_by_the_array_object(tmp_path, monkeypatch):
+    grid = Grid2D(5, 4)
+    cols = oracle_columns(grid.shape)
+    points = Vec3Field(grid, np.stack([cols["normal"], cols["zeros"], cols["holes"]], axis=2))
+    formatted = count_calls(monkeypatch, "_vector_texts")
+    texts = {}
+    assert_same_bytes(tmp_path, partial(write_obj, texts=texts), reference_write_obj, points)
+    assert_same_bytes(tmp_path, partial(write_table, texts=texts), reference_write_table,
+                      grid, {"v": points.values})
+    assert len(formatted) == 1  # the table took the OBJ's texts
+    # an equal copy is another array: formatted afresh, to the same bytes
+    assert_same_bytes(tmp_path, partial(write_table, texts=texts), reference_write_table,
+                      grid, {"v": points.values.copy()})
+    assert len(formatted) == 2
+
+
+def test_face_memo_is_keyed_by_the_mesh_nodes(tmp_path, monkeypatch):
+    # without node (1, 1) cell (0, 0) is lost, and node (0, 0) lies on no
+    # other cell: dropping it too leaves the cells as they were, but shifts
+    # every vertex id, so the face lines must be built again
+    grid = Grid2D(4, 4)
+    X, Y = grid.meshgrid()
+    points = Vec3Field(grid, np.stack([X, Y, X * Y], axis=2))
+    valid = np.ones(grid.shape, dtype=bool)
+    valid[1, 1] = False
+    fewer = valid.copy()
+    fewer[0, 0] = False
+    built = count_calls(monkeypatch, "_face_lines")
+    texts = {}
+    for mask in (valid, valid.copy(), fewer, valid):
+        assert_same_bytes(tmp_path, partial(write_obj, texts=texts), reference_write_obj,
+                          points, mask)
+    assert len(built) == 2
+
+
 # ---------------------------------------------------------------------------
 # CLI end-to-end
 # ---------------------------------------------------------------------------
@@ -804,6 +849,86 @@ def test_cli_reconstruct_primed_kink_with_flagged_nodes(tmp_path):
     assert all(np.isfinite(v) for v in d.values())
     assert d["flagged_nodes"] > 0
     assert 0 < d["frame_nonfinite_nodes"] < 31 * 31
+
+
+def reference_reconstruct(field_path, prefix):
+    """The four files of ``reconstruct``, written by the per-value writers
+    from a fresh build of the same triple and coefficients."""
+    g, _ = read_field_file(field_path)
+    c = coefficients_from_governing(g)
+    triple, _ = reconstruct_surfaces(integrate_frame(c, np.eye(3)), c)
+    for name in ("r", "rbar", "N"):
+        reference_write_obj(f"{prefix}_{name}.obj", getattr(triple, name), ~c.flagged)
+    X, Y = g.grid.meshgrid()
+    reference_write_table(f"{prefix}_table.csv", g.grid, {
+        "x": X, "y": Y,
+        "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
+        "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": c.T1, "T2": c.T2,
+    })
+
+
+RECONSTRUCT_CASES = {
+    # blocks of 64 nodes split the rows of a 21-wide grid
+    "cmc": (64, [["seed", "--family", "cmc", "--domain", "0:2:0:2",
+                  "--nx", "21", "--ny", "21", "-o", "{src}"]]),
+    # flagged nodes: partially valid blocks and blank table cells
+    "primed_kink": (100, [["seed", "--family", "pseudospherical", "--v", "0.3",
+                           "--domain", "-3:3:-3:3", "--nx", "31", "--ny", "31", "-o", "{tmp}"],
+                          ["backlund", "{tmp}", "--m", "0.3", "--init", "0,1,0.1",
+                           "-o", "{src}"]]),
+    # A2 vanishes on the x = 0 column: stress-flagged nodes, downstream of
+    # which rbar is NaN while r and N are not, so rbar's mesh has other faces
+    "stress_flagged": (fileio.BLOCK, [["seed", "--family", "liouville", "--a", "0.353553",
+                                       "--c1", "0", "--domain", "-1:1:-1:1",
+                                       "--nx", "21", "--ny", "21", "-o", "{src}"]]),
+}
+
+
+@pytest.mark.parametrize("case", list(RECONSTRUCT_CASES))
+def test_cli_reconstruct_files_match_per_value_writers(tmp_path, monkeypatch, case):
+    block, commands = RECONSTRUCT_CASES[case]
+    src = tmp_path / "src.json"
+    for command in commands:
+        assert run([a.format(src=src, tmp=tmp_path / "tmp.json") for a in command]) == 0
+    monkeypatch.setattr(fileio, "BLOCK", block)
+    built = count_calls(monkeypatch, "_face_lines")
+    assert run(["reconstruct", str(src), "-o", str(tmp_path / "got")]) == 0
+    reference_reconstruct(src, tmp_path / "want")
+    for name in ("r.obj", "rbar.obj", "N.obj", "table.csv"):
+        got = (tmp_path / f"got_{name}").read_bytes()
+        assert got == (tmp_path / f"want_{name}").read_bytes(), name
+    faces = {name: [ln for ln in (tmp_path / f"got_{name}.obj").read_text().splitlines()
+                    if ln.startswith("f ")] for name in ("r", "rbar", "N")}
+    assert faces["N"] == faces["r"]
+    assert (faces["rbar"] != faces["r"]) == (case == "stress_flagged")
+    assert len(built) == 1 + (case == "stress_flagged")
+
+
+def _distinct_per_block(values):
+    """Distinct 64-bit patterns summed over the x-fastest blocks of a grid array."""
+    bits = np.ascontiguousarray(values.T, dtype=np.float64).ravel().view(np.int64)
+    return sum(len(np.unique(bits[start:start + fileio.BLOCK]))
+               for start in range(0, len(bits), fileio.BLOCK))
+
+
+def test_cli_reconstruct_formats_each_value_once(tmp_path, monkeypatch):
+    src = tmp_path / "cmc.json"
+    n = 41
+    assert run(["seed", "--family", "cmc", "--domain", "0:2:0:2",
+                "--nx", str(n), "--ny", str(n), "-o", str(src)]) == 0
+    formatted = []
+    reprs = fileio._reprs
+    monkeypatch.setattr(fileio, "_reprs",
+                        lambda values: formatted.append(len(values)) or reprs(values))
+    built = count_calls(monkeypatch, "_face_lines")
+    assert run(["reconstruct", str(src), "-o", str(tmp_path / "mesh")]) == 0
+    g, _ = read_field_file(src)
+    c = coefficients_from_governing(g)
+    others = sum(map(_distinct_per_block,
+                     (*g.grid.meshgrid(), c.A1, c.A2, c.Ho, c.Ko, c.T1, c.T2)))
+    # r, N and rbar: 9 values a node, each formatted once for four files
+    assert sum(formatted) <= 9 * n * n + others
+    assert len(built) == 1
 
 
 def test_cli_primed_file_round_trips_and_chains(tmp_path):
