@@ -5,29 +5,8 @@ residual verification of every equation of the theory, Gauss-Weingarten
 frame reconstruction of the Combescure triple (N, r, rbar), and the
 Lax-pair-based Backlund transformation with kind-preservation checks.
 
-Submodules are imported lazily, on first attribute access, so importing the
-package stays cheap and each CLI command loads only the modules it uses.
+Importing the package loads no submodule; import each by name
+(``from mosurf import seeds``), as the CLI does per command.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "fields",
-    "seeds",
-    "kernel",
-    "frames",
-    "backlund",
-    "omega",
-    "verify",
-    "fileio",
-    "cli",
-    "errors",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

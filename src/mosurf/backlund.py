@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError, SingularGridError
-from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays
+from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays, max_skipping_nan
 from .kernel import EPS, CoefficientFields, GoverningFields, _forms, coefficients_from_governing
 from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
 from .sweep import sweep_grid
@@ -238,8 +238,8 @@ def integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields
     if init.shape != (5,):
         raise ParameterError(f"init must be a 5-vector, got shape {init.shape}")
     out = _sweep_lax(c, m, init)
-    with np.errstate(all="ignore"):  # fmax.reduce is nanmax without its all-NaN warning
-        path_err = float(np.fmax.reduce(np.abs(out - _sweep_lax(c, m, init, "yx")), axis=None))
+    with np.errstate(all="ignore"):
+        path_err = max_skipping_nan(np.abs(out - _sweep_lax(c, m, init, "yx")))
     return _lax_fields(m, c.qn, out, path_err)
 
 
@@ -344,8 +344,8 @@ def apply_backlund(
     (the frame starts from the identity at the origin node).
     Raises SingularGridError when every node is singular.
     """
-    c = coefficients_from_governing(g)
     init = admissible_initial(m, g.qn, lambda0, omega0, phi0)
+    c = coefficients_from_governing(g)
     lx = integrate_lax(c, m, init)
     return _transform(g, c, lx, "Backlund transformation")
 
@@ -377,8 +377,6 @@ def bianchi_darboux(
         raise ParameterError("Bianchi-Darboux requires xi = 0 and h = 1 exactly")
     if mbar == 0.0:
         raise ParameterError("mbar must be nonzero")
-    if omega0 == 0.0:
-        raise ParameterError("omega0 must be nonzero")
     qn = g.qn
     m = 2.0 * mbar / qn
     # constraint with chi0 = qn phi0: phi0^2 - 2 omega0 phi0 + (lambda0^2+omega0^2)/(2 mbar) = 0
@@ -388,9 +386,8 @@ def bianchi_darboux(
             f"no admissible phi0 for mbar={mbar}: constraint discriminant {disc:.3e} < 0"
         )
     phi0 = omega0 + np.sqrt(disc)
-
-    c = coefficients_from_governing(g)
     init = admissible_initial(m, qn, lambda0, omega0, phi0)
+    c = coefficients_from_governing(g)
     lx = _lax_fields(m, qn, _sweep_lax(c, m, init), None)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
@@ -418,8 +415,8 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     eps = EPS[res.primed_governing.kind]
     thm = (A1, -eps * A2, Ho, -eps * Ko)
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
-    with np.errstate(all="ignore"):  # fmax.reduce: nanmax without its all-NaN warning
-        dev = max(float(np.fmax.reduce(np.abs(t - r)[ok])) for t, r in zip(thm, raws))
+    with np.errstate(all="ignore"):
+        dev = max(max_skipping_nan(np.abs(t - r)[ok]) for t, r in zip(thm, raws))
     out = {
         "constraint_drift": res.lax.constraint_drift,
         "lax_path_independence": res.lax.path_independence,
@@ -445,8 +442,8 @@ def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[
         e_alpha_dev = np.exp(gp.alpha.values) + (phi / sigma) * np.exp(-g.alpha.values)
     chi_dev = res.lax.chi - res.lax.qn * phi
     return {
-        "e_xi_prime_max_dev": float(np.nanmax(np.abs(np.exp(gp.xi.values) - 1.0)[ok])),
-        "h_prime_max_dev": float(np.nanmax(np.abs(gp.h.values - 1.0)[ok])),
-        "e_alpha_prime_identity_max_dev": float(np.nanmax(np.abs(e_alpha_dev)[ok])),
-        "chi_minus_qn_phi_max_dev": float(np.nanmax(np.abs(chi_dev)[ok])),
+        "e_xi_prime_max_dev": max_skipping_nan(np.abs(np.exp(gp.xi.values) - 1.0)[ok]),
+        "h_prime_max_dev": max_skipping_nan(np.abs(gp.h.values - 1.0)[ok]),
+        "e_alpha_prime_identity_max_dev": max_skipping_nan(np.abs(e_alpha_dev)[ok]),
+        "chi_minus_qn_phi_max_dev": max_skipping_nan(np.abs(chi_dev)[ok]),
     }

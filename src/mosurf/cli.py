@@ -277,7 +277,8 @@ def _cmd_backlund(args) -> int:
         bianchi_darboux_identities,
         transform_diagnostics,
     )
-    from .fileio import read_field_file, report_to_dict, write_field_file, write_report_file
+    from .fileio import (check_report, read_field_file, report_to_dict, write_field_file,
+                         write_report_file)
     from .verify import verify_governing
 
     if args.m == 0.0:
@@ -297,15 +298,18 @@ def _cmd_backlund(args) -> int:
     if args.bianchi_darboux:
         diag.update(mbar=mbar, **bianchi_darboux_identities(g, res))
     diag.update(checks)
-    write_field_file(args.out, res.primed_governing)
     report = verify_governing(res.primed_governing)
+    if args.report:  # a report with a non-finite value fails before the primed file is written
+        doc = report_to_dict(report, g.kind, g.qn, diagnostics=diag)
+        check_report(args.report, doc)
+    write_field_file(args.out, res.primed_governing)
     print(f"backlund kind={g.kind} m={res.lax.m} drift={checks['constraint_drift']:.3e} "
           f"singular={checks['singular_nodes']} invalid={checks['branch_invalid_nodes']} "
           f"theorem_vs_raw={checks['theorem_vs_raw_max_dev']:.3e} -> {args.out}")
     for name, s in report.entries.items():
         print(f"  primed {name:18s} linf={s.linf:.6e} excluded={s.excluded}")
     if args.report:
-        write_report_file(args.report, report_to_dict(report, g.kind, g.qn, diagnostics=diag))
+        write_report_file(args.report, doc)
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "partial_x",
     "partial_y",
     "freeze_arrays",
+    "max_skipping_nan",
 ]
 
 
@@ -93,6 +94,13 @@ class Grid2D:
     @property
     def hmax(self) -> float:
         return max(self.dx, self.dy)
+
+
+def max_skipping_nan(values: np.ndarray) -> float:
+    """Max of the entries that are not NaN, NaN only if all are: numpy's
+    ``nanmax`` to the bit (it is ``fmax.reduce``), with no mask and without
+    its all-NaN warning."""
+    return float(np.fmax.reduce(values, axis=None))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

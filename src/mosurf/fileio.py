@@ -292,8 +292,8 @@ def _parse_fields(doc: dict, path: str) -> tuple[GoverningFields, dict | None]:
 
 def report_to_dict(
     report: ResidualReport,
-    kind: str | None = None,
-    qn: float | None = None,
+    kind: str,
+    qn: float,
     orders: dict | None = None,
     diagnostics: dict | None = None,
 ) -> dict:
@@ -302,14 +302,10 @@ def report_to_dict(
         "version": REPORT_VERSION,
         "registry_version": REGISTRY_VERSION,
         "grid": _grid_header(report.grid),
-    }
-    if kind is not None:
-        doc["kind"] = kind
-    if qn is not None:
-        doc["qn"] = qn
-    doc["equations"] = {
-        name: {"linf": s.linf, "l2": s.l2, "excluded": s.excluded}
-        for name, s in report.entries.items()
+        "kind": kind,
+        "qn": qn,
+        "equations": {name: {"linf": s.linf, "l2": s.l2, "excluded": s.excluded}
+                      for name, s in report.entries.items()},
     }
     if orders is not None:
         doc["orders"] = {k: v for k, v in orders.items()}

@@ -20,10 +20,10 @@ The diagnostics that follow the sweeps (the Gauss-map distance of
 :func:`mesh_curvatures`) are pointwise or 3x3-stencil formulas followed by a
 max.  They run one block of first-axis rows at a time (``_row_blocks``: as
 many rows as keep a block of frames, 9 floats a node, within the sweep's
-``BLOCK_FLOATS`` cache budget), so their temporaries are a block, not a
-grid.  Each node takes the same operations in the same order, and a max of
-block maxima is the max, so the results do not depend on the block, bit for
-bit.
+cache budget ``sweep.BLOCK_FLOATS``, read at each call), so their
+temporaries are a block, not a grid.  Each node takes the same operations in
+the same order, and a max of block maxima is the max, so the results do not
+depend on the block, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ParameterError
-from .fields import Grid2D, ScalarField, Vec3Field
+from . import sweep
+from .fields import Grid2D, ScalarField, Vec3Field, max_skipping_nan
 from .kernel import CoefficientFields
-from .sweep import BLOCK_FLOATS, sweep_grid
+from .sweep import sweep_grid
 
 __all__ = [
     "FrameGrid",
@@ -142,22 +143,19 @@ def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -
     return FrameGrid(c.grid, frames)
 
 
-def _finite_max(values: np.ndarray) -> float:
-    """Max of the entries that are not NaN (NaN only if all are), with no mask."""
-    return float(np.fmax.reduce(values, axis=None))
-
-
 def _row_blocks(start: int, stop: int, ny: int) -> list[slice]:
     """The first-axis rows [start, stop) in blocks of as many rows as keep a
-    block of frames (9 floats a node) within ``BLOCK_FLOATS``."""
-    rows = max(1, BLOCK_FLOATS // (9 * ny))
+    block of frames (9 floats a node) within ``sweep.BLOCK_FLOATS``."""
+    rows = max(1, sweep.BLOCK_FLOATS // (9 * ny))
     return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
 
 
 def _blocked_max(grid: Grid2D, block_max) -> float:
-    """:func:`_finite_max` of the grid, as the max of ``block_max(rows)`` over its row blocks."""
+    """:func:`fields.max_skipping_nan` of the grid, as the max of
+    ``block_max(rows)`` over its row blocks."""
+    blocks = _row_blocks(0, grid.nx, grid.ny)
     with np.errstate(all="ignore"):
-        return _finite_max(np.array([block_max(rows) for rows in _row_blocks(0, grid.nx, grid.ny)]))
+        return max_skipping_nan(np.array([block_max(rows) for rows in blocks]))
 
 
 def orthonormality_drift(f: FrameGrid) -> float:
@@ -174,9 +172,9 @@ def orthonormality_drift(f: FrameGrid) -> float:
         def gram(a, b):
             return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
 
-        devs = [_finite_max(np.abs(gram(a, a) - 1.0)) for a in range(3)]
-        devs += [_finite_max(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
-        return _finite_max(np.array(devs))
+        devs = [max_skipping_nan(np.abs(gram(a, a) - 1.0)) for a in range(3)]
+        devs += [max_skipping_nan(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
+        return max_skipping_nan(np.array(devs))
 
     return _blocked_max(f.grid, block_max)
 
@@ -192,7 +190,7 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     with np.errstate(all="ignore"):
         diff -= integrate_frame(c, phi0, order="yx").frames  # in place: two frame grids, not three
         diff *= diff
-        return _finite_max(np.sqrt(diff.sum(axis=(2, 3))))
+        return max_skipping_nan(np.sqrt(diff.sum(axis=(2, 3))))
 
 
 def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTriple, float]:
@@ -219,7 +217,7 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
         (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
         state0,
     )
-    gauss_dev = _blocked_max(c.grid, lambda rows: _finite_max(
+    gauss_dev = _blocked_max(c.grid, lambda rows: max_skipping_nan(
         np.sqrt(((out[rows, :, :, 2] - f.frames[rows, :, :, 2]) ** 2).sum(2))))
     # contiguous copies of r and rbar on purpose: views would keep the whole
     # 3x5 sweep output, with its second copy of the frame, alive
@@ -297,10 +295,10 @@ def surface_diagnostics(triple: SurfaceTriple) -> dict[str, float | int]:
     with np.errstate(all="ignore"):
         n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
         return {
-            "normal_unit_max_dev": _finite_max(np.abs(n_norm - 1.0)),
+            "normal_unit_max_dev": max_skipping_nan(np.abs(n_norm - 1.0)),
             "frame_nonfinite_nodes": int((~np.isfinite(n_norm)).sum()),
             "mean_curvature_mean": float(np.nansum(H) / np.count_nonzero(~np.isnan(H))),
             "mean_curvature_min": float(np.fmin.reduce(H, axis=None)),
-            "mean_curvature_max": _finite_max(H),
+            "mean_curvature_max": max_skipping_nan(H),
             "gauss_curvature_mean": float(np.nansum(K) / np.count_nonzero(~np.isnan(K))),
         }

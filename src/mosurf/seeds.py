@@ -12,6 +12,10 @@ Three closed-form/ODE families are provided:
   with the h branch integrated in closed form; the xi equation is the
   Liouville equation with separated variables.
 
+Each family's builder returns its (alpha, xi, h) node arrays;
+:func:`generate_seed` checks that they are finite and gives them the family's
+kind, ``FAMILY_KINDS``, the one map from family to kind.
+
 The constant fields (xi and h of ``cmc`` and ``pseudospherical``) are held as
 broadcast scalars: read-only ``np.broadcast_to`` views with strides (0, 0),
 which use no grid of memory and give every output of full arrays, bit for
@@ -38,6 +42,9 @@ __all__ = [
 ]
 
 FAMILY_KINDS = {"cmc": "first", "pseudospherical": "second", "liouville": "second"}
+
+#: the (alpha, xi, h) node arrays a family's builder returns
+Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: RK4 steps of the cmc profile per grid interval (step dx/4)
 PROFILE_SUBSTEPS = 4
@@ -135,7 +142,7 @@ def sinh_gordon_profile(alpha0: float, dx: float, nx: int) -> tuple[np.ndarray, 
     return a, b
 
 
-def _seed_cmc(spec: SeedSpec) -> GoverningFields:
+def _seed_cmc(spec: SeedSpec) -> Arrays:
     """Constant-mean-curvature seed of the 1st kind (xi = 0, h = 1).
 
     The stresses are isotropic and homogeneous, T1 = T2 = qn.
@@ -147,16 +154,10 @@ def _seed_cmc(spec: SeedSpec) -> GoverningFields:
     g = spec.grid
     profile, _ = sinh_gordon_profile(spec.alpha0, g.dx, g.nx)
     alpha = np.repeat(profile[:, None], g.ny, axis=1)
-    return GoverningFields(
-        kind="first",
-        qn=spec.qn,
-        alpha=ScalarField(g, alpha),
-        xi=ScalarField(g, np.broadcast_to(0.0, g.shape)),
-        h=ScalarField(g, np.broadcast_to(1.0, g.shape)),
-    )
+    return alpha, np.broadcast_to(0.0, g.shape), np.broadcast_to(1.0, g.shape)
 
 
-def _seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
+def _seed_pseudospherical(spec: SeedSpec) -> Arrays:
     """Sine-Gordon kink seed of the 2nd kind (xi = 0, h = 0).
 
     beta = 2 alpha is the Lorentz-boosted kink of ``beta_xx - beta_yy = sin beta``.
@@ -168,16 +169,11 @@ def _seed_pseudospherical(spec: SeedSpec) -> GoverningFields:
     z = (X - spec.v * Y) / np.sqrt(1.0 - spec.v * spec.v)
     with np.errstate(over="ignore"):  # exp overflow saturates arctan at pi/2
         alpha = 2.0 * np.arctan(np.exp(z))
-    return GoverningFields(
-        kind="second",
-        qn=spec.qn,
-        alpha=ScalarField(g, alpha),
-        xi=ScalarField(g, np.broadcast_to(0.0, g.shape)),
-        h=ScalarField(g, np.broadcast_to(0.0, g.shape)),
-    )
+    zero = np.broadcast_to(0.0, g.shape)
+    return alpha, zero, zero
 
 
-def _seed_liouville(spec: SeedSpec) -> GoverningFields:
+def _seed_liouville(spec: SeedSpec) -> Arrays:
     """Separated Liouville seed of the 2nd kind (alpha = pi/4).
 
     ``u = exp(-xi) = a (x^2 + y^2) + 1/(8a)`` and
@@ -190,17 +186,9 @@ def _seed_liouville(spec: SeedSpec) -> GoverningFields:
     g = spec.grid
     a, c1 = spec.a, spec.c1
     X, Y = g.meshgrid()
-    u = a * (X * X + Y * Y) + 1.0 / (8.0 * a)
-    if not (u > 0.0).all():  # impossible for a > 0; guards a broken grid
-        raise DegenerateSeedError("liouville denominator u is not positive on the grid")
+    u = a * (X * X + Y * Y) + 1.0 / (8.0 * a)  # >= 1/(8a) > 0
     h = (2.0 * a * Y * Y + 1.0 / (4.0 * a) + c1) / u - 1.0
-    return GoverningFields(
-        kind="second",
-        qn=spec.qn,
-        alpha=ScalarField(g, np.full(g.shape, np.pi / 4.0)),
-        xi=ScalarField(g, -np.log(u)),
-        h=ScalarField(g, h),
-    )
+    return np.full(g.shape, np.pi / 4.0), -np.log(u), h
 
 
 _GENERATORS = {
@@ -211,10 +199,12 @@ _GENERATORS = {
 
 
 def generate_seed(spec: SeedSpec) -> GoverningFields:
-    """Dispatch on the seed family; a non-finite seed raises DegenerateSeedError."""
-    g = _GENERATORS[spec.family](spec)
+    """The seed of ``spec``, of its family's kind; a non-finite seed raises
+    DegenerateSeedError."""
+    arrays = _GENERATORS[spec.family](spec)
     # min and max carry any NaN or infinity, without a full-grid mask
-    extremes = [r(f.values) for f in (g.alpha, g.xi, g.h) for r in (np.min, np.max)]
+    extremes = [r(v) for v in arrays for r in (np.min, np.max)]
     if not np.isfinite(extremes).all():
         raise DegenerateSeedError(f"the {spec.family} seed has non-finite values on this grid")
-    return g
+    alpha, xi, h = (ScalarField(spec.grid, v) for v in arrays)
+    return GoverningFields(kind=spec.kind, qn=spec.qn, alpha=alpha, xi=xi, h=h)

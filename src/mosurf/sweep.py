@@ -47,13 +47,12 @@ which the sweep tests check.
 
 The columns are marched by ``_march`` with the staged step
 ``state + (s/6) (k1 + 2 k2 + 2 k3 + k4)``: across nx lines a Q costs more to
-build than the four stages it replaces (for the 301 columns of a Lax sweep,
-about 310 us per interval against 75-115 us for the staged step, generators
-included, on a 2-core Xeon).  The serial steps take their generators
-from blocks: one builder call per stage point builds the stage generators of
-B intervals (``BLOCK``, or fewer on wide grids, see ``BLOCK_FLOATS``) from
-one stack of the block's node coefficients, and a step takes the interval's
-slice ``G[:, :, i]``.  Each generator entry is computed by the same
+build than the four stages it replaces.  The serial steps take their
+generators from blocks: one builder call per stage point builds the stage
+generators of B intervals from one stack of the block's node coefficients,
+and a step takes the interval's slice ``G[:, :, i]``.  B is as many
+intervals as keep a block's generators within ``BLOCK_FLOATS``, so wide
+grids take short blocks.  Each generator entry is computed by the same
 elementwise operations whatever B is, so the swept values do not depend on
 B, bit for bit.  A march writes its generators and states into buffers
 allocated once per march: the generator buffers (zeroed once; each block's
@@ -78,12 +77,9 @@ __all__ = ["sweep_grid"]
 
 Builder = Callable[..., np.ndarray]
 
-#: intervals per block of stage generators built in one builder call each; a
-#: block is cut shorter where its generators would hold more than BLOCK_FLOATS
-#: floats (2 MB, one core's L2 cache on the 2-core Xeon it was tuned on; the
-#: cap was re-measured on the component-major layout and still pays: without
-#: it 301-wide Lax sweeps ran ~10% slower)
-BLOCK = 32
+#: floats of the stage generators of one block of the column march (2 MB,
+#: one core's L2 cache): a block takes as many intervals as keep its midpoint
+#: and end generators within it, so the generators its steps read stay in cache
 BLOCK_FLOATS = 1 << 18
 
 
@@ -162,12 +158,12 @@ def _march(
     n = ga.shape[0]
     spec, x, xa = "jk...,aj...->ak...", state[:, :n], arg[:, :n]  # k = S[:, :n] G
     intervals = len(line[0]) - 1
-    block = max(1, min(BLOCK, intervals, BLOCK_FLOATS // (2 * substeps * ga.size)))
+    block = max(1, min(intervals, BLOCK_FLOATS // (2 * substeps * ga.size)))
     # the midpoint and end generators of every substep; a builder writes only
     # its nonzero entries, so the zeros written here stay.  One array per
     # substep and stage point: a single buffer of all of them raised glibc's
-    # mmap threshold, and with it the peak RSS of a process running 301^2
-    # transforms and 601^2 frame sweeps by 0.7 MB
+    # mmap threshold, and with it the peak RSS of a process that goes on to
+    # larger sweeps
     gms, gbs = ([np.zeros(ga.shape[:2] + (block,) + ga.shape[2:]) for _ in range(substeps)]
                 for _ in range(2))
     buf = np.empty((block,) + state.shape)

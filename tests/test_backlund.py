@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import mosurf.backlund
 from mosurf.backlund import (
     _lax_matrix_x,
     _lax_matrix_y,
@@ -387,10 +388,20 @@ def test_bianchi_darboux_output_is_cmc():
     assert np.nanmax(np.abs(core + 0.5)) < 1e-2
 
 
-def test_bianchi_darboux_validation():
+def test_bianchi_darboux_validation(monkeypatch):
     g = pseudo(n=21)
     with pytest.raises(ParameterError):
         bianchi_darboux(g, mbar=1.0)
     g2 = cmc(n=21)
     with pytest.raises(ParameterError):
         bianchi_darboux(g2, mbar=0.1)  # discriminant < 0
+
+    # a bad initial vector fails before the coefficient bundle is built
+    def unreachable(g):
+        raise AssertionError("coefficients built for a bad initial vector")
+
+    monkeypatch.setattr(mosurf.backlund, "coefficients_from_governing", unreachable)
+    with pytest.raises(ParameterError, match="omega0 must be nonzero"):
+        bianchi_darboux(g2, mbar=1.0, lambda0=0.0, omega0=0.0)
+    with pytest.raises(ParameterError, match="omega0 must be nonzero"):
+        apply_backlund(g2, m=1.0, lambda0=0.0, omega0=0.0, phi0=0.5)

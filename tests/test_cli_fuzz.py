@@ -152,14 +152,14 @@ def test_overflowing_residual_norms_stay_finite(workdir, field, node, value, com
 @pytest.mark.parametrize("argv, entry", [
     (["verify", "{f}"], "equations.gauss.l2"),
     (["omega", "{f}"], "equations.omega-2.linf"),
-    (["backlund", "{f}", "--m", "1.0", "--init", "0,1,1.7", "-o", "{d}/p.json"],
+    (["backlund", "{f}", "--m", "1.0", "--init", "0,1,1.7", "-o", "{d}/inf_p.json"],
      "diagnostics.constraint_drift"),
     (["reconstruct", "{f}", "-o", "{d}/inf_mesh"], "diagnostics.path_independence_error"),
 ])
 def test_nonfinite_report_entry_is_named_and_leaves_no_file(workdir, monkeypatch, argv, entry):
     # a report that would hold an infinity is a non-finite output (exit 3):
     # one error line names its JSON path, and neither the report nor, for
-    # reconstruct, a mesh is written
+    # reconstruct, a mesh nor, for backlund, the primed file is written
     import mosurf.fileio
 
     def report_to_dict(*args, **kwargs):

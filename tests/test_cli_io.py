@@ -71,14 +71,14 @@ def test_report_numpy_values_and_nan(tmp_path):
     grid = Grid2D.from_domain(0, 1, 0, 1, 3, 3)
     path = tmp_path / "rep.json"
     diag = {"count": np.int64(3), "curve": np.array([0.5, 2.0]), "dev": np.float64(1e-300)}
-    write_report_file(path, report_to_dict(ResidualReport(grid), diagnostics=diag))
+    write_report_file(path, report_to_dict(ResidualReport(grid), "first", 1.0, diagnostics=diag))
     assert json.loads(path.read_text())["diagnostics"] == {
         "count": 3, "curve": [0.5, 2.0], "dev": 1e-300}
     # a non-finite value is a non-finite output, named by its JSON path and
     # rejected before the file is opened
     bad = tmp_path / "bad.json"
-    doc = report_to_dict(ResidualReport(grid), diagnostics={"dev": float("nan"),
-                                                            "curve": np.array([0.5, np.inf])})
+    doc = report_to_dict(ResidualReport(grid), "first", 1.0,
+                         diagnostics={"dev": float("nan"), "curve": np.array([0.5, np.inf])})
     named = r"entries diagnostics\.dev, diagnostics\.curve\[1\];"
     with pytest.raises(SingularGridError, match=named):
         write_report_file(bad, doc)
@@ -946,7 +946,7 @@ def test_cli_primed_file_round_trips_and_chains(tmp_path):
     assert run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
     g, _ = read_field_file(src)
     res = apply_backlund(g, 0.3, 0.0, 1.0, 0.1)
-    want = report_to_dict(verify_governing(res.primed_governing))["equations"]
+    want = report_to_dict(verify_governing(res.primed_governing), g.kind, g.qn)["equations"]
     doc = json.loads(primed.read_text())
     assert doc["flagged"] and "seed" not in doc
     rep = tmp_path / "v.json"

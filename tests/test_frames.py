@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mosurf.frames
+import mosurf.sweep
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, Vec3Field
 from mosurf.frames import (
@@ -73,8 +74,9 @@ def einsum_drift(frames):
 
 
 def cut_row_blocks(monkeypatch, rows, ny):
-    """Cut the row blocks of the frame diagnostics to ``rows`` rows of an ny-wide grid."""
-    monkeypatch.setattr(mosurf.frames, "BLOCK_FLOATS", 9 * ny * rows)
+    """Cut the row blocks of the frame diagnostics to ``rows`` rows of an
+    ny-wide grid, through the sweep's budget, which they read at each call."""
+    monkeypatch.setattr(mosurf.sweep, "BLOCK_FLOATS", 9 * ny * rows)
     assert mosurf.frames._row_blocks(0, 7, ny)[:2] == [slice(0, rows), slice(rows, 2 * rows)]
 
 
@@ -82,21 +84,15 @@ def cut_row_blocks(monkeypatch, rows, ny):
 EDGE_ROWS = (0, 10, 11, 12, 21, 30, 33, 50)
 
 
-def test_drift_matches_einsum_gram_and_keeps_nan():
-    check_drift_matches_einsum_gram()
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
 def test_drift_matches_einsum_gram_in_row_blocks(monkeypatch, rows):
-    cut_row_blocks(monkeypatch, rows, 51)
-    check_drift_matches_einsum_gram()
-
-
-def check_drift_matches_einsum_gram():
+    # rows=None keeps the default budget: one block of all 51 rows
     _, c = cmc_coefficients(n=51)
     frames = integrate_frame(c, I3).frames.copy()
     rng = np.random.default_rng(7)
     frames += 1e-3 * rng.standard_normal(frames.shape)
+    if rows is not None:
+        cut_row_blocks(monkeypatch, rows, 51)
     f = FrameGrid(c.grid, frames)
     drift = orthonormality_drift(f)
     assert drift > 1e-3
@@ -469,22 +465,14 @@ def curvature_meshes():
             "edges": Vec3Field(r.grid, edges)}
 
 
-@pytest.mark.parametrize("name", ["cmc", "nan", "degenerate"])
-@pytest.mark.parametrize("eps", [1e-10, 0.02])
-def test_mesh_curvatures_match_stacked_formulas_bit_for_bit(name, eps):
-    check_curvatures_match_stacked(name, eps)
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
 @pytest.mark.parametrize("name", ["cmc", "nan", "degenerate", "edges"])
 @pytest.mark.parametrize("eps", [1e-10, 0.02])
 def test_mesh_curvatures_match_stacked_formulas_in_row_blocks(monkeypatch, rows, name, eps):
-    cut_row_blocks(monkeypatch, rows, 51)
-    check_curvatures_match_stacked(name, eps)
-
-
-def check_curvatures_match_stacked(name, eps):
+    # rows=None keeps the default budget: one block of all 49 interior rows
     r = curvature_meshes()[name]
+    if rows is not None:
+        cut_row_blocks(monkeypatch, rows, 51)
     with np.errstate(over="ignore", invalid="ignore"):
         meanH, gaussK = mesh_curvatures(r, eps)
         want = stacked_curvatures(r, eps)

@@ -5,9 +5,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mosurf import backlund, frames
+from mosurf import backlund, frames, sweep
 from mosurf.fields import Grid2D
-from mosurf.sweep import BLOCK, sweep_grid
+from mosurf.sweep import sweep_grid
 
 # d/dx = a(x) = A + C x and d/dy = b(y) = B + D y; linear interpolation of
 # the node coefficients is exact for them, so the sweep is plain RK4
@@ -281,21 +281,49 @@ STATES = {
     "matrix": (np.hstack([np.eye(3), np.eye(3)[:, 2:], np.zeros((3, 2))]),
                triple_like_y, triple_like_y),
 }
+
+#: intervals per column block in the block-boundary tests (``blocked_sweep``)
+BLOCK = 32
+
 # lines of 2 intervals, one block, one block and one or two intervals,
 # two blocks and one interval
 LINES = [3, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 2]
 
 
+def blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, substeps,
+                  intervals=BLOCK):
+    """``sweep_grid`` with ``sweep.BLOCK_FLOATS`` set so that its column march
+    cuts blocks of ``intervals`` intervals: a block holds a midpoint and an
+    end generator per substep.  Checks that the march cut them so."""
+    xy = order == "xy"
+    gen, k, lines, length = (gen_y, len(cy), grid.nx, grid.ny) if xy else (
+        gen_x, len(cx), grid.ny, grid.nx)
+    floats = gen(*[np.zeros(lines)] * k).size
+    monkeypatch.setattr(sweep, "BLOCK_FLOATS", 2 * substeps * floats * intervals)
+    blocks = []
+
+    def column_gen(*coeffs, out=None):  # a block's builder calls write into ``out``
+        if out is not None:
+            blocks.append(out.shape[2])
+        return gen(*coeffs, out=out)
+
+    gen_x, gen_y = (gen_x, column_gen) if xy else (column_gen, gen_y)
+    out = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+    assert max(blocks) == min(intervals, length - 1)
+    return out
+
+
 @pytest.mark.parametrize("kind", sorted(STATES))
 @pytest.mark.parametrize("order", ["xy", "yx"])
 @pytest.mark.parametrize("n", LINES)
-def test_block_sweep_matches_per_interval_reference(kind, order, n):
+def test_block_sweep_matches_per_interval_reference(monkeypatch, kind, order, n):
     state0, gen_x, gen_y = STATES[kind]
     for shape in ((n, 4), (5, n)):
         grid = Grid2D.from_domain(0, 1, 0, 1, *shape)
         cx, cy = random_coefficients(grid)
         for substeps in (1, 2, 3, 4):
-            got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+            got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order,
+                                substeps)
             want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes(), (shape, substeps)
@@ -303,31 +331,29 @@ def test_block_sweep_matches_per_interval_reference(kind, order, n):
 
 @pytest.mark.parametrize("kind", sorted(STATES))
 @pytest.mark.parametrize("order", ["xy", "yx"])
-def test_block_sweep_spreads_nan_like_reference(kind, order):
+def test_block_sweep_spreads_nan_like_reference(monkeypatch, kind, order):
     # a NaN coefficient poisons the same nodes and components as before, on
     # a column and on the first row of either order
     state0, gen_x, gen_y = STATES[kind]
     grid = Grid2D.from_domain(0, 1, 0, 1, BLOCK + 3, 9)
     for nan_node in ((BLOCK - 1, 4), (BLOCK - 1, 0), (0, 5)):
         cx, cy = random_coefficients(grid, nan_node)
-        got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=2)
+        got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, 2)
         want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, 2)
         assert np.isnan(got).any() and not np.isnan(got).all()
         assert got.tobytes() == want.tobytes(), nan_node
 
 
 def test_block_sweep_capped_by_block_floats(monkeypatch):
-    # wide lines take shorter blocks, down to one interval; the arithmetic
-    # stays the same
-    import mosurf.sweep
-
+    # a smaller budget cuts shorter blocks, down to one interval; the
+    # arithmetic stays the same
     state0, gen_x, gen_y = STATES["vector"]
     grid = Grid2D.from_domain(0, 1, 0, 1, 11, 2 * BLOCK + 2)
     cx, cy = random_coefficients(grid)
     want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, "xy", 2)
-    for intervals in (1, 2, 3):  # column blocks of that many intervals
-        monkeypatch.setattr(mosurf.sweep, "BLOCK_FLOATS", 2 * 2 * 11 * 25 * intervals)
-        got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order="xy", substeps=2)
+    for intervals in (1, 2, 3):
+        got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, "xy", 2,
+                            intervals)
         assert got.tobytes() == want.tobytes(), intervals
 
 
@@ -346,7 +372,7 @@ def assert_close_with_nan_mask(got, want, nan_node):
 @pytest.mark.parametrize("kind", sorted(STATES))
 @pytest.mark.parametrize("order", ["xy", "yx"])
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
-def test_sweep_matches_node_major_products(kind, order, substeps):
+def test_sweep_matches_node_major_products(monkeypatch, kind, order, substeps):
     # einsum over the leading axes rounds differently from the node-major
     # matmul (BLAS), but only in the last bits, and it spreads a NaN
     # coefficient to the same nodes and components
@@ -354,7 +380,7 @@ def test_sweep_matches_node_major_products(kind, order, substeps):
     for shape, nan_node in (((BLOCK + 3, 9), None), ((7, BLOCK + 2), (3, BLOCK - 1))):
         grid = Grid2D.from_domain(0, 1, 0, 1, *shape)
         cx, cy = random_coefficients(grid, nan_node)
-        got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+        got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, substeps)
         want = node_major_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
         assert_close_with_nan_mask(got, want, nan_node)
 
@@ -362,7 +388,7 @@ def test_sweep_matches_node_major_products(kind, order, substeps):
 @pytest.mark.parametrize("kind", sorted(STATES))
 @pytest.mark.parametrize("order", ["xy", "yx"])
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
-def test_row_step_matrices_match_staged_steps(kind, order, substeps):
+def test_row_step_matrices_match_staged_steps(monkeypatch, kind, order, substeps):
     # a step matrix rounds differently from the four staged stages, and
     # spreads a NaN coefficient on the first row of either order, or up a
     # column, to the same nodes and components; a NaN that only the rbar
@@ -372,8 +398,8 @@ def test_row_step_matrices_match_staged_steps(kind, order, substeps):
     for nan_node in (None, (BLOCK - 1, 0), (0, 5), (3, 4)):
         for slot in (TRIPLE_ONLY, FRAME):
             cx, cy = random_coefficients(grid, nan_node, slot)
-            got = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order,
-                             substeps=substeps)
+            got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order,
+                                substeps)
             want = staged_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
             assert_close_with_nan_mask(got, want, nan_node)
             if kind == "matrix" and slot == TRIPLE_ONLY:
