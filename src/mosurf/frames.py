@@ -16,7 +16,8 @@ re-orthonormalization is applied, so orthonormality drift is a genuine
 accuracy diagnostic.
 
 The diagnostics that follow the sweeps (the Gauss-map distance of
-:func:`reconstruct_surfaces`, :func:`orthonormality_drift` and
+:func:`reconstruct_surfaces`, :func:`orthonormality_drift`, the distance
+between the two sweep orders of :func:`path_independence_error` and
 :func:`mesh_curvatures`) are pointwise or 3x3-stencil formulas followed by a
 max.  They run one block of first-axis rows at a time (``_row_blocks``: as
 many rows as keep a block of frames, 9 floats a node, within the sweep's
@@ -186,11 +187,17 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
     of broken compatibility.  Nodes where either sweep is NaN are skipped.
     """
-    diff = integrate_frame(c, phi0, order="xy").frames
-    with np.errstate(all="ignore"):
-        diff -= integrate_frame(c, phi0, order="yx").frames  # in place: two frame grids, not three
-        diff *= diff
-        return max_skipping_nan(np.sqrt(diff.sum(axis=(2, 3))))
+    xy, yx = (integrate_frame(c, phi0, order=o).frames for o in ("xy", "yx"))
+
+    def block_max(rows):
+        a, b = xy[rows], yx[rows]
+        d = [np.square(a[:, :, i, j] - b[:, :, i, j]) for i in range(3) for j in range(3)]
+        # numpy's order for a contiguous 9-term sum (pairwise over the first
+        # eight, then the ninth), whatever the memory order of the sweeps
+        total = ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5]) + (d[6] + d[7])) + d[8]
+        return max_skipping_nan(np.sqrt(total))
+
+    return _blocked_max(c.grid, block_max)
 
 
 def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTriple, float]:

@@ -16,8 +16,11 @@ its first n columns, so a NaN that enters the other columns never feeds back
 into them.  A system written ``w' = G w`` on a vector w (the Lax system)
 moves as the one-row state ``w^T`` with the transposed generator.  The
 generators stay dense, so a NaN coefficient spreads through 0 * NaN exactly
-as through a dense matrix product.  The output is node-major,
-``(nx, ny) + state.shape``.
+as through a dense matrix product.  A sweep stores its states in the order
+the column march makes them: step-major, with the lines last, so
+``(ny,) + state.shape + (nx,)`` for the canonical order.  It returns the
+node-major view ``(nx, ny) + state.shape`` of that array, so nothing is
+transposed after the march.
 
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
@@ -50,16 +53,18 @@ The columns are marched by ``_march`` with the staged step
 build than the four stages it replaces.  The serial steps take their
 generators from blocks: one builder call per stage point builds the stage
 generators of B intervals from one stack of the block's node coefficients,
-and a step takes the interval's slice ``G[:, :, i]``.  B is as many
+and a step takes the interval's generator ``G[i]``, one contiguous array:
+the buffers are interval-major, and a builder writes into them through a
+view that puts the interval axis where it expects it.  B is as many
 intervals as keep a block's generators within ``BLOCK_FLOATS``, so wide
 grids take short blocks.  Each generator entry is computed by the same
 elementwise operations whatever B is, so the swept values do not depend on
 B, bit for bit.  A march writes its generators and states into buffers
 allocated once per march: the generator buffers (zeroed once; each block's
 builder calls write into them through ``out``, a shorter last block into a
-view of them), the four stages and their scratch, and one contiguous buffer
-of a block's states, which the sweep copies into the node-major output as
-one block of columns.  Per block, only the coefficient stack, its stage
+view of them), the state and the four stages and their scratch.  The
+state at the end of each interval is copied into its row of the output, one
+contiguous row per interval.  Per block, only the coefficient stack, its stage
 interpolants and a copy of the generator carried over from the block before
 are new; the first generator of a line and the row march's generators are
 new arrays too.
@@ -67,7 +72,7 @@ new arrays too.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -129,54 +134,53 @@ def _row(
 
 
 def _march(
-    state0: np.ndarray,
+    rows: np.ndarray,
     h: float,
     gen: Builder,
     line: tuple[np.ndarray, ...],
     substeps: int,
-) -> Iterator[np.ndarray]:
-    """Staged RK4 march of m lines at once.
+) -> None:
+    """Staged RK4 march of m lines at once, into ``rows``.
 
-    ``state0`` is component-major, ``state.shape + (m,)`` with the lines on
-    the last axis, and ``line`` holds the (L, m) coefficient arrays of the L
-    nodes of every line.  Yields one contiguous ``(b,) + state.shape + (m,)``
-    array per block of b intervals: the states at the block's end nodes.  It
-    is overwritten by the next block, so the caller copies it out first.
-    Each stage generator is built once: k2 and k3 share the midpoint, and a
-    step starts with the generator the previous step ended with.  A block of
-    intervals takes one (K, B + 1, m) coefficient stack and one builder call
-    per stage point, into generator buffers zeroed once per march.  The
-    stages go into buffers allocated once per march too (read through
-    ``S[:, :n]`` views bound once), with the operations and their order of
-    the textbook form ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
+    ``rows`` is step-major, ``(L,) + state.shape + (m,)`` with the lines on
+    the last axis: ``rows[0]`` holds the m initial states, and the march
+    writes the states at the following nodes into ``rows[1:]``, each as the
+    interval ending there is done.  ``line`` holds the (L, m) coefficient
+    arrays of the L nodes of every line.  Each stage generator is built once:
+    k2 and k3 share the midpoint, and a step starts with the generator the
+    previous step ended with.  A block of intervals takes one (K, B + 1, m)
+    coefficient stack and one builder call per stage point, into
+    interval-major generator buffers zeroed once per march.  The stages go
+    into buffers allocated once per march too (read through ``S[:, :n]``
+    views bound once), with the operations and their order of the textbook
+    form ``state + (hs/6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hs = h / substeps
     half, sixth = 0.5 * hs, hs / 6.0
-    state = np.array(state0, dtype=float, order="C")
+    state = rows[0].copy()
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
     ga = gen(*(v[0] for v in line))
     n = ga.shape[0]
     spec, x, xa = "jk...,aj...->ak...", state[:, :n], arg[:, :n]  # k = S[:, :n] G
     intervals = len(line[0]) - 1
     block = max(1, min(intervals, BLOCK_FLOATS // (2 * substeps * ga.size)))
-    # the midpoint and end generators of every substep; a builder writes only
-    # its nonzero entries, so the zeros written here stay.  One array per
-    # substep and stage point: a single buffer of all of them raised glibc's
-    # mmap threshold, and with it the peak RSS of a process that goes on to
-    # larger sweeps
-    gms, gbs = ([np.zeros(ga.shape[:2] + (block,) + ga.shape[2:]) for _ in range(substeps)]
-                for _ in range(2))
-    buf = np.empty((block,) + state.shape)
+    # the midpoint and end generators of every substep, interval-major so
+    # that a step reads one contiguous (n, d, m) generator; a builder writes
+    # only its nonzero entries, so the zeros written here stay.  One array
+    # per substep and stage point: a single buffer of all of them raised
+    # glibc's mmap threshold, and with it the peak RSS of a process that
+    # goes on to larger sweeps
+    gms, gbs = ([np.zeros((block,) + ga.shape) for _ in range(substeps)] for _ in range(2))
     for a in range(0, intervals, block):
         cb = np.stack([v[a:a + block + 1] for v in line])
         b = cb.shape[1] - 1
         ga = ga.copy()  # the carried generator may be a view into ``gbs``
         for gs, at in ((gms, 0.5), (gbs, 1.0)):
             for g, p in zip(gs, _stage_points(cb[:, :-1], cb[:, 1:], substeps, at)):
-                gen(*p, out=g[:, :, :b])
+                gen(*p, out=np.moveaxis(g[:b], 0, 2))
         for i in range(b):
             for s in range(substeps):
-                gm, gb = gms[s][:, :, i], gbs[s][:, :, i]
+                gm, gb = gms[s][i], gbs[s][i]
                 np.einsum(spec, ga, x, out=k1)
                 np.add(state, np.multiply(k1, half, out=arg), out=arg)
                 np.einsum(spec, gm, xa, out=k2)
@@ -191,8 +195,7 @@ def _march(
                 acc *= sixth
                 state += acc
                 ga = gb
-            buf[i] = state
-        yield buf[:b]
+            rows[a + i + 1] = state
 
 
 def sweep_grid(
@@ -207,26 +210,26 @@ def sweep_grid(
 ) -> np.ndarray:
     """Integrate a linear state over every grid node from the origin node.
 
-    ``state0`` is an (r, d) state (see the module docstring).  Returns an
-    array of shape ``(nx, ny) + state0.shape``.
+    ``state0`` is an (r, d) state (see the module docstring).  Returns the
+    node-major view, shape ``(nx, ny) + state0.shape``, of an array stored in
+    the march's order, step-major with the lines last: ``(ny,) + state0.shape
+    + (nx,)`` for "xy", ``(nx,) + state0.shape + (ny,)`` for "yx".
     """
     if order not in ("xy", "yx"):
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
     state0 = np.asarray(state0, dtype=float)
-    out = np.empty(grid.shape + state0.shape)
-    fill, hx, hy = out, grid.dx, grid.dy
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.dx, grid.dy
     if order == "yx":  # the "xy" pass on the transposed grid
-        fill, hx, hy = out.swapaxes(0, 1), grid.dy, grid.dx
+        nx, ny, hx, hy = ny, nx, hy, hx
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
-    fill[0, 0] = state0
+    rows = np.empty((ny,) + state0.shape + (nx,))
+    first = np.moveaxis(rows[0], -1, 0)  # the first row, node-major
+    first[0] = state0
     with np.errstate(all="ignore"):  # a NaN or overflow spreads downstream, unwarned
-        fill[1:, 0] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
+        first[1:] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
         # every column at once (the line runs along y, the batch along x); only
         # one block of the coefficients is stacked at a time, never the whole grid
-        columns = tuple(v.T for v in coeffs_y)
-        j = 1
-        for batch in _march(np.moveaxis(fill[:, 0], 0, -1), hy, gen_y, columns, substeps):
-            fill[:, j:j + len(batch)] = np.moveaxis(batch, -1, 0)
-            j += len(batch)
-    return out
+        _march(rows, hy, gen_y, tuple(v.T for v in coeffs_y), substeps)
+    nodes = np.moveaxis(rows, -1, 0)  # (nx, ny) + state0.shape of the swept grid
+    return nodes if order == "xy" else nodes.swapaxes(0, 1)

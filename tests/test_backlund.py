@@ -186,6 +186,25 @@ def test_bundle_arrays_are_read_only():
             a[0, 0] = 1.0
 
 
+def test_arrays_read_by_norms_and_writers_are_c_ordered():
+    # a sweep's output is stored in its march's order, but the Lax
+    # components, the primed fields and r and rbar are C-ordered copies: a
+    # residual's l2 norm sums in memory order, and the report of a transform
+    # must equal that of its primed file read back, which is C-ordered
+    g = cmc(n=21)
+    c = coefficients_from_governing(g)
+    lx = integrate_lax(c, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
+    primed = apply_backlund(g, **CMC_BACKLUND).primed_governing
+    triple, _ = reconstruct_surfaces(integrate_frame(c, I3), c)
+    arrays = {f.name: getattr(lx, f.name) for f in fields(lx)
+              if isinstance(getattr(lx, f.name), np.ndarray)}
+    arrays.update({f"primed {k}": getattr(primed, k).values for k in ("alpha", "xi", "h")})
+    arrays.update(r=triple.r.values, rbar=triple.rbar.values)
+    assert len(arrays) == 13
+    for name, a in arrays.items():
+        assert a.flags.c_contiguous, name
+
+
 def test_lax_path_independence_order():
     # linear stage interpolation caps the two-sweep agreement at O(h^2)
     errs = []

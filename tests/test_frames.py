@@ -9,7 +9,7 @@ import pytest
 import mosurf.frames
 import mosurf.sweep
 from mosurf.errors import ParameterError
-from mosurf.fields import Grid2D, Vec3Field
+from mosurf.fields import Grid2D, Vec3Field, max_skipping_nan
 from mosurf.frames import (
     FrameGrid,
     integrate_frame,
@@ -140,6 +140,26 @@ def test_path_independence_order_and_negative_control():
     _, c = cmc_coefficients(n=201)
     bad = replace(c, Ho=1.01 * c.Ho)
     assert path_independence_error(bad, I3) / errs[1] > 50.0
+
+
+def test_path_independence_sums_like_contiguous_sweeps():
+    # the two sweeps are stored in their marches' orders, yet the nine
+    # squared entries are summed in the order of numpy's sum over a
+    # C-contiguous frame grid: a sequential sum moves this value in its last
+    # bit.  One NaN coefficient makes the max skip the nodes it poisons
+    _, c = cmc_coefficients(n=201)
+    Ko = c.Ko.copy()
+    Ko[120, 70] = np.nan
+    c = replace(c, Ko=Ko)
+    xy, yx = (np.ascontiguousarray(integrate_frame(c, I3, order=o).frames)
+              for o in ("xy", "yx"))
+    assert np.isnan(xy).any()
+    with np.errstate(invalid="ignore"):
+        diff = xy - yx
+        diff *= diff
+        want = max_skipping_nan(np.sqrt(diff.sum(axis=(2, 3))))
+    got = path_independence_error(c, I3)
+    assert got > 0.0 and got.hex() == want.hex()
 
 
 def zero_curvature_residual(c):

@@ -325,7 +325,8 @@ def test_block_sweep_matches_per_interval_reference(monkeypatch, kind, order, n)
             got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order,
                                 substeps)
             want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
-            assert got.flags.c_contiguous
+            # stored in the march's order: step-major, the lines last
+            assert np.moveaxis(got, 0 if order == "xy" else 1, -1).flags.c_contiguous
             assert got.tobytes() == want.tobytes(), (shape, substeps)
 
 
