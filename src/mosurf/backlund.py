@@ -39,7 +39,7 @@ from .errors import ParameterError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays, max_skipping_nan
 from .kernel import EPS, CoefficientFields, GoverningFields, _forms, coefficients_from_governing
 from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
-from .sweep import sweep_grid
+from .sweep import Reduce, sweep_grid
 
 __all__ = [
     "LaxFields",
@@ -187,14 +187,17 @@ def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn, out=None):
     return L
 
 
-def _sweep_lax(c: CoefficientFields, m: float, init: np.ndarray, order: str = "xy") -> np.ndarray:
+def _sweep_lax(c: CoefficientFields, m: float, init: np.ndarray, order: str = "xy",
+               reduce: Reduce | None = None) -> np.ndarray | None:
     """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node,
-    as the one-row state ``init[None]``."""
+    as the one-row state ``init[None]``; with ``reduce``, streamed into it
+    (see :func:`sweep.sweep_grid`), and None."""
     cx = (c.p, c.Ho, c.A1, c.Abar1)
     cy = (c.q, c.Ko, c.A2, c.Abar2)
     gx, gy = partial(_lax_matrix_x, m=m, qn=c.qn), partial(_lax_matrix_y, m=m, qn=c.qn)
-    w = sweep_grid(c.grid, cx, gx, cy, gy, init[None], order=order, substeps=lax_substeps(c.grid))
-    return w[:, :, 0]
+    w = sweep_grid(c.grid, cx, gx, cy, gy, init[None], order=order,
+                   substeps=lax_substeps(c.grid), reduce=reduce)
+    return None if w is None else w[:, :, 0]
 
 
 def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> LaxFields:
@@ -237,13 +240,26 @@ def integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields
     init = np.asarray(init, dtype=float)
     if init.shape != (5,):
         raise ParameterError(f"init must be a 5-vector, got shape {init.shape}")
-    out, yx = _sweep_lax(c, m, init), _sweep_lax(c, m, init, "yx")
-    with np.errstate(all="ignore"):
+    return _integrate_lax(c, m, init)
+
+
+def _integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields:
+    """:func:`integrate_lax` of a nonzero m and a float 5-vector ``init``.
+
+    The xy sweep is stored; the yx sweep streams, and each of its blocks of
+    x-rows is compared with the same rows of the xy solution as it is made.
+    """
+    out, maxima = _sweep_lax(c, m, init), []
+
+    def block_max(start, states):  # states[k, 0, :, j] is w at node (start + k, j)
+        rows = out[start:start + len(states)]
         # component by component: the two sweeps are stored in different
         # memory orders, and a 2-d difference of them reads faster than a 3-d one
-        path_err = max_skipping_nan(np.array(
-            [max_skipping_nan(np.abs(out[:, :, k] - yx[:, :, k])) for k in range(5)]))
-    return _lax_fields(m, c.qn, out, path_err)
+        maxima.extend(max_skipping_nan(np.abs(rows[:, :, k] - states[:, 0, k]))
+                      for k in range(5))
+
+    _sweep_lax(c, m, init, "yx", block_max)
+    return _lax_fields(m, c.qn, out, max_skipping_nan(np.array(maxima)))
 
 
 def _nanwhere(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -350,7 +366,7 @@ def apply_backlund(
     """
     init = admissible_initial(m, g.qn, lambda0, omega0, phi0)
     c = coefficients_from_governing(g)
-    lx = integrate_lax(c, m, init)
+    lx = _integrate_lax(c, m, init)  # m was checked by admissible_initial
     return _transform(g, c, lx, "Backlund transformation")
 
 

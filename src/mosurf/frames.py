@@ -15,16 +15,19 @@ with the two-pass RK4 sweep and copies out only r and rbar; no
 re-orthonormalization is applied, so orthonormality drift is a genuine
 accuracy diagnostic.
 
-The diagnostics that follow the sweeps (the Gauss-map distance of
-:func:`reconstruct_surfaces`, :func:`orthonormality_drift`, the distance
-between the two sweep orders of :func:`path_independence_error` and
-:func:`mesh_curvatures`) are pointwise or 3x3-stencil formulas followed by a
-max.  They run one block of first-axis rows at a time (``_row_blocks``: as
-many rows as keep a block of frames, 9 floats a node, within the sweep's
-cache budget ``sweep.BLOCK_FLOATS``, read at each call), so their
-temporaries are a block, not a grid.  Each node takes the same operations in
-the same order, and a max of block maxima is the max, so the results do not
-depend on the block, bit for bit.
+The diagnostics that follow the sweeps are pointwise or 3x3-stencil formulas
+followed by a max, so their temporaries are a block, not a grid.  Two reduce
+a sweep as it streams (``sweep.sweep_grid``'s ``reduce``), one block of its
+steps at a time, and no grid of that sweep is stored: the Gauss-map distance
+of :func:`reconstruct_surfaces`, taken while the joint sweep's blocks are
+copied into r and rbar, and the distance between the two sweep orders of
+:func:`path_independence_error`, which streams the yx sweep against the
+stored xy grid.  :func:`orthonormality_drift` and :func:`mesh_curvatures`
+read a stored grid one block of first-axis rows at a time (``_row_blocks``:
+as many rows as keep a block of frames, 9 floats a node, within the sweep's
+cache budget ``sweep.BLOCK_FLOATS``, read at each call).  Each node takes the
+same operations in the same order, and a max of block maxima is the max, so
+the results do not depend on the blocks, bit for bit.
 """
 
 from __future__ import annotations
@@ -186,18 +189,24 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     Zero (up to integration error) exactly when the coefficients satisfy the
     Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
     of broken compatibility.  Nodes where either sweep is NaN are skipped.
+    The xy sweep is stored; the yx sweep streams, and each of its blocks of
+    x-rows is compared with the same rows of the xy grid as it is made.
     """
-    xy, yx = (integrate_frame(c, phi0, order=o).frames for o in ("xy", "yx"))
+    xy = integrate_frame(c, phi0).frames
+    maxima = []
 
-    def block_max(rows):
-        a, b = xy[rows], yx[rows]
-        d = [np.square(a[:, :, i, j] - b[:, :, i, j]) for i in range(3) for j in range(3)]
+    def block_max(start, states):
+        a = xy[start:start + len(states)]
+        d = [np.square(a[:, :, i, j] - states[:, i, j]) for i in range(3) for j in range(3)]
         # numpy's order for a contiguous 9-term sum (pairwise over the first
         # eight, then the ninth), whatever the memory order of the sweeps
         total = ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5]) + (d[6] + d[7])) + d[8]
-        return max_skipping_nan(np.sqrt(total))
+        maxima.append(max_skipping_nan(np.sqrt(total)))
 
-    return _blocked_max(c.grid, block_max)
+    # the xy sweep holds the checked initial frame at the origin node
+    sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, xy[0, 0], order="yx",
+               reduce=block_max)
+    return max_skipping_nan(np.array(maxima))
 
 
 def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTriple, float]:
@@ -206,11 +215,12 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
     ``f`` at the origin node and r0 = rbar0 = 0.  The triple's N is the
     normal of the frame grid passed in: a read-only view of the third column
-    of ``f.frames``, with no copy; r and rbar are copied out of the sweep.
-    Returns the triple and the max distance between the joint sweep's normal
-    column and that of ``f`` over the nodes where both are finite.  Both come
-    from the same arithmetic on the same coefficients, so that distance reads
-    0 unless the two sweeps are run differently.
+    of ``f.frames``, with no copy.  The sweep streams: each block of y-rows
+    is copied into r and rbar and compared with ``f``, and no 3x5 grid is
+    stored.  Returns the triple and the max distance between the joint
+    sweep's normal column and that of ``f`` over the nodes where both are
+    finite.  Both come from the same arithmetic on the same coefficients, so
+    that distance reads 0 unless the two sweeps are run differently.
     NaN dual coefficients (flagged stress nodes) poison the rbar sheet
     downstream of the flagged node, which is reported honestly; the frame,
     N and r stay finite, since the generator's (r, rbar) columns never feed back.
@@ -218,19 +228,29 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     if f.grid != c.grid:
         raise ParameterError("frame grid and coefficient grid differ")
     state0 = np.hstack([f.frames[0, 0], np.zeros((3, 2))])  # (Phi | r, rbar)
-    out = sweep_grid(
+    # C-ordered, which the norms and the writers need
+    r, rbar = (np.empty(c.grid.shape + (3,)) for _ in range(2))
+    maxima = []
+
+    def copy_out(start, states):  # states[k, :, :, i] is node (i, start + k)
+        rows = slice(start, start + len(states))
+        r[:, rows] = np.moveaxis(states[:, :, 3], -1, 0)
+        rbar[:, rows] = np.moveaxis(states[:, :, 4], -1, 0)
+        e = [(states[:, k, 2] - f.frames[:, rows, k, 2].T) ** 2 for k in range(3)]
+        # (e0 + e1) + e2, the order of a sum over a length-3 axis
+        maxima.append(max_skipping_nan(np.sqrt((e[0] + e[1]) + e[2])))
+
+    sweep_grid(
         c.grid,
         (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
         (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
         state0,
+        reduce=copy_out,
     )
-    gauss_dev = _blocked_max(c.grid, lambda rows: max_skipping_nan(
-        np.sqrt(((out[rows, :, :, 2] - f.frames[rows, :, :, 2]) ** 2).sum(2))))
-    # contiguous copies of r and rbar on purpose: views would keep the whole
-    # 3x5 sweep output, with its second copy of the frame, alive
-    r, rbar = (Vec3Field(c.grid, np.ascontiguousarray(out[:, :, :, k])) for k in (3, 4))
-    del out
-    return SurfaceTriple(Vec3Field(c.grid, f.frames[:, :, :, 2]), r, rbar), gauss_dev
+    gauss_dev = max_skipping_nan(np.array(maxima))
+    triple = SurfaceTriple(Vec3Field(c.grid, f.frames[:, :, :, 2]),
+                           Vec3Field(c.grid, r), Vec3Field(c.grid, rbar))
+    return triple, gauss_dev
 
 
 def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, ScalarField]:

@@ -22,6 +22,15 @@ the column march makes them: step-major, with the lines last, so
 node-major view ``(nx, ny) + state.shape`` of that array, so nothing is
 transposed after the march.
 
+Streaming.  A sweep whose states are only reduced (to a max, or to copies of
+some of their columns) need not store them: given ``reduce``, ``sweep_grid``
+allocates no grid and calls ``reduce(start, states)`` as the march goes, in
+its layout, ``states[k]`` being step ``start + k`` with the lines last.  The
+first row comes first and alone (``start = 0``), then each block of the
+column march in order.  ``states`` is one scratch buffer of at most one
+block, reused by the next block, so it is valid only during the call.  The
+path-independence sweeps and the joint frame and surface sweep stream.
+
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
 is used for path-independence diagnostics.  Coefficient values at RK4 stage
@@ -63,11 +72,11 @@ B, bit for bit.  A march writes its generators and states into buffers
 allocated once per march: the generator buffers (zeroed once; each block's
 builder calls write into them through ``out``, a shorter last block into a
 view of them), the state and the four stages and their scratch.  The
-state at the end of each interval is copied into its row of the output, one
-contiguous row per interval.  Per block, only the coefficient stack, its stage
-interpolants and a copy of the generator carried over from the block before
-are new; the first generator of a line and the row march's generators are
-new arrays too.
+state at the end of each interval is copied into its row of the output (of
+the block's scratch buffer, when streaming), one contiguous row per interval.
+Per block, only the coefficient stack, its stage interpolants and a copy of
+the generator carried over from the block before are new; the first
+generator of a line and the row march's generators are new arrays too.
 """
 
 from __future__ import annotations
@@ -81,6 +90,7 @@ from .fields import Grid2D
 __all__ = ["sweep_grid"]
 
 Builder = Callable[..., np.ndarray]
+Reduce = Callable[[int, np.ndarray], None]
 
 #: floats of the stage generators of one block of the column march (2 MB,
 #: one core's L2 cache): a block takes as many intervals as keep its midpoint
@@ -139,14 +149,18 @@ def _march(
     gen: Builder,
     line: tuple[np.ndarray, ...],
     substeps: int,
+    reduce: Reduce | None = None,
 ) -> None:
-    """Staged RK4 march of m lines at once, into ``rows``.
+    """Staged RK4 march of m lines at once, into ``rows`` or into ``reduce``.
 
     ``rows`` is step-major, ``(L,) + state.shape + (m,)`` with the lines on
     the last axis: ``rows[0]`` holds the m initial states, and the march
     writes the states at the following nodes into ``rows[1:]``, each as the
-    interval ending there is done.  ``line`` holds the (L, m) coefficient
-    arrays of the L nodes of every line.  Each stage generator is built once:
+    interval ending there is done.  With ``reduce``, only ``rows[0]`` is
+    read: the states of each block go into one scratch buffer of one block,
+    handed to ``reduce(start, states)`` once the block is done, where
+    ``states[k]`` is the state at node ``start + k``.  ``line`` holds the
+    (L, m) coefficient arrays of the L nodes of every line.  Each stage generator is built once:
     k2 and k3 share the midpoint, and a step starts with the generator the
     previous step ended with.  A block of intervals takes one (K, B + 1, m)
     coefficient stack and one builder call per stage point, into
@@ -171,9 +185,11 @@ def _march(
     # glibc's mmap threshold, and with it the peak RSS of a process that
     # goes on to larger sweeps
     gms, gbs = ([np.zeros((block,) + ga.shape) for _ in range(substeps)] for _ in range(2))
+    scratch = None if reduce is None else np.empty((block,) + state.shape)
     for a in range(0, intervals, block):
         cb = np.stack([v[a:a + block + 1] for v in line])
         b = cb.shape[1] - 1
+        done = rows[a + 1:a + 1 + b] if reduce is None else scratch[:b]
         ga = ga.copy()  # the carried generator may be a view into ``gbs``
         for gs, at in ((gms, 0.5), (gbs, 1.0)):
             for g, p in zip(gs, _stage_points(cb[:, :-1], cb[:, 1:], substeps, at)):
@@ -195,7 +211,9 @@ def _march(
                 acc *= sixth
                 state += acc
                 ga = gb
-            rows[a + i + 1] = state
+            done[i] = state
+        if reduce is not None:
+            reduce(a + 1, done)
 
 
 def sweep_grid(
@@ -207,13 +225,24 @@ def sweep_grid(
     state0: np.ndarray,
     order: str = "xy",
     substeps: int = 1,
-) -> np.ndarray:
+    reduce: Reduce | None = None,
+) -> np.ndarray | None:
     """Integrate a linear state over every grid node from the origin node.
 
     ``state0`` is an (r, d) state (see the module docstring).  Returns the
     node-major view, shape ``(nx, ny) + state0.shape``, of an array stored in
     the march's order, step-major with the lines last: ``(ny,) + state0.shape
     + (nx,)`` for "xy", ``(nx,) + state0.shape + (ny,)`` for "yx".
+
+    With ``reduce``, no grid is stored and None is returned: the states go
+    to ``reduce(start, states)`` as the march makes them, in its layout,
+    ``states[k]`` holding the states of step ``start + k`` (the y index for
+    "xy", the x index for "yx") with the lines last.  The first row comes
+    first and alone, ``start = 0``, then each block of the column march in
+    order, so the steps of consecutive calls follow on.  ``states`` is a
+    scratch buffer of at most one block, valid only during the call; the
+    reduction reads it, never writes it, and copies what it keeps.  It runs
+    with numpy's floating-point warnings off, like the march.
     """
     if order not in ("xy", "yx"):
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
@@ -223,13 +252,17 @@ def sweep_grid(
         nx, ny, hx, hy = ny, nx, hy, hx
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
-    rows = np.empty((ny,) + state0.shape + (nx,))
+    rows = np.empty((ny if reduce is None else 1,) + state0.shape + (nx,))
     first = np.moveaxis(rows[0], -1, 0)  # the first row, node-major
     first[0] = state0
     with np.errstate(all="ignore"):  # a NaN or overflow spreads downstream, unwarned
         first[1:] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
+        if reduce is not None:
+            reduce(0, rows)
         # every column at once (the line runs along y, the batch along x); only
         # one block of the coefficients is stacked at a time, never the whole grid
-        _march(rows, hy, gen_y, tuple(v.T for v in coeffs_y), substeps)
+        _march(rows, hy, gen_y, tuple(v.T for v in coeffs_y), substeps, reduce)
+    if reduce is not None:
+        return None
     nodes = np.moveaxis(rows, -1, 0)  # (nx, ny) + state0.shape of the swept grid
     return nodes if order == "xy" else nodes.swapaxes(0, 1)

@@ -352,8 +352,13 @@ def test_kind_preservation_residual_order(seed_fn, params):
 
 
 def test_apply_backlund_rejects_zero_m():
+    g = cmc(n=21)
     with pytest.raises(ParameterError):
-        apply_backlund(cmc(n=21), m=0.0, lambda0=0.0, omega0=1.0, phi0=0.5)
+        apply_backlund(g, m=0.0, lambda0=0.0, omega0=1.0, phi0=0.5)
+    # the public Lax entry checks m itself
+    init = admissible_initial(1.0, g.qn, 0.0, 1.0, 0.5)
+    with pytest.raises(ParameterError, match="nonzero"):
+        integrate_lax(coefficients_from_governing(g), 0.0, init)
 
 
 # ---------------------------------------------------------------------------

@@ -520,14 +520,19 @@ def test_frame_diagnostics_hold_blocks_not_grids():
     # at 401^2 mesh_curvatures holds its two output grids and the
     # temporaries of one row block, orthonormality_drift one block's
     # component-major copy and Gram entries; whole-grid temporaries held
-    # about 20 and 11 grids
+    # about 20 and 11 grids.  The sweeps that are only reduced stream: path
+    # independence holds its xy frame grid (9 grids) and blocks, where a
+    # stored yx sweep held about 21 grids; reconstruction holds r, rbar (6)
+    # and blocks, where a stored 3x5 sweep and the copies out of it held 21
     _, c = cmc_coefficients(n=401)
     f = integrate_frame(c, I3)
     r = reconstruct_surfaces(f, c)[0].r
     grid_bytes = 8 * 401 * 401
     block_bytes = 8 * BLOCK_FLOATS
     for run, bound in ((lambda: mesh_curvatures(r), 2 * grid_bytes + 4 * block_bytes),
-                       (lambda: orthonormality_drift(f), 2 * block_bytes)):
+                       (lambda: orthonormality_drift(f), 2 * block_bytes),
+                       (lambda: path_independence_error(c, I3), 1.5 * 9 * grid_bytes),
+                       (lambda: reconstruct_surfaces(f, c), (6 + 9) * grid_bytes)):
         tracemalloc.start()
         try:
             run()

@@ -291,10 +291,15 @@ LINES = [3, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 2]
 
 
 def blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, substeps,
-                  intervals=BLOCK):
+                  intervals=BLOCK, stream=False):
     """``sweep_grid`` with ``sweep.BLOCK_FLOATS`` set so that its column march
     cuts blocks of ``intervals`` intervals: a block holds a midpoint and an
-    end generator per substep.  Checks that the march cut them so."""
+    end generator per substep.  Checks that the march cut them so.
+
+    With ``stream`` the sweep hands its states to a reduction instead of
+    storing them; the blocks are checked (the first row alone at start 0,
+    then consecutive blocks no longer than the march's) and put back together
+    into the grid ``sweep_grid`` returns."""
     xy = order == "xy"
     gen, k, lines, length = (gen_y, len(cy), grid.nx, grid.ny) if xy else (
         gen_x, len(cx), grid.ny, grid.nx)
@@ -308,9 +313,26 @@ def blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, subste
         return gen(*coeffs, out=out)
 
     gen_x, gen_y = (gen_x, column_gen) if xy else (column_gen, gen_y)
-    out = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+    if not stream:
+        out = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
+        assert max(blocks) == min(intervals, length - 1)
+        return out
+    streamed = []  # the buffer is valid only during the call: keep copies
+
+    def keep(start, states):
+        streamed.append((start, states.copy()))
+
+    assert sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps,
+                      reduce=keep) is None
     assert max(blocks) == min(intervals, length - 1)
-    return out
+    starts, sizes = ([v[i] for v in streamed] for i in (0, 1))
+    assert starts[0] == 0 and len(sizes[0]) == 1, "the first row goes first, alone"
+    assert starts[1:] == [s + len(b) for s, b in zip(starts, sizes)][:-1], starts
+    assert max(len(b) for b in sizes[1:]) <= min(intervals, length - 1)
+    rows = np.concatenate(sizes)  # the march's layout, step-major with the lines last
+    assert rows.shape == (length,) + state0.shape + (lines,)
+    nodes = np.moveaxis(rows, -1, 0)
+    return nodes if xy else nodes.swapaxes(0, 1)
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
@@ -322,12 +344,13 @@ def test_block_sweep_matches_per_interval_reference(monkeypatch, kind, order, n)
         grid = Grid2D.from_domain(0, 1, 0, 1, *shape)
         cx, cy = random_coefficients(grid)
         for substeps in (1, 2, 3, 4):
-            got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order,
-                                substeps)
             want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, substeps)
-            # stored in the march's order: step-major, the lines last
-            assert np.moveaxis(got, 0 if order == "xy" else 1, -1).flags.c_contiguous
-            assert got.tobytes() == want.tobytes(), (shape, substeps)
+            for stream in (False, True):
+                got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order,
+                                    substeps, stream=stream)
+                # stored in the march's order: step-major, the lines last
+                assert np.moveaxis(got, 0 if order == "xy" else 1, -1).flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (shape, substeps, stream)
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
@@ -339,10 +362,12 @@ def test_block_sweep_spreads_nan_like_reference(monkeypatch, kind, order):
     grid = Grid2D.from_domain(0, 1, 0, 1, BLOCK + 3, 9)
     for nan_node in ((BLOCK - 1, 4), (BLOCK - 1, 0), (0, 5)):
         cx, cy = random_coefficients(grid, nan_node)
-        got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, 2)
         want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, order, 2)
-        assert np.isnan(got).any() and not np.isnan(got).all()
-        assert got.tobytes() == want.tobytes(), nan_node
+        for stream in (False, True):
+            got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, 2,
+                                stream=stream)
+            assert np.isnan(got).any() and not np.isnan(got).all()
+            assert got.tobytes() == want.tobytes(), (nan_node, stream)
 
 
 def test_block_sweep_capped_by_block_floats(monkeypatch):
@@ -353,9 +378,10 @@ def test_block_sweep_capped_by_block_floats(monkeypatch):
     cx, cy = random_coefficients(grid)
     want = reference_sweep(grid, cx, gen_x, cy, gen_y, state0, "xy", 2)
     for intervals in (1, 2, 3):
-        got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, "xy", 2,
-                            intervals)
-        assert got.tobytes() == want.tobytes(), intervals
+        for stream in (False, True):
+            got = blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, "xy", 2,
+                                intervals, stream)
+            assert got.tobytes() == want.tobytes(), (intervals, stream)
 
 
 # -- other arithmetic of the same sweep agrees to round-off ----------------
