@@ -29,7 +29,8 @@ its layout, ``states[k]`` being step ``start + k`` with the lines last.  The
 first row comes first and alone (``start = 0``), then each block of the
 column march in order.  ``states`` is one scratch buffer of at most one
 block, reused by the next block, so it is valid only during the call.  The
-path-independence sweeps and the joint frame and surface sweep stream.
+yx sweeps of the frame and Lax path independence and the joint frame and
+surface sweep stream.
 
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
