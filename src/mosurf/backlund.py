@@ -190,7 +190,7 @@ def _lax_matrix_y(q, Ko, A2, Abar2, *, m, qn, out=None):
 def _sweep_lax(c: CoefficientFields, m: float, init: np.ndarray, order: str = "xy",
                reduce: Reduce | None = None) -> np.ndarray | None:
     """The Lax solution (nx, ny, 5) swept from ``init`` at the origin node,
-    as the one-row state ``init[None]``; with ``reduce``, streamed into it
+    as the one-row state ``init[None]``; with ``reduce``, reduced by it
     (see :func:`sweep.sweep_grid`), and None."""
     cx = (c.p, c.Ho, c.A1, c.Abar1)
     cy = (c.q, c.Ko, c.A2, c.Abar2)
@@ -246,17 +246,16 @@ def integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields
 def _integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields:
     """:func:`integrate_lax` of a nonzero m and a float 5-vector ``init``.
 
-    The xy sweep is stored; the yx sweep streams, and each of its blocks of
-    x-rows is compared with the same rows of the xy solution as it is made.
+    The xy sweep is stored; the yx sweep is reduced, each of its blocks
+    compared with the same nodes of the xy solution as it is made.
     """
     out, maxima = _sweep_lax(c, m, init), []
 
-    def block_max(start, states):  # states[k, 0, :, j] is w at node (start + k, j)
-        rows = out[start:start + len(states)]
+    def block_max(where, nodes):  # nodes[..., 0, :] is w at the nodes out[where]
+        a = out[where]
         # component by component: the two sweeps are stored in different
         # memory orders, and a 2-d difference of them reads faster than a 3-d one
-        maxima.extend(max_skipping_nan(np.abs(rows[:, :, k] - states[:, 0, k]))
-                      for k in range(5))
+        maxima.extend(max_skipping_nan(np.abs(a[..., k] - nodes[..., 0, k])) for k in range(5))
 
     _sweep_lax(c, m, init, "yx", block_max)
     return _lax_fields(m, c.qn, out, max_skipping_nan(np.array(maxima)))
@@ -393,7 +392,8 @@ def bianchi_darboux(
     """
     if g.kind != "first":
         raise ParameterError("Bianchi-Darboux requires a 1st-kind (cmc) background")
-    if np.max(np.abs(g.xi.values)) > 0.0 or np.max(np.abs(g.h.values - 1.0)) > 0.0:
+    xi_dev, h_dev = (max_skipping_nan(np.abs(v)) for v in (g.xi.values, g.h.values - 1.0))
+    if xi_dev > 0.0 or h_dev > 0.0:  # over the nodes that are not flagged (NaN)
         raise ParameterError("Bianchi-Darboux requires xi = 0 and h = 1 exactly")
     if mbar == 0.0:
         raise ParameterError("mbar must be nonzero")

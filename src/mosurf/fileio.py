@@ -168,11 +168,10 @@ def write_field_file(
         fh.write(head)
         for k, (name, values) in enumerate(fields.items()):
             fh.write(("," if k else "") + f'"{name}":[')
-            for start in range(0, len(values), BLOCK):
-                block = values[start:start + BLOCK]
-                if "flagged" in extra:
-                    block = np.where(bad[start:start + BLOCK], 0.0, block)
-                fh.write(("," if start else "") + ",".join(_texts(block)))
+            if "flagged" in extra:
+                values = np.where(bad, 0.0, values)
+            for i, texts in enumerate(_column_texts(values)):
+                fh.write(("," if i else "") + ",".join(texts))
             fh.write("]")
         fh.write(tail + "\n")
 

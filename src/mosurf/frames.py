@@ -17,17 +17,18 @@ accuracy diagnostic.
 
 The diagnostics that follow the sweeps are pointwise or 3x3-stencil formulas
 followed by a max, so their temporaries are a block, not a grid.  Two reduce
-a sweep as it streams (``sweep.sweep_grid``'s ``reduce``), one block of its
-steps at a time, and no grid of that sweep is stored: the Gauss-map distance
-of :func:`reconstruct_surfaces`, taken while the joint sweep's blocks are
-copied into r and rbar, and the distance between the two sweep orders of
-:func:`path_independence_error`, which streams the yx sweep against the
-stored xy grid.  :func:`orthonormality_drift` and :func:`mesh_curvatures`
-read a stored grid one block of first-axis rows at a time (``_row_blocks``:
-as many rows as keep a block of frames, 9 floats a node, within the sweep's
-cache budget ``sweep.BLOCK_FLOATS``, read at each call).  Each node takes the
-same operations in the same order, and a max of block maxima is the max, so
-the results do not depend on the blocks, bit for bit.
+a sweep (``sweep.sweep_grid``'s ``reduce``) one block of nodes at a time,
+indexing each block like a grid, and no grid of that sweep is stored: the
+Gauss-map distance of :func:`reconstruct_surfaces`, taken while the joint
+sweep's blocks are copied into r and rbar, and the distance between the two
+sweep orders of :func:`path_independence_error`, which compares each block
+of the yx sweep with the stored xy grid.  :func:`orthonormality_drift` and
+:func:`mesh_curvatures` read a stored grid one block of first-axis rows at
+a time (``_row_blocks``: as many rows as keep a block of frames, 9 floats a
+node, within the sweep's cache budget ``sweep.BLOCK_FLOATS``, read at each
+call).  Each node takes the same operations in the same order, and a max of
+block maxima is the max, so the results do not depend on the blocks, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -128,14 +129,15 @@ def _check_rotation(phi0: np.ndarray) -> np.ndarray:
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (3, 3):
         raise ParameterError(f"initial frame must be 3x3, got shape {phi0.shape}")
-    if np.max(np.abs(phi0.T @ phi0 - np.eye(3))) > EPS_FRAME:
+    # a NaN entry fails the comparison, and raises before det would warn
+    if not np.max(np.abs(phi0.T @ phi0 - np.eye(3))) <= EPS_FRAME:
         raise ParameterError("initial frame is not orthonormal")
-    if abs(np.linalg.det(phi0) - 1.0) > EPS_FRAME:
+    if not abs(np.linalg.det(phi0) - 1.0) <= EPS_FRAME:
         raise ParameterError("initial frame must have determinant +1")
     return phi0
 
 
-def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -> FrameGrid:
+def integrate_frame(c: CoefficientFields, phi0: np.ndarray) -> FrameGrid:
     """Integrate the frame system from ``phi0`` at the origin node.
 
     The canonical pass is x along the first row, then y up all columns.
@@ -143,7 +145,7 @@ def integrate_frame(c: CoefficientFields, phi0: np.ndarray, order: str = "xy") -
     accuracy diagnostic.
     """
     phi0 = _check_rotation(phi0)
-    frames = sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, phi0, order=order)
+    frames = sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, phi0)
     return FrameGrid(c.grid, frames)
 
 
@@ -189,15 +191,15 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     Zero (up to integration error) exactly when the coefficients satisfy the
     Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
     of broken compatibility.  Nodes where either sweep is NaN are skipped.
-    The xy sweep is stored; the yx sweep streams, and each of its blocks of
-    x-rows is compared with the same rows of the xy grid as it is made.
+    The xy sweep is stored; the yx sweep is reduced, each of its blocks
+    compared with the same nodes of the xy grid as it is made.
     """
     xy = integrate_frame(c, phi0).frames
     maxima = []
 
-    def block_max(start, states):
-        a = xy[start:start + len(states)]
-        d = [np.square(a[:, :, i, j] - states[:, i, j]) for i in range(3) for j in range(3)]
+    def block_max(where, nodes):
+        a = xy[where]
+        d = [np.square(a[..., i, j] - nodes[..., i, j]) for i in range(3) for j in range(3)]
         # numpy's order for a contiguous 9-term sum (pairwise over the first
         # eight, then the ninth), whatever the memory order of the sweeps
         total = ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5]) + (d[6] + d[7])) + d[8]
@@ -215,7 +217,7 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
     ``f`` at the origin node and r0 = rbar0 = 0.  The triple's N is the
     normal of the frame grid passed in: a read-only view of the third column
-    of ``f.frames``, with no copy.  The sweep streams: each block of y-rows
+    of ``f.frames``, with no copy.  The sweep is reduced: each block of nodes
     is copied into r and rbar and compared with ``f``, and no 3x5 grid is
     stored.  Returns the triple and the max distance between the joint
     sweep's normal column and that of ``f`` over the nodes where both are
@@ -232,11 +234,10 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     r, rbar = (np.empty(c.grid.shape + (3,)) for _ in range(2))
     maxima = []
 
-    def copy_out(start, states):  # states[k, :, :, i] is node (i, start + k)
-        rows = slice(start, start + len(states))
-        r[:, rows] = np.moveaxis(states[:, :, 3], -1, 0)
-        rbar[:, rows] = np.moveaxis(states[:, :, 4], -1, 0)
-        e = [(states[:, k, 2] - f.frames[:, rows, k, 2].T) ** 2 for k in range(3)]
+    def copy_out(where, nodes):
+        r[where] = nodes[..., 3]
+        rbar[where] = nodes[..., 4]
+        e = [(nodes[..., k, 2] - f.frames[where][..., k, 2]) ** 2 for k in range(3)]
         # (e0 + e1) + e2, the order of a sum over a length-3 axis
         maxima.append(max_skipping_nan(np.sqrt((e[0] + e[1]) + e[2])))
 

@@ -16,21 +16,17 @@ its first n columns, so a NaN that enters the other columns never feeds back
 into them.  A system written ``w' = G w`` on a vector w (the Lax system)
 moves as the one-row state ``w^T`` with the transposed generator.  The
 generators stay dense, so a NaN coefficient spreads through 0 * NaN exactly
-as through a dense matrix product.  A sweep stores its states in the order
-the column march makes them: step-major, with the lines last, so
-``(ny,) + state.shape + (nx,)`` for the canonical order.  It returns the
-node-major view ``(nx, ny) + state.shape`` of that array, so nothing is
-transposed after the march.
+as through a dense matrix product.
 
-Streaming.  A sweep whose states are only reduced (to a max, or to copies of
-some of their columns) need not store them: given ``reduce``, ``sweep_grid``
-allocates no grid and calls ``reduce(start, states)`` as the march goes, in
-its layout, ``states[k]`` being step ``start + k`` with the lines last.  The
-first row comes first and alone (``start = 0``), then each block of the
-column march in order.  ``states`` is one scratch buffer of at most one
-block, reused by the next block, so it is valid only during the call.  The
-yx sweeps of the frame and Lax path independence and the joint frame and
-surface sweep stream.
+Output.  A sweep hands its states on a block at a time, as
+``reduce(where, nodes)``: ``nodes`` is the block's node-major view and
+``where`` indexes the grid nodes it covers, so ``grid[where]`` has the shape
+of ``nodes``.  Storing the grid is the default reduction, ``out.__setitem__``
+on a grid kept in the march's order (step-major with the lines last,
+``(ny,) + state.shape + (nx,)`` for the canonical order) and returned as its
+node-major view ``(nx, ny) + state.shape``, so nothing is transposed after
+the march.  The other reductions keep a max, or copies of some columns, and
+store no grid.
 
 The canonical sweep integrates along the first grid row and then up every
 column at once (vectorized over the x index); the alternative order ("yx")
@@ -72,9 +68,9 @@ elementwise operations whatever B is, so the swept values do not depend on
 B, bit for bit.  A march writes its generators and states into buffers
 allocated once per march: the generator buffers (zeroed once; each block's
 builder calls write into them through ``out``, a shorter last block into a
-view of them), the state and the four stages and their scratch.  The
-state at the end of each interval is copied into its row of the output (of
-the block's scratch buffer, when streaming), one contiguous row per interval.
+view of them), the state, the four stages and their scratch, and the block
+buffer.  The state at the end of each interval is copied into its row of the
+block buffer, one contiguous row per interval.
 Per block, only the coefficient stack, its stage interpolants and a copy of
 the generator carried over from the block before are new; the first
 generator of a line and the row march's generators are new arrays too.
@@ -91,7 +87,7 @@ from .fields import Grid2D
 __all__ = ["sweep_grid"]
 
 Builder = Callable[..., np.ndarray]
-Reduce = Callable[[int, np.ndarray], None]
+Reduce = Callable[[tuple[slice, slice], np.ndarray], None]
 
 #: floats of the stage generators of one block of the column march (2 MB,
 #: one core's L2 cache): a block takes as many intervals as keep its midpoint
@@ -145,23 +141,20 @@ def _row(
 
 
 def _march(
-    rows: np.ndarray,
+    first: np.ndarray,
     h: float,
     gen: Builder,
     line: tuple[np.ndarray, ...],
     substeps: int,
-    reduce: Reduce | None = None,
+    done: Callable[[int, np.ndarray], None],
 ) -> None:
-    """Staged RK4 march of m lines at once, into ``rows`` or into ``reduce``.
+    """Staged RK4 march of m lines at once from their states ``first``.
 
-    ``rows`` is step-major, ``(L,) + state.shape + (m,)`` with the lines on
-    the last axis: ``rows[0]`` holds the m initial states, and the march
-    writes the states at the following nodes into ``rows[1:]``, each as the
-    interval ending there is done.  With ``reduce``, only ``rows[0]`` is
-    read: the states of each block go into one scratch buffer of one block,
-    handed to ``reduce(start, states)`` once the block is done, where
-    ``states[k]`` is the state at node ``start + k``.  ``line`` holds the
-    (L, m) coefficient arrays of the L nodes of every line.  Each stage generator is built once:
+    ``first`` has shape ``state.shape + (m,)``, the lines last.  Each block's
+    states go into one scratch buffer of that layout, step-major, handed to
+    ``done(start, states)`` once the block is done: ``states[k]`` holds the
+    states at node ``start + k``.  ``line`` holds the (L, m) coefficient
+    arrays of the L nodes of every line.  Each stage generator is built once:
     k2 and k3 share the midpoint, and a step starts with the generator the
     previous step ended with.  A block of intervals takes one (K, B + 1, m)
     coefficient stack and one builder call per stage point, into
@@ -172,7 +165,7 @@ def _march(
     """
     hs = h / substeps
     half, sixth = 0.5 * hs, hs / 6.0
-    state = rows[0].copy()
+    state = first.copy()
     k1, k2, k3, k4, arg, acc = (np.empty_like(state) for _ in range(6))
     ga = gen(*(v[0] for v in line))
     n = ga.shape[0]
@@ -186,11 +179,11 @@ def _march(
     # glibc's mmap threshold, and with it the peak RSS of a process that
     # goes on to larger sweeps
     gms, gbs = ([np.zeros((block,) + ga.shape) for _ in range(substeps)] for _ in range(2))
-    scratch = None if reduce is None else np.empty((block,) + state.shape)
+    scratch = np.empty((block,) + state.shape)
     for a in range(0, intervals, block):
         cb = np.stack([v[a:a + block + 1] for v in line])
         b = cb.shape[1] - 1
-        done = rows[a + 1:a + 1 + b] if reduce is None else scratch[:b]
+        states = scratch[:b]
         ga = ga.copy()  # the carried generator may be a view into ``gbs``
         for gs, at in ((gms, 0.5), (gbs, 1.0)):
             for g, p in zip(gs, _stage_points(cb[:, :-1], cb[:, 1:], substeps, at)):
@@ -212,9 +205,8 @@ def _march(
                 acc *= sixth
                 state += acc
                 ga = gb
-            done[i] = state
-        if reduce is not None:
-            reduce(a + 1, done)
+            states[i] = state
+        done(a + 1, states)
 
 
 def sweep_grid(
@@ -230,40 +222,48 @@ def sweep_grid(
 ) -> np.ndarray | None:
     """Integrate a linear state over every grid node from the origin node.
 
-    ``state0`` is an (r, d) state (see the module docstring).  Returns the
-    node-major view, shape ``(nx, ny) + state0.shape``, of an array stored in
-    the march's order, step-major with the lines last: ``(ny,) + state0.shape
-    + (nx,)`` for "xy", ``(nx,) + state0.shape + (ny,)`` for "yx".
+    ``state0`` is an (r, d) state (see the module docstring).  Each block of
+    states goes to ``reduce(where, nodes)``, node-major, so that a grid of
+    shape ``(nx, ny) + state0.shape`` takes it by ``grid[where] = nodes``:
+    the first line alone (y index 0 for "xy", x index 0 for "yx"), then each
+    block of the column march in order.  ``nodes`` views a scratch buffer,
+    valid only during the call; the reduction reads it and copies what it
+    keeps, with numpy's floating-point warnings off like the march.
 
-    With ``reduce``, no grid is stored and None is returned: the states go
-    to ``reduce(start, states)`` as the march makes them, in its layout,
-    ``states[k]`` holding the states of step ``start + k`` (the y index for
-    "xy", the x index for "yx") with the lines last.  The first row comes
-    first and alone, ``start = 0``, then each block of the column march in
-    order, so the steps of consecutive calls follow on.  ``states`` is a
-    scratch buffer of at most one block, valid only during the call; the
-    reduction reads it, never writes it, and copies what it keeps.  It runs
-    with numpy's floating-point warnings off, like the march.
+    The default reduction stores the grid, which is returned (None is returned
+    otherwise) as the node-major view of an array in the march's order,
+    step-major with the lines last: ``(ny,) + state0.shape + (nx,)`` for
+    "xy", ``(nx,) + state0.shape + (ny,)`` for "yx".
     """
     if order not in ("xy", "yx"):
         raise ValueError(f"sweep order must be 'xy' or 'yx', got {order!r}")
     state0 = np.asarray(state0, dtype=float)
     nx, ny, hx, hy = grid.nx, grid.ny, grid.dx, grid.dy
-    if order == "yx":  # the "xy" pass on the transposed grid
+    xy = order == "xy"
+    if not xy:  # the "xy" pass on the transposed grid
         nx, ny, hx, hy = ny, nx, hy, hx
         coeffs_x, gen_x, coeffs_y, gen_y = (
             tuple(v.T for v in coeffs_y), gen_y, tuple(v.T for v in coeffs_x), gen_x)
-    rows = np.empty((ny if reduce is None else 1,) + state0.shape + (nx,))
-    first = np.moveaxis(rows[0], -1, 0)  # the first row, node-major
+    out = None
+    if reduce is None:  # store the grid, in the march's order
+        out = np.moveaxis(np.empty((ny,) + state0.shape + (nx,)), -1, 0)
+        out = out if xy else out.swapaxes(0, 1)
+        reduce = out.__setitem__
+
+    def hand_on(start: int, states: np.ndarray) -> None:
+        nodes, steps = np.moveaxis(states, -1, 0), slice(start, start + len(states))
+        where = (slice(None), steps)
+        if not xy:  # from the transposed grid back to the grid
+            where, nodes = where[::-1], nodes.swapaxes(0, 1)
+        reduce(where, nodes)
+
+    head = np.empty((1,) + state0.shape + (nx,))
+    first = np.moveaxis(head[0], -1, 0)  # the first row, node-major
     first[0] = state0
     with np.errstate(all="ignore"):  # a NaN or overflow spreads downstream, unwarned
         first[1:] = _row(state0, hx, gen_x, tuple(v[:, 0] for v in coeffs_x), substeps)
-        if reduce is not None:
-            reduce(0, rows)
+        hand_on(0, head)
         # every column at once (the line runs along y, the batch along x); only
         # one block of the coefficients is stacked at a time, never the whole grid
-        _march(rows, hy, gen_y, tuple(v.T for v in coeffs_y), substeps, reduce)
-    if reduce is not None:
-        return None
-    nodes = np.moveaxis(rows, -1, 0)  # (nx, ny) + state0.shape of the swept grid
-    return nodes if order == "xy" else nodes.swapaxes(0, 1)
+        _march(head[0], hy, gen_y, tuple(v.T for v in coeffs_y), substeps, hand_on)
+    return out

@@ -419,6 +419,14 @@ def test_bianchi_darboux_validation(monkeypatch):
     g2 = cmc(n=21)
     with pytest.raises(ParameterError):
         bianchi_darboux(g2, mbar=0.1)  # discriminant < 0
+    # a 1st-kind transform of a cmc seed: its flagged (NaN) nodes do not hide
+    # its finite ones, where xi = 0 and h = 1 fail
+    grid = Grid2D.from_domain(0, 2, 0, 2, 51, 51)
+    seed = generate_seed(SeedSpec("cmc", grid, qn=1.0, alpha0=1.0))
+    primed = apply_backlund(seed, m=1.0, lambda0=-1.0, omega0=1.0, phi0=1.0).primed_governing
+    assert primed.kind == "first" and np.isnan(primed.xi.values).any()
+    with pytest.raises(ParameterError, match="xi = 0 and h = 1"):
+        bianchi_darboux(primed, mbar=2.0)
 
     # a bad initial vector fails before the coefficient bundle is built
     def unreachable(g):

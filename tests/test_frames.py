@@ -55,6 +55,12 @@ def test_initial_frame_validation():
         integrate_frame(c, 2.0 * I3)
     with pytest.raises(ParameterError):
         integrate_frame(c, np.diag([1.0, 1.0, -1.0]))  # det = -1
+    # a NaN entry is rejected before det runs (it would warn), instead of
+    # poisoning every node
+    nan_frame = I3.copy()
+    nan_frame[1, 2] = np.nan
+    with pytest.raises(ParameterError, match="orthonormal"):
+        integrate_frame(c, nan_frame)
 
 
 def test_cmc_frame_drift_and_determinant():
@@ -151,7 +157,8 @@ def test_path_independence_sums_like_contiguous_sweeps():
     Ko = c.Ko.copy()
     Ko[120, 70] = np.nan
     c = replace(c, Ko=Ko)
-    xy, yx = (np.ascontiguousarray(integrate_frame(c, I3, order=o).frames)
+    skew = (c.p, c.Ho), mosurf.frames._skew_x, (c.q, c.Ko), mosurf.frames._skew_y
+    xy, yx = (np.ascontiguousarray(sweep_grid(c.grid, *skew, I3, order=o))
               for o in ("xy", "yx"))
     assert np.isnan(xy).any()
     with np.errstate(invalid="ignore"):

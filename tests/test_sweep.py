@@ -296,10 +296,11 @@ def blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, subste
     cuts blocks of ``intervals`` intervals: a block holds a midpoint and an
     end generator per substep.  Checks that the march cut them so.
 
-    With ``stream`` the sweep hands its states to a reduction instead of
-    storing them; the blocks are checked (the first row alone at start 0,
-    then consecutive blocks no longer than the march's) and put back together
-    into the grid ``sweep_grid`` returns."""
+    With ``stream`` the sweep hands its blocks to a reduction instead of
+    storing them, and the grid is rebuilt by ``out[where] = nodes``.  The
+    blocks are checked: the first covers step 0 alone, the steps of the
+    next follow on to the end of the line, and none is longer than the
+    march's."""
     xy = order == "xy"
     gen, k, lines, length = (gen_y, len(cy), grid.nx, grid.ny) if xy else (
         gen_x, len(cx), grid.ny, grid.nx)
@@ -317,22 +318,25 @@ def blocked_sweep(monkeypatch, grid, cx, gen_x, cy, gen_y, state0, order, subste
         out = sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps)
         assert max(blocks) == min(intervals, length - 1)
         return out
-    streamed = []  # the buffer is valid only during the call: keep copies
+    # the march's layout, step-major with the lines last, like a stored grid
+    out = np.moveaxis(np.full((length,) + state0.shape + (lines,), np.nan), -1, 0)
+    out = out if xy else out.swapaxes(0, 1)
+    steps = []  # the step indices (y for "xy", x for "yx") each block covers
 
-    def keep(start, states):
-        streamed.append((start, states.copy()))
+    def keep(where, nodes):
+        assert out[where].shape == nodes.shape
+        assert where[0 if xy else 1] == slice(None), "a block covers every line"
+        steps.append(range(length)[where[1 if xy else 0]])
+        out[where] = nodes
 
     assert sweep_grid(grid, cx, gen_x, cy, gen_y, state0, order=order, substeps=substeps,
                       reduce=keep) is None
     assert max(blocks) == min(intervals, length - 1)
-    starts, sizes = ([v[i] for v in streamed] for i in (0, 1))
-    assert starts[0] == 0 and len(sizes[0]) == 1, "the first row goes first, alone"
-    assert starts[1:] == [s + len(b) for s, b in zip(starts, sizes)][:-1], starts
-    assert max(len(b) for b in sizes[1:]) <= min(intervals, length - 1)
-    rows = np.concatenate(sizes)  # the march's layout, step-major with the lines last
-    assert rows.shape == (length,) + state0.shape + (lines,)
-    nodes = np.moveaxis(rows, -1, 0)
-    return nodes if xy else nodes.swapaxes(0, 1)
+    assert steps[0] == range(1), "the first row goes first, alone"
+    assert [s.start for s in steps[1:]] == [s.stop for s in steps[:-1]], steps
+    assert steps[-1].stop == length, steps
+    assert max(len(s) for s in steps[1:]) <= min(intervals, length - 1)
+    return out
 
 
 @pytest.mark.parametrize("kind", sorted(STATES))
