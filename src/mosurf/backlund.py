@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ParameterError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays, max_skipping_nan
 from .kernel import EPS, CoefficientFields, GoverningFields, _forms, coefficients_from_governing
-from .frames import FrameGrid, SurfaceTriple, integrate_frame, reconstruct_surfaces
+from .frames import SurfaceTriple, integrate_frame, reconstruct_surfaces
 from .sweep import Reduce, sweep_grid
 
 __all__ = [
@@ -101,10 +101,6 @@ class LaxFields:
 
     __post_init__ = freeze_arrays
 
-    @property
-    def n_singular(self) -> int:
-        return int(self.singular.sum())
-
 
 @dataclass(frozen=True)
 class PrimedUpdate:
@@ -138,6 +134,8 @@ def admissible_initial(
     Normalizes mu0 = 0 and solves the constraint for chi0:
     chi0 = (lambda0^2 + omega0^2)/(2 m omega0) + qn phi0^2/(2 omega0).
     """
+    if not all(map(math.isfinite, (m, qn, lambda0, omega0, phi0))):
+        raise ParameterError("m, qn and the initial values must be finite")
     if m == 0.0:
         raise ParameterError("the Backlund parameter m must be nonzero")
     if omega0 == 0.0:
@@ -240,6 +238,8 @@ def integrate_lax(c: CoefficientFields, m: float, init: np.ndarray) -> LaxFields
     init = np.asarray(init, dtype=float)
     if init.shape != (5,):
         raise ParameterError(f"init must be a 5-vector, got shape {init.shape}")
+    if not (math.isfinite(m) and np.isfinite(init).all()):
+        raise ParameterError("m and init must be finite")
     return _integrate_lax(c, m, init)
 
 
@@ -265,9 +265,10 @@ def _nanwhere(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(mask, np.nan, values)
 
 
-def backlund_surface(s: SurfaceTriple, f: FrameGrid, lx: LaxFields) -> Vec3Field:
+def backlund_surface(s: SurfaceTriple, f: np.ndarray, lx: LaxFields) -> Vec3Field:
     """r' = r - (phi/(m omega nu)) (lambda X + mu Y + omega N), NaN at singular nodes.
 
+    ``f`` is the frame grid (X, Y, N) of :func:`frames.integrate_frame`.
     One component at a time: the frame grid is stored in its sweep's memory
     order, and a 2-d product with it reads faster than a 3-d one.
     """
@@ -275,7 +276,7 @@ def backlund_surface(s: SurfaceTriple, f: FrameGrid, lx: LaxFields) -> Vec3Field
     with np.errstate(all="ignore"):
         factor = _nanwhere(lx.singular, lx.phi / lx.bigM)
         for k in range(3):
-            X, Y, N = (f.frames[:, :, k, a] for a in range(3))
+            X, Y, N = (f[:, :, k, a] for a in range(3))
             r[:, :, k] = s.r.values[:, :, k] - factor * (lx.lam * X + lx.mu * Y + lx.omega * N)
     return Vec3Field(s.r.grid, r)
 
@@ -395,6 +396,8 @@ def bianchi_darboux(
     xi_dev, h_dev = (max_skipping_nan(np.abs(v)) for v in (g.xi.values, g.h.values - 1.0))
     if xi_dev > 0.0 or h_dev > 0.0:  # over the nodes that are not flagged (NaN)
         raise ParameterError("Bianchi-Darboux requires xi = 0 and h = 1 exactly")
+    if not all(map(math.isfinite, (mbar, lambda0, omega0))):
+        raise ParameterError("mbar, lambda0 and omega0 must be finite")
     if mbar == 0.0:
         raise ParameterError("mbar must be nonzero")
     qn = g.qn
@@ -440,7 +443,7 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     out = {
         "constraint_drift": res.lax.constraint_drift,
         "lax_path_independence": res.lax.path_independence,
-        "singular_nodes": int(res.lax.n_singular),
+        "singular_nodes": int(res.lax.singular.sum()),
         "branch_invalid_nodes": int(res.branch_invalid.sum()),
         "theorem_vs_raw_max_dev": dev,
     }

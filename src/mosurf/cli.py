@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 file validation/parse error,
 3 numerical failure (all nodes singular, non-finite output, empty mesh),
 4 failed gate (``verify`` printed FAIL for an algebraic residual).
 
-Each subcommand imports the library modules it uses inside its handler, so a
-command does not pay the start-up cost of modules it never calls.
+A handler parses its flags, calls the library for the numerics and their
+diagnostics (``reconstruct`` calls ``frames.reconstruct``, ``verify`` calls
+``verify.verify_refined``), and formats and writes the results.  Each imports
+the library modules it uses inside its handler, so a command does not pay the
+start-up cost of modules it never calls.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import argparse
 import math
 import re
 import sys
-
-import numpy as np
 
 from .errors import FieldFormatError, MosurfError, ParameterError, SingularGridError
 
@@ -150,33 +151,22 @@ def _cmd_seed(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_report_file
-    from .seeds import SeedSpec, generate_seed
-    from .verify import ALGEBRAIC_EQUATIONS, convergence_orders, verify_governing
+    from .verify import ALGEBRAIC_EQUATIONS, verify_refined
 
     if args.refine < 0:
         raise ParameterError(f"--refine must be >= 0, got {args.refine}")
     if args.tol < 0:
         raise ParameterError(f"--tol must be >= 0, got {args.tol:g}")
     g, seed = read_field_file(args.fieldfile)
-    report = verify_governing(g)
-    orders = None
-    if args.refine > 0:
-        if seed is None:
-            raise FieldFormatError(
-                f"{args.fieldfile}: --refine requires a seed header to regenerate fields"
-            )
-        reports = [report]
-        nx, ny = g.grid.nx, g.grid.ny
-        for _ in range(args.refine):
-            nx, ny = 2 * nx - 1, 2 * ny - 1
-            spec = SeedSpec.from_header(seed, nx, ny)
-            # the header is file content: a seed it cannot give is a bad file
-            try:
-                fine = generate_seed(spec)
-            except ParameterError as exc:
-                raise FieldFormatError(f"{args.fieldfile}: bad seed header: {exc}") from exc
-            reports.append(verify_governing(fine))
-        orders = convergence_orders(reports)
+    if args.refine > 0 and seed is None:
+        raise FieldFormatError(
+            f"{args.fieldfile}: --refine requires a seed header to regenerate fields"
+        )
+    # the header is file content: a seed it cannot give is a bad file
+    try:
+        report, orders = verify_refined(g, seed, args.refine)
+    except ParameterError as exc:
+        raise FieldFormatError(f"{args.fieldfile}: bad seed header: {exc}") from exc
     print(f"verify kind={g.kind} qn={g.qn} grid={g.grid.nx}x{g.grid.ny}")
     failed = [name for name, s in report.entries.items()
               if name in ALGEBRAIC_EQUATIONS and not s.linf < args.tol]
@@ -200,8 +190,7 @@ def _cmd_verify(args) -> int:
 def _cmd_reconstruct(args) -> int:
     from .fileio import (check_report, mesh_faces, read_field_file, report_to_dict, write_obj,
                          write_report_file, write_table)
-    from .frames import (integrate_frame, orthonormality_drift, path_independence_error,
-                         reconstruct_surfaces, surface_diagnostics)
+    from .frames import reconstruct
     from .kernel import ResidualReport, coefficients_from_governing
 
     g, _ = read_field_file(args.fieldfile)
@@ -209,23 +198,12 @@ def _cmd_reconstruct(args) -> int:
     frac = c.n_flagged / g.grid.n_nodes
     if frac > 0.5:
         print(f"warning: {100 * frac:.1f}% of nodes are flagged", file=sys.stderr)
-    f = integrate_frame(c, np.eye(3))
-    triple, gauss_dev = reconstruct_surfaces(f, c)
-    drift = orthonormality_drift(f)
-    pie = path_independence_error(c, np.eye(3))
-
+    triple, diag = reconstruct(c)
     valid = ~c.flagged
     faces = mesh_faces(triple.r, valid)
     if faces == 0:  # found before any file is opened
         raise SingularGridError("no valid cells remain after flagging; no mesh written")
-    diag = {
-        "orthonormality_drift": drift,
-        "path_independence_error": pie,
-        "gauss_map_consistency": gauss_dev,
-        **surface_diagnostics(triple),
-        "flagged_nodes": int(c.n_flagged),
-        "faces_written": faces,
-    }
+    diag["faces_written"] = faces
     if args.report:  # a report with a non-finite value fails before any file is opened
         doc = report_to_dict(ResidualReport(g.grid), g.kind, g.qn, diagnostics=diag)
         check_report(args.report, doc)
@@ -249,7 +227,8 @@ def _cmd_reconstruct(args) -> int:
     )
     del texts
     print(f"reconstruct grid={g.grid.nx}x{g.grid.ny} faces={faces} "
-          f"drift={drift:.3e} path_independence={pie:.3e} "
+          f"drift={diag['orthonormality_drift']:.3e} "
+          f"path_independence={diag['path_independence_error']:.3e} "
           f"mean_curvature={diag['mean_curvature_mean']:.6f}")
     if args.report:
         write_report_file(args.report, doc)

@@ -10,10 +10,12 @@ R_y = Y (A2, Abar2).  The Gauss map N is the frame normal, the third column
 of Phi: N_x = Ho X and N_y = Ko Y are the third columns of Phi U and Phi V,
 so it is not integrated a second time, nor copied: the triple's N is a
 read-only view of the normal column of the frame grid it was reconstructed
-from.  :func:`reconstruct_surfaces` sweeps the 3x5 state (Phi | r, rbar) once
+from, the plain (nx, ny, 3, 3) array :func:`integrate_frame` returns.
+:func:`reconstruct_surfaces` sweeps the 3x5 state (Phi | r, rbar) once
 with the two-pass RK4 sweep and copies out only r and rbar; no
 re-orthonormalization is applied, so orthonormality drift is a genuine
-accuracy diagnostic.
+accuracy diagnostic.  :func:`reconstruct` runs the whole frame phase of the
+``reconstruct`` command, its four sweeps and its diagnostics.
 
 The diagnostics that follow the sweeps are pointwise or 3x3-stencil formulas
 followed by a max, so their temporaries are a block, not a grid.  Two reduce
@@ -33,43 +35,31 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from . import sweep
-from .fields import Grid2D, ScalarField, Vec3Field, max_skipping_nan
+from .fields import ScalarField, Vec3Field, max_skipping_nan
 from .kernel import CoefficientFields
 from .sweep import sweep_grid
 
 __all__ = [
-    "FrameGrid",
     "SurfaceTriple",
     "integrate_frame",
     "path_independence_error",
     "reconstruct_surfaces",
     "orthonormality_drift",
     "mesh_curvatures",
-    "surface_diagnostics",
+    "reconstruct",
 ]
 
 #: orthonormality tolerance for user-supplied initial frames
 EPS_FRAME = 1e-10
 
-
-@dataclass(frozen=True)
-class FrameGrid:
-    """Orthonormal triad Phi = (X, Y, N) at every node, shape (nx, ny, 3, 3)."""
-
-    grid: Grid2D
-    frames: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.frames.shape != self.grid.shape + (3, 3):
-            raise ParameterError(
-                f"frame array shape {self.frames.shape} does not match grid {self.grid.shape}"
-            )
+#: :func:`mesh_curvatures` leaves out the nodes whose metric E G - F^2 is at or below this
+EPS_METRIC = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,28 +115,23 @@ def _with_triple_y(q, Ko, A2, Abar2, out=None):
     return G
 
 
-def _check_rotation(phi0: np.ndarray) -> np.ndarray:
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != (3, 3):
-        raise ParameterError(f"initial frame must be 3x3, got shape {phi0.shape}")
-    # a NaN entry fails the comparison, and raises before det would warn
-    if not np.max(np.abs(phi0.T @ phi0 - np.eye(3))) <= EPS_FRAME:
-        raise ParameterError("initial frame is not orthonormal")
-    if not abs(np.linalg.det(phi0) - 1.0) <= EPS_FRAME:
-        raise ParameterError("initial frame must have determinant +1")
-    return phi0
-
-
-def integrate_frame(c: CoefficientFields, phi0: np.ndarray) -> FrameGrid:
-    """Integrate the frame system from ``phi0`` at the origin node.
+def integrate_frame(c: CoefficientFields, phi0: np.ndarray) -> np.ndarray:
+    """The frame Phi = (X, Y, N) at every node, shape (nx, ny, 3, 3),
+    integrated from the rotation ``phi0`` at the origin node.
 
     The canonical pass is x along the first row, then y up all columns.
     No re-orthonormalization is applied, so the reported drift is a genuine
     accuracy diagnostic.
     """
-    phi0 = _check_rotation(phi0)
-    frames = sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, phi0)
-    return FrameGrid(c.grid, frames)
+    phi0 = np.asarray(phi0, dtype=float)
+    if phi0.shape != (3, 3):
+        raise ParameterError(f"initial frame must be 3x3, got shape {phi0.shape}")
+    # a NaN or infinite entry raises before the products would warn
+    if not (np.isfinite(phi0).all() and np.max(np.abs(phi0.T @ phi0 - np.eye(3))) <= EPS_FRAME):
+        raise ParameterError("initial frame is not orthonormal")
+    if not abs(np.linalg.det(phi0) - 1.0) <= EPS_FRAME:
+        raise ParameterError("initial frame must have determinant +1")
+    return sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, phi0)
 
 
 def _row_blocks(start: int, stop: int, ny: int) -> list[slice]:
@@ -156,24 +141,17 @@ def _row_blocks(start: int, stop: int, ny: int) -> list[slice]:
     return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
 
 
-def _blocked_max(grid: Grid2D, block_max) -> float:
-    """:func:`fields.max_skipping_nan` of the grid, as the max of
-    ``block_max(rows)`` over its row blocks."""
-    blocks = _row_blocks(0, grid.nx, grid.ny)
-    with np.errstate(all="ignore"):
-        return max_skipping_nan(np.array([block_max(rows) for rows in blocks]))
-
-
-def orthonormality_drift(f: FrameGrid) -> float:
+def orthonormality_drift(f: np.ndarray) -> float:
     """Max over nodes of the max-abs entry of Phi^T Phi - I; NaN entries are skipped.
 
     Only the six distinct Gram entries are formed, each summed over the rows
     in order, which is the arithmetic of ``einsum("ka,kb->ab")``, on a
-    component-major copy of each row block of the frames (contiguous entries
-    compute faster than strided views).
+    component-major copy of each row block of the frames ``f`` (contiguous
+    entries compute faster than strided views).  The max of the block maxima
+    is :func:`fields.max_skipping_nan` of the grid.
     """
     def block_max(rows):
-        F = np.moveaxis(f.frames[rows], (2, 3), (0, 1)).copy()
+        F = np.moveaxis(f[rows], (2, 3), (0, 1)).copy()
 
         def gram(a, b):
             return F[0, a] * F[0, b] + F[1, a] * F[1, b] + F[2, a] * F[2, b]
@@ -182,7 +160,9 @@ def orthonormality_drift(f: FrameGrid) -> float:
         devs += [max_skipping_nan(np.abs(gram(a, b))) for a, b in ((0, 1), (0, 2), (1, 2))]
         return max_skipping_nan(np.array(devs))
 
-    return _blocked_max(f.grid, block_max)
+    blocks = _row_blocks(0, *f.shape[:2])
+    with np.errstate(all="ignore"):
+        return max_skipping_nan(np.array([block_max(rows) for rows in blocks]))
 
 
 def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
@@ -194,7 +174,7 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     The xy sweep is stored; the yx sweep is reduced, each of its blocks
     compared with the same nodes of the xy grid as it is made.
     """
-    xy = integrate_frame(c, phi0).frames
+    xy = integrate_frame(c, phi0)
     maxima = []
 
     def block_max(where, nodes):
@@ -211,13 +191,13 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     return max_skipping_nan(np.array(maxima))
 
 
-def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTriple, float]:
+def reconstruct_surfaces(f: np.ndarray, c: CoefficientFields) -> tuple[SurfaceTriple, float]:
     """Integrate R = (r, rbar), R_x = X (A1, Abar1), R_y = Y (A2, Abar2), with the frame.
 
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
-    ``f`` at the origin node and r0 = rbar0 = 0.  The triple's N is the
-    normal of the frame grid passed in: a read-only view of the third column
-    of ``f.frames``, with no copy.  The sweep is reduced: each block of nodes
+    the frame grid ``f`` (:func:`integrate_frame`) at the origin node and
+    r0 = rbar0 = 0.  The triple's N is the normal of ``f``: a read-only view
+    of its third column, with no copy.  The sweep is reduced: each block of nodes
     is copied into r and rbar and compared with ``f``, and no 3x5 grid is
     stored.  Returns the triple and the max distance between the joint
     sweep's normal column and that of ``f`` over the nodes where both are
@@ -227,9 +207,9 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     downstream of the flagged node, which is reported honestly; the frame,
     N and r stay finite, since the generator's (r, rbar) columns never feed back.
     """
-    if f.grid != c.grid:
+    if f.shape != c.grid.shape + (3, 3):
         raise ParameterError("frame grid and coefficient grid differ")
-    state0 = np.hstack([f.frames[0, 0], np.zeros((3, 2))])  # (Phi | r, rbar)
+    state0 = np.hstack([f[0, 0], np.zeros((3, 2))])  # (Phi | r, rbar)
     # C-ordered, which the norms and the writers need
     r, rbar = (np.empty(c.grid.shape + (3,)) for _ in range(2))
     maxima = []
@@ -237,7 +217,7 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
     def copy_out(where, nodes):
         r[where] = nodes[..., 3]
         rbar[where] = nodes[..., 4]
-        e = [(nodes[..., k, 2] - f.frames[where][..., k, 2]) ** 2 for k in range(3)]
+        e = [(nodes[..., k, 2] - f[where][..., k, 2]) ** 2 for k in range(3)]
         # (e0 + e1) + e2, the order of a sum over a length-3 axis
         maxima.append(max_skipping_nan(np.sqrt((e[0] + e[1]) + e[2])))
 
@@ -249,21 +229,18 @@ def reconstruct_surfaces(f: FrameGrid, c: CoefficientFields) -> tuple[SurfaceTri
         reduce=copy_out,
     )
     gauss_dev = max_skipping_nan(np.array(maxima))
-    triple = SurfaceTriple(Vec3Field(c.grid, f.frames[:, :, :, 2]),
+    triple = SurfaceTriple(Vec3Field(c.grid, f[:, :, :, 2]),
                            Vec3Field(c.grid, r), Vec3Field(c.grid, rbar))
     return triple, gauss_dev
 
 
-def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, ScalarField]:
+def mesh_curvatures(r: Vec3Field) -> tuple[ScalarField, ScalarField]:
     """Discrete mean and Gauss curvature of a point grid at interior nodes.
 
     Central differences build the first and second fundamental forms; the
     normal is the normalized cross product of r_x and r_y, so the sign of the
     mean curvature follows the (x, y) orientation of the grid.  Boundary
-    nodes and nodes with degenerate metric (E G - F^2 <= eps) are NaN.
-    For meshes with near-degenerate bands (e.g. curvature-line meshes
-    crossing a cuspidal edge) pass a larger ``eps`` to also exclude the
-    surrounding nodes whose stencils lose accuracy.
+    nodes and nodes with degenerate metric (E G - F^2 <= ``EPS_METRIC``) are NaN.
     """
     grid = r.grid
     dx, dy = grid.dx, grid.dy
@@ -302,7 +279,7 @@ def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, Scal
             Nf = total((v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dy**2 * nk
                        for v, nk in zip(xyz, n))
             del xyz, n
-            bad = ~(det > eps)
+            bad = ~(det > EPS_METRIC)
             mH = (G * L - 2 * F * M + E * Nf) / (2 * det)
             gK = (L * Nf - M * M) / det
             mH[bad] = np.nan
@@ -312,21 +289,32 @@ def mesh_curvatures(r: Vec3Field, eps: float = 1e-10) -> tuple[ScalarField, Scal
     return ScalarField(grid, meanH), ScalarField(grid, gaussK)
 
 
-def surface_diagnostics(triple: SurfaceTriple) -> dict[str, float | int]:
-    """Worst deviation of |N| from 1, the number of nodes whose N is not
-    finite (downstream of a flagged coefficient), and the mean/Gauss
-    curvature statistics of r over the nodes where :func:`mesh_curvatures`
-    is defined."""
+def reconstruct(c: CoefficientFields) -> tuple[SurfaceTriple, dict[str, float | int]]:
+    """The surface triple of ``c`` from the identity frame at the origin
+    node, and its diagnostics, in four sweeps: the frame's
+    :func:`orthonormality_drift`, the :func:`path_independence_error`, the
+    Gauss-map distance of :func:`reconstruct_surfaces`, the worst deviation of
+    |N| from 1, the number of nodes whose N is not finite (downstream of a
+    flagged coefficient), the mean/Gauss curvature statistics of r over the
+    nodes where :func:`mesh_curvatures` is defined, and the flagged nodes.
+    """
+    f = integrate_frame(c, np.eye(3))
+    triple, gauss_dev = reconstruct_surfaces(f, c)
+    diag = {"orthonormality_drift": orthonormality_drift(f),
+            "path_independence_error": path_independence_error(c, np.eye(3)),
+            "gauss_map_consistency": gauss_dev}
     H, K = (v.values for v in mesh_curvatures(triple.r))
     # numpy's nanmean, nanmin and nanmax to the bit, which read NaN with no
     # warning where no node is defined
     with np.errstate(all="ignore"):
         n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
-        return {
+        diag.update({
             "normal_unit_max_dev": max_skipping_nan(np.abs(n_norm - 1.0)),
             "frame_nonfinite_nodes": int((~np.isfinite(n_norm)).sum()),
             "mean_curvature_mean": float(np.nansum(H) / np.count_nonzero(~np.isnan(H))),
             "mean_curvature_min": float(np.fmin.reduce(H, axis=None)),
             "mean_curvature_max": max_skipping_nan(H),
             "gauss_curvature_mean": float(np.nansum(K) / np.count_nonzero(~np.isnan(K))),
-        }
+        })
+    diag["flagged_nodes"] = int(c.n_flagged)
+    return triple, diag

@@ -4,13 +4,16 @@ The equation registry is fixed and versioned so reports are schema-stable:
 thirteen core identifiers (governing system, Mainardi-Codazzi, net relations
 for both the metric and dual coefficients, Gauss equation, membrane
 equilibrium) plus six extended entries (first integrals, quadric constraint,
-orthogonality, Omega-surface ratios).
+orthogonality, Omega-surface ratios).  :func:`verify_refined` is the
+``verify`` command's one entry: the report of a triple and, under grid
+refinement of its seed, the measured convergence order of each entry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
 from .kernel import (
     GoverningFields,
     ResidualReport,
@@ -23,6 +26,7 @@ from .kernel import (
     residual_stats,
 )
 from .omega import omega_ratios
+from .seeds import SeedSpec, generate_seed
 
 __all__ = [
     "REGISTRY_VERSION",
@@ -31,6 +35,7 @@ __all__ = [
     "ALGEBRAIC_EQUATIONS",
     "verify_governing",
     "convergence_orders",
+    "verify_refined",
 ]
 
 REGISTRY_VERSION = 1
@@ -117,3 +122,24 @@ def convergence_orders(reports: list[ResidualReport]) -> dict[str, float | None]
         else:
             orders[name] = float(np.log2(a / b))
     return orders
+
+
+def verify_refined(g: GoverningFields, seed: dict | None, levels: int
+                   ) -> tuple[ResidualReport, dict[str, float | None] | None]:
+    """The report of ``g`` and, if ``levels`` > 0, the :func:`convergence_orders`
+    of ``levels`` halvings (n -> 2n - 1 a side) of its grid, on which the
+    field-file seed header ``seed`` is regenerated; the orders read the last
+    two grids only, so only those are seeded and verified.  A header that
+    gives no seed raises FieldFormatError, or the ParameterError of its seed.
+    """
+    if levels < 0 or (levels > 0 and seed is None):
+        raise ParameterError(f"refinement needs levels >= 0 and a seed header, got {levels}")
+    report = verify_governing(g)
+    if levels == 0:
+        return report, None
+    reports, nx, ny = [report], g.grid.nx, g.grid.ny
+    for level in range(1, levels + 1):
+        nx, ny = 2 * nx - 1, 2 * ny - 1
+        if level >= levels - 1:
+            reports.append(verify_governing(generate_seed(SeedSpec.from_header(seed, nx, ny))))
+    return report, convergence_orders(reports)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mosurf.frames
 from mosurf.backlund import apply_backlund, bianchi_darboux
 from mosurf.fields import Grid2D
 from mosurf.frames import (
@@ -134,7 +135,7 @@ def test_criterion_2_equilibrium():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_3_reconstruction():
+def test_criterion_3_reconstruction(monkeypatch):
     # cmc: alpha0 = 1 on [0,2]^2 at 201^2 -> mean curvature -1/2
     g = make_seed("cmc", 201)
     c = coefficients_from_governing(g)
@@ -151,7 +152,10 @@ def test_criterion_3_reconstruction():
     c2 = coefficients_from_governing(g2)
     f2 = integrate_frame(c2, I3)
     triple2, _ = reconstruct_surfaces(f2, c2)
-    _, gaussK = mesh_curvatures(triple2.r, eps=0.02)
+    # a wider degeneracy threshold also leaves out the nodes beside the
+    # near-degenerate band, whose stencils lose accuracy
+    monkeypatch.setattr(mosurf.frames, "EPS_METRIC", 0.02)
+    _, gaussK = mesh_curvatures(triple2.r)
     k_dev = float(np.nanmax(np.abs(gaussK.values + 1.0)))
 
     # path-independence error decays at order >= 2 under refinement

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import mosurf.backlund
+import mosurf.frames
+import mosurf.sweep
 from mosurf.backlund import (
     _lax_matrix_x,
     _lax_matrix_y,
@@ -21,7 +23,13 @@ from mosurf.backlund import (
 )
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D
-from mosurf.frames import integrate_frame, mesh_curvatures, reconstruct_surfaces
+from mosurf.frames import (
+    integrate_frame,
+    mesh_curvatures,
+    path_independence_error,
+    reconstruct,
+    reconstruct_surfaces,
+)
 from mosurf.kernel import (
     ResidualReport,
     coefficients_from_governing,
@@ -31,6 +39,7 @@ from mosurf.kernel import (
 from mosurf.seeds import SeedSpec, generate_seed
 
 I3 = np.eye(3)
+NAN, INF = float("nan"), float("inf")
 
 # tuned configurations keeping the primed fields branch-valid and away from
 # the metric degeneracies of each kind
@@ -68,11 +77,16 @@ def test_admissible_initial_examples():
         assert abs(quad) < 1e-13
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_admissible_initial_validation():
     with pytest.raises(ParameterError):
         admissible_initial(0.0, 1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ParameterError):
         admissible_initial(1.0, 1.0, 0.0, 0.0, 0.0)
+    for args in ((NAN, 1.0, 0.0, 1.0, 1.7), (1.0, 1.0, 0.0, INF, 1.7), (1.0, 1.0, -INF, 1.0, 1.7),
+                 (1.0, 1.0, 0.0, 1.0, NAN)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            admissible_initial(*args)
 
 
 def test_zero_initial_vector_gives_zero_solution():
@@ -437,3 +451,72 @@ def test_bianchi_darboux_validation(monkeypatch):
         bianchi_darboux(g2, mbar=1.0, lambda0=0.0, omega0=0.0)
     with pytest.raises(ParameterError, match="omega0 must be nonzero"):
         apply_backlund(g2, m=1.0, lambda0=0.0, omega0=0.0, phi0=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the sweep contract and the guards in front of the sweeps
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The orders of the ``sweep_grid`` calls made by ``mosurf.frames`` and
+    ``mosurf.backlund``, one entry a sweep."""
+    orders, sweep_grid = [], mosurf.sweep.sweep_grid
+
+    def counted(*args, **kwargs):
+        orders.append(kwargs.get("order", "xy"))
+        return sweep_grid(*args, **kwargs)
+
+    for module in (mosurf.frames, mosurf.backlund):
+        monkeypatch.setattr(module, "sweep_grid", counted)
+    return orders
+
+
+def test_each_entry_sweeps_its_count(sweeps):
+    # reconstruct: the frame, the joint frame + triple sweep and the two
+    # orders of the path independence; apply_backlund: the two Lax orders,
+    # the frame and the joint sweep; bianchi_darboux: one Lax order, the
+    # frame and the joint sweep
+    g = cmc(n=11)
+    c = coefficients_from_governing(g)
+    for run, count in ((lambda: reconstruct(c), 4),
+                       (lambda: apply_backlund(g, **CMC_BACKLUND), 4),
+                       (lambda: bianchi_darboux(g, mbar=1.0), 3),
+                       (lambda: path_independence_error(c, I3), 2)):
+        sweeps.clear()
+        run()
+        assert len(sweeps) == count
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_apply_backlund_rejects_non_finite_initial_values_before_a_sweep(sweeps):
+    g = cmc(n=11)
+    for bad in (dict(omega0=NAN), dict(phi0=INF)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            apply_backlund(g, **{**CMC_BACKLUND, **bad})
+    assert sweeps == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bianchi_darboux_rejects_non_finite_parameters_before_a_sweep(sweeps):
+    g = cmc(n=11)
+    for kw in (dict(mbar=INF), dict(mbar=NAN), dict(mbar=1.0, omega0=NAN),
+               dict(mbar=1.0, lambda0=INF)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            bianchi_darboux(g, **kw)
+    assert sweeps == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_lax_rejects_non_finite_m_and_init_before_a_sweep(sweeps):
+    c = coefficients_from_governing(cmc(n=11))
+    init = admissible_initial(1.0, c.qn, 0.0, 1.0, 1.7)
+    with pytest.raises(ParameterError, match="must be finite"):
+        integrate_lax(c, NAN, init)
+    for k in range(5):
+        bad = init.copy()
+        bad[k] = (NAN, INF)[k % 2]
+        with pytest.raises(ParameterError, match="must be finite"):
+            integrate_lax(c, 1.0, bad)
+    assert sweeps == []

@@ -11,11 +11,11 @@ import mosurf.sweep
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, Vec3Field, max_skipping_nan
 from mosurf.frames import (
-    FrameGrid,
     integrate_frame,
     mesh_curvatures,
     orthonormality_drift,
     path_independence_error,
+    reconstruct,
     reconstruct_surfaces,
 )
 from mosurf.kernel import (
@@ -43,11 +43,12 @@ def cmc_coefficients(n=101, dom=(0, 2, 0, 2)):
 def test_zero_coefficients_give_constant_frame():
     grid = Grid2D.from_domain(0, 1, 0, 1, 11, 11)
     f = integrate_frame(zero_coefficients(grid), I3)
-    assert np.max(np.abs(f.frames - I3)) == 0.0
+    assert np.max(np.abs(f - I3)) == 0.0
     assert orthonormality_drift(f) == 0.0
     assert path_independence_error(zero_coefficients(grid), I3) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_initial_frame_validation():
     grid = Grid2D.from_domain(0, 1, 0, 1, 5, 5)
     c = zero_coefficients(grid)
@@ -61,13 +62,19 @@ def test_initial_frame_validation():
     nan_frame[1, 2] = np.nan
     with pytest.raises(ParameterError, match="orthonormal"):
         integrate_frame(c, nan_frame)
+    # and so is an infinite entry, before the products would warn
+    for value in (np.inf, -np.inf):
+        inf_frame = I3.copy()
+        inf_frame[0, 1] = value
+        with pytest.raises(ParameterError, match="orthonormal"):
+            integrate_frame(c, inf_frame)
 
 
 def test_cmc_frame_drift_and_determinant():
     _, c = cmc_coefficients(n=201)
     f = integrate_frame(c, I3)
     assert orthonormality_drift(f) < 1e-6
-    dets = np.linalg.det(f.frames.reshape(-1, 3, 3))
+    dets = np.linalg.det(f.reshape(-1, 3, 3))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
 
 
@@ -94,13 +101,12 @@ EDGE_ROWS = (0, 10, 11, 12, 21, 30, 33, 50)
 def test_drift_matches_einsum_gram_in_row_blocks(monkeypatch, rows):
     # rows=None keeps the default budget: one block of all 51 rows
     _, c = cmc_coefficients(n=51)
-    frames = integrate_frame(c, I3).frames.copy()
+    frames = integrate_frame(c, I3).copy()
     rng = np.random.default_rng(7)
     frames += 1e-3 * rng.standard_normal(frames.shape)
     if rows is not None:
         cut_row_blocks(monkeypatch, rows, 51)
-    f = FrameGrid(c.grid, frames)
-    drift = orthonormality_drift(f)
+    drift = orthonormality_drift(frames)
     assert drift > 1e-3
     assert np.float64(drift).tobytes() == np.float64(einsum_drift(frames)).tobytes()
     # the worst entry on the diagonal (Gram[1, 1] ~ 9), then off it (Gram[0, 2] ~ 0.71)
@@ -109,22 +115,22 @@ def test_drift_matches_einsum_gram_in_row_blocks(monkeypatch, rows):
     off = frames.copy()
     off[30, 40, :, 2] = (off[30, 40, :, 0] + off[30, 40, :, 2]) / np.sqrt(2.0)
     for bad, low in ((on, 7.0), (off, 0.7)):
-        assert orthonormality_drift(FrameGrid(c.grid, bad)) == einsum_drift(bad) > low
+        assert orthonormality_drift(bad) == einsum_drift(bad) > low
     # a NaN node is skipped, wherever it sits in the max, also where the
     # worst entry sits; only a grid with no finite node reads NaN
     for node in ((0, 0), (25, 17), (-1, -1), (30, 40), *((i, i) for i in EDGE_ROWS)):
         g = on.copy()
         g[node][2, 0] = np.nan
-        assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) > 7.0
-    assert np.isnan(orthonormality_drift(FrameGrid(c.grid, np.full_like(frames, np.nan))))
+        assert orthonormality_drift(g) == einsum_drift(g) > 7.0
+    assert np.isnan(orthonormality_drift(np.full_like(frames, np.nan)))
     # an infinite entry is the max; a node whose entries are all NaN is skipped
     for i in EDGE_ROWS:
         g = frames.copy()
         g[i, 3, 1, 2] = np.inf
         g[i, 40] = np.nan
-        assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) == np.inf
+        assert orthonormality_drift(g) == einsum_drift(g) == np.inf
         g[i, 3] = np.nan
-        assert orthonormality_drift(FrameGrid(c.grid, g)) == einsum_drift(g) == drift
+        assert orthonormality_drift(g) == einsum_drift(g) == drift
 
 
 def test_drift_reduces_at_fourth_order():
@@ -205,23 +211,22 @@ def test_gauss_map_distance_matches_frozen_formula(monkeypatch, rows):
     if rows is not None:
         cut_row_blocks(monkeypatch, rows, 51)
     f = integrate_frame(c, I3)
-    frames = f.frames + 1e-3 * np.random.default_rng(5).standard_normal(f.frames.shape)
-    frames[0, 0] = f.frames[0, 0]  # the triple starts from this frame
+    frames = f + 1e-3 * np.random.default_rng(5).standard_normal(f.shape)
+    frames[0, 0] = f[0, 0]  # the triple starts from this frame
     for i in EDGE_ROWS[1:]:
         frames[i, i % 7, 0, 2] = np.nan
-    other = FrameGrid(c.grid, frames)
     N = reconstruct_surfaces(f, c)[0].N.values
 
     def frozen(frames):
         return float(np.nanmax(np.sqrt(((N - frames[:, :, :, 2]) ** 2).sum(2))))
 
-    dev = reconstruct_surfaces(other, c)[1]
+    dev = reconstruct_surfaces(frames, c)[1]
     assert 1e-3 < dev == frozen(frames)
     frames[33, 20, 1, 2] = np.inf
-    assert reconstruct_surfaces(other, c)[1] == frozen(frames) == np.inf
+    assert reconstruct_surfaces(frames, c)[1] == frozen(frames) == np.inf
     frames[:] = np.nan
-    frames[0, 0] = f.frames[0, 0]
-    assert reconstruct_surfaces(other, c)[1] == 0.0
+    frames[0, 0] = f[0, 0]
+    assert reconstruct_surfaces(frames, c)[1] == 0.0
 
 
 def test_frame_diagnostics_skip_nan_nodes():
@@ -233,13 +238,13 @@ def test_frame_diagnostics_skip_nan_nodes():
     Ko[30, 20] = np.nan  # read up column 30 by the xy sweep
     bad = replace(c, Ko=Ko)
     f = integrate_frame(bad, I3)
-    lost = ~np.isfinite(f.frames).all(axis=(2, 3))
+    lost = ~np.isfinite(f).all(axis=(2, 3))
     assert lost.any() and not lost.all()
     _, gauss_dev = reconstruct_surfaces(f, bad)
     drift, pie = orthonormality_drift(f), path_independence_error(bad, I3)
     assert gauss_dev == 0.0
-    clean = np.where(lost[..., None, None], I3, f.frames)  # exact frames at the lost nodes
-    assert 0.0 < drift == orthonormality_drift(FrameGrid(c.grid, clean))
+    clean = np.where(lost[..., None, None], I3, f)  # exact frames at the lost nodes
+    assert 0.0 < drift == orthonormality_drift(clean)
     assert 0.0 < pie < 1e-2
 
 
@@ -253,7 +258,7 @@ def test_reconstruction_confines_nan_dual_coefficients_to_rbar():
     assert c.flagged[20].all()
     f = integrate_frame(c, I3)
     triple, _ = reconstruct_surfaces(f, c)
-    for v in (f.frames, triple.N.values, triple.r.values):
+    for v in (f, triple.N.values, triple.r.values):
         assert np.isfinite(v).all()
     # the xy sweep carries the NaN from the flagged column up every later column
     downstream = np.zeros(grid.shape, dtype=bool)
@@ -276,7 +281,7 @@ def test_triple_normal_is_a_view_of_the_frame_normal_column():
     f = integrate_frame(c, I3)
     triple, gauss_dev = reconstruct_surfaces(f, c)
     N = triple.N.values
-    assert np.shares_memory(N, f.frames) and not N.flags.writeable
+    assert np.shares_memory(N, f) and not N.flags.writeable
     joint = sweep_grid(grid, (c.p, c.Ho, c.A1, c.Abar1), mosurf.frames._with_triple_x,
                        (c.q, c.Ko, c.A2, c.Abar2), mosurf.frames._with_triple_y,
                        np.hstack([I3, np.zeros((3, 2))]))
@@ -319,7 +324,7 @@ def frozen_triple_y(q, Ko, A2, Abar2, out=None):
 def frozen_joint_sweep(f, c):
     """The 3x6 joint sweep of (Phi | N, r, rbar), as the triple was built
     before N became the frame's own column."""
-    phi0 = f.frames[0, 0]
+    phi0 = f[0, 0]
     state0 = np.hstack([phi0, phi0[:, 2:], np.zeros((3, 2))])
     return sweep_grid(c.grid, (c.p, c.Ho, c.A1, c.Abar1), frozen_triple_x,
                       (c.q, c.Ko, c.A2, c.Abar2), frozen_triple_y, state0)
@@ -342,7 +347,7 @@ def test_triple_matches_frame_and_frozen_joint_sweep(family, dom, shape):
     for phi0 in (I3, turn @ np.array([[1.0, 0, 0], [0, 0.28, -0.96], [0, 0.96, 0.28]])):
         f = integrate_frame(c, phi0)
         triple, gauss_dev = reconstruct_surfaces(f, c)
-        assert triple.N.values.tobytes() == np.ascontiguousarray(f.frames[..., 2]).tobytes()
+        assert triple.N.values.tobytes() == np.ascontiguousarray(f[..., 2]).tobytes()
         assert gauss_dev == 0.0
         joint = frozen_joint_sweep(f, c)
         for k, v in ((3, triple.N), (4, triple.r), (5, triple.rbar)):
@@ -362,8 +367,8 @@ def test_reconstruction_tangent_structure():
     ry = (v[:, 2:] - v[:, :-2]) / (2 * grid.dy)
     core_x = (slice(2, -2), slice(3, -3))
     core_y = (slice(3, -3), slice(2, -2))
-    X = f.frames[1:-1, :, :, 0]
-    Y = f.frames[:, 1:-1, :, 1]
+    X = f[1:-1, :, :, 0]
+    Y = f[:, 1:-1, :, 1]
     err_x = np.sqrt(((rx - c.A1[1:-1, :, None] * X) ** 2).sum(axis=2))
     err_y = np.sqrt(((ry - c.A2[:, 1:-1, None] * Y) ** 2).sum(axis=2))
     h2 = grid.hmax**2
@@ -389,8 +394,8 @@ def test_reconstruction_recovers_o_surface_relation():
     def d_y(vec):
         return (vec[1:-1, 2:] - vec[1:-1, :-2]) / (2 * grid.dy)
 
-    X = f.frames[1:-1, 1:-1, :, 0]
-    Y = f.frames[1:-1, 1:-1, :, 1]
+    X = f[1:-1, 1:-1, :, 0]
+    Y = f[1:-1, 1:-1, :, 1]
     Hs = [
         (d_x(triple.N.values) * X).sum(axis=2),
         (d_x(triple.r.values) * X).sum(axis=2),
@@ -500,8 +505,9 @@ def test_mesh_curvatures_match_stacked_formulas_in_row_blocks(monkeypatch, rows,
     r = curvature_meshes()[name]
     if rows is not None:
         cut_row_blocks(monkeypatch, rows, 51)
+    monkeypatch.setattr(mosurf.frames, "EPS_METRIC", eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        meanH, gaussK = mesh_curvatures(r, eps)
+        meanH, gaussK = mesh_curvatures(r)
         want = stacked_curvatures(r, eps)
     assert meanH.values.tobytes() == want[0].tobytes()
     assert gaussK.values.tobytes() == want[1].tobytes()
@@ -512,6 +518,27 @@ def test_mesh_curvatures_match_stacked_formulas_in_row_blocks(monkeypatch, rows,
         assert inner.any() and not inner.all()
     if name == "degenerate":  # the repeated points give det <= eps, not NaN
         assert np.isnan(meanH.values[13, 20])
+
+
+def test_reconstruct_runs_the_frame_phase_with_its_diagnostics_in_order():
+    _, c = cmc_coefficients(n=51)
+    triple, diag = reconstruct(c)
+    f = integrate_frame(c, I3)
+    want, gauss_dev = reconstruct_surfaces(f, c)
+    for a, b in ((triple.N, want.N), (triple.r, want.r), (triple.rbar, want.rbar)):
+        assert a.values.tobytes() == b.values.tobytes()
+    H, K = (v.values for v in mesh_curvatures(want.r))
+    assert list(diag) == [
+        "orthonormality_drift", "path_independence_error", "gauss_map_consistency",
+        "normal_unit_max_dev", "frame_nonfinite_nodes", "mean_curvature_mean",
+        "mean_curvature_min", "mean_curvature_max", "gauss_curvature_mean", "flagged_nodes"]
+    assert diag["orthonormality_drift"] == orthonormality_drift(f)
+    assert diag["path_independence_error"] == path_independence_error(c, I3)
+    assert diag["gauss_map_consistency"] == gauss_dev == 0.0
+    assert diag["mean_curvature_mean"] == np.nanmean(H)
+    assert (diag["mean_curvature_min"], diag["mean_curvature_max"]) == (np.nanmin(H), np.nanmax(H))
+    assert diag["gauss_curvature_mean"] == np.nanmean(K)
+    assert diag["frame_nonfinite_nodes"] == diag["flagged_nodes"] == 0
 
 
 def test_cmc_reconstruction_mean_curvature():

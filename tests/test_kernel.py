@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mosurf.verify
 from mosurf.backlund import apply_backlund
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, ScalarField, diff_x, diff_y
@@ -27,7 +28,13 @@ from mosurf.kernel import (
 )
 from mosurf.omega import EPS_UMBILIC, omega_ratios
 from mosurf.seeds import SeedSpec, generate_seed
-from mosurf.verify import CORE_EQUATIONS, EXTENDED_EQUATIONS, verify_governing
+from mosurf.verify import (
+    CORE_EQUATIONS,
+    EXTENDED_EQUATIONS,
+    convergence_orders,
+    verify_governing,
+    verify_refined,
+)
 
 
 def make_governing(kind, grid, alpha, xi, h, qn=1.0):
@@ -293,6 +300,29 @@ def test_verify_report_keeps_registry_order(family, kw):
     grid = Grid2D.from_domain(0.7, 1.3, -0.5, 0.5, 21, 21)
     report = verify_governing(generate_seed(SeedSpec(family, grid, **kw)))
     assert list(report.entries) == [*CORE_EQUATIONS, *EXTENDED_EQUATIONS, "omega-combined"]
+
+
+def test_verify_refined_verifies_only_the_grids_its_orders_read(monkeypatch):
+    spec = SeedSpec("cmc", Grid2D.from_domain(0, 2, 0, 2, 9, 9), alpha0=1.0)
+    g, seed = generate_seed(spec), spec.header()
+    # every level, and the orders of the last two, as the refine loop had them
+    levels = [g] + [generate_seed(SeedSpec.from_header(seed, n, n)) for n in (17, 33, 65)]
+    reports = [verify_governing(t) for t in levels]
+    want = convergence_orders(reports)
+    assert verify_refined(g, seed, 0) == (reports[0], None)
+    verified = []
+
+    def counted(t):
+        verified.append(t.grid.shape)
+        return verify_governing(t)
+
+    monkeypatch.setattr(mosurf.verify, "verify_governing", counted)
+    report, orders = verify_refined(g, seed, 3)
+    assert verified == [(9, 9), (33, 33), (65, 65)]
+    assert report == reports[0] and orders == want
+    for bad_seed, bad_levels in ((None, 1), (seed, -1)):
+        with pytest.raises(ParameterError, match="refinement needs"):
+            verify_refined(g, bad_seed, bad_levels)
 
 
 def test_stress_guard_flags_vanishing_denominator():
