@@ -2,7 +2,8 @@
 
 Subcommands: seed | verify | reconstruct | stress | backlund | omega.
 Exit codes: 0 success, 1 usage error, 2 file validation/parse error,
-3 numerical failure (all nodes singular, non-finite output, empty mesh),
+3 numerical failure (all nodes singular, non-finite output, empty mesh, an
+array too large to allocate),
 4 failed gate (``verify`` printed FAIL for an algebraic residual).
 
 A handler parses its flags, calls the library for the numerics and their
@@ -18,6 +19,7 @@ import argparse
 import math
 import re
 import sys
+from pathlib import Path
 
 from .errors import FieldFormatError, MosurfError, ParameterError, SingularGridError
 
@@ -34,6 +36,7 @@ _EXIT_CODES = (
     (SingularGridError, EXIT_NUMERICAL),
     (MosurfError, EXIT_VALIDATION),
     (OSError, EXIT_VALIDATION),
+    (MemoryError, EXIT_NUMERICAL),
 )
 
 
@@ -76,6 +79,18 @@ def _check_finite(args: argparse.Namespace) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
+def _check_distinct(*paths: str | None) -> None:
+    """A command's input and output files, which must be distinct: an output
+    that names the input or another output would overwrite it."""
+    seen: dict[Path, str] = {}
+    for path in filter(None, paths):
+        key = Path(path).resolve()
+        if key in seen:
+            raise ParameterError(
+                f"the input and output files must be distinct, got {seen[key]} and {path}")
+        seen[key] = path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +172,14 @@ def _cmd_verify(args) -> int:
         raise ParameterError(f"--refine must be >= 0, got {args.refine}")
     if args.tol < 0:
         raise ParameterError(f"--tol must be >= 0, got {args.tol:g}")
+    _check_distinct(args.fieldfile, args.report)
     g, seed = read_field_file(args.fieldfile)
+    # the finest grid has 2^K (n - 1) + 1 nodes a side; K is capped at 64,
+    # where one side alone is too many, so that no huge int is formed
+    nx, ny = (((n - 1) << min(args.refine, 64)) + 1 for n in g.grid.shape)
+    if nx * ny > sys.maxsize:
+        raise ParameterError(f"--refine {args.refine} asks for a grid of more than "
+                             f"{sys.maxsize} nodes")
     if args.refine > 0 and seed is None:
         raise FieldFormatError(
             f"{args.fieldfile}: --refine requires a seed header to regenerate fields"
@@ -190,9 +212,11 @@ def _cmd_verify(args) -> int:
 def _cmd_reconstruct(args) -> int:
     from .fileio import (check_report, mesh_faces, read_field_file, report_to_dict, write_obj,
                          write_report_file, write_table)
-    from .frames import reconstruct
+    from .frames import DRIFT_TOL, reconstruct
     from .kernel import ResidualReport, coefficients_from_governing
 
+    files = [f"{args.out}_{name}" for name in ("r.obj", "rbar.obj", "N.obj", "table.csv")]
+    _check_distinct(args.fieldfile, *files, args.report)
     g, _ = read_field_file(args.fieldfile)
     c = coefficients_from_governing(g)
     frac = c.n_flagged / g.grid.n_nodes
@@ -207,16 +231,18 @@ def _cmd_reconstruct(args) -> int:
     if args.report:  # a report with a non-finite value fails before any file is opened
         doc = report_to_dict(ResidualReport(g.grid), g.kind, g.qn, diagnostics=diag)
         check_report(args.report, doc)
+    if diag["orthonormality_drift"] > DRIFT_TOL:  # a warning: the files are still written
+        print(f"warning: orthonormality drift {diag['orthonormality_drift']:.3e} is above "
+              f"{DRIFT_TOL:g}: the frame has left the rotation group", file=sys.stderr)
     # the four files share one memo: r, N and rbar are formatted once, for
     # the OBJ vertices and the table alike, and meshes on the same nodes
     # share their face lines
     texts: dict = {}
-    write_obj(f"{args.out}_r.obj", triple.r, valid=valid, texts=texts)
-    write_obj(f"{args.out}_rbar.obj", triple.rbar, valid=valid, texts=texts)
-    write_obj(f"{args.out}_N.obj", triple.N, valid=valid, texts=texts)
+    for path, points in zip(files, (triple.r, triple.rbar, triple.N)):
+        write_obj(path, points, valid=valid, texts=texts)
     X, Y = g.grid.meshgrid()
     write_table(
-        f"{args.out}_table.csv",
+        files[3],
         g.grid,
         {
             "x": X, "y": Y,
@@ -239,6 +265,7 @@ def _cmd_stress(args) -> int:
     from .fileio import read_field_file, write_table
     from .kernel import stresses
 
+    _check_distinct(args.fieldfile, args.out)
     g, _ = read_field_file(args.fieldfile)
     s = stresses(g)
     X, Y = g.grid.meshgrid()
@@ -263,6 +290,7 @@ def _cmd_backlund(args) -> int:
     if args.m == 0.0:
         raise ParameterError("--m must be nonzero")
     lam0, om0, ph0 = _parse_numbers(args.init, ",", "lambda0,omega0,phi0", "--init")
+    _check_distinct(args.fieldfile, args.out, args.report)
     g, _ = read_field_file(args.fieldfile)
     if args.bianchi_darboux:
         mbar = args.m * g.qn / 2.0
@@ -297,6 +325,7 @@ def _cmd_omega(args) -> int:
     from .kernel import ResidualReport, coefficients_from_governing
     from .omega import omega_ratios
 
+    _check_distinct(args.fieldfile, args.report)
     g, _ = read_field_file(args.fieldfile)
     report = ResidualReport.from_fields(g.grid, omega_ratios(coefficients_from_governing(g), g))
     umbilic = int(report.entries["omega-1"].excluded)

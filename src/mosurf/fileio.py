@@ -58,8 +58,9 @@ __all__ = [
 
 #: version of the field-file format
 FORMAT_VERSION = 1
-#: version of the report schema (2: omega reports lost the 4-vector entries)
-REPORT_VERSION = 2
+#: version of the report schema (2: omega reports lost the 4-vector entries;
+#: 3: reconstruct reports lost the Gauss-map distance)
+REPORT_VERSION = 3
 
 FIELD_NAMES = ("alpha", "xi", "h")
 

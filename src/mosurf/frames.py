@@ -21,7 +21,7 @@ The diagnostics that follow the sweeps are pointwise or 3x3-stencil formulas
 followed by a max, so their temporaries are a block, not a grid.  Two reduce
 a sweep (``sweep.sweep_grid``'s ``reduce``) one block of nodes at a time,
 indexing each block like a grid, and no grid of that sweep is stored: the
-Gauss-map distance of :func:`reconstruct_surfaces`, taken while the joint
+|N| statistics of :func:`reconstruct_surfaces`, taken while the joint
 sweep's blocks are copied into r and rbar, and the distance between the two
 sweep orders of :func:`path_independence_error`, which compares each block
 of the yx sweep with the stored xy grid.  :func:`orthonormality_drift` and
@@ -60,6 +60,9 @@ EPS_FRAME = 1e-10
 
 #: :func:`mesh_curvatures` leaves out the nodes whose metric E G - F^2 is at or below this
 EPS_METRIC = 1e-10
+
+#: above this :func:`orthonormality_drift` the ``reconstruct`` command warns
+DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,47 +194,44 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
     return max_skipping_nan(np.array(maxima))
 
 
-def reconstruct_surfaces(f: np.ndarray, c: CoefficientFields) -> tuple[SurfaceTriple, float]:
+def reconstruct_surfaces(f: np.ndarray, c: CoefficientFields) -> tuple[SurfaceTriple, dict]:
     """Integrate R = (r, rbar), R_x = X (A1, Abar1), R_y = Y (A2, Abar2), with the frame.
 
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
     the frame grid ``f`` (:func:`integrate_frame`) at the origin node and
     r0 = rbar0 = 0.  The triple's N is the normal of ``f``: a read-only view
-    of its third column, with no copy.  The sweep is reduced: each block of nodes
-    is copied into r and rbar and compared with ``f``, and no 3x5 grid is
-    stored.  Returns the triple and the max distance between the joint
-    sweep's normal column and that of ``f`` over the nodes where both are
-    finite.  Both come from the same arithmetic on the same coefficients, so
-    that distance reads 0 unless the two sweeps are run differently.
-    NaN dual coefficients (flagged stress nodes) poison the rbar sheet
-    downstream of the flagged node, which is reported honestly; the frame,
-    N and r stay finite, since the generator's (r, rbar) columns never feed back.
+    of its third column, with no copy.  The sweep is reduced: each block of
+    nodes is copied into r and rbar, the same nodes of N are measured, and
+    no 3x5 grid is stored.  Returns the triple and the statistics of
+    |N| = sqrt((N0^2 + N1^2) + N2^2): ``normal_unit_max_dev``, the largest
+    ||N| - 1| where |N| is finite, and ``frame_nonfinite_nodes``, the number
+    of nodes where it is not.  NaN dual coefficients (flagged stress nodes)
+    poison rbar downstream of the flagged node, which is reported honestly;
+    the frame, N and r stay finite, since the generator's (r, rbar) columns
+    never feed back.
     """
     if f.shape != c.grid.shape + (3, 3):
         raise ParameterError("frame grid and coefficient grid differ")
     state0 = np.hstack([f[0, 0], np.zeros((3, 2))])  # (Phi | r, rbar)
     # C-ordered, which the norms and the writers need
     r, rbar = (np.empty(c.grid.shape + (3,)) for _ in range(2))
-    maxima = []
+    maxima, lost = [], []
 
     def copy_out(where, nodes):
         r[where] = nodes[..., 3]
         rbar[where] = nodes[..., 4]
-        e = [(nodes[..., k, 2] - f[where][..., k, 2]) ** 2 for k in range(3)]
-        # (e0 + e1) + e2, the order of a sum over a length-3 axis
-        maxima.append(max_skipping_nan(np.sqrt((e[0] + e[1]) + e[2])))
+        N = f[where][..., :, 2]  # |N| in the order of a sum over a length-3 axis
+        norm = np.sqrt((N[..., 0] ** 2 + N[..., 1] ** 2) + N[..., 2] ** 2)
+        finite = np.isfinite(norm)
+        maxima.append(max_skipping_nan(np.where(finite, np.abs(norm - 1.0), np.nan)))
+        lost.append(norm.size - np.count_nonzero(finite))
 
-    sweep_grid(
-        c.grid,
-        (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
-        (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
-        state0,
-        reduce=copy_out,
-    )
-    gauss_dev = max_skipping_nan(np.array(maxima))
+    sweep_grid(c.grid, (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
+               (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y, state0, reduce=copy_out)
     triple = SurfaceTriple(Vec3Field(c.grid, f[:, :, :, 2]),
                            Vec3Field(c.grid, r), Vec3Field(c.grid, rbar))
-    return triple, gauss_dev
+    return triple, {"normal_unit_max_dev": max_skipping_nan(np.array(maxima)),
+                    "frame_nonfinite_nodes": int(sum(lost))}
 
 
 def mesh_curvatures(r: Vec3Field) -> tuple[ScalarField, ScalarField]:
@@ -293,24 +293,20 @@ def reconstruct(c: CoefficientFields) -> tuple[SurfaceTriple, dict[str, float | 
     """The surface triple of ``c`` from the identity frame at the origin
     node, and its diagnostics, in four sweeps: the frame's
     :func:`orthonormality_drift`, the :func:`path_independence_error`, the
-    Gauss-map distance of :func:`reconstruct_surfaces`, the worst deviation of
-    |N| from 1, the number of nodes whose N is not finite (downstream of a
-    flagged coefficient), the mean/Gauss curvature statistics of r over the
-    nodes where :func:`mesh_curvatures` is defined, and the flagged nodes.
+    |N| statistics of :func:`reconstruct_surfaces`, the mean/Gauss curvature
+    statistics of r over the nodes where :func:`mesh_curvatures` is defined,
+    and the flagged nodes.
     """
     f = integrate_frame(c, np.eye(3))
-    triple, gauss_dev = reconstruct_surfaces(f, c)
+    triple, normal_stats = reconstruct_surfaces(f, c)
     diag = {"orthonormality_drift": orthonormality_drift(f),
             "path_independence_error": path_independence_error(c, np.eye(3)),
-            "gauss_map_consistency": gauss_dev}
+            **normal_stats}
     H, K = (v.values for v in mesh_curvatures(triple.r))
     # numpy's nanmean, nanmin and nanmax to the bit, which read NaN with no
     # warning where no node is defined
     with np.errstate(all="ignore"):
-        n_norm = np.sqrt((triple.N.values ** 2).sum(axis=2))
         diag.update({
-            "normal_unit_max_dev": max_skipping_nan(np.abs(n_norm - 1.0)),
-            "frame_nonfinite_nodes": int((~np.isfinite(n_norm)).sum()),
             "mean_curvature_mean": float(np.nansum(H) / np.count_nonzero(~np.isnan(H))),
             "mean_curvature_min": float(np.fmin.reduce(H, axis=None)),
             "mean_curvature_max": max_skipping_nan(H),

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1099,3 +1100,69 @@ def test_cli_usage_error_is_exit_1():
         # argparse handles -h itself; unknown subcommand maps to usage error
         main(["-h"])
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["backlund", "c.json", "--m", "1", "--init", "0,1,1.7", "-o", "x.json", "--report", "x.json"],
+    ["reconstruct", "c.json", "-o", "m", "--report", "m_r.obj"],
+    ["verify", "c.json", "--report", "c.json"],
+    ["omega", "c.json", "--report", "./c.json"],
+    ["stress", "c.json", "-o", "c.json"],
+], ids=lambda argv: argv[0])
+def test_cli_output_naming_the_input_or_another_output_is_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    # found before the input is read: no file is overwritten or written
+    monkeypatch.chdir(tmp_path)
+    assert run(["seed", "--family", "cmc", "--domain", "0:2:0:2", "--nx", "11", "--ny", "11",
+                "-o", "c.json"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("mosurf: error:")
+    assert "distinct" in errors[0] and captured.out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# each first allocation is larger than any address space, so it fails at once
+@pytest.mark.parametrize("argv,code", [
+    (["seed", "--family", "cmc", "--domain", "-3:3:-3:3", "--nx", "3",
+      "--ny", "1000000000000000", "-o", "big.json"], 3),
+    # the finest grids have (2^43 4 + 1)^2 and (2^64 4 + 1)^2 nodes
+    (["verify", "k.json", "--refine", "43", "--report", "r.json"], 1),
+    (["verify", "k.json", "--refine", "64", "--report", "r.json"], 1),
+], ids=["seed", "refine-43", "refine-64"])
+def test_cli_grid_too_large_to_allocate(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3", "--domain", "-3:3:-3:3",
+                "--nx", "5", "--ny", "5", "-o", "k.json"]) == 0
+    capsys.readouterr()
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("mosurf: error:"), errors
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+
+
+def test_cli_reconstruct_warns_when_the_frame_leaves_the_rotation_group(tmp_path, capsys):
+    # the primed kink's huge coefficients beside its flagged nodes blow the
+    # sweeps up, the cmc seed's frame stays within the bound; both write
+    # their meshes and report with exit 0
+    kink, primed, cmc = (tmp_path / f"{name}.json" for name in ("kink", "primed", "cmc"))
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3", "--domain", "-3:3:-3:3",
+                "--nx", "31", "--ny", "31", "-o", str(kink)]) == 0
+    assert run(["backlund", str(kink), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
+    assert run(["seed", "--family", "cmc", "--domain", "0:2:0:2", "--nx", "51", "--ny", "51",
+                "-o", str(cmc)]) == 0
+    for src, warns in ((primed, True), (cmc, False)):
+        capsys.readouterr()
+        mesh, rep = tmp_path / f"{src.stem}_mesh", tmp_path / f"{src.stem}_rec.json"
+        assert run(["reconstruct", str(src), "-o", str(mesh), "--report", str(rep)]) == 0
+        drift = json.loads(rep.read_text())["diagnostics"]["orthonormality_drift"]
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if "drift" in ln]
+        assert (drift > 1e-6) is warns and len(lines) == warns, src.stem
+        assert all(ln.startswith("warning: orthonormality drift") for ln in lines)
+        assert all(Path(f"{mesh}_{s}").stat().st_size > 0
+                   for s in ("r.obj", "rbar.obj", "N.obj", "table.csv"))

@@ -192,21 +192,21 @@ def test_zero_curvature_residual_detects_corruption():
     assert np.max(np.abs(bad[core])) > 50 * np.max(np.abs(ok[core]))
 
 
-def test_reconstruction_gauss_map_and_unit_normal():
+def test_reconstruction_unit_normal():
     _, c = cmc_coefficients(n=101)
     f = integrate_frame(c, I3)
-    triple, gauss_dev = reconstruct_surfaces(f, c)
-    assert gauss_dev < 1e-6
+    triple, stats = reconstruct_surfaces(f, c)
     norms = np.sqrt((triple.N.values**2).sum(axis=2))
-    assert np.max(np.abs(norms - 1.0)) < 1e-6
+    assert stats == {"normal_unit_max_dev": np.max(np.abs(norms - 1.0)),
+                     "frame_nonfinite_nodes": 0}
+    assert stats["normal_unit_max_dev"] < 1e-6
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2, 3])
-def test_gauss_map_distance_matches_frozen_formula(monkeypatch, rows):
-    # the distance between the triple's N and the normal column of a frame
-    # grid that is not its own: the max over nodes of the formula it was,
-    # bit for bit, also with NaN and infinite nodes on the first and last
-    # rows of the blocks
+def test_normal_statistics_match_frozen_formula(monkeypatch, rows):
+    # the |N| statistics of the frame grid passed in, not of the joint
+    # sweep's normal: the formulas of a whole-grid pass, bit for bit, also
+    # with NaN and infinite nodes on the first and last rows of the blocks
     _, c = cmc_coefficients(n=51)
     if rows is not None:
         cut_row_blocks(monkeypatch, rows, 51)
@@ -215,18 +215,24 @@ def test_gauss_map_distance_matches_frozen_formula(monkeypatch, rows):
     frames[0, 0] = f[0, 0]  # the triple starts from this frame
     for i in EDGE_ROWS[1:]:
         frames[i, i % 7, 0, 2] = np.nan
-    N = reconstruct_surfaces(f, c)[0].N.values
 
     def frozen(frames):
-        return float(np.nanmax(np.sqrt(((N - frames[:, :, :, 2]) ** 2).sum(2))))
+        norm = np.sqrt((frames[:, :, :, 2] ** 2).sum(axis=2))
+        finite = np.isfinite(norm)
+        return {"normal_unit_max_dev": float(np.max(np.abs(norm[finite] - 1.0))),
+                "frame_nonfinite_nodes": int((~finite).sum())}
 
-    dev = reconstruct_surfaces(frames, c)[1]
-    assert 1e-3 < dev == frozen(frames)
+    stats = reconstruct_surfaces(frames, c)[1]
+    assert stats == frozen(frames)
+    assert stats["normal_unit_max_dev"] > 1e-3 and stats["frame_nonfinite_nodes"] == 7
     frames[33, 20, 1, 2] = np.inf
-    assert reconstruct_surfaces(frames, c)[1] == frozen(frames) == np.inf
+    frames[12, 0, 2, 2] = -np.inf
+    stats = reconstruct_surfaces(frames, c)[1]
+    assert stats == frozen(frames) and stats["frame_nonfinite_nodes"] == 9
     frames[:] = np.nan
     frames[0, 0] = f[0, 0]
-    assert reconstruct_surfaces(frames, c)[1] == 0.0
+    assert reconstruct_surfaces(frames, c)[1] == {"normal_unit_max_dev": 0.0,
+                                                  "frame_nonfinite_nodes": 51 * 51 - 1}
 
 
 def test_frame_diagnostics_skip_nan_nodes():
@@ -240,10 +246,10 @@ def test_frame_diagnostics_skip_nan_nodes():
     f = integrate_frame(bad, I3)
     lost = ~np.isfinite(f).all(axis=(2, 3))
     assert lost.any() and not lost.all()
-    _, gauss_dev = reconstruct_surfaces(f, bad)
+    stats = reconstruct_surfaces(f, bad)[1]
     drift, pie = orthonormality_drift(f), path_independence_error(bad, I3)
-    assert gauss_dev == 0.0
     clean = np.where(lost[..., None, None], I3, f)  # exact frames at the lost nodes
+    assert stats == {**reconstruct_surfaces(clean, bad)[1], "frame_nonfinite_nodes": lost.sum()}
     assert 0.0 < drift == orthonormality_drift(clean)
     assert 0.0 < pie < 1e-2
 
@@ -279,7 +285,7 @@ def test_triple_normal_is_a_view_of_the_frame_normal_column():
     Ko[30, 20] = np.nan
     c = replace(c, Ko=Ko)
     f = integrate_frame(c, I3)
-    triple, gauss_dev = reconstruct_surfaces(f, c)
+    triple, _ = reconstruct_surfaces(f, c)
     N = triple.N.values
     assert np.shares_memory(N, f) and not N.flags.writeable
     joint = sweep_grid(grid, (c.p, c.Ho, c.A1, c.Abar1), mosurf.frames._with_triple_x,
@@ -287,7 +293,6 @@ def test_triple_normal_is_a_view_of_the_frame_normal_column():
                        np.hstack([I3, np.zeros((3, 2))]))
     assert c.flagged[20].all() and np.isnan(N).any() and np.isfinite(N).any()
     assert N.tobytes() == np.ascontiguousarray(joint[..., 2]).tobytes()
-    assert gauss_dev == 0.0
 
 
 def test_reconstruction_keeps_two_vec3_grids_beyond_its_inputs():
@@ -346,9 +351,8 @@ def test_triple_matches_frame_and_frozen_joint_sweep(family, dom, shape):
     turn = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
     for phi0 in (I3, turn @ np.array([[1.0, 0, 0], [0, 0.28, -0.96], [0, 0.96, 0.28]])):
         f = integrate_frame(c, phi0)
-        triple, gauss_dev = reconstruct_surfaces(f, c)
+        triple, _ = reconstruct_surfaces(f, c)
         assert triple.N.values.tobytes() == np.ascontiguousarray(f[..., 2]).tobytes()
-        assert gauss_dev == 0.0
         joint = frozen_joint_sweep(f, c)
         for k, v in ((3, triple.N), (4, triple.r), (5, triple.rbar)):
             assert v.values.tobytes() == np.ascontiguousarray(joint[..., k]).tobytes(), k
@@ -524,17 +528,17 @@ def test_reconstruct_runs_the_frame_phase_with_its_diagnostics_in_order():
     _, c = cmc_coefficients(n=51)
     triple, diag = reconstruct(c)
     f = integrate_frame(c, I3)
-    want, gauss_dev = reconstruct_surfaces(f, c)
+    want, stats = reconstruct_surfaces(f, c)
     for a, b in ((triple.N, want.N), (triple.r, want.r), (triple.rbar, want.rbar)):
         assert a.values.tobytes() == b.values.tobytes()
     H, K = (v.values for v in mesh_curvatures(want.r))
     assert list(diag) == [
-        "orthonormality_drift", "path_independence_error", "gauss_map_consistency",
+        "orthonormality_drift", "path_independence_error",
         "normal_unit_max_dev", "frame_nonfinite_nodes", "mean_curvature_mean",
         "mean_curvature_min", "mean_curvature_max", "gauss_curvature_mean", "flagged_nodes"]
     assert diag["orthonormality_drift"] == orthonormality_drift(f)
     assert diag["path_independence_error"] == path_independence_error(c, I3)
-    assert diag["gauss_map_consistency"] == gauss_dev == 0.0
+    assert {k: diag[k] for k in stats} == stats
     assert diag["mean_curvature_mean"] == np.nanmean(H)
     assert (diag["mean_curvature_min"], diag["mean_curvature_max"]) == (np.nanmin(H), np.nanmax(H))
     assert diag["gauss_curvature_mean"] == np.nanmean(K)
