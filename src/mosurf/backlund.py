@@ -114,6 +114,8 @@ class PrimedUpdate:
     Abar2: np.ndarray
     mask: np.ndarray = dc_field(repr=False)
 
+    __post_init__ = freeze_arrays
+
 
 @dataclass(frozen=True)
 class BacklundResult:
@@ -125,6 +127,8 @@ class BacklundResult:
     r_primed: Vec3Field
     branch_invalid: np.ndarray = dc_field(repr=False)
 
+    __post_init__ = freeze_arrays
+
 
 def admissible_initial(
     m: float, qn: float, lambda0: float, omega0: float, phi0: float
@@ -132,7 +136,8 @@ def admissible_initial(
     """Initial 5-vector satisfying the quadric constraint exactly.
 
     Normalizes mu0 = 0 and solves the constraint for chi0:
-    chi0 = (lambda0^2 + omega0^2)/(2 m omega0) + qn phi0^2/(2 omega0).
+    chi0 = (lambda0^2 + omega0^2)/(2 m omega0) + qn phi0^2/(2 omega0),
+    which must be finite.
     """
     if not all(map(math.isfinite, (m, qn, lambda0, omega0, phi0))):
         raise ParameterError("m, qn and the initial values must be finite")
@@ -140,9 +145,11 @@ def admissible_initial(
         raise ParameterError("the Backlund parameter m must be nonzero")
     if omega0 == 0.0:
         raise ParameterError("omega0 must be nonzero for an admissible initial vector")
-    chi0 = (lambda0 * lambda0 + omega0 * omega0) / (2.0 * m * omega0) + qn * phi0 * phi0 / (
-        2.0 * omega0
-    )
+    den = 2.0 * m * omega0  # a product of nonzero floats that may underflow to 0
+    chi0 = ((lambda0 * lambda0 + omega0 * omega0) / den + qn * phi0 * phi0 / (2.0 * omega0)
+            if den else math.inf)
+    if not math.isfinite(chi0):
+        raise ParameterError(f"chi0 of the admissible initial vector is not finite ({chi0})")
     return np.array([lambda0, 0.0, omega0, phi0, chi0])
 
 
@@ -211,6 +218,7 @@ def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> L
         bigM = m * om * nu
         # division-free form of lambda^2 + mu^2 + omega^2 - 2 m omega nu
         quad = lam * lam + mu * mu + om * om - 2.0 * m * om * ch + m * qn * ph * ph
+        q0 = abs(2.0 * m * om[0, 0] * ch[0, 0] - m * qn * ph[0, 0] ** 2)
     singular = (
         ~np.isfinite(om)
         | ~np.isfinite(nu)
@@ -218,7 +226,6 @@ def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> L
         | (np.abs(nu) < EPS_SING)
         | (np.abs(bigM) < EPS_SING)
     )
-    q0 = abs(2.0 * m * om[0, 0] * ch[0, 0] - m * qn * ph[0, 0] ** 2)
     scale = q0 if q0 > 0 else 1.0
     drift = float(np.max(np.abs(quad), where=np.isfinite(quad), initial=0.0)) / scale
     return LaxFields(m, qn, lam, mu, om, ph, ch, nu, bigM, singular, drift, path_err)
@@ -408,7 +415,7 @@ def bianchi_darboux(
         raise ParameterError(
             f"no admissible phi0 for mbar={mbar}: constraint discriminant {disc:.3e} < 0"
         )
-    phi0 = omega0 + np.sqrt(disc)
+    phi0 = omega0 + math.sqrt(disc)
     init = admissible_initial(m, qn, lambda0, omega0, phi0)
     c = coefficients_from_governing(g)
     lx = _lax_fields(m, qn, _sweep_lax(c, m, init), None)

@@ -6,14 +6,17 @@ for both the metric and dual coefficients, Gauss equation, membrane
 equilibrium) plus six extended entries (first integrals, quadric constraint,
 orthogonality, Omega-surface ratios).  :func:`verify_refined` is the
 ``verify`` command's one entry: the report of a triple and, under grid
-refinement of its seed, the measured convergence order of each entry.
+refinement of its seed, the measured convergence order of each entry; it
+owns the rules of refinement too.  Reports hold norms, not verdicts.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FieldFormatError, ParameterError
 from .kernel import (
     GoverningFields,
     ResidualReport,
@@ -65,8 +68,8 @@ EXTENDED_EQUATIONS = (
     "omega-2",
 )
 
-#: entries that are pure pointwise algebra (no grid derivatives); these hold
-#: to roundoff on valid data rather than to O(h^2)
+#: entries that are pure pointwise algebra (no grid derivatives): identities of
+#: the coefficient build on every triple, so they read round-off, not O(h^2)
 ALGEBRAIC_EQUATIONS = (
     "equilibrium-3",
     "first-integral-1",
@@ -129,17 +132,32 @@ def verify_refined(g: GoverningFields, seed: dict | None, levels: int
     """The report of ``g`` and, if ``levels`` > 0, the :func:`convergence_orders`
     of ``levels`` halvings (n -> 2n - 1 a side) of its grid, on which the
     field-file seed header ``seed`` is regenerated; the orders read the last
-    two grids only, so only those are seeded and verified.  A header that
-    gives no seed raises FieldFormatError, or the ParameterError of its seed.
+    two grids only, so only those are seeded and verified.
+
+    Before any residual is evaluated, a negative ``levels`` or a finest grid
+    of more than ``sys.maxsize`` nodes raises ParameterError, and a missing
+    header, or one that gives no seed on a refined grid, FieldFormatError:
+    the header is file content.
     """
-    if levels < 0 or (levels > 0 and seed is None):
-        raise ParameterError(f"refinement needs levels >= 0 and a seed header, got {levels}")
-    report = verify_governing(g)
-    if levels == 0:
-        return report, None
-    reports, nx, ny = [report], g.grid.nx, g.grid.ny
-    for level in range(1, levels + 1):
-        nx, ny = 2 * nx - 1, 2 * ny - 1
-        if level >= levels - 1:
-            reports.append(verify_governing(generate_seed(SeedSpec.from_header(seed, nx, ny))))
-    return report, convergence_orders(reports)
+    def halved(k: int) -> list[int]:
+        # 2^k (n - 1) + 1 nodes a side; k is capped at 64, where one side
+        # alone is too many, so that no huge int is formed
+        return [((n - 1) << min(k, 64)) + 1 for n in g.grid.shape]
+
+    if levels < 0:
+        raise ParameterError(f"refinement levels must be >= 0, got {levels}")
+    nx, ny = halved(levels)
+    if nx * ny > sys.maxsize:
+        raise ParameterError(f"{levels} refinement levels ask for a grid of more than "
+                             f"{sys.maxsize} nodes")
+    if levels > 0 and seed is None:
+        raise FieldFormatError("refinement requires a seed header to regenerate fields")
+    try:
+        seeds = [generate_seed(SeedSpec.from_header(seed, *halved(k)))
+                 for k in range(max(1, levels - 1), levels + 1)]
+    except ParameterError as exc:
+        raise FieldFormatError(f"bad seed header: {exc}") from exc
+    reports = [verify_governing(g)]
+    while seeds:  # each seed is dropped once it is verified
+        reports.append(verify_governing(seeds.pop(0)))
+    return reports[0], convergence_orders(reports) if levels else None

@@ -183,19 +183,20 @@ def test_integrate_lax_leaves_init_unchanged():
 
 
 def test_bundle_arrays_are_read_only():
-    # the coefficient, stress and Lax bundles keep the arrays they built,
-    # read-only, like the values of a ScalarField
+    # the coefficient, stress, Lax and transform bundles keep the arrays
+    # they built, read-only, like the values of a ScalarField
     g = cmc(n=21)
     c = coefficients_from_governing(g)
     s = stresses(g)
     lx = integrate_lax(c, 1.0, admissible_initial(1.0, g.qn, 0.0, 1.0, 1.7))
-    for bundle in (c, s, lx):
+    res = apply_backlund(g, **CMC_BACKLUND)
+    for bundle in (c, s, lx, res, res.raw_update):
         arrays = [f.name for f in fields(bundle)
                   if isinstance(getattr(bundle, f.name), np.ndarray)]
         assert arrays, type(bundle).__name__
         for name in arrays:
             assert not getattr(bundle, name).flags.writeable, name
-    for a in (c.A1, s.T1, lx.lam):
+    for a in (c.A1, s.T1, lx.lam, res.branch_invalid, res.raw_update.mask):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
 
@@ -506,6 +507,30 @@ def test_bianchi_darboux_rejects_non_finite_parameters_before_a_sweep(sweeps):
         with pytest.raises(ParameterError, match="must be finite"):
             bianchi_darboux(g, **kw)
     assert sweeps == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_chi0_is_rejected_before_a_sweep(sweeps):
+    # chi0 overflows (phi0^2, or qn phi0^2 with the phi0 that Bianchi-Darboux
+    # solves for), or its denominator 2 m omega0 underflows to 0
+    g = cmc(n=11)
+    with pytest.raises(ParameterError, match="chi0"):
+        apply_backlund(g, **{**CMC_BACKLUND, "phi0": 1e160})
+    with pytest.raises(ParameterError, match="chi0"):
+        admissible_initial(1e-200, 1.0, 0.0, 1e-200, 1.0)
+    huge = generate_seed(SeedSpec("cmc", Grid2D.from_domain(*CMC_DOMAIN, 11, 11), qn=1e308))
+    with pytest.raises(ParameterError, match="chi0"):
+        bianchi_darboux(huge, mbar=0.5e308)
+    assert sweeps == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_m_sweeps_without_a_warning():
+    # m = 1e308 overflows the Lax matrices and the quadric's scale: every
+    # node is singular, and no numpy warning escapes
+    c = coefficients_from_governing(cmc(n=11))
+    lx = integrate_lax(c, 1e308, admissible_initial(1e308, c.qn, 0.0, 1.0, 1.7))
+    assert lx.singular.all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mosurf.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from mosurf.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mosurf.fileio import FIELD_NAMES, read_field_file
 from mosurf.kernel import coefficients_from_governing, stresses
 from mosurf.seeds import FAMILY_KINDS
 
-DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_GATE}
+DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL}
 
 SEEDS = {
     "cmc": ["--family", "cmc", "--alpha0", "1.0", "--domain", "0:2:0:2"],

@@ -8,7 +8,7 @@ import pytest
 
 import mosurf.verify
 from mosurf.backlund import apply_backlund
-from mosurf.errors import ParameterError
+from mosurf.errors import FieldFormatError, ParameterError
 from mosurf.fields import Grid2D, ScalarField, diff_x, diff_y
 from mosurf.kernel import (
     EPS,
@@ -29,6 +29,7 @@ from mosurf.kernel import (
 from mosurf.omega import EPS_UMBILIC, omega_ratios
 from mosurf.seeds import SeedSpec, generate_seed
 from mosurf.verify import (
+    ALGEBRAIC_EQUATIONS,
     CORE_EQUATIONS,
     EXTENDED_EQUATIONS,
     convergence_orders,
@@ -219,22 +220,27 @@ def test_equilibrium_pseudospherical_converges():
 
 def test_first_integral_constraint_is_algebraic_identity():
     # Ho A2 - Ko A1 = -e^xi holds for arbitrary (alpha, xi, h), so the
-    # constraint residual vanishes without any equation being satisfied
+    # constraint residual vanishes without any equation being satisfied; so
+    # does every algebraic entry, while governing-3 shows that the random
+    # triples solve nothing
     rng = np.random.default_rng(3)
+    grid = Grid2D.from_domain(0, 1, 0, 1, 41, 41)
     for kind in ("first", "second"):
         g = make_governing(
             kind,
-            GRID,
-            rng.uniform(0.3, 1.2, GRID.shape),
-            rng.uniform(-0.5, 0.5, GRID.shape),
-            rng.uniform(-0.4, 0.4, GRID.shape),
+            grid,
+            rng.uniform(0.3, 1.2, grid.shape),
+            rng.uniform(-0.5, 0.5, grid.shape),
+            rng.uniform(-0.4, 0.4, grid.shape),
         )
         c = coefficients_from_governing(g)
         sign = -1.0 if kind == "first" else 1.0
         cross = c.Ho * c.A2 - c.Ko * c.A1
         assert np.allclose(cross, sign * np.exp(g.xi.values), rtol=1e-13)
-        res = first_integral_check(c)
-        assert np.max(np.abs(res["constraint"])) < 1e-12
+        report = verify_governing(g)
+        assert report["governing-3"].linf > 1e3, kind
+        for name in ALGEBRAIC_EQUATIONS:
+            assert report[name].linf < 1e-12, (kind, name)
 
 
 def test_first_integrals_on_cmc():
@@ -320,9 +326,27 @@ def test_verify_refined_verifies_only_the_grids_its_orders_read(monkeypatch):
     report, orders = verify_refined(g, seed, 3)
     assert verified == [(9, 9), (33, 33), (65, 65)]
     assert report == reports[0] and orders == want
-    for bad_seed, bad_levels in ((None, 1), (seed, -1)):
-        with pytest.raises(ParameterError, match="refinement needs"):
-            verify_refined(g, bad_seed, bad_levels)
+
+
+def test_verify_refined_rejects_before_any_residual(monkeypatch):
+    # bad levels, a missing header and a header that gives no seed are each
+    # refused before verify_governing runs
+    spec = SeedSpec("pseudospherical", Grid2D.from_domain(-3, 3, -3, 3, 5, 5), v=0.3)
+    g, seed = generate_seed(spec), spec.header()
+    verified = []
+    monkeypatch.setattr(mosurf.verify, "verify_governing", verified.append)
+    # the finest grids have (2^43 4 + 1)^2 and (2^64 4 + 1)^2 nodes
+    for levels in (-1, 43, 64, 10**6):
+        with pytest.raises(ParameterError):
+            verify_refined(g, seed, levels)
+    with pytest.raises(FieldFormatError, match="seed header"):
+        verify_refined(g, None, 1)
+    for bad in (dict(v=1.5), dict(family="sphere"), dict(qn=0.0)):
+        with pytest.raises(FieldFormatError, match="bad seed header"):
+            verify_refined(g, {**seed, **bad}, 2)
+    with pytest.raises(FieldFormatError, match="has no 'domain' entry"):
+        verify_refined(g, {k: v for k, v in seed.items() if k != "domain"}, 1)
+    assert verified == []
 
 
 def test_stress_guard_flags_vanishing_denominator():
