@@ -10,7 +10,9 @@ quadric constraint
 
 is conserved exactly by the continuous flow (for arbitrary coefficient
 fields, compatible or not), so the reported drift isolates integrator
-truncation.  The transformation itself is pointwise algebra:
+truncation.  A transform sweeps the Lax system in both orders and nothing
+else: the xy solution is stored, and the yx one is compared with it as it is
+made (``path_independence``).  The transformation itself is pointwise algebra:
 
     r' = r - (phi / (m omega nu)) (lambda X + mu Y + omega N),
 
@@ -21,7 +23,9 @@ closed forms written with the kind's sign eps (:data:`kernel.EPS`) and
 satisfy the same governing system (kind preservation), which the tests verify
 as residuals.  Primed fields are NaN where the transform is undefined; field
 files keep those nodes as flagged ones, so a primed file is valid input to a
-second transform.
+second transform.  r' needs the background's frame and r, so it is not part
+of a transform's result: :func:`backlund_surface` builds it from the frame
+grid and triple a caller holds.
 
 The classical Bianchi-Darboux transformation of a cmc background sweeps the
 same Lax system on its reduction chi = qn phi, which is measured, not assumed.
@@ -38,7 +42,7 @@ import numpy as np
 from .errors import ParameterError, SingularGridError
 from .fields import Grid2D, ScalarField, Vec3Field, freeze_arrays, max_skipping_nan
 from .kernel import EPS, CoefficientFields, GoverningFields, _forms, coefficients_from_governing
-from .frames import SurfaceTriple, integrate_frame, reconstruct_surfaces
+from .frames import SurfaceTriple
 from .sweep import Reduce, sweep_grid
 
 __all__ = [
@@ -82,8 +86,7 @@ class LaxFields:
     the finite nodes relative to its initial magnitude (non-finite nodes are
     counted in ``singular``); it measures the RK4 truncation of sweeps that
     take :func:`lax_substeps` steps per interval.  ``path_independence`` is
-    the max node-wise sup distance between the two sweep orders, or None
-    when only one order was swept (Bianchi-Darboux).
+    the max node-wise sup distance between the two sweep orders.
     """
 
     m: float
@@ -97,7 +100,7 @@ class LaxFields:
     bigM: np.ndarray = dc_field(repr=False)
     singular: np.ndarray = dc_field(repr=False)
     constraint_drift: float
-    path_independence: float | None
+    path_independence: float
 
     __post_init__ = freeze_arrays
 
@@ -119,12 +122,12 @@ class PrimedUpdate:
 
 @dataclass(frozen=True)
 class BacklundResult:
-    """Everything produced by one Backlund application."""
+    """Everything produced by one Backlund application, r' aside (see
+    :func:`backlund_surface`)."""
 
     lax: LaxFields
     primed_governing: GoverningFields
     raw_update: PrimedUpdate
-    r_primed: Vec3Field
     branch_invalid: np.ndarray = dc_field(repr=False)
 
     __post_init__ = freeze_arrays
@@ -205,7 +208,7 @@ def _sweep_lax(c: CoefficientFields, m: float, init: np.ndarray, order: str = "x
     return None if w is None else w[:, :, 0]
 
 
-def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float | None) -> LaxFields:
+def _lax_fields(m: float, qn: float, w: np.ndarray, path_err: float) -> LaxFields:
     """nu, M, the singular mask and the quadric drift of a Lax solution ``w``.
 
     The drift is taken relative to the quadric's magnitude at the origin
@@ -350,15 +353,11 @@ def backlund_governing(g: GoverningFields, lx: LaxFields) -> tuple[GoverningFiel
 
 def _transform(g: GoverningFields, c: CoefficientFields, lx: LaxFields,
                name: str) -> BacklundResult:
-    """Primed fields, raw update and transformed surface of a Lax solution."""
+    """Primed fields and raw update of a Lax solution; pointwise, no sweep."""
     if lx.singular.all():
         raise SingularGridError(f"{name} undefined on every node")
     primed, invalid = backlund_governing(g, lx)
-    raw = backlund_coefficients(c, lx)
-    f = integrate_frame(c, np.eye(3))
-    triple, _ = reconstruct_surfaces(f, c)
-    r_p = backlund_surface(triple, f, lx)
-    return BacklundResult(lx, primed, raw, r_p, invalid)
+    return BacklundResult(lx, primed, backlund_coefficients(c, lx), invalid)
 
 
 def apply_backlund(
@@ -366,9 +365,9 @@ def apply_backlund(
 ) -> BacklundResult:
     """One full Backlund application from an admissible initial vector.
 
-    Builds coefficients, integrates the Lax system, and assembles the primed
-    governing fields, the raw coefficient update, and the transformed surface
-    (the frame starts from the identity at the origin node).
+    Builds coefficients, sweeps the Lax system in both orders, and assembles
+    the primed governing fields and the raw coefficient update; it sweeps no
+    frame (see :func:`backlund_surface` for r').
     Raises SingularGridError when every node is singular.
     """
     init = admissible_initial(m, g.qn, lambda0, omega0, phi0)
@@ -391,8 +390,8 @@ def bianchi_darboux(
     chi = qn phi, which the Lax flow preserves.  phi0 is the larger root,
     omega0 + sqrt(disc), of the quadric constraint with chi0 = qn phi0; the
     discriminant disc must be nonnegative, which bounds mbar from below.
-    The Lax system is swept in the xy order only, from
-    :func:`admissible_initial`, whose chi0 then equals qn phi0;
+    The Lax system is swept in both orders, like :func:`apply_backlund`,
+    from :func:`admissible_initial`, whose chi0 then equals qn phi0;
     :func:`bianchi_darboux_identities` measures max |chi - qn phi|.
 
     The result satisfies e^xi' = h' = 1 and e^alpha' = -(phi/sigma) e^-alpha
@@ -418,7 +417,7 @@ def bianchi_darboux(
     phi0 = omega0 + math.sqrt(disc)
     init = admissible_initial(m, qn, lambda0, omega0, phi0)
     c = coefficients_from_governing(g)
-    lx = _lax_fields(m, qn, _sweep_lax(c, m, init), None)
+    lx = _integrate_lax(c, m, init)
     return _transform(g, c, lx, "Bianchi-Darboux transformation")
 
 
@@ -430,8 +429,7 @@ def bianchi_darboux(
 def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     """Lax drift, singular/invalid node counts and the theorem-form cross-check.
 
-    ``lax_path_independence`` is omitted when the Lax solution was swept in
-    one order only (Bianchi-Darboux).
+    ``lax_path_independence`` is the sup distance of the two Lax sweep orders.
     ``theorem_vs_raw_max_dev`` compares the raw reflection update with the
     theorem's coefficients (A1, -eps A2, Ho, -eps Ko), evaluated pointwise
     here from the primed governing fields (:func:`kernel._forms`), over the
@@ -447,14 +445,13 @@ def transform_diagnostics(res: BacklundResult) -> dict[str, float | int]:
     raws = (raw.A1, raw.A2, raw.Ho, raw.Ko)
     with np.errstate(all="ignore"):
         dev = max(max_skipping_nan(np.abs(t - r)[ok]) for t, r in zip(thm, raws))
-    out = {
+    return {
         "constraint_drift": res.lax.constraint_drift,
         "lax_path_independence": res.lax.path_independence,
         "singular_nodes": int(res.lax.singular.sum()),
         "branch_invalid_nodes": int(res.branch_invalid.sum()),
         "theorem_vs_raw_max_dev": dev,
     }
-    return {k: v for k, v in out.items() if v is not None}
 
 
 def bianchi_darboux_identities(g: GoverningFields, res: BacklundResult) -> dict[str, float]:

@@ -386,9 +386,9 @@ def test_bianchi_darboux_identities():
     bd = bianchi_darboux(g, mbar=1.0)
     ok = ~(bd.branch_invalid | bd.lax.singular)
     assert ok.all()
-    # one sweep order only: nothing measures path independence
-    assert bd.lax.path_independence is None
-    assert "lax_path_independence" not in transform_diagnostics(bd)
+    # both sweep orders, as for apply_backlund: their distance is reported
+    assert 0.0 < bd.lax.path_independence < 1e-4
+    assert transform_diagnostics(bd)["lax_path_independence"] == bd.lax.path_independence
     ex_p = np.exp(bd.primed_governing.xi.values)
     assert np.max(np.abs(ex_p - 1.0)) < 1e-6
     assert np.max(np.abs(bd.primed_governing.h.values - 1.0)) < 1e-6
@@ -413,16 +413,27 @@ def test_bianchi_darboux_chi_identity_is_measured(qn):
     assert dev == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_bianchi_darboux_lax_path_independence_order():
+    # Bianchi-Darboux sweeps both orders like apply_backlund, and their
+    # distance falls at the scheme's order (the acceptance ORDER_RANGE)
+    errs = [bianchi_darboux(cmc(n=n), mbar=1.0).lax.path_independence for n in (101, 201)]
+    assert 1.8 <= np.log2(errs[0] / errs[1]) <= 2.2
+
+
 def test_bianchi_darboux_output_is_cmc():
     # the primed fields satisfy the sinh-Gordon system and the transformed
-    # mesh keeps mean curvature -1/2
+    # mesh, built by the caller from the background's frame, keeps mean
+    # curvature -1/2
     g = cmc(n=101)
     bd = bianchi_darboux(g, mbar=1.0)
     rep = ResidualReport.from_fields(g.grid, governing_residuals(bd.primed_governing))
     assert rep["governing-1"].linf < 1e-10
     assert rep["governing-2"].linf < 1e-10
     assert rep["governing-3"].linf < 100 * g.grid.hmax**2
-    meanH, _ = mesh_curvatures(bd.r_primed)
+    c = coefficients_from_governing(g)
+    f = integrate_frame(c, I3)
+    triple, _ = reconstruct_surfaces(f, c)
+    meanH, _ = mesh_curvatures(backlund_surface(triple, f, bd.lax))
     core = meanH.values[3:-3, 3:-3]
     assert np.nanmax(np.abs(core + 0.5)) < 1e-2
 
@@ -476,14 +487,13 @@ def sweeps(monkeypatch):
 
 def test_each_entry_sweeps_its_count(sweeps):
     # reconstruct: the frame, the joint frame + triple sweep and the two
-    # orders of the path independence; apply_backlund: the two Lax orders,
-    # the frame and the joint sweep; bianchi_darboux: one Lax order, the
-    # frame and the joint sweep
+    # orders of the path independence; apply_backlund and bianchi_darboux:
+    # the two Lax orders and no frame (r' is left to the caller)
     g = cmc(n=11)
     c = coefficients_from_governing(g)
     for run, count in ((lambda: reconstruct(c), 4),
-                       (lambda: apply_backlund(g, **CMC_BACKLUND), 4),
-                       (lambda: bianchi_darboux(g, mbar=1.0), 3),
+                       (lambda: apply_backlund(g, **CMC_BACKLUND), 2),
+                       (lambda: bianchi_darboux(g, mbar=1.0), 2),
                        (lambda: path_independence_error(c, I3), 2)):
         sweeps.clear()
         run()

@@ -554,6 +554,36 @@ def test_cmc_reconstruction_mean_curvature():
     assert np.nanmax(np.abs(core + 0.5)) < 1e-3
 
 
+def rigid_fit_residual(p, q):
+    """Largest distance from the points ``q`` (k, 3) to the best rigid motion
+    of the points ``p`` (Kabsch: the rotation from the SVD of the centred
+    covariance, a reflection excluded)."""
+    p, q = p - p.mean(axis=0), q - q.mean(axis=0)
+    u, _, vt = np.linalg.svd(p.T @ q)
+    d = np.sign(np.linalg.det(u @ vt))
+    rotation = u @ np.diag([1.0, 1.0, d]) @ vt
+    return float(np.max(np.linalg.norm(p @ rotation - q, axis=1)))
+
+
+def test_cmc_surfaces_keep_the_seed_symmetry():
+    # the README cmc seed depends on x alone, so a shift along y is a rigid
+    # motion of the exact r and rbar (rbar = r here: Abar = A at qn = 1, but
+    # rbar is its own column of the sweep).  The line y = y0 fits onto the
+    # line y = y1 up to the scheme's O(h^2): an error of the positions
+    # themselves, with no reference solution and no differencing
+    res, h2 = [], []
+    for n in (51, 101, 201):
+        _, c = cmc_coefficients(n=n)
+        triple, _ = reconstruct_surfaces(integrate_frame(c, I3), c)
+        res.append([rigid_fit_residual(v.values[:, 0], v.values[:, -1])
+                    for v in (triple.r, triple.rbar)])
+        h2.append(c.grid.hmax**2)
+    res = np.array(res)
+    assert np.all(res < np.array(h2)[:, None]), res
+    orders = np.log2(res[:-1] / res[1:])
+    assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
+
+
 def test_frame_diagnostics_hold_blocks_not_grids():
     # at 401^2 mesh_curvatures holds its two output grids and the
     # temporaries of one row block, orthonormality_drift one block's
