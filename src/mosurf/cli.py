@@ -296,13 +296,14 @@ def _cmd_backlund(args) -> int:
 
 def _cmd_omega(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_report_file
-    from .kernel import ResidualReport, coefficients_from_governing
-    from .omega import omega_ratios
+    from .kernel import ResidualReport, coefficients_from_governing, principal_curvatures
+    from .omega import _umbilic, omega_ratios
 
     _check_distinct(args.fieldfile, args.report)
     g, _ = read_field_file(args.fieldfile)
-    report = ResidualReport.from_fields(g.grid, omega_ratios(coefficients_from_governing(g), g))
-    umbilic = int(report.entries["omega-1"].excluded)
+    c = coefficients_from_governing(g)
+    umbilic = int(_umbilic(*principal_curvatures(c)).sum())
+    report = ResidualReport.from_fields(g.grid, omega_ratios(c, g))
     print(f"omega kind={g.kind} grid={g.grid.nx}x{g.grid.ny} umbilic_flagged={umbilic}")
     for name, s in report.entries.items():
         print(f"  {name:16s} linf={s.linf:.6e} l2={s.l2:.6e} excluded={s.excluded}")

@@ -22,8 +22,8 @@ caller: ``reconstruct`` passes one to its three OBJ writes and its table, so
 r, N and rbar are formatted once per node block for all four files and the
 face lines are built once for every mesh on the same nodes.  The memo holds
 the three vertex sections' text until the table is written: a lone
-``reconstruct`` peaked at 56.0 MB instead of 53.5 MB at 201², and at 108.9 MB
-instead of 98.2 MB at 401² (x86-64, numpy 2.4).
+``reconstruct`` peaked at 55.7 MB instead of 55.1 MB at 201², and at 108.6 MB
+instead of 83.2 MB at 401² (peak RSS, x86-64, numpy 2.4).
 """
 
 from __future__ import annotations

@@ -9,28 +9,24 @@ and the surface pair R = (r, rbar) satisfies R_x = X (A1, Abar1),
 R_y = Y (A2, Abar2).  The Gauss map N is the frame normal, the third column
 of Phi: N_x = Ho X and N_y = Ko Y are the third columns of Phi U and Phi V,
 so it is not integrated a second time, nor copied: the triple's N is a
-read-only view of the normal column of the frame grid it was reconstructed
-from, the plain (nx, ny, 3, 3) array :func:`integrate_frame` returns.
-:func:`reconstruct_surfaces` sweeps the 3x5 state (Phi | r, rbar) once
-with the two-pass RK4 sweep and copies out only r and rbar; no
-re-orthonormalization is applied, so orthonormality drift is a genuine
-accuracy diagnostic.  :func:`reconstruct` runs the whole frame phase of the
-``reconstruct`` command, its four sweeps and its diagnostics.
+read-only view of the normal column of its frame grid.  The joint sweep
+carries the 3x5 state (Phi | r, rbar) with the two-pass RK4 sweep, so its
+first three columns are the frame grid, bit for bit.
+:func:`reconstruct_surfaces` reduces it to r and rbar beside a frame grid
+from :func:`integrate_frame`; :func:`reconstruct` stores it and streams one
+yx frame sweep against it, two sweeps in all.  No re-orthonormalization is
+applied, so orthonormality drift is a genuine accuracy diagnostic.
 
 The diagnostics that follow the sweeps are pointwise or 3x3-stencil formulas
-followed by a max, so their temporaries are a block, not a grid.  Two reduce
-a sweep (``sweep.sweep_grid``'s ``reduce``) one block of nodes at a time,
-indexing each block like a grid, and no grid of that sweep is stored: the
-|N| statistics of :func:`reconstruct_surfaces`, taken while the joint
-sweep's blocks are copied into r and rbar, and the distance between the two
-sweep orders of :func:`path_independence_error`, which compares each block
-of the yx sweep with the stored xy grid.  :func:`orthonormality_drift` and
-:func:`mesh_curvatures` read a stored grid one block of first-axis rows at
-a time (``_row_blocks``: as many rows as keep a block of frames, 9 floats a
-node, within the sweep's cache budget ``sweep.BLOCK_FLOATS``, read at each
-call).  Each node takes the same operations in the same order, and a max of
-block maxima is the max, so the results do not depend on the blocks, bit for
-bit.
+followed by a max, so their temporaries are a block, not a grid.  The
+distance between the two sweep orders takes the yx sweep one block of nodes
+at a time (``sweep.sweep_grid``'s ``reduce``) and stores no yx grid.  The
+drift, the |N| statistics and :func:`mesh_curvatures` read a stored grid
+one block of first-axis rows at a time (``_row_blocks``: as many rows as
+keep a block of frames, 9 floats a node, within ``sweep.BLOCK_FLOATS``,
+read at each call).  Each node takes the same operations in the same order,
+and a max of block maxima is the max, so the results do not depend on the
+blocks, bit for bit.
 """
 
 from __future__ import annotations
@@ -168,16 +164,9 @@ def orthonormality_drift(f: np.ndarray) -> float:
         return max_skipping_nan(np.array([block_max(rows) for rows in blocks]))
 
 
-def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
-    """Max Frobenius distance between x-then-y and y-then-x frame sweeps.
-
-    Zero (up to integration error) exactly when the coefficients satisfy the
-    Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
-    of broken compatibility.  Nodes where either sweep is NaN are skipped.
-    The xy sweep is stored; the yx sweep is reduced, each of its blocks
-    compared with the same nodes of the xy grid as it is made.
-    """
-    xy = integrate_frame(c, phi0)
+def _distance_to_yx(c: CoefficientFields, xy: np.ndarray) -> float:
+    """Max Frobenius distance, NaN nodes skipped, between the stored xy frame
+    grid ``xy`` and the yx frame sweep from ``xy[0, 0]``, streamed against it."""
     maxima = []
 
     def block_max(where, nodes):
@@ -188,10 +177,42 @@ def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
         total = ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5]) + (d[6] + d[7])) + d[8]
         maxima.append(max_skipping_nan(np.sqrt(total)))
 
-    # the xy sweep holds the checked initial frame at the origin node
     sweep_grid(c.grid, (c.p, c.Ho), _skew_x, (c.q, c.Ko), _skew_y, xy[0, 0], order="yx",
                reduce=block_max)
     return max_skipping_nan(np.array(maxima))
+
+
+def path_independence_error(c: CoefficientFields, phi0: np.ndarray) -> float:
+    """Max Frobenius distance between x-then-y and y-then-x frame sweeps.
+
+    Zero (up to integration error) exactly when the coefficients satisfy the
+    Gauss-Mainardi-Codazzi compatibility; an O(1) value is a reliable signal
+    of broken compatibility.  Nodes where either sweep is NaN are skipped.
+    """
+    return _distance_to_yx(c, integrate_frame(c, phi0))
+
+
+def _joint_sweep(c: CoefficientFields, phi0: np.ndarray, reduce=None) -> np.ndarray | None:
+    """The xy sweep of (Phi | r, rbar) from (phi0 | 0, 0), stored unless reduced."""
+    return sweep_grid(c.grid, (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
+                      (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y,
+                      np.hstack([phi0, np.zeros((3, 2))]), reduce=reduce)
+
+
+def _normal_stats(f: np.ndarray) -> dict[str, float | int]:
+    """|N| = sqrt((N0^2 + N1^2) + N2^2) of the frame grid ``f``'s normal, a
+    block of rows at a time: ``normal_unit_max_dev``, the largest ||N| - 1|
+    where |N| is finite, and ``frame_nonfinite_nodes``, the nodes where not."""
+    maxima, lost = [], 0
+    with np.errstate(all="ignore"):
+        for rows in _row_blocks(0, *f.shape[:2]):
+            N = f[rows, :, :, 2]  # |N| in the order of a sum over a length-3 axis
+            norm = np.sqrt((N[..., 0] ** 2 + N[..., 1] ** 2) + N[..., 2] ** 2)
+            finite = np.isfinite(norm)
+            maxima.append(max_skipping_nan(np.where(finite, np.abs(norm - 1.0), np.nan)))
+            lost += norm.size - np.count_nonzero(finite)
+    return {"normal_unit_max_dev": max_skipping_nan(np.array(maxima)),
+            "frame_nonfinite_nodes": int(lost)}
 
 
 def reconstruct_surfaces(f: np.ndarray, c: CoefficientFields) -> tuple[SurfaceTriple, dict]:
@@ -200,38 +221,24 @@ def reconstruct_surfaces(f: np.ndarray, c: CoefficientFields) -> tuple[SurfaceTr
     One sweep carries the 3x5 state (Phi | r, rbar) from Phi0 = the frame of
     the frame grid ``f`` (:func:`integrate_frame`) at the origin node and
     r0 = rbar0 = 0.  The triple's N is the normal of ``f``: a read-only view
-    of its third column, with no copy.  The sweep is reduced: each block of
-    nodes is copied into r and rbar, the same nodes of N are measured, and
-    no 3x5 grid is stored.  Returns the triple and the statistics of
-    |N| = sqrt((N0^2 + N1^2) + N2^2): ``normal_unit_max_dev``, the largest
-    ||N| - 1| where |N| is finite, and ``frame_nonfinite_nodes``, the number
-    of nodes where it is not.  NaN dual coefficients (flagged stress nodes)
-    poison rbar downstream of the flagged node, which is reported honestly;
-    the frame, N and r stay finite, since the generator's (r, rbar) columns
-    never feed back.
+    of its third column, with no copy.  The sweep is reduced: each block is
+    copied into r and rbar, and no 3x5 grid is stored.  Returns the triple
+    and the |N| statistics of ``f``.  NaN dual coefficients (flagged stress
+    nodes) poison rbar downstream of the flagged node, which is reported
+    honestly; the frame, N and r stay finite, since the generator's
+    (r, rbar) columns never feed back.
     """
     if f.shape != c.grid.shape + (3, 3):
         raise ParameterError("frame grid and coefficient grid differ")
-    state0 = np.hstack([f[0, 0], np.zeros((3, 2))])  # (Phi | r, rbar)
-    # C-ordered, which the norms and the writers need
     r, rbar = (np.empty(c.grid.shape + (3,)) for _ in range(2))
-    maxima, lost = [], []
 
     def copy_out(where, nodes):
         r[where] = nodes[..., 3]
         rbar[where] = nodes[..., 4]
-        N = f[where][..., :, 2]  # |N| in the order of a sum over a length-3 axis
-        norm = np.sqrt((N[..., 0] ** 2 + N[..., 1] ** 2) + N[..., 2] ** 2)
-        finite = np.isfinite(norm)
-        maxima.append(max_skipping_nan(np.where(finite, np.abs(norm - 1.0), np.nan)))
-        lost.append(norm.size - np.count_nonzero(finite))
 
-    sweep_grid(c.grid, (c.p, c.Ho, c.A1, c.Abar1), _with_triple_x,
-               (c.q, c.Ko, c.A2, c.Abar2), _with_triple_y, state0, reduce=copy_out)
-    triple = SurfaceTriple(Vec3Field(c.grid, f[:, :, :, 2]),
-                           Vec3Field(c.grid, r), Vec3Field(c.grid, rbar))
-    return triple, {"normal_unit_max_dev": max_skipping_nan(np.array(maxima)),
-                    "frame_nonfinite_nodes": int(sum(lost))}
+    _joint_sweep(c, f[0, 0], reduce=copy_out)
+    triple = SurfaceTriple(*(Vec3Field(c.grid, v) for v in (f[..., 2], r, rbar)))
+    return triple, _normal_stats(f)
 
 
 def mesh_curvatures(r: Vec3Field) -> tuple[ScalarField, ScalarField]:
@@ -291,17 +298,20 @@ def mesh_curvatures(r: Vec3Field) -> tuple[ScalarField, ScalarField]:
 
 def reconstruct(c: CoefficientFields) -> tuple[SurfaceTriple, dict[str, float | int]]:
     """The surface triple of ``c`` from the identity frame at the origin
-    node, and its diagnostics, in four sweeps: the frame's
-    :func:`orthonormality_drift`, the :func:`path_independence_error`, the
-    |N| statistics of :func:`reconstruct_surfaces`, the mean/Gauss curvature
-    statistics of r over the nodes where :func:`mesh_curvatures` is defined,
-    and the flagged nodes.
+    node and its diagnostics, in two sweeps: the stored joint sweep, whose
+    columns are the frame grid and the triple (read-only views), and a yx
+    frame sweep streamed against that frame grid.  The diagnostics are the
+    frame's :func:`orthonormality_drift`, :func:`path_independence_error` and
+    |N| statistics, the mean/Gauss curvature statistics of r over the nodes
+    where :func:`mesh_curvatures` is defined, and the flagged nodes.
     """
-    f = integrate_frame(c, np.eye(3))
-    triple, normal_stats = reconstruct_surfaces(f, c)
+    joint = _joint_sweep(c, np.eye(3))
+    joint.flags.writeable = False
+    f = joint[..., :3]
+    triple = SurfaceTriple(*(Vec3Field(c.grid, joint[..., k]) for k in (2, 3, 4)))
     diag = {"orthonormality_drift": orthonormality_drift(f),
-            "path_independence_error": path_independence_error(c, np.eye(3)),
-            **normal_stats}
+            "path_independence_error": _distance_to_yx(c, f),
+            **_normal_stats(f)}
     H, K = (v.values for v in mesh_curvatures(triple.r))
     # numpy's nanmean, nanmin and nanmax to the bit, which read NaN with no
     # warning where no node is defined

@@ -29,23 +29,32 @@ __all__ = ["omega_ratios"]
 EPS_UMBILIC = 1e-6
 
 
+def _umbilic(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """The umbilic nodes: kappa1 - kappa2 is finite and at most
+    ``EPS_UMBILIC`` times max(|kappa1|, |kappa2|) at that node."""
+    with np.errstate(all="ignore"):
+        bound = np.maximum(np.abs(k1), np.abs(k2))
+        bound *= EPS_UMBILIC
+        dk = k1 - k2
+        return np.isfinite(dk) & (np.abs(dk) <= bound)
+
+
 def omega_ratios(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarray]:
     """Residual arrays of the Omega-surface Corollary identities of ``c``,
     with alpha from ``g``, the triple that ``c`` was built from.
 
-    Umbilic nodes (|kappa1 - kappa2| not finite, or at most ``EPS_UMBILIC``
-    times max(|kappa1|, |kappa2|) at that node) are NaN; membrane O surfaces
-    of either kind are umbilic-free wherever the coefficients are finite, so
-    this per-node guard only trips on degenerate data.
+    The ratios are NaN where kappa1 - kappa2 is not finite and at the
+    umbilic nodes; membrane O surfaces of either kind are umbilic-free
+    wherever the coefficients are finite, so this per-node guard only trips
+    on degenerate data.
     """
     grid, eps, A1, A2 = c.grid, EPS[c.kind], c.A1, c.A2
     k1, k2 = principal_curvatures(c)
+    umbilic = _umbilic(k1, k2)
     with np.errstate(all="ignore"):
         dk = k1 - k2
-        scale = np.maximum(np.abs(k1), np.abs(k2))
-        umbilic = ~np.isfinite(dk) | (np.abs(dk) <= EPS_UMBILIC * scale)
-        del scale
-        dk[umbilic] = np.nan
+        dk[umbilic | ~np.isfinite(dk)] = np.nan
+        del umbilic
         R1 = diff_x(k1, grid) / dk * (A1 / A2)
         del k1
         R2 = diff_y(k2, grid) / dk * (A2 / A1)

@@ -486,18 +486,20 @@ def sweeps(monkeypatch):
 
 
 def test_each_entry_sweeps_its_count(sweeps):
-    # reconstruct: the frame, the joint frame + triple sweep and the two
-    # orders of the path independence; apply_backlund and bianchi_darboux:
-    # the two Lax orders and no frame (r' is left to the caller)
+    # every entry sweeps its system once per order, the stored xy sweep
+    # first: reconstruct's joint frame + triple sweep, whose frame columns
+    # the streamed yx frame sweep is compared with; the two Lax orders of
+    # apply_backlund and bianchi_darboux, with no frame (r' is left to the
+    # caller); the frame and its yx sweep of path_independence_error
     g = cmc(n=11)
     c = coefficients_from_governing(g)
-    for run, count in ((lambda: reconstruct(c), 4),
-                       (lambda: apply_backlund(g, **CMC_BACKLUND), 2),
-                       (lambda: bianchi_darboux(g, mbar=1.0), 2),
-                       (lambda: path_independence_error(c, I3), 2)):
+    for run in (lambda: reconstruct(c),
+                lambda: apply_backlund(g, **CMC_BACKLUND),
+                lambda: bianchi_darboux(g, mbar=1.0),
+                lambda: path_independence_error(c, I3)):
         sweeps.clear()
         run()
-        assert len(sweeps) == count
+        assert sweeps == ["xy", "yx"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mosurf.kernel
 from mosurf import fileio
 from mosurf.cli import main
 from mosurf.errors import FieldFormatError, SingularGridError
@@ -982,10 +984,37 @@ def test_cli_omega_report(tmp_path):
         assert list(omega) == ["omega-1", "omega-2", "omega-combined"]
         assert omega == {name: verify[name] for name in omega}, flags
         assert omega["omega-1"]["linf"] > 0.0
-        assert doc["diagnostics"]["umbilic_flagged"] == omega["omega-1"]["excluded"]
         # the guard is per node: the kink's near-infinite kappa1 where alpha
         # saturates at pi/2 does not flag the regular nodes elsewhere
         assert doc["diagnostics"]["umbilic_flagged"] == 0, flags
+
+
+def test_cli_omega_counts_umbilics_not_excluded_nodes(tmp_path, monkeypatch):
+    # umbilic_flagged counts the nodes where kappa1 - kappa2 is finite and
+    # within the umbilic guard: none on the primed kink, whose omega-1 entry
+    # excludes 117 nodes (its flagged nodes, where kappa1 - kappa2 is not
+    # finite, and their stencil neighbours)
+    src, primed, rep = tmp_path / "kink.json", tmp_path / "p.json", tmp_path / "pom.json"
+    assert run(["seed", "--family", "pseudospherical", "--v", "0.3",
+                "--domain", "-3:3:-3:3", "--nx", "31", "--ny", "31", "-o", str(src)]) == 0
+    assert run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
+    assert run(["omega", str(primed), "--report", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["equations"]["omega-1"]["excluded"] == 117
+    assert doc["diagnostics"]["umbilic_flagged"] == 0
+    # a real umbilic, made by hand at one node of the kink (kappa2 = kappa1
+    # there), is counted
+    build = mosurf.kernel.coefficients_from_governing
+
+    def with_umbilic(g):
+        c = build(g)
+        Ko = c.Ko.copy()
+        Ko[15, 15] = c.Ho[15, 15] * c.A2[15, 15] / c.A1[15, 15]
+        return replace(c, Ko=Ko)
+
+    monkeypatch.setattr(mosurf.kernel, "coefficients_from_governing", with_umbilic)
+    assert run(["omega", str(src), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["diagnostics"]["umbilic_flagged"] == 1
 
 
 def test_cli_verify_reports_norms_without_a_verdict(tmp_path, capsys):

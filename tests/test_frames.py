@@ -8,6 +8,7 @@ import pytest
 
 import mosurf.frames
 import mosurf.sweep
+from mosurf.backlund import apply_backlund
 from mosurf.errors import ParameterError
 from mosurf.fields import Grid2D, Vec3Field, max_skipping_nan
 from mosurf.frames import (
@@ -274,16 +275,30 @@ def test_reconstruction_confines_nan_dual_coefficients_to_rbar():
     assert np.isfinite(rbar[~downstream]).all()
 
 
+def liouville_nan_ko():
+    """The 41^2 Liouville coefficients with c1 = 0, whose x = 0 column is
+    stress-flagged (NaN dual coefficients), with one NaN Ko node beside it."""
+    grid = Grid2D.from_domain(-1, 1, -1, 1, 41, 41)
+    c = coefficients_from_governing(generate_seed(SeedSpec("liouville", grid, a=0.353553, c1=0.0)))
+    Ko = c.Ko.copy()
+    Ko[30, 20] = np.nan
+    return replace(c, Ko=Ko)
+
+
+def primed_kink_coefficients():
+    """The 31^2 primed kink of the README transform: its flagged nodes poison
+    the frame downstream, and its frame leaves the rotation group."""
+    g = generate_seed(SeedSpec("pseudospherical", Grid2D.from_domain(-3, 3, -3, 3, 31, 31), v=0.3))
+    return coefficients_from_governing(apply_backlund(g, 0.3, 0.0, 1.0, 0.1).primed_governing)
+
+
 def test_triple_normal_is_a_view_of_the_frame_normal_column():
     # N is the normal column of the frame grid passed in, with no copy, and
     # it equals the joint 3x5 sweep's normal column bit for bit: also at the
     # NaN nodes downstream of a NaN Ko, on a coefficient set whose x = 0
     # column is stress-flagged (Liouville with c1 = 0)
-    grid = Grid2D.from_domain(-1, 1, -1, 1, 41, 41)
-    c = coefficients_from_governing(generate_seed(SeedSpec("liouville", grid, a=0.353553, c1=0.0)))
-    Ko = c.Ko.copy()
-    Ko[30, 20] = np.nan
-    c = replace(c, Ko=Ko)
+    c = liouville_nan_ko()
+    grid = c.grid
     f = integrate_frame(c, I3)
     triple, _ = reconstruct_surfaces(f, c)
     N = triple.N.values
@@ -525,24 +540,30 @@ def test_mesh_curvatures_match_stacked_formulas_in_row_blocks(monkeypatch, rows,
 
 
 def test_reconstruct_runs_the_frame_phase_with_its_diagnostics_in_order():
-    _, c = cmc_coefficients(n=51)
-    triple, diag = reconstruct(c)
-    f = integrate_frame(c, I3)
-    want, stats = reconstruct_surfaces(f, c)
-    for a, b in ((triple.N, want.N), (triple.r, want.r), (triple.rbar, want.rbar)):
-        assert a.values.tobytes() == b.values.tobytes()
-    H, K = (v.values for v in mesh_curvatures(want.r))
-    assert list(diag) == [
-        "orthonormality_drift", "path_independence_error",
-        "normal_unit_max_dev", "frame_nonfinite_nodes", "mean_curvature_mean",
-        "mean_curvature_min", "mean_curvature_max", "gauss_curvature_mean", "flagged_nodes"]
-    assert diag["orthonormality_drift"] == orthonormality_drift(f)
-    assert diag["path_independence_error"] == path_independence_error(c, I3)
-    assert {k: diag[k] for k in stats} == stats
-    assert diag["mean_curvature_mean"] == np.nanmean(H)
-    assert (diag["mean_curvature_min"], diag["mean_curvature_max"]) == (np.nanmin(H), np.nanmax(H))
-    assert diag["gauss_curvature_mean"] == np.nanmean(K)
-    assert diag["frame_nonfinite_nodes"] == diag["flagged_nodes"] == 0
+    # reconstruct's two sweeps give the triple and the diagnostics of the
+    # public four-sweep chain bit for bit, also where NaNs flow: downstream
+    # of a NaN Ko and of stress-flagged nodes, and through a primed frame
+    # that has left the rotation group
+    cases = {"cmc": cmc_coefficients(n=51)[1], "nan-ko": liouville_nan_ko(),
+             "primed-kink": primed_kink_coefficients()}
+    for name, c in cases.items():
+        triple, diag = reconstruct(c)
+        f = integrate_frame(c, I3)
+        want, stats = reconstruct_surfaces(f, c)
+        for a, b in ((triple.N, want.N), (triple.r, want.r), (triple.rbar, want.rbar)):
+            assert a.values.tobytes() == b.values.tobytes(), name
+        H, K = (v.values for v in mesh_curvatures(want.r))
+        chain = {"orthonormality_drift": orthonormality_drift(f),
+                 "path_independence_error": path_independence_error(c, I3), **stats,
+                 "mean_curvature_mean": np.nanmean(H), "mean_curvature_min": np.nanmin(H),
+                 "mean_curvature_max": np.nanmax(H), "gauss_curvature_mean": np.nanmean(K),
+                 "flagged_nodes": c.n_flagged}
+        assert list(diag) == list(chain)
+        # bit for bit, NaN included
+        assert (np.array([*diag.values()]).tobytes()
+                == np.array([*chain.values()], dtype=float).tobytes()), (name, diag, chain)
+        nonfinite = (diag["frame_nonfinite_nodes"], diag["flagged_nodes"])
+        assert (nonfinite == (0, 0)) == (name == "cmc"), (name, nonfinite)
 
 
 def test_cmc_reconstruction_mean_curvature():
@@ -591,7 +612,10 @@ def test_frame_diagnostics_hold_blocks_not_grids():
     # about 20 and 11 grids.  The sweeps that are only reduced stream: path
     # independence holds its xy frame grid (9 grids) and blocks, where a
     # stored yx sweep held about 21 grids; reconstruction holds r, rbar (6)
-    # and blocks, where a stored 3x5 sweep and the copies out of it held 21
+    # and blocks, where a stored 3x5 sweep and the copies out of it held 21.
+    # reconstruct holds its one 3x5 grid (15), the curvatures (2) and
+    # blocks, about 21 grids; a second frame grid (the four-sweep chain's
+    # stored frame) made it about 28
     _, c = cmc_coefficients(n=401)
     f = integrate_frame(c, I3)
     r = reconstruct_surfaces(f, c)[0].r
@@ -600,7 +624,8 @@ def test_frame_diagnostics_hold_blocks_not_grids():
     for run, bound in ((lambda: mesh_curvatures(r), 2 * grid_bytes + 4 * block_bytes),
                        (lambda: orthonormality_drift(f), 2 * block_bytes),
                        (lambda: path_independence_error(c, I3), 1.5 * 9 * grid_bytes),
-                       (lambda: reconstruct_surfaces(f, c), (6 + 9) * grid_bytes)):
+                       (lambda: reconstruct_surfaces(f, c), (6 + 9) * grid_bytes),
+                       (lambda: reconstruct(c), (15 + 2) * grid_bytes + 4 * block_bytes)):
         tracemalloc.start()
         try:
             run()

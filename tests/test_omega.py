@@ -1,10 +1,17 @@
 """Omega-surface condition tests: the Corollary curvature-ratio identities."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from mosurf.fields import Grid2D, ScalarField
-from mosurf.kernel import GoverningFields, ResidualReport, coefficients_from_governing
-from mosurf.omega import omega_ratios
+from mosurf.kernel import (
+    GoverningFields,
+    ResidualReport,
+    coefficients_from_governing,
+    principal_curvatures,
+)
+from mosurf.omega import _umbilic, omega_ratios
 from mosurf.seeds import SeedSpec, generate_seed
 
 
@@ -73,3 +80,8 @@ def test_umbilic_nodes_are_flagged():
     rep = ResidualReport.from_fields(grid, omega_ratios(c, g))
     assert rep["omega-1"].excluded == 25  # whole 5x5 reporting core
     assert rep["omega-1"].linf == 0.0
+    # every node is a real umbilic; a node where kappa1 is NaN is not one
+    assert _umbilic(*principal_curvatures(c)).sum() == 121
+    Ho = one.copy()
+    Ho[3, 4] = np.nan
+    assert _umbilic(*principal_curvatures(replace(c, Ho=Ho))).sum() == 120
