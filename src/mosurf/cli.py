@@ -184,13 +184,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .fileio import (check_report, mesh_faces, read_field_file, report_to_dict, write_obj,
-                         write_report_file, write_table)
+    from .fileio import (check_report, mesh_faces, read_field_file, report_to_dict,
+                         write_report_file, write_table_and_meshes)
     from .frames import DRIFT_TOL, reconstruct
     from .kernel import ResidualReport, coefficients_from_governing
 
-    files = [f"{args.out}_{name}" for name in ("r.obj", "rbar.obj", "N.obj", "table.csv")]
-    _check_distinct(args.fieldfile, *files, args.report)
+    meshes = {name: f"{args.out}_{name}.obj" for name in ("r", "rbar", "N")}
+    table = f"{args.out}_table.csv"
+    _check_distinct(args.fieldfile, *meshes.values(), table, args.report)
     g, _ = read_field_file(args.fieldfile)
     c = coefficients_from_governing(g)
     frac = c.n_flagged / g.grid.n_nodes
@@ -208,24 +209,18 @@ def _cmd_reconstruct(args) -> int:
     if diag["orthonormality_drift"] > DRIFT_TOL:  # a warning: the files are still written
         print(f"warning: orthonormality drift {diag['orthonormality_drift']:.3e} is above "
               f"{DRIFT_TOL:g}: the frame has left the rotation group", file=sys.stderr)
-    # the four files share one memo: r, N and rbar are formatted once, for
-    # the OBJ vertices and the table alike, and meshes on the same nodes
-    # share their face lines
-    texts: dict = {}
-    for path, points in zip(files, (triple.r, triple.rbar, triple.N)):
-        write_obj(path, points, valid=valid, texts=texts)
     X, Y = g.grid.meshgrid()
-    write_table(
-        files[3],
+    write_table_and_meshes(
+        table,
         g.grid,
         {
             "x": X, "y": Y,
             "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
             "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": c.T1, "T2": c.T2,
         },
-        texts=texts,
+        meshes,
+        valid,
     )
-    del texts
     print(f"reconstruct grid={g.grid.nx}x{g.grid.ny} faces={faces} "
           f"drift={diag['orthonormality_drift']:.3e} "
           f"path_independence={diag['path_independence_error']:.3e} "
@@ -296,13 +291,13 @@ def _cmd_backlund(args) -> int:
 
 def _cmd_omega(args) -> int:
     from .fileio import read_field_file, report_to_dict, write_report_file
-    from .kernel import ResidualReport, coefficients_from_governing, principal_curvatures
-    from .omega import _umbilic, omega_ratios
+    from .kernel import ResidualReport, coefficients_from_governing
+    from .omega import omega_ratios, umbilic_count
 
     _check_distinct(args.fieldfile, args.report)
     g, _ = read_field_file(args.fieldfile)
     c = coefficients_from_governing(g)
-    umbilic = int(_umbilic(*principal_curvatures(c)).sum())
+    umbilic = umbilic_count(c)
     report = ResidualReport.from_fields(g.grid, omega_ratios(c, g))
     print(f"omega kind={g.kind} grid={g.grid.nx}x{g.grid.ny} umbilic_flagged={umbilic}")
     for name, s in report.entries.items():

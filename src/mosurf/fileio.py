@@ -15,22 +15,19 @@ block each distinct float is formatted once, so the text is the same as a
 per-value ``repr`` while grid coordinates and fields that vary along one axis
 cost one ``repr`` per distinct value.
 
-A vector grid, OBJ vertices or table column alike, goes through one path,
-:func:`_vector_texts`, with a node's text ``"x,y,z"``.  :func:`write_obj` and
-:func:`write_table` take an optional memo ``texts``, a dict owned by the
-caller: ``reconstruct`` passes one to its three OBJ writes and its table, so
-r, N and rbar are formatted once per node block for all four files and the
-face lines are built once for every mesh on the same nodes.  The memo holds
-the three vertex sections' text until the table is written: a lone
-``reconstruct`` peaked at 55.7 MB instead of 55.1 MB at 201², and at 108.6 MB
-instead of 83.2 MB at 401² (peak RSS, x86-64, numpy 2.4).
+Tables and meshes are written by one block loop, :func:`_write_blocks`: each
+block of every column is formatted once (a vector node's text ``"x,y,z"``),
+written to the table and to the mesh of each vector column it names, and
+dropped; the face lines follow the vertices, built once for every mesh on the
+same nodes.  ``reconstruct`` writes its four files by one call of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import ExitStack
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
@@ -54,6 +51,7 @@ __all__ = [
     "mesh_faces",
     "write_obj",
     "write_table",
+    "write_table_and_meshes",
 ]
 
 #: version of the field-file format
@@ -89,10 +87,9 @@ def _encode(value: Any, path: str | Path, indent: int | None = None) -> str:
         raise FieldFormatError(f"{path}: cannot serialize a non-finite value ({exc})") from exc
 
 
-#: nodes turned into text at a time by the array writers, so that none holds
-#: a whole grid of strings (only a caller's ``texts`` memo keeps them all); a
-#: block spans ~20 rows of a 201-wide grid, so the x coordinate and fields of
-#: x alone repeat ~20 times within each block
+#: nodes turned into text at a time by the writers, so that none holds a
+#: whole grid of strings; a block spans ~20 rows of a 201-wide grid, so the x
+#: coordinate and fields of x alone repeat ~20 times within each block
 BLOCK = 4096
 
 
@@ -345,11 +342,10 @@ def write_report_file(path: str | Path, doc: dict) -> None:
     Path(path).write_text(_encode(doc, path, indent=2) + "\n")
 
 
-def _mesh(points: Vec3Field, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The mesh nodes (finite and valid) and, in x-fastest order, the grid
-    cells whose four corners are mesh nodes."""
-    v = points.values
-    ok = np.isfinite(v).all(axis=2)
+def _mesh(values: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The mesh nodes (finite and valid) of an (nx, ny, 3) array and, in
+    x-fastest order, the grid cells whose four corners are mesh nodes."""
+    ok = np.isfinite(values).all(axis=2)
     if valid is not None:
         ok &= valid
     return ok, _flat(ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:])
@@ -357,7 +353,7 @@ def _mesh(points: Vec3Field, valid: np.ndarray | None) -> tuple[np.ndarray, np.n
 
 def mesh_faces(points: Vec3Field, valid: np.ndarray | None = None) -> int:
     """The number of faces :func:`write_obj` writes for these arguments."""
-    return 2 * int(_mesh(points, valid)[1].sum())
+    return 2 * int(_mesh(points.values, valid)[1].sum())
 
 
 def _column_texts(column: np.ndarray) -> Iterator[Sequence[str]]:
@@ -367,102 +363,101 @@ def _column_texts(column: np.ndarray) -> Iterator[Sequence[str]]:
         yield _texts(column.flat[start:start + BLOCK])
 
 
-def _vector_texts(values: np.ndarray) -> Iterator[str]:
-    """For each x-fastest block of :data:`BLOCK` nodes of an (nx, ny, 3)
-    array, its node texts ``"x,y,z"`` one per line (no final newline), a
-    component blank where it is not finite."""
-    for block in zip(*[_column_texts(values[:, :, k].T) for k in range(3)]):
-        yield "\n".join(map(",".join, zip(*block)))
+def _node_texts(values: np.ndarray, start: int) -> Sequence[str]:
+    """The texts of the x-fastest nodes ``start`` to ``start + BLOCK`` of an
+    (nx, ny) or (nx, ny, 3) array; a vector node's text is ``"x,y,z"``."""
+    if values.ndim == 2:
+        return _texts(values.T.flat[start:start + BLOCK])
+    return list(map(",".join, zip(*[_texts(values[:, :, k].T.flat[start:start + BLOCK])
+                                    for k in range(3)])))
 
 
-def _shared_texts(values: np.ndarray, texts: dict | None) -> Iterable[str]:
-    """:func:`_vector_texts` of ``values``, kept in and taken from the memo
-    ``texts`` when one is given.  An entry holds its array and is used only
-    for that very object, so an equal copy, or an array that happens to get
-    a freed one's ``id``, is formatted afresh.  A block is kept as one
-    string: about half the memory of a string per node."""
-    if texts is None:
-        return _vector_texts(values)
-    entry = texts.get(id(values))
-    if entry is None or entry[0] is not values:
-        entry = texts[id(values)] = (values, list(_vector_texts(values)))
-    return entry[1]
-
-
-def _face_lines(ok: np.ndarray, cell: np.ndarray) -> list[str]:
+def _face_lines(ok: np.ndarray, cell: np.ndarray) -> Iterator[str]:
     """The ``f`` lines of the mesh on nodes ``ok`` with cells ``cell``, one
     string per block of :data:`BLOCK` cells."""
-    index = np.cumsum(_flat(ok)).reshape(ok.shape, order="F")  # 1-based at mesh nodes
-    corners = np.stack([_flat(corner)[cell] for corner in
-                        (index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:])],
-                       axis=1)
-    lines = []
-    for start in range(0, len(corners), BLOCK):
-        block = corners[start:start + BLOCK]
-        # one string per vertex id the block touches; a cell's corners
-        # (a, b, c, d) run counter-clockwise into triangles abc and acd
+    nx = ok.shape[0]
+    index = np.cumsum(_flat(ok))  # 1-based vertex ids at mesh nodes
+    cells = np.flatnonzero(cell)
+    for start in range(0, len(cells), BLOCK):
+        k = cells[start:start + BLOCK]
+        node = k + k // (nx - 1)  # each cell's corner node (i, j), x-fastest
+        # a cell's corners (a, b, c, d) run counter-clockwise into triangles
+        # abc and acd; one string per vertex id the block touches
+        block = index[np.stack([node, node + 1, node + 1 + nx, node + nx], axis=1)]
         first = int(block.min())
         ids = list(map(str, range(first, int(block.max()) + 1)))
         t = itemgetter(*(block - first).ravel().tolist())(ids)  # >= 4 indices
         a, b, c, d = t[0::4], t[1::4], t[2::4], t[3::4]
-        lines.append("".join(map("f %s %s %s\nf %s %s %s\n".__mod__, zip(a, b, c, a, c, d))))
-    return lines
+        yield "".join(map("f %s %s %s\nf %s %s %s\n".__mod__, zip(a, b, c, a, c, d)))
 
 
-def write_obj(path: str | Path, points: Vec3Field, valid: np.ndarray | None = None, *,
-              texts: dict | None = None) -> int:
+def _write_blocks(table: str | Path | None, shape: tuple[int, int],
+                  columns: dict[str, np.ndarray], meshes: dict[str, str | Path],
+                  valid: np.ndarray | None = None) -> list[int]:
+    """The CSV ``table`` of ``columns`` (none if it is None) and the OBJ mesh
+    of each vector column that ``meshes`` names, at the path it maps to, in
+    one pass over blocks of :data:`BLOCK` nodes, every file opened before any
+    is written; returns each mesh's face count."""
+    header: list[str] = []
+    for name, arr in columns.items():
+        if arr.shape == shape:
+            header.append(name)
+        elif arr.shape == shape + (3,):
+            header += [f"{name}_{suffix}" for suffix in "xyz"]
+        else:
+            raise FieldFormatError(f"column {name!r} has unsupported shape {arr.shape}")
+    nodes = {name: _mesh(columns[name], valid) for name in meshes}
+    with ExitStack() as stack:
+        out = stack.enter_context(open(table, "w")) if table is not None else None
+        objs = {name: stack.enter_context(open(path, "w")) for name, path in meshes.items()}
+        if out is not None:
+            out.write(",".join(header) + "\n")
+        for fh in objs.values():
+            fh.write("# mosurf surface mesh\n")
+        keep = {name: _flat(ok) for name, (ok, _) in nodes.items()}
+        for start in range(0, shape[0] * shape[1], BLOCK):
+            texts = {name: _node_texts(arr, start) for name, arr in columns.items()}
+            if out is not None:
+                out.write("".join([",".join(row) + "\n" for row in zip(*texts.values())]))
+            for name, fh in objs.items():
+                kept = "\n".join(compress(texts[name], keep[name][start:start + BLOCK].tolist()))
+                if kept:  # mesh nodes are finite, so no component is blank
+                    fh.write("v " + kept.replace("\n", "\nv ").replace(",", " ") + "\n")
+        groups: list[tuple[np.ndarray, np.ndarray, list]] = []
+        for name, (ok, cell) in nodes.items():
+            group = next((g for g in groups if np.array_equal(g[0], ok)), None)
+            if group is None:
+                groups.append(group := (ok, cell, []))
+            group[2].append(objs[name])
+        for ok, cell, files in groups:
+            for lines in _face_lines(ok, cell):
+                for fh in files:
+                    fh.write(lines)
+    return [2 * int(cell.sum()) for _, cell in nodes.values()]
+
+
+def write_obj(path: str | Path, points: Vec3Field, valid: np.ndarray | None = None) -> int:
     """Triangulated OBJ export; returns the number of faces written.
 
     Vertices are emitted for valid nodes only, in x-fastest order; each grid
     cell whose four corners are valid contributes two triangles.
-
-    ``texts`` is an optional memo, a dict owned by the caller and shared
-    with :func:`write_table`: the vertex texts of ``points.values`` are kept
-    in it, and so are the face lines with their mesh nodes, which a later
-    mesh on the same nodes reuses.
     """
-    ok, cell = _mesh(points, valid)
-    known = texts.setdefault("faces", []) if texts is not None else []
-    # matched by the nodes, not just the cells: the nodes number the vertices
-    faces = next((lines for nodes, lines in known if np.array_equal(nodes, ok)), None)
-    if faces is None:
-        faces = _face_lines(ok, cell)
-        known.append((ok, faces))
-    keep = _flat(ok)
-    with open(path, "w") as fh:
-        fh.write("# mosurf surface mesh\n")
-        for start, block in zip(range(0, len(keep), BLOCK),
-                                _shared_texts(points.values, texts)):
-            kept = keep[start:start + BLOCK]
-            if not kept.any():
-                continue
-            if not kept.all():
-                block = "\n".join(compress(block.split("\n"), kept.tolist()))
-            # valid nodes are finite, so no component is blank
-            fh.write("v " + block.replace("\n", "\nv ").replace(",", " ") + "\n")
-        fh.writelines(faces)
-    return 2 * int(cell.sum())
+    values = points.values
+    return _write_blocks(None, values.shape[:2], {"points": values}, {"points": path}, valid)[0]
 
 
-def write_table(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray], *,
-                texts: dict | None = None) -> None:
+def write_table(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray]) -> None:
     """CSV export, one node per line in x-fastest order; non-finite cells are blank.
 
-    Vector-valued columns (nx, ny, 3) expand into ``name_x/_y/_z``; their
-    texts are taken from, or kept in, the memo ``texts`` of :func:`write_obj`.
+    Vector-valued columns (nx, ny, 3) expand into ``name_x/_y/_z``.
     """
-    header: list[str] = []
-    blocks = []  # per column, its block texts; a vector column's are "x,y,z"
-    for name, arr in columns.items():
-        if arr.shape == grid.shape:
-            header.append(name)
-            blocks.append(_column_texts(arr.T))
-        elif arr.shape == grid.shape + (3,):
-            header += [f"{name}_{suffix}" for suffix in "xyz"]
-            blocks.append(block.split("\n") for block in _shared_texts(arr, texts))
-        else:
-            raise FieldFormatError(f"column {name!r} has unsupported shape {arr.shape}")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for cells in zip(*blocks):
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+    _write_blocks(path, grid.shape, columns, {})
+
+
+def write_table_and_meshes(path: str | Path, grid: Grid2D, columns: dict[str, np.ndarray],
+                           meshes: dict[str, str | Path],
+                           valid: np.ndarray | None = None) -> list[int]:
+    """:func:`write_table` of ``columns`` and :func:`write_obj` of each vector
+    column that ``meshes`` names, at the path it maps to, each node formatted
+    once for all files; returns the meshes' face counts."""
+    return _write_blocks(path, grid.shape, columns, meshes, valid)

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import diff_x, diff_y
 from .kernel import EPS, CoefficientFields, GoverningFields, principal_curvatures
 
-__all__ = ["omega_ratios"]
+__all__ = ["omega_ratios", "umbilic_count"]
 
 #: relative umbilic guard: |kappa1 - kappa2| at or below this times
 #: max(|kappa1|, |kappa2|) at the same node
@@ -37,6 +37,12 @@ def _umbilic(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         bound *= EPS_UMBILIC
         dk = k1 - k2
         return np.isfinite(dk) & (np.abs(dk) <= bound)
+
+
+def umbilic_count(c: CoefficientFields) -> int:
+    """The number of umbilic nodes of ``c``, those the Omega ratios exclude
+    although kappa1 - kappa2 is finite there."""
+    return int(_umbilic(*principal_curvatures(c)).sum())
 
 
 def omega_ratios(c: CoefficientFields, g: GoverningFields) -> dict[str, np.ndarray]:

@@ -2,9 +2,9 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -489,39 +489,59 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_memo_is_keyed_by_the_array_object(tmp_path, monkeypatch):
-    grid = Grid2D(5, 4)
-    cols = oracle_columns(grid.shape)
-    points = Vec3Field(grid, np.stack([cols["normal"], cols["zeros"], cols["holes"]], axis=2))
-    formatted = count_calls(monkeypatch, "_vector_texts")
-    texts = {}
-    assert_same_bytes(tmp_path, partial(write_obj, texts=texts), reference_write_obj, points)
-    assert_same_bytes(tmp_path, partial(write_table, texts=texts), reference_write_table,
-                      grid, {"v": points.values})
-    assert len(formatted) == 1  # the table took the OBJ's texts
-    # an equal copy is another array: formatted afresh, to the same bytes
-    assert_same_bytes(tmp_path, partial(write_table, texts=texts), reference_write_table,
-                      grid, {"v": points.values.copy()})
-    assert len(formatted) == 2
-
-
-def test_face_memo_is_keyed_by_the_mesh_nodes(tmp_path, monkeypatch):
+def test_one_call_builds_face_lines_per_distinct_mesh_nodes(tmp_path, monkeypatch):
     # without node (1, 1) cell (0, 0) is lost, and node (0, 0) lies on no
     # other cell: dropping it too leaves the cells as they were, but shifts
-    # every vertex id, so the face lines must be built again
+    # every vertex id, so that mesh needs face lines of its own
     grid = Grid2D(4, 4)
     X, Y = grid.meshgrid()
-    points = Vec3Field(grid, np.stack([X, Y, X * Y], axis=2))
+    values = np.stack([X, Y, X * Y], axis=2)
+    fewer = values.copy()
+    fewer[0, 0, 2] = np.nan
     valid = np.ones(grid.shape, dtype=bool)
     valid[1, 1] = False
-    fewer = valid.copy()
-    fewer[0, 0] = False
+    columns = {"a": values, "b": fewer, "c": values.copy()}
     built = count_calls(monkeypatch, "_face_lines")
-    texts = {}
-    for mask in (valid, valid.copy(), fewer, valid):
-        assert_same_bytes(tmp_path, partial(write_obj, texts=texts), reference_write_obj,
-                          points, mask)
-    assert len(built) == 2
+    faces = fileio.write_table_and_meshes(tmp_path / "t.csv", grid, columns,
+                                          {name: tmp_path / f"{name}.obj" for name in columns},
+                                          valid)
+    assert len(built) == 2  # "a" and "c" are meshes on the same nodes
+    for name, points in columns.items():
+        want = reference_write_obj(tmp_path / "want.obj", Vec3Field(grid, points), valid)
+        assert faces[list(columns).index(name)] == want
+        assert (tmp_path / f"{name}.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
+    reference_write_table(tmp_path / "want.csv", grid, columns)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_reconstruct_files_hold_blocks_not_grids(tmp_path):
+    # the four reconstruct files at 201^2 are written a block at a time: the
+    # writer holds one block's text (17 floats a node, each a str object of
+    # ~70 B beside its row text) and the mesh node masks and vertex ids, a
+    # few grids.  Measured 4.7 MB here (the same writer at 401^2: 6.1 MB);
+    # a memo of the r, N and rbar texts held until the table was written
+    # took 14.5 MB at 201^2 and 40.8 MB at 401^2
+    from mosurf.frames import reconstruct
+    from mosurf.seeds import SeedSpec, generate_seed
+
+    g = generate_seed(SeedSpec("cmc", Grid2D.from_domain(0, 2, 0, 2, 201, 201)))
+    c = coefficients_from_governing(g)
+    triple, _ = reconstruct(c)
+    X, Y = g.grid.meshgrid()
+    columns = {"x": X, "y": Y,
+               "r": triple.r.values, "N": triple.N.values, "rbar": triple.rbar.values,
+               "A1": c.A1, "A2": c.A2, "Ho": c.Ho, "Ko": c.Ko, "T1": c.T1, "T2": c.T2}
+    meshes = {name: tmp_path / f"mesh_{name}.obj" for name in ("r", "rbar", "N")}
+    grid_bytes = 8 * 201 * 201
+    bound = 17 * 80 * fileio.BLOCK + 4 * grid_bytes
+    tracemalloc.start()
+    try:
+        fileio.write_table_and_meshes(tmp_path / "mesh_table.csv", g.grid, columns, meshes,
+                                      ~c.flagged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 1e6, bound / 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,6 +1151,37 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert len(errors) == 1 and errors[0].startswith("mosurf: error:"), argv
         assert captured.out == "", argv
         assert not out.exists() and not report.exists(), argv
+
+
+#: every command that writes a file, with an output in a missing directory;
+#: {out} names a path that exists
+UNWRITABLE_OUTPUTS = [
+    ["seed", "--family", "cmc", "--domain", "0:1:0:1", "-o", "{missing}/f.json"],
+    ["verify", "{src}", "--report", "{missing}/v.json"],
+    ["reconstruct", "{src}", "-o", "{missing}/mesh"],
+    ["reconstruct", "{src}", "-o", "{out}/mesh", "--report", "{missing}/rec.json"],
+    ["stress", "{src}", "-o", "{missing}/s.csv"],
+    ["backlund", "{src}", "-o", "{missing}/p.json"],
+    ["backlund", "{src}", "-o", "{out}/p.json", "--report", "{missing}/bk.json"],
+    ["omega", "{src}", "--report", "{missing}/om.json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS + ["N.obj is a directory"])
+def test_cli_os_error_is_exit_2(tmp_path, capsys, argv):
+    # an output the OS refuses is a file error: one error line, no traceback
+    src = tmp_path / "cmc.json"
+    assert run(["seed", "--family", "cmc", "--domain", "0:1:0:1", "--nx", "21", "--ny", "21",
+                "-o", str(src)]) == 0
+    if isinstance(argv, str):
+        # the third of reconstruct's four paths; all four are opened first
+        (tmp_path / "mesh_N.obj").mkdir()
+        argv = ["reconstruct", "{src}", "-o", "{out}/mesh"]
+    capsys.readouterr()
+    argv = [a.format(src=src, out=tmp_path, missing=tmp_path / "missing") for a in argv]
+    assert run(argv) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("mosurf: error:"), errors
 
 
 @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-infinity", "-nan", "-NaN"])

@@ -5,13 +5,8 @@ from dataclasses import replace
 import numpy as np
 
 from mosurf.fields import Grid2D, ScalarField
-from mosurf.kernel import (
-    GoverningFields,
-    ResidualReport,
-    coefficients_from_governing,
-    principal_curvatures,
-)
-from mosurf.omega import _umbilic, omega_ratios
+from mosurf.kernel import GoverningFields, ResidualReport, coefficients_from_governing
+from mosurf.omega import omega_ratios, umbilic_count
 from mosurf.seeds import SeedSpec, generate_seed
 
 
@@ -81,7 +76,7 @@ def test_umbilic_nodes_are_flagged():
     assert rep["omega-1"].excluded == 25  # whole 5x5 reporting core
     assert rep["omega-1"].linf == 0.0
     # every node is a real umbilic; a node where kappa1 is NaN is not one
-    assert _umbilic(*principal_curvatures(c)).sum() == 121
+    assert umbilic_count(c) == 121
     Ho = one.copy()
     Ho[3, 4] = np.nan
-    assert _umbilic(*principal_curvatures(replace(c, Ho=Ho))).sum() == 120
+    assert umbilic_count(replace(c, Ho=Ho)) == 120
