@@ -168,8 +168,8 @@ def write_field_file(
             fh.write(("," if k else "") + f'"{name}":[')
             if "flagged" in extra:
                 values = np.where(bad, 0.0, values)
-            for i, texts in enumerate(_column_texts(values)):
-                fh.write(("," if i else "") + ",".join(texts))
+            for start in range(0, values.size, BLOCK):
+                fh.write(("," if start else "") + ",".join(_texts(values[start:start + BLOCK])))
             fh.write("]")
         fh.write(tail + "\n")
 
@@ -354,13 +354,6 @@ def _mesh(values: np.ndarray, valid: np.ndarray | None) -> tuple[np.ndarray, np.
 def mesh_faces(points: Vec3Field, valid: np.ndarray | None = None) -> int:
     """The number of faces :func:`write_obj` writes for these arguments."""
     return 2 * int(_mesh(points.values, valid)[1].sum())
-
-
-def _column_texts(column: np.ndarray) -> Iterator[Sequence[str]]:
-    """:func:`_texts` of each block of :data:`BLOCK` entries of ``column``
-    in C order; an (ny, nx) view of a grid array is x-fastest."""
-    for start in range(0, column.size, BLOCK):
-        yield _texts(column.flat[start:start + BLOCK])
 
 
 def _node_texts(values: np.ndarray, start: int) -> Sequence[str]:

@@ -506,9 +506,8 @@ def test_one_call_builds_face_lines_per_distinct_mesh_nodes(tmp_path, monkeypatc
                                           {name: tmp_path / f"{name}.obj" for name in columns},
                                           valid)
     assert len(built) == 2  # "a" and "c" are meshes on the same nodes
-    for name, points in columns.items():
-        want = reference_write_obj(tmp_path / "want.obj", Vec3Field(grid, points), valid)
-        assert faces[list(columns).index(name)] == want
+    for (name, points), count in zip(columns.items(), faces):
+        assert count == reference_write_obj(tmp_path / "want.obj", Vec3Field(grid, points), valid)
         assert (tmp_path / f"{name}.obj").read_bytes() == (tmp_path / "want.obj").read_bytes()
     reference_write_table(tmp_path / "want.csv", grid, columns)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -518,9 +517,9 @@ def test_reconstruct_files_hold_blocks_not_grids(tmp_path):
     # the four reconstruct files at 201^2 are written a block at a time: the
     # writer holds one block's text (17 floats a node, each a str object of
     # ~70 B beside its row text) and the mesh node masks and vertex ids, a
-    # few grids.  Measured 4.7 MB here (the same writer at 401^2: 6.1 MB);
-    # a memo of the r, N and rbar texts held until the table was written
-    # took 14.5 MB at 201^2 and 40.8 MB at 401^2
+    # few grids.  Measured 4.7 MB (6.1 MB at 401^2) on x86-64, Python 3.11,
+    # numpy 2.4; a memo of the r, N and rbar texts held until the table was
+    # written took 14.5 MB at 201^2 and 40.8 MB at 401^2
     from mosurf.frames import reconstruct
     from mosurf.seeds import SeedSpec, generate_seed
 
